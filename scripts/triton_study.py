@@ -4,18 +4,13 @@
 Fits sech^2 wells to the triplet and singlet (a, r_e) pairs, solves the
 coupled spectator equations for the three-nucleon ground state, then sets
 both inverse scattering lengths to zero to expose the underlying discrete
-scaling, including the one-channel boson reduction cross-check.
+scaling.
 """
 import argparse
 import math
 
 from efimov.cli import write_csv
-from efimov.stm import (
-    TritonModel,
-    solve_boson_reference,
-    solve_triton,
-    solve_triton_unitarity,
-)
+from efimov.stm import TritonModel, solve_triton, solve_triton_unitarity
 
 
 def main():
@@ -45,12 +40,6 @@ def main():
         rows.append((f"unitarity_{i}", E))
     if len(uni) >= 3:
         rows.append(("unitarity_kappa_ratio", math.sqrt(uni[1] / uni[2])))
-
-    # reduction check: identical channels collapse onto the one-channel
-    # boson problem built from the triplet form factor
-    boson = solve_boson_reference(model, 0.0)
-    for i, E in enumerate(boson):
-        rows.append((f"boson_reference_{i}", E))
     write_csv(args.output, ["quantity", "value"], rows)
 
 

@@ -7,7 +7,6 @@ This gives an analytic window on the Efimov effect for large mass ratios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import lambertw
@@ -15,7 +14,6 @@ from scipy.special import lambertw
 __all__ = [
     "OMEGA",
     "BO_CRITICAL_L1",
-    "BondingPotential",
     "bonding_kappa",
     "bonding_energy",
     "effective_potential",
@@ -49,28 +47,7 @@ def bonding_kappa(R, a: float):
 
 def bonding_energy(R, a: float):
     """eps(R) = -hbar^2 kappa(R)^2/(2m) in natural units hbar = m = 1."""
-    kap = bonding_kappa(R, a)
-    return -0.5 * np.asarray(kap) ** 2 if np.ndim(kap) else (
-        float("nan") if math.isnan(kap) else -0.5 * kap**2
-    )
-
-
-@dataclass(frozen=True)
-class BondingPotential:
-    """Sampled bonding orbital for one heavy-light scattering length."""
-
-    a: float
-    R: np.ndarray
-    kappa: np.ndarray
-
-    @classmethod
-    def sample(cls, a: float, R_grid) -> "BondingPotential":
-        R = np.asarray(R_grid, dtype=float)
-        return cls(a, R, np.asarray(bonding_kappa(R, a)))
-
-    @property
-    def energy(self) -> np.ndarray:
-        return -0.5 * self.kappa**2
+    return -0.5 * bonding_kappa(R, a) ** 2
 
 
 def effective_potential(R, a: float, L: int, mass_ratio: float):
@@ -83,8 +60,7 @@ def effective_potential(R, a: float, L: int, mass_ratio: float):
     if L < 0 or L != int(L):
         raise ValueError("L must be a non-negative integer")
     R = np.asarray(R, dtype=float)
-    eps = -0.5 * np.asarray(bonding_kappa(R, a)) ** 2
-    out = L * (L + 1) / R**2 + mass_ratio * eps
+    out = L * (L + 1) / R**2 + mass_ratio * bonding_energy(R, a)
     return out if out.ndim else float(out)
 
 

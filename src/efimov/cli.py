@@ -433,12 +433,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _apply_config(args)
         return args.func(args)
+    except (ConvergenceError, BracketingError) as exc:
+        # before ValueError: BracketingError subclasses it
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, BracketingError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

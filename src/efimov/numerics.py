@@ -1,5 +1,5 @@
-"""Shared numerical substrate: quadrature, root finding, dense eigenproblems,
-and a radial ODE integrator.
+"""Shared numerical substrate: quadrature, root finding and dense
+eigenproblems.
 
 All physics modules work in natural units hbar = m = 1, where m is the mass
 of the reference particle.  Everything here is a pure function of its inputs.
@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "gauss_legendre_log",
     "smallest_eigenvalue",
     "det_sign",
-    "integrate_radial",
 ]
 
 
@@ -138,54 +136,3 @@ def det_sign(matrix) -> float:
     sign, _ = np.linalg.slogdet(np.asarray(matrix, dtype=float))
     return float(sign)
 
-
-def integrate_radial(
-    potential,
-    energy: float,
-    r0: float,
-    r1: float,
-    n: int = 2000,
-    u0: float = 0.0,
-    du0: float = 1.0,
-    weight: float = 2.0,
-    rtol: float = 1e-12,
-):
-    """Integrate the radial equation u'' = weight * (V(r) - E) * u outward.
-
-    The default weight 2 corresponds to unit mass in natural units; two-body
-    relative motion with reduced mass 1/2 uses weight 1, so that
-    E = hbar^2 k^2 / m.
-
-    Returns
-    -------
-    r : ndarray, shape (n,)
-        Uniform sample grid from r0 to r1.
-    u : ndarray, shape (n,)
-        Solution samples.
-    logder : float
-        u'(r1)/u(r1).
-    """
-    if not r0 < r1:
-        raise ValueError("need r0 < r1")
-
-    def rhs(r, y):
-        return [y[1], weight * (potential(r) - energy) * y[0]]
-
-    r = np.linspace(r0, r1, n)
-    scale = max(abs(u0), abs(du0) * (r1 - r0), 1.0)
-    sol = solve_ivp(
-        rhs,
-        (r0, r1),
-        [u0, du0],
-        t_eval=r,
-        method="DOP853",
-        rtol=rtol,
-        atol=1e-14 * scale,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise ConvergenceError(f"radial integration failed: {sol.message}")
-    u, du = sol.y
-    if u[-1] == 0.0:
-        raise ConvergenceError("u(r1) = 0; log-derivative undefined")
-    return r, u, float(du[-1] / u[-1])

@@ -1,8 +1,10 @@
 """Momentum-space three-body integral equations: the quantitative oracle.
 
-Solves the s-wave spectator-amplitude equation for zero-range,
-narrow-resonance, and rank-one separable interactions, plus the coupled
-two-channel (triplet/singlet) nucleon model.  Natural units hbar = m = 1:
+Solves the s-wave spectator-amplitude equation for zero-range and
+narrow-resonance interactions (``StmKernel``) and for rank-one separable
+interactions (``SeparableKernel``).  The separable kernel takes one form
+factor per spin-isospin channel: one channel for identical bosons, the
+triplet/singlet pair for the nucleon model.  Natural units hbar = m = 1:
 the spectator kinetic term is (3/4)P^2 and dimers sit at -kappa^2.
 
 Trimer energies are located as sign changes of det M(E) on a logarithmic
@@ -19,7 +21,13 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .channels import LAMBDA0, S0
-from .numerics import ConvergenceError, find_root, gauss_legendre, gauss_legendre_log
+from .numerics import (
+    ConvergenceError,
+    det_sign,
+    find_root,
+    gauss_legendre,
+    gauss_legendre_log,
+)
 from .two_body import (
     FormFactor,
     TwoBodyModel,
@@ -53,11 +61,16 @@ class ResolutionWarning(UserWarning):
     """Adjacent levels closer than a few momentum-grid cells."""
 
 
-def _scan_roots(det, E_window, n_scan):
-    """Sign changes of det(E) on a log grid over (E_lo, E_hi), E < 0."""
+def _scan_roots(kernel, E_window, n_scan):
+    """Energies where det ``kernel.matrix(E)`` changes sign, found on a log
+    grid over (E_lo, E_hi), E < 0, and refined by Brent's method."""
     E_lo, E_hi = E_window
     if not E_lo < E_hi < 0:
         raise ValueError("need E_lo < E_hi < 0")
+
+    def det(E):
+        return det_sign(kernel.matrix(E))
+
     Es = -np.exp(np.linspace(math.log(-E_lo), math.log(-E_hi), n_scan))
     sg = [det(E) for E in Es]
     roots = []
@@ -175,11 +188,7 @@ def solve_trimers_zero_range(
         inv_a, cutoff, r_star=r_star, exact_domain=exact_domain, n=n,
         p_min_factor=p_min_factor,
     )
-
-    def det(E):
-        return float(np.linalg.slogdet(kern.matrix(E))[0])
-
-    roots = _scan_roots(det, E_window, n_scan)
+    roots = _scan_roots(kern, E_window, n_scan)
     if inv_a > 0:
         # discard the atom-dimer continuum: the dimer pole shifts with R*
         kd = (
@@ -227,67 +236,109 @@ def solve_trimers_narrow_resonance(
     return roots
 
 
+# exchange weights W_ab of the spin-isospin recoupling, by channel count:
+# identical bosons, and the nucleon triplet/singlet pair
+_RECOUPLING = {1: np.array([[1.0]]), 2: np.array([[0.25, 0.75], [0.75, 0.25]])}
+_SLAB = 8
+
+
 @dataclass(frozen=True)
 class SeparableKernel:
     """Rank-one separable STM kernel with numerically projected s wave.
 
-    M(E) = diag[1/(4 pi a) - I(P)] + K with
-    I(P) = (1/(2 pi^2)) int dq phi(q)^2 kap^2/(q^2+kap^2), kap^2 = 3P^2/4 - E,
-    K(P,Q) = (1/(2 pi^2)) w_Q Q^2 int dc phi(q1) phi(q2)/(P^2+Q^2+PQc-E),
-    q1 = |Q + P/2|, q2 = |P + Q/2|.
+    ``form`` and ``inv_a`` give one form factor phi_a and one inverse
+    scattering length per spin-isospin channel; a bare FormFactor and a
+    float are the one-channel (identical-boson) case.  Block (a, b) of M(E)
+    is delta_ab diag[1/(4 pi a_a) - I_a(P)] + W_ab K_ab with
+    I_a(P) = (1/(2 pi^2)) int dq phi_a(q)^2 kap^2/(q^2+kap^2), kap^2 = 3P^2/4 - E,
+    K_ab(P,Q) = (1/(2 pi^2)) w_Q Q^2 int dc phi_a(q1) phi_b(q2)/(P^2+Q^2+PQc-E),
+    q1 = |Q + P/2|, q2 = |P + Q/2|.  The recoupling weights W are [[1]] for
+    bosons and [[1/4, 3/4], [3/4, 1/4]] for the nucleon triplet/singlet
+    pair.  The dimer integral I runs over q in [q_min, 2.2 p_max].
     """
 
-    form: FormFactor
-    inv_a: float
+    form: FormFactor | tuple
+    inv_a: float | tuple
     n: int = 260
     n_ang: int = _DEF_NANG
     p_min: float = None
+    q_min: float = 1e-6
     _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        if len(self.forms) not in _RECOUPLING or np.size(self.inv_a) != len(self.forms):
+            raise ValueError("need 1 or 2 channels, each with one form factor and 1/a")
         if self.p_min is None:
-            object.__setattr__(self, "p_min", 2.5e-6 * self.form.p_max)
+            object.__setattr__(self, "p_min", 2.5e-6 * self.p_max)
+
+    @property
+    def forms(self) -> tuple:
+        return (self.form,) if isinstance(self.form, FormFactor) else tuple(self.form)
+
+    @property
+    def p_max(self) -> float:
+        return max(f.p_max for f in self.forms)
 
     def _build(self):
         if self._tables:
             return
-        rule = gauss_legendre_log(self.n, self.p_min, self.form.p_max)
+        rule = gauss_legendre_log(self.n, self.p_min, self.p_max)
         p, wp = rule.nodes, rule.weights
         ang = gauss_legendre(self.n_ang, -1.0, 1.0)
-        c, wc = ang.nodes, ang.weights
+        # before the tables: the 3000-point rule's eigensolve is the
+        # largest transient allocation of the build
+        dim = gauss_legendre_log(3000, self.q_min, 2.2 * self.p_max)
         P = p[:, None, None]
         Q = p[None, :, None]
-        C = c[None, None, :]
-        q1 = np.sqrt(Q * Q + 0.25 * P * P + P * Q * C)
-        q2 = np.sqrt(P * P + 0.25 * Q * Q + P * Q * C)
-        dim = gauss_legendre_log(3000, 1e-6, 2.2 * self.form.p_max)
+        C = ang.nodes[None, None, :]
+        # phi_a(q1) in slabs of P rows, which keeps the temporaries of the
+        # form-factor calls small.  q2(P, Q, c) = q1(Q, P, c): phi(q2) is a
+        # transposed view of phi(q1), and the (b, a) angular sum is the
+        # transpose of the (a, b) one
+        nc = len(self.forms)
+        phi1 = np.empty((nc, self.n, self.n, self.n_ang))
+        for i in range(0, self.n, _SLAB):
+            Ps = P[i : i + _SLAB]
+            q1 = np.sqrt(Q * Q + 0.25 * Ps * Ps + Ps * Q * C)
+            for a, f in enumerate(self.forms):
+                phi1[a, i : i + _SLAB] = f(q1)
+        ang_tables = {}
+        for a in range(nc):
+            for b in range(a, nc):
+                ang_tables[a, b] = ang.weights * phi1[a]
+                ang_tables[a, b] *= phi1[b].transpose(1, 0, 2)
+        del phi1
         self._tables.update(
-            p=p, wp=wp, c=c, wc=wc, P=P, Q=Q, C=C,
-            ph12=self.form(q1) * self.form(q2),
-            qd=dim.nodes, wd=dim.weights, phd2=self.form(dim.nodes) ** 2,
+            p=p, wp=wp, P=P, Q=Q, C=C, ang=ang_tables,
+            qd2=dim.nodes**2,
+            wphd2=dim.weights[:, None] * np.stack([f(dim.nodes) ** 2 for f in self.forms], 1),
         )
 
     def dimer_integral(self, E: float) -> np.ndarray:
-        """I(P) over the momentum grid."""
+        """I(P) over the momentum grid, channel after channel."""
         self._build()
         t = self._tables
-        kap2 = 0.75 * t["p"] ** 2 - E
-        return (
-            (t["phd2"][None, :] * kap2[:, None] / (t["qd"][None, :] ** 2 + kap2[:, None]))
-            @ t["wd"]
-        ) / (2 * np.pi**2)
+        kap2 = (0.75 * t["p"] ** 2 - E)[:, None]
+        return ((kap2 / (t["qd2"][None, :] + kap2)) @ t["wphd2"]).T.ravel() / (2 * np.pi**2)
 
     def matrix(self, E: float, homogeneous: bool = False) -> np.ndarray:
         """M(E); with ``homogeneous`` the 1/a diagonal term is dropped
         (threshold eigenproblem form)."""
         self._build()
         t = self._tables
-        den = t["P"] ** 2 + t["Q"] ** 2 + t["P"] * t["Q"] * t["C"] - E
-        angsum = np.sum(t["wc"][None, None, :] * t["ph12"] / den, axis=2)
-        K = (1.0 / (2 * np.pi**2)) * t["wp"][None, :] * t["p"][None, :] ** 2 * angsum
-        I = self.dimer_integral(E)
-        D = (0.0 if homogeneous else self.inv_a / (4 * np.pi)) - I
-        return np.diag(D) + K
+        inv_den = t["P"] * t["Q"] * t["C"]
+        inv_den += t["P"] ** 2 + t["Q"] ** 2
+        inv_den -= E
+        np.reciprocal(inv_den, out=inv_den)
+        S = {ab: np.einsum("ijk,ijk->ij", tab, inv_den) for ab, tab in t["ang"].items()}
+        col = t["wp"] * t["p"] ** 2 / (2 * np.pi**2)
+        W = _RECOUPLING[len(self.forms)]
+        K = np.block([
+            [W[a, b] * (S[a, b] if a <= b else S[b, a].T) * col for b in range(len(W))]
+            for a in range(len(W))
+        ])
+        D = 0.0 if homogeneous else np.repeat(self.inv_a, self.n) / (4 * np.pi)
+        return np.diag(D - self.dimer_integral(E)) + K
 
 
 def solve_trimers_separable(
@@ -304,11 +355,7 @@ def solve_trimers_separable(
     """
     inv_a = form.inv_a if a is None else (0.0 if np.isinf(a) else 1.0 / a)
     kern = SeparableKernel(form, inv_a, n=n, n_ang=n_ang)
-
-    def det(E):
-        return float(np.linalg.slogdet(kern.matrix(E))[0])
-
-    roots = _scan_roots(det, E_window, n_scan)
+    roots = _scan_roots(kern, E_window, n_scan)
     _warn_resolution(roots, n / math.log10(form.p_max / kern.p_min))
     return roots
 
@@ -525,61 +572,6 @@ class TritonResult:
     inputs: dict
 
 
-def _triton_det_factory(
-    model: TritonModel,
-    inv_at: float,
-    inv_as: float,
-    n: int,
-    n_ang: int,
-    p_max: float,
-    p_min: float,
-    boson_mode: bool = False,
-):
-    ff_t, ff_s = model.form_factors(p_max)
-    if boson_mode:
-        ff_s, inv_as = ff_t, inv_at
-    rule = gauss_legendre_log(n, p_min, p_max)
-    p, wp = rule.nodes, rule.weights
-    ang = gauss_legendre(n_ang, -1.0, 1.0)
-    c, wc = ang.nodes, ang.weights
-    P = p[:, None, None]
-    Q = p[None, :, None]
-    C = c[None, None, :]
-    q1 = np.sqrt(Q * Q + 0.25 * P * P + P * Q * C)
-    q2 = np.sqrt(P * P + 0.25 * Q * Q + P * Q * C)
-    ft1, fs1 = ff_t(q1), ff_s(q1)
-    ft2, fs2 = ff_t(q2), ff_s(q2)
-    dim = gauss_legendre_log(3000, 1e-4 * p_min, 2.2 * p_max)
-    qd, wd = dim.nodes, dim.weights
-    pt2, ps2 = ff_t(qd) ** 2, ff_s(qd) ** 2
-
-    def det(E):
-        den = P * P + Q * Q + P * Q * C - E
-        pref = (1.0 / np.pi) * wp[None, :] * p[None, :] ** 2
-        Ktt = pref * np.sum(wc * ft1 * ft2 / den, axis=2)
-        Kts = pref * np.sum(wc * ft1 * fs2 / den, axis=2)
-        Kst = pref * np.sum(wc * fs1 * ft2 / den, axis=2)
-        Kss = pref * np.sum(wc * fs1 * fs2 / den, axis=2)
-        kap2 = 0.75 * p**2 - E
-        It = ((pt2[None, :] * kap2[:, None] / (qd[None, :] ** 2 + kap2[:, None])) @ wd) * (
-            2 / np.pi
-        )
-        Is = ((ps2[None, :] * kap2[:, None] / (qd[None, :] ** 2 + kap2[:, None])) @ wd) * (
-            2 / np.pi
-        )
-        # antisymmetry of the spin-isospin recoupling: 1/2 same-channel,
-        # 3/2 cross-channel exchange weights
-        M = np.block(
-            [
-                [np.diag(inv_at - It) + 0.5 * Ktt, 1.5 * Kts],
-                [1.5 * Kst, np.diag(inv_as - Is) + 0.5 * Kss],
-            ]
-        )
-        return float(np.linalg.slogdet(M)[0])
-
-    return det, (ff_t, ff_s)
-
-
 def solve_triton(
     model: TritonModel,
     E_window: tuple[float, float] = None,
@@ -599,10 +591,13 @@ def solve_triton(
     h2m = model.hbar2_over_m
     if E_window is None:
         E_window = (-0.5, -1.02 * model.deuteron_energy / h2m)
-    det, (ff_t, ff_s) = _triton_det_factory(
-        model, 1.0 / model.a_t, 1.0 / model.a_s, n, n_ang, p_max, 1e-4
+    ff_t, ff_s = model.form_factors(p_max)
+    p_min = 1e-4
+    kern = SeparableKernel(
+        (ff_t, ff_s), (1.0 / model.a_t, 1.0 / model.a_s), n=n, n_ang=n_ang,
+        p_min=p_min, q_min=1e-4 * p_min,
     )
-    roots = _scan_roots(det, E_window, 120)
+    roots = _scan_roots(kern, E_window, 120)
     Ed_sep = dimer_energy(TMatrixModel("separable", form=ff_t))
     return TritonResult(
         deuteron=model.deuteron_energy,
@@ -625,25 +620,12 @@ def solve_triton_unitarity(
 ) -> list[float]:
     """Two-channel spectrum with both inverse scattering lengths set to
     zero (natural units, fm^-2); exposes the boson-like scaling ratio."""
-    det, _ = _triton_det_factory(model, 0.0, 0.0, n, n_ang, p_max, 1e-6)
-    return _scan_roots(det, E_window, 260)
-
-
-def solve_boson_reference(
-    model: TritonModel,
-    inv_a: float,
-    n: int = 240,
-    n_ang: int = 32,
-    p_max: float = 40.0,
-    E_window: tuple[float, float] = (-0.5, -1e-9),
-) -> list[float]:
-    """One-channel boson spectrum using the triplet form factor in the
-    two-channel assembly with identical channels; by construction equals
-    the separable boson solver (reduction cross-check)."""
-    det, _ = _triton_det_factory(
-        model, inv_a, inv_a, n, n_ang, p_max, 1e-6, boson_mode=True
+    p_min = 1e-6
+    kern = SeparableKernel(
+        model.form_factors(p_max), (0.0, 0.0), n=n, n_ang=n_ang,
+        p_min=p_min, q_min=1e-4 * p_min,
     )
-    return _scan_roots(det, E_window, 260)
+    return _scan_roots(kern, E_window, 260)
 
 
 def reconstruct_wavefunction(kernel: SeparableKernel, E: float):

@@ -293,10 +293,6 @@ class FormFactor:
         norm = self.inv_a - (2.0 / np.pi) * float(np.dot(rule.weights, self(rule.nodes) ** 2))
         return 4.0 * np.pi / norm
 
-    def tabulate(self, n: int = 400):
-        p = np.geomspace(1e-4 * self.p_max, self.p_max, n)
-        return p, self(p)
-
 
 def _sine_transform_profile(r, delta, p_tab):
     """phi(p) = 1 - p * int delta(r) sin(pr) dr on a fixed momentum table."""

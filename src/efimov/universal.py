@@ -24,7 +24,6 @@ __all__ = [
     "PolarSpectrumPoint",
     "ThreeBodyParameter",
     "delta",
-    "delta_branch_joints",
     "trimer_energy",
     "trimer_point",
     "threshold_constants",
@@ -110,26 +109,6 @@ def delta(xi):
     high = 6.027 - 9.64 * x + 3.14 * x**2
     out = np.where(xi <= -5 * np.pi / 8, low, np.where(xi <= -3 * np.pi / 8, mid, high))
     return out if out.ndim else float(out)
-
-
-def delta_branch_joints() -> list[tuple[float, float, float]]:
-    """(xi, left value, right value) at the two interior branch joints."""
-    out = []
-    for xi, lo_branch, hi_branch in (
-        (-5 * np.pi / 8, "low", "mid"),
-        (-3 * np.pi / 8, "mid", "high"),
-    ):
-        left = float(delta(xi - 1e-13)) if lo_branch == "low" else float(delta(xi))
-        z = xi + np.pi
-        y = xi + np.pi / 2
-        x = math.sqrt(max(-xi - np.pi / 4, 0.0))
-        vals = {
-            "low": -0.825 - 0.05 * z - 0.77 * z**2 + 1.26 * z**3 - 0.37 * z**4,
-            "mid": 2.11 * y + 1.96 * y**2 + 1.38 * y**3,
-            "high": 6.027 - 9.64 * x + 3.14 * x**2,
-        }
-        out.append((float(xi), vals[lo_branch], vals[hi_branch]))
-    return out
 
 
 def _log_radius_sq(n: int, xi: float, kappa_star: float) -> float:

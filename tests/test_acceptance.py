@@ -25,7 +25,6 @@ from efimov.stm import (
     a_minus_ground,
     kappa_star_extrapolated,
     narrow_resonance_a_star0,
-    solve_boson_reference,
     solve_triton,
     solve_triton_unitarity,
     solve_trimers_narrow_resonance,
@@ -44,7 +43,7 @@ from efimov.two_body import (
     universal_tail_form_factor,
     vdw_form_factor,
 )
-from efimov.universal import delta_branch_joints, threshold_constants
+from efimov.universal import delta, threshold_constants
 
 # ---------------------------------------------------------------------------
 # shared expensive solves
@@ -117,8 +116,8 @@ def test_criterion_02_universal_formula_self_consistency():
     ka_minus, ka_star = threshold_constants()
     assert ka_minus == pytest.approx(-1.50763, rel=5e-3)
     assert ka_star == pytest.approx(0.0707645086901, rel=5e-3)
-    for _, left, right in delta_branch_joints():
-        assert abs(left - right) < 0.01
+    for xi in (-5 * math.pi / 8, -3 * math.pi / 8):
+        assert abs(float(delta(xi + 1e-12)) - float(delta(xi - 1e-12))) < 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -325,19 +324,14 @@ def test_criterion_09e_node_ordering(zero_range_levels):
 
 
 def test_criterion_09f_two_channel_boson_reduction(triton_model):
-    # with the triplet profile in both channels the 2x2-block nucleon
-    # assembly splits into the boson sector and a mixed-symmetry sector
+    # with the triplet profile in both channels the two-channel nucleon
+    # kernel splits into the boson sector and a mixed-symmetry sector
     # without bound states, so it has the one-channel separable levels
-    ref = solve_boson_reference(triton_model, 0.0, n=120, n_ang=24)
     form, _ = triton_model.form_factors()
-    kern = SeparableKernel(form, 0.0, n=120, n_ang=24, p_min=1e-6)
-    sep = _scan_roots(
-        lambda E: float(np.linalg.slogdet(kern.matrix(E))[0]), (-0.5, -1e-9), 260
+    one, two = (
+        _scan_roots(SeparableKernel(ff, inv_a, n=120, n_ang=24, p_min=1e-6), (-0.5, -1e-9), 260)
+        for ff, inv_a in ((form, 0.0), ((form, form), (0.0, 0.0)))
     )
-    assert len(sep) == len(ref) == 3
-    # the separable kernel starts its dimer integral at q = 1e-6, the block
-    # at 1e-10; the missing infrared piece shifts a level by a relative
-    # amount of order 1e-6/kappa, 2e-3 for the shallowest (kappa = 6e-4).
-    # Given the same dimer rule, the two assemblies give identical levels.
-    for E_ref, E_sep, tol in zip(ref, sep, (1e-3, 1e-3, 5e-3)):
-        assert E_sep == pytest.approx(E_ref, rel=tol)
+    assert len(one) == len(two) == 3
+    for E_one, E_two in zip(one, two):
+        assert E_two == pytest.approx(E_one, rel=1e-9)

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 from efimov.born_oppenheimer import (
     BO_CRITICAL_L1,
     OMEGA,
-    BondingPotential,
     bonding_energy,
     bonding_kappa,
     critical_mass_ratio_bo,
@@ -50,13 +48,6 @@ def test_positive_a_long_range_limit():
     a = 3.0
     assert bonding_kappa(50.0, a) == pytest.approx(1.0 / a, rel=1e-6)
     assert bonding_energy(50.0, a) == pytest.approx(-0.5 / a**2, rel=1e-5)
-
-
-def test_bonding_potential_sample():
-    R = np.geomspace(0.1, 1.5, 20)
-    pot = BondingPotential.sample(-2.0, R)
-    assert pot.kappa.shape == R.shape
-    assert np.all(pot.energy[np.isfinite(pot.energy)] < 0)
 
 
 def test_effective_potential_centrifugal_term():

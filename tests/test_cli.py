@@ -5,7 +5,7 @@ import pytest
 
 from efimov import __version__
 from efimov.cli import ConfigError, main, read_config
-from efimov.numerics import ConvergenceError
+from efimov.numerics import BracketingError, ConvergenceError
 
 
 def run(argv):
@@ -83,11 +83,12 @@ def test_invalid_values_exit_2(tmp_path):
     assert run(["stm", "--E-min", "-1.0", "--E-max", "1.0", "--output", out]) == 2
 
 
-def test_solver_failure_exits_3(monkeypatch, tmp_path):
+@pytest.mark.parametrize("error", [ConvergenceError, BracketingError], ids=lambda e: e.__name__)
+def test_solver_failure_exits_3(monkeypatch, tmp_path, error):
     import efimov.cli as cli
 
     def boom(args):
-        raise ConvergenceError("did not converge")
+        raise error("solver failed")
 
     # build_parser resolves cmd_channels from module globals on each call,
     # so the patched function is picked up by main

@@ -12,7 +12,6 @@ from efimov.numerics import (
     find_root,
     gauss_legendre,
     gauss_legendre_log,
-    integrate_radial,
     scan_sign_changes,
     smallest_eigenvalue,
 )
@@ -90,15 +89,3 @@ def test_det_sign_flips_with_eigenvalue_crossing():
     after = det_sign(m - (lam + 1e-3) * np.eye(6))
     assert before * after == -1.0
 
-
-def test_integrate_radial_free_particle():
-    r, u, logder = integrate_radial(lambda r: 0.0, 0.0, 1e-9, 5.0, weight=1.0)
-    assert u[-1] == pytest.approx(5.0, rel=1e-9)
-    assert logder == pytest.approx(1.0 / 5.0, rel=1e-9)
-
-
-def test_integrate_radial_matches_sine():
-    k = 1.3
-    r, u, logder = integrate_radial(lambda r: 0.0, k * k, 1e-12, 2.0, weight=1.0)
-    assert u[-1] * k == pytest.approx(math.sin(2.0 * k), rel=1e-9)
-    assert logder == pytest.approx(k / math.tan(2.0 * k), rel=1e-8)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from efimov.channels import LAMBDA0
-from efimov.numerics import smallest_eigenvalue
+from efimov.numerics import gauss_legendre, gauss_legendre_log, smallest_eigenvalue
 from efimov.stm import (
     SeparableKernel,
     StmKernel,
@@ -15,7 +15,7 @@ from efimov.stm import (
     solve_trimers_zero_range,
     threshold_scattering_lengths,
 )
-from efimov.two_body import step_form_factor
+from efimov.two_body import FormFactor, step_form_factor
 
 
 def test_zero_range_kernel_matches_analytic_form():
@@ -138,6 +138,39 @@ def test_separable_homogeneous_matrix_consistency(step_ground):
     # 1/a enters the diagonal only
     assert np.max(np.abs(off)) < 1e-14
     assert np.diag(diff) == pytest.approx(np.full(60, 0.25 / (4 * np.pi)), rel=1e-12)
+
+
+def test_nucleon_kernel_matches_two_channel_block():
+    # reference: the triplet/singlet 2x2-block assembly written out in the
+    # 1/pi normalisation (4 pi times the kernel's), exchange weight 1/2
+    # within a channel and 3/2 across, dimer integral from 1e-4 p_min
+    ff_t = FormFactor(lambda q: 1.0 / (1.0 + q**2 / 1.4**2), 0.2, 40.0)
+    ff_s = FormFactor(lambda q: 1.0 / (1.0 + q**2 / 1.1**2), -0.04, 40.0)
+    n, n_ang, p_min, p_max, E = 40, 12, 1e-4, 40.0, -0.3
+    kern = SeparableKernel(
+        (ff_t, ff_s), (0.2, -0.04), n=n, n_ang=n_ang, p_min=p_min, q_min=1e-4 * p_min
+    )
+    rule = gauss_legendre_log(n, p_min, p_max)
+    p, wp = rule.nodes, rule.weights
+    ang = gauss_legendre(n_ang, -1.0, 1.0)
+    P, Q, C = p[:, None, None], p[None, :, None], ang.nodes[None, None, :]
+    q1 = np.sqrt(Q * Q + 0.25 * P * P + P * Q * C)
+    q2 = np.sqrt(P * P + 0.25 * Q * Q + P * Q * C)
+    den = P * P + Q * Q + P * Q * C - E
+    dim = gauss_legendre_log(3000, 1e-4 * p_min, 2.2 * p_max)
+    kap2 = (0.75 * p**2 - E)[:, None]
+
+    def K(fa, fb):
+        return (wp * p**2 / np.pi) * np.sum(ang.weights * fa(q1) * fb(q2) / den, axis=2)
+
+    def I(f):
+        return (2 / np.pi) * (f(dim.nodes) ** 2 * kap2 / (dim.nodes**2 + kap2)) @ dim.weights
+
+    ref = np.block([
+        [np.diag(0.2 - I(ff_t)) + 0.5 * K(ff_t, ff_t), 1.5 * K(ff_t, ff_s)],
+        [1.5 * K(ff_s, ff_t), np.diag(-0.04 - I(ff_s)) + 0.5 * K(ff_s, ff_s)],
+    ])
+    np.testing.assert_allclose(4 * np.pi * kern.matrix(E), ref, rtol=1e-13, atol=0)
 
 
 def test_wavefunction_exchange_symmetry(step_ground):
