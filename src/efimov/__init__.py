@@ -3,7 +3,7 @@ resonant interactions.
 
 Library layers
 --------------
-numerics          quadrature, root finding, eigenproblems
+numerics          quadrature, root finding, level isolation
 two_body          potentials, zero-energy scattering, form factors, T-matrices
 channels          hyperangular channel exponents s_n
 hyperradial       1D hyperradial bound states, three-body phase, adiabatic spectra

@@ -11,6 +11,7 @@ hbar = m = 1 with E = -kappa^2 relative to the channel threshold.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .channels import S0, ThreeBodySystem, s2_lowest
-from .numerics import BracketingError, ConvergenceError, find_root
+from .numerics import BracketingError, ConvergenceError, find_root, isolate_levels
 
 __all__ = [
     "HyperradialChannel",
@@ -124,13 +125,6 @@ def _shoot(channel: HyperradialChannel, energy: float, samples: int = _SAMPLES):
     return x, sol.y[0], sol.y[1]
 
 
-def _node_count(channel, energy) -> int:
-    _, v, _ = _shoot(channel, energy)
-    body = v[1:] if channel.boundary == "hard_wall" else v
-    s = np.sign(body[np.abs(body) > 0])
-    return int(np.count_nonzero(np.diff(s) != 0))
-
-
 def solve_bound_states(
     channel: HyperradialChannel,
     kappa_window: tuple[float, float],
@@ -138,34 +132,35 @@ def solve_bound_states(
 ) -> BoundStateSet:
     """All bound levels with kappa = sqrt(threshold - E) inside the window.
 
-    Node-count bisection in ln kappa: the outward solution at energy E has
-    as many interior nodes as there are levels below E, so each unit jump
-    of the count brackets one eigenvalue.  An empty window returns an
-    empty set.
+    The outward solution at energy E has as many interior nodes as there
+    are levels below E; the node count is bisected in ln kappa until each
+    bracket holds one level.  The count steps where a node crosses the end
+    of the shot, so each level is refined by Brent's method, to ``tol`` in
+    ln kappa, on the continuous end value v(x1(kappa)).  An empty window
+    returns an empty set.
     """
     k_lo, k_hi = kappa_window
     if not 0 < k_lo < k_hi:
         raise ValueError("need 0 < kappa_min < kappa_max")
-    E = lambda kap: channel.threshold - kap * kap
-    n_hi = _node_count(channel, E(k_hi))  # levels deeper than the window
-    n_lo = _node_count(channel, E(k_lo))
+    E = lambda t: channel.threshold - math.exp(2.0 * t)
+
+    @functools.cache
+    def shot(t):
+        """(node count, end value) of the shot at kappa = e^t."""
+        _, v, _ = _shoot(channel, E(t))
+        body = v[1:] if channel.boundary == "hard_wall" else v
+        s = np.sign(body[np.abs(body) > 0])
+        return int(np.count_nonzero(np.diff(s) != 0)), v[-1]
+
+    brackets = isolate_levels(
+        lambda t: shot(t)[0], math.log(k_lo), math.log(k_hi), tol=tol
+    )
     energies, profiles = [], []
-    t_hi = math.log(k_hi)
-    for k in range(n_hi, n_lo):
-        t_lo = math.log(k_lo)
-        lo, hi = t_lo, t_hi
-        # bisect the jump of the node count from <=k to >=k+1
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if _node_count(channel, E(math.exp(mid))) > k:
-                lo = mid
-            else:
-                hi = mid
-        kap = math.exp(0.5 * (lo + hi))
-        energies.append(E(kap))
-        x, v, dv = _shoot(channel, E(kap))
+    for lo, hi, _, _ in reversed(brackets):  # deepest (largest kappa) first
+        t = find_root(lambda t: shot(t)[1], lo, hi, tol=tol)
+        energies.append(E(t))
+        x, v, dv = _shoot(channel, E(t))
         profiles.append((np.exp(x), v, dv))
-        t_hi = 0.5 * (lo + hi)
     return BoundStateSet(channel, tuple(energies), tuple(profiles))
 
 

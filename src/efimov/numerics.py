@@ -1,12 +1,13 @@
-"""Shared numerical substrate: quadrature, root finding and dense
-eigenproblems.
+"""Shared numerical substrate: quadrature, root finding and level
+isolation.
 
 All physics modules work in natural units hbar = m = 1, where m is the mass
 of the reference particle.  Everything here is a pure function of its inputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -17,11 +18,10 @@ __all__ = [
     "BracketingError",
     "ConvergenceError",
     "find_root",
+    "isolate_levels",
     "scan_sign_changes",
     "gauss_legendre",
     "gauss_legendre_log",
-    "smallest_eigenvalue",
-    "det_sign",
 ]
 
 
@@ -77,6 +77,31 @@ def find_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     return brentq(f, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps)
 
 
+def isolate_levels(count, lo: float, hi: float, tol: float) -> list[tuple]:
+    """Brackets of the unit steps of a monotone integer ``count`` on [lo, hi].
+
+    The interval is bisected until each piece holds exactly one step;
+    returns (a, b, count(a), count(b)) per step, in increasing a.  Raises
+    ConvergenceError when two steps are closer than ``tol``, so no level is
+    skipped silently.
+    """
+    out = []
+
+    def split(a, ca, b, cb):
+        if abs(cb - ca) == 1:
+            out.append((a, b, ca, cb))
+        elif ca != cb:
+            if b - a <= tol:
+                raise ConvergenceError(f"{abs(cb - ca)} levels within {tol:g} of {a:.15g}")
+            m = 0.5 * (a + b)
+            cm = count(m)
+            split(a, ca, m, cm)
+            split(m, cm, b, cb)
+
+    split(lo, count(lo), hi, count(hi))
+    return out
+
+
 def scan_sign_changes(f, grid) -> list[tuple[float, float]]:
     """Brackets [x_i, x_{i+1}] of ``grid`` on which f changes sign."""
     grid = np.asarray(grid, dtype=float)
@@ -85,13 +110,21 @@ def scan_sign_changes(f, grid) -> list[tuple[float, float]]:
     return [(grid[i], grid[i + 1]) for i in idx]
 
 
+@functools.lru_cache(maxsize=32)
+def _leggauss(n: int):
+    """Reference rule on [-1, 1], read-only: leggauss(3000) costs seconds."""
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(n: int, lo: float, hi: float) -> QuadratureRule:
     """n-point Gauss-Legendre rule on [lo, hi]; exact for degree <= 2n-1."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not lo < hi:
         raise ValueError("need lo < hi")
-    x, w = leggauss(n)
+    x, w = _leggauss(n)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return QuadratureRule(mid + half * x, half * w, mapping="linear")
 
@@ -108,31 +141,3 @@ def gauss_legendre_log(n: int, p_min: float, p_max: float) -> QuadratureRule:
     t = gauss_legendre(n, np.log(p_min), np.log(p_max))
     p = np.exp(t.nodes)
     return QuadratureRule(p, p * t.weights, mapping="log")
-
-
-def smallest_eigenvalue(matrix) -> tuple[float, np.ndarray]:
-    """Eigenvalue of smallest magnitude of a real (possibly nonsymmetric)
-    matrix, with its eigenvector.
-
-    Complex pairs are skipped: the STM kernels this is used on have a real
-    near-singular eigenvalue at the energies of interest, and its real
-    crossing is what locates det M(E) = 0.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    vals, vecs = np.linalg.eig(m)
-    real = np.abs(vals.imag) <= 1e-8 * (1.0 + np.abs(vals.real))
-    if not np.any(real):
-        raise ConvergenceError("no real eigenvalue found")
-    sub = np.nonzero(real)[0]
-    k = sub[np.argmin(np.abs(vals[sub]))]
-    v = vecs[:, k].real
-    return float(vals[k].real), v / np.linalg.norm(v)
-
-
-def det_sign(matrix) -> float:
-    """Sign of det(M) via LU (slogdet); robust for badly scaled kernels."""
-    sign, _ = np.linalg.slogdet(np.asarray(matrix, dtype=float))
-    return float(sign)
-

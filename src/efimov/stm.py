@@ -7,12 +7,14 @@ factor per spin-isospin channel: one channel for identical bosons, the
 triplet/singlet pair for the nucleon model.  Natural units hbar = m = 1:
 the spectator kinetic term is (3/4)P^2 and dimers sit at -kappa^2.
 
-Trimer energies are located as sign changes of det M(E) on a logarithmic
-energy scan, refined by Brent's method; dissociation thresholds a_-^(n)
-come from linear eigenvalue problems in 1/a at E = 0.
+Each kernel M(E) is real symmetric under a diagonal similarity, so
+``bound_levels`` locates trimers by the inertia of M(E), whose number of
+negative eigenvalues drops by one at each level; dissociation thresholds
+a_-^(n) come from symmetric eigenvalue problems in 1/a at E = 0.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -20,25 +22,27 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .channels import LAMBDA0, S0
+from .channels import LAMBDA0
 from .numerics import (
     ConvergenceError,
-    det_sign,
     find_root,
     gauss_legendre,
     gauss_legendre_log,
+    isolate_levels,
 )
 from .two_body import (
     FormFactor,
+    TMatrixModel,
     TwoBodyModel,
+    dimer_energy,
     est_form_factor,
     solve_zero_energy,
-    tune_to_scattering_length,
 )
 
 __all__ = [
     "StmKernel",
     "SeparableKernel",
+    "bound_levels",
     "solve_trimers_zero_range",
     "solve_trimers_narrow_resonance",
     "solve_trimers_separable",
@@ -61,29 +65,54 @@ class ResolutionWarning(UserWarning):
     """Adjacent levels closer than a few momentum-grid cells."""
 
 
-def _scan_roots(kernel, E_window, n_scan):
-    """Energies where det ``kernel.matrix(E)`` changes sign, found on a log
-    grid over (E_lo, E_hi), E < 0, and refined by Brent's method."""
+def _symmetrize(kernel, m):
+    """Overwrite a kernel matrix m with its real symmetric form s m s^-1,
+    s = p sqrt(w) on each channel block; returns s."""
+    rule = kernel.grid
+    s = np.tile(rule.nodes * np.sqrt(rule.weights), len(m) // kernel.n)
+    m *= s[:, None]
+    m /= s
+    return s
+
+
+def _spectrum(kernel, E):
+    m = kernel.matrix(E)
+    _symmetrize(kernel, m)
+    return np.linalg.eigvalsh(m)
+
+
+def _level_count(kernel, E_window):
+    """Number of levels in E_window, from the inertia of M(E) at its ends."""
+    lo, hi = (np.count_nonzero(_spectrum(kernel, E) < 0) for E in E_window)
+    return int(abs(lo - hi))
+
+
+def bound_levels(kernel, E_window: tuple[float, float]) -> list[float]:
+    """Bound-state energies of ``kernel`` in (E_lo, E_hi), E < 0, deepest
+    first.
+
+    The window ends at the kernel's lowest dimer pole, above which M(E)
+    holds the discretised atom-dimer continuum.  The number of negative
+    eigenvalues of M(E) is bisected in ln(-E) until each bracket holds one
+    level; Brent's method refines it on the eigenvalue of sorted index
+    min(count) that crosses zero there.
+    """
     E_lo, E_hi = E_window
     if not E_lo < E_hi < 0:
         raise ValueError("need E_lo < E_hi < 0")
-
-    def det(E):
-        return det_sign(kernel.matrix(E))
-
-    Es = -np.exp(np.linspace(math.log(-E_lo), math.log(-E_hi), n_scan))
-    sg = [det(E) for E in Es]
-    roots = []
-    for i in range(len(Es) - 1):
-        if sg[i] * sg[i + 1] < 0:
-            lE = find_root(
-                lambda l: det(-math.exp(l)),
-                math.log(-Es[i]),
-                math.log(-Es[i + 1]),
-                tol=1e-12,
-            )
-            roots.append(-math.exp(lE))
-    return sorted(roots)
+    E_hi = min(E_hi, kernel._threshold())
+    if not E_lo < E_hi:
+        return []
+    spectrum = functools.cache(lambda l: _spectrum(kernel, -math.exp(l)))
+    brackets = isolate_levels(
+        lambda l: int(np.count_nonzero(spectrum(l) < 0)),
+        math.log(-E_hi), math.log(-E_lo), tol=1e-12,
+    )
+    roots = [
+        find_root(lambda l, k=min(na, nb): spectrum(l)[k], a, b, tol=1e-12)
+        for a, b, na, nb in brackets
+    ]
+    return sorted(-math.exp(l) for l in roots)
 
 
 def _warn_resolution(energies, nodes_per_decade):
@@ -96,12 +125,6 @@ def _warn_resolution(energies, nodes_per_decade):
                 stacklevel=3,
             )
             break
-
-
-def _real_eigvals(m):
-    ev = np.linalg.eigvals(m)
-    keep = np.abs(ev.imag) <= 1e-8 * np.maximum(np.abs(ev), 1e-300)
-    return np.real(ev[keep])
 
 
 @dataclass(frozen=True)
@@ -134,6 +157,12 @@ class StmKernel:
     @property
     def grid(self):
         return gauss_legendre_log(self.n, self.p_min_factor * self.cutoff, self.cutoff)
+
+    def _threshold(self) -> float:
+        """Lowest breakup threshold: the dimer pole -kappa_d^2 with
+        kappa_d = (-1 + sqrt(1 + 4 R*/a))/(2 R*), or 0 without a dimer."""
+        inv_a = max(self.inv_a, 0.0)
+        return -((2.0 * inv_a / (1.0 + math.sqrt(1.0 + 4.0 * self.r_star * inv_a))) ** 2)
 
     def _exchange(self, E: float, p, wp):
         P = p[:, None]
@@ -177,7 +206,6 @@ def solve_trimers_zero_range(
     n: int = _DEF_N,
     r_star: float = 0.0,
     exact_domain: bool = False,
-    n_scan: int = 400,
     p_min_factor: float = 1e-5,
 ) -> list[float]:
     """Trimer energies of the zero-range theory with sharp cutoff, deepest
@@ -188,15 +216,7 @@ def solve_trimers_zero_range(
         inv_a, cutoff, r_star=r_star, exact_domain=exact_domain, n=n,
         p_min_factor=p_min_factor,
     )
-    roots = _scan_roots(kern, E_window, n_scan)
-    if inv_a > 0:
-        # discard the atom-dimer continuum: the dimer pole shifts with R*
-        kd = (
-            (-1.0 + math.sqrt(1.0 + 4.0 * r_star * inv_a)) / (2.0 * r_star)
-            if r_star > 0
-            else inv_a
-        )
-        roots = [E for E in roots if E < -(kd**2)]
+    roots = bound_levels(kern, E_window)
     _warn_resolution(roots, n / math.log10(cutoff / (kern.p_min_factor * cutoff)))
     return roots
 
@@ -221,9 +241,7 @@ def solve_trimers_narrow_resonance(
         cutoff = 100.0 / r_star
 
     def solve(lam):
-        return solve_trimers_zero_range(
-            a, lam, E_window, n=n, r_star=r_star, n_scan=300, p_min_factor=1e-8
-        )
+        return solve_trimers_zero_range(a, lam, E_window, n=n, r_star=r_star, p_min_factor=1e-8)
 
     roots = solve(cutoff)
     if check_cutoff:
@@ -282,7 +300,7 @@ class SeparableKernel:
     def _build(self):
         if self._tables:
             return
-        rule = gauss_legendre_log(self.n, self.p_min, self.p_max)
+        rule = self.grid
         p, wp = rule.nodes, rule.weights
         ang = gauss_legendre(self.n_ang, -1.0, 1.0)
         # before the tables: the 3000-point rule's eigensolve is the
@@ -313,6 +331,25 @@ class SeparableKernel:
             qd2=dim.nodes**2,
             wphd2=dim.weights[:, None] * np.stack([f(dim.nodes) ** 2 for f in self.forms], 1),
         )
+
+    @property
+    def grid(self):
+        return gauss_legendre_log(self.n, self.p_min, self.p_max)
+
+    def _threshold(self) -> float:
+        """Lowest breakup threshold: the deepest pole -kappa^2 of the
+        channels' dimer integrals on this kernel's rule,
+        1/(4 pi a) = I(P = 0), or 0 without a dimer."""
+        self._build()
+        t = self._tables
+        poles = [0.0]
+        for inv_a, wphd2 in zip(np.atleast_1d(self.inv_a), t["wphd2"].T):
+            def gap(kap):
+                return inv_a / (4 * np.pi) - wphd2 @ (kap**2 / (t["qd2"] + kap**2)) / (2 * np.pi**2)
+
+            if inv_a > 0 and gap(self.p_max) < 0:
+                poles.append(-find_root(gap, 1e-10 * self.p_max, self.p_max) ** 2)
+        return min(poles)
 
     def dimer_integral(self, E: float) -> np.ndarray:
         """I(P) over the momentum grid, channel after channel."""
@@ -347,7 +384,6 @@ def solve_trimers_separable(
     E_window: tuple[float, float] = (-3.0, -1e-7),
     n: int = 260,
     n_ang: int = _DEF_NANG,
-    n_scan: int = 200,
 ) -> list[float]:
     """Trimer energies for a separable model, deepest first.
 
@@ -355,7 +391,7 @@ def solve_trimers_separable(
     """
     inv_a = form.inv_a if a is None else (0.0 if np.isinf(a) else 1.0 / a)
     kern = SeparableKernel(form, inv_a, n=n, n_ang=n_ang)
-    roots = _scan_roots(kern, E_window, n_scan)
+    roots = bound_levels(kern, E_window)
     _warn_resolution(roots, n / math.log10(form.p_max / kern.p_min))
     return roots
 
@@ -379,13 +415,15 @@ def threshold_scattering_lengths(
     if isinstance(source, FormFactor):
         kern = SeparableKernel(source, 0.0, n=min(n, 300))
         # M = diag(1/(4 pi a) - I) + K = 0  =>  (1/a) eigvals of -4 pi (K - diag I)
-        ev = _real_eigvals(-4 * np.pi * kern.matrix(0.0, homogeneous=True))
+        m = -4 * np.pi * kern.matrix(0.0, homogeneous=True)
         scale = source.p_max
     else:
         lam = float(source) if cutoff is None else cutoff
         kern = StmKernel(0.0, lam, r_star=r_star, n=n, p_min_factor=1e-8)
-        ev = _real_eigvals(kern.threshold_matrix())
+        m = kern.threshold_matrix()
         scale = lam
+    _symmetrize(kern, m)
+    ev = np.linalg.eigvalsh(m)
     neg = np.sort(ev[ev < 0])  # most negative first -> smallest |a|
     a_all = 1.0 / neg
     keep = np.abs(a_all) * scale > 10.0
@@ -414,11 +452,8 @@ def a_minus_ground(
         raise ValueError("bracket must be (a_without, a_with), both negative")
 
     def has_state(a):
-        form = form_family(1.0 / a)
-        lev = solve_trimers_separable(
-            form, a, (min(-3.0, 100 * E_floor), E_floor), n=n, n_ang=n_ang, n_scan=90
-        )
-        return bool(lev)
+        kern = SeparableKernel(form_family(1.0 / a), 1.0 / a, n=n, n_ang=n_ang)
+        return _level_count(kern, (min(-3.0, 100 * E_floor), E_floor)) > 0
 
     if has_state(lo) or not has_state(hi):
         raise ValueError("bracket does not straddle the threshold")
@@ -440,31 +475,23 @@ def narrow_resonance_a_star0(
     """a_*^(0): scattering length where the ground narrow-resonance trimer
     meets the particle-dimer threshold (a > 0), in units set by R*.
 
-    The dimer pole sits at kappa_d = (-1 + sqrt(1 + 4 R*/a))/(2 R*); the
-    gap E_0 - E_dimer is bisected in 1/a over ``bracket`` (given in units
-    of 1/R*)."""
+    The existence of a trimer below the dimer pole is bisected in 1/a over
+    ``bracket`` (given in units of 1/R*)."""
     if not r_star > 0:
         raise ValueError("r_star must be positive")
     cutoff = 100.0 / r_star
 
-    def gap(inv_a):
-        kd = (-1.0 + math.sqrt(1.0 + 4.0 * r_star * inv_a)) / (2.0 * r_star)
-        Ed = -kd * kd
-        lev = solve_trimers_zero_range(
-            1.0 / inv_a, cutoff, (1e4 * Ed, Ed * (1 + 1e-10)),
-            n=n, r_star=r_star, n_scan=200, p_min_factor=1e-8,
-        )
-        # levels below the dimer were already filtered against -1/a^2 only;
-        # keep those below the narrow-resonance dimer itself
-        lev = [E for E in lev if E < Ed]
-        return (lev[0] - Ed) if lev else 1.0
+    def has_state(inv_a):
+        kern = StmKernel(inv_a, cutoff, r_star=r_star, n=n, p_min_factor=1e-8)
+        Ed = kern._threshold()
+        return _level_count(kern, (1e4 * Ed, Ed * (1 + 1e-10))) > 0
 
     lo, hi = (b / r_star for b in bracket)
-    if not (gap(lo) < 0 and gap(hi) > 0):
+    if not (has_state(lo) and not has_state(hi)):
         raise ValueError("bracket does not straddle the dimer crossing")
     while hi - lo > rel_tol * lo:
         mid = 0.5 * (lo + hi)
-        if gap(mid) < 0:
+        if has_state(mid):
             lo = mid
         else:
             hi = mid
@@ -586,8 +613,6 @@ def solve_triton(
     T-matrix (the separable form factor's own pole is reported alongside
     as a model diagnostic).
     """
-    from .two_body import TMatrixModel, dimer_energy
-
     h2m = model.hbar2_over_m
     if E_window is None:
         E_window = (-0.5, -1.02 * model.deuteron_energy / h2m)
@@ -597,7 +622,7 @@ def solve_triton(
         (ff_t, ff_s), (1.0 / model.a_t, 1.0 / model.a_s), n=n, n_ang=n_ang,
         p_min=p_min, q_min=1e-4 * p_min,
     )
-    roots = _scan_roots(kern, E_window, 120)
+    roots = bound_levels(kern, E_window)
     Ed_sep = dimer_energy(TMatrixModel("separable", form=ff_t))
     return TritonResult(
         deuteron=model.deuteron_energy,
@@ -625,28 +650,32 @@ def solve_triton_unitarity(
         model.form_factors(p_max), (0.0, 0.0), n=n, n_ang=n_ang,
         p_min=p_min, q_min=1e-4 * p_min,
     )
-    return _scan_roots(kern, E_window, 260)
+    return bound_levels(kern, E_window)
 
 
 def reconstruct_wavefunction(kernel: SeparableKernel, E: float):
     """Three-body amplitude Psi(P_vec, p_vec) at a trimer energy.
 
-    The spectator amplitude F is the null vector of M(E); the full
-    amplitude sums the three exchange images,
+    The spectator amplitude F is the null vector of M(E), s^-1 times the
+    null vector of the symmetric form s M s^-1; the full amplitude sums the
+    three exchange images,
     Psi = -[sum_i F(P_i) phi(p_i)] / ((3/4)P^2 + p^2 - E),
     which is symmetric under the bosonic Jacobi momentum rotations.
     """
-    from .numerics import smallest_eigenvalue
-
     if E >= 0:
         raise ValueError("need E < 0")
-    val, vec = smallest_eigenvalue(kernel.matrix(E))
-    kernel._build()
-    p = kernel._tables["p"]
-    if abs(val) > 1e-6 * np.max(np.abs(kernel.matrix(E))):
+    m = kernel.matrix(E)
+    m_max = np.max(np.abs(m))
+    s = _symmetrize(kernel, m)
+    vals, vecs = np.linalg.eigh(m)
+    k = np.argmin(np.abs(vals))
+    if abs(vals[k]) > 1e-6 * m_max:
         warnings.warn("E is not an eigenenergy; amplitude is approximate", stacklevel=2)
+    vec = vecs[:, k] / s
+    vec /= np.linalg.norm(vec)
     if vec[np.argmax(np.abs(vec))] < 0:
         vec = -vec
+    p = kernel.grid.nodes
     spl = CubicSpline(np.log(p), vec, extrapolate=False)
     form = kernel.form
 

@@ -474,6 +474,8 @@ def dimer_energy(model: TMatrixModel) -> float:
         return -(kap**2)
     # separable: root of 1/a = (2/pi) int phi^2 kap^2/(p^2+kap^2) dp
     form = model.form
+    if form.inv_a <= 0:
+        return None
     rule = gauss_legendre_log(3000, 1e-8 * form.p_max, 2.2 * form.p_max)
     q, w = rule.nodes, rule.weights
     phi2 = form(q) ** 2
@@ -481,8 +483,6 @@ def dimer_energy(model: TMatrixModel) -> float:
     def cond(kap):
         return form.inv_a - (2 / np.pi) * np.dot(w, phi2 * kap**2 / (q**2 + kap**2))
 
-    if form.inv_a <= 0:
-        return None
     if cond(form.p_max) > 0:
         return None  # pole beyond the profile's validity window
     kap = find_root(cond, 1e-10 * form.p_max, form.p_max)

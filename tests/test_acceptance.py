@@ -21,8 +21,8 @@ from efimov.numerics import gauss_legendre_log
 from efimov.stm import (
     SeparableKernel,
     TritonModel,
-    _scan_roots,
     a_minus_ground,
+    bound_levels,
     kappa_star_extrapolated,
     narrow_resonance_a_star0,
     solve_triton,
@@ -329,7 +329,7 @@ def test_criterion_09f_two_channel_boson_reduction(triton_model):
     # without bound states, so it has the one-channel separable levels
     form, _ = triton_model.form_factors()
     one, two = (
-        _scan_roots(SeparableKernel(ff, inv_a, n=120, n_ang=24, p_min=1e-6), (-0.5, -1e-9), 260)
+        bound_levels(SeparableKernel(ff, inv_a, n=120, n_ang=24, p_min=1e-6), (-0.5, -1e-9))
         for ff, inv_a in ((form, 0.0), ((form, form), (0.0, 0.0)))
     )
     assert len(one) == len(two) == 3

@@ -2,18 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from efimov.numerics import (
     BracketingError,
+    ConvergenceError,
     QuadratureRule,
-    det_sign,
     find_root,
     gauss_legendre,
     gauss_legendre_log,
+    isolate_levels,
     scan_sign_changes,
-    smallest_eigenvalue,
 )
 
 
@@ -70,22 +70,37 @@ def test_scan_sign_changes_locates_all_zeros():
     assert roots == pytest.approx([math.pi, 2 * math.pi, 3 * math.pi], rel=1e-10)
 
 
-def test_smallest_eigenvalue_matches_symmetric_reference():
-    rng = np.random.default_rng(7)
-    m = rng.normal(size=(8, 8))
-    m = m + m.T
-    val, vec = smallest_eigenvalue(m)
-    ref = np.linalg.eigvalsh(m)
-    assert abs(val) == pytest.approx(np.min(np.abs(ref)), rel=1e-10)
-    assert np.linalg.norm(m @ vec - val * vec) < 1e-8
+def test_reference_rule_is_shared_and_read_only():
+    from efimov.numerics import _leggauss
+
+    x, w = _leggauss(7)
+    assert _leggauss(7)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    # the mapped rules are copies: the shared reference rule is unchanged
+    gauss_legendre(7, 2.0, 5.0).nodes[0] = 9.0
+    assert x[0] == _leggauss.__wrapped__(7)[0][0]
 
 
-def test_det_sign_flips_with_eigenvalue_crossing():
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(6, 6))
-    m = m + m.T
-    lam = np.linalg.eigvalsh(m)[2]
-    before = det_sign(m - (lam - 1e-3) * np.eye(6))
-    after = det_sign(m - (lam + 1e-3) * np.eye(6))
-    assert before * after == -1.0
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(st.floats(0.001, 0.999), min_size=0, max_size=12, unique=True))
+def test_isolate_levels_brackets_every_step_once(steps):
+    steps = sorted(steps)
+    assume(np.diff([0.0] + steps + [1.0]).min() > 1e-6)
+    count = lambda x: int(np.searchsorted(steps, x))
+    brackets = isolate_levels(count, 0.0, 1.0, tol=1e-9)
+    assert len(brackets) == len(steps)
+    for (a, b, ca, cb), x in zip(brackets, steps):
+        assert a <= x < b  # count(x) = number of steps below x
+        assert (ca, cb) == (count(a), count(b))
+        assert abs(cb - ca) == 1
+    # a decreasing count is bracketed the same way
+    assert [br[:2] for br in isolate_levels(lambda x: -count(x), 0.0, 1.0, 1e-9)] == [
+        br[:2] for br in brackets
+    ]
 
+
+def test_isolate_levels_rejects_coincident_steps():
+    count = lambda x: 2 if x > 0.3 else 0
+    with pytest.raises(ConvergenceError):
+        isolate_levels(count, 0.0, 1.0, tol=1e-9)

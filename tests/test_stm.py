@@ -5,17 +5,25 @@ import numpy as np
 import pytest
 
 from efimov.channels import LAMBDA0
-from efimov.numerics import gauss_legendre, gauss_legendre_log, smallest_eigenvalue
+from efimov.numerics import gauss_legendre, gauss_legendre_log
 from efimov.stm import (
     SeparableKernel,
     StmKernel,
+    _symmetrize,
+    bound_levels,
     kappa_star_extrapolated,
     reconstruct_wavefunction,
     solve_trimers_separable,
     solve_trimers_zero_range,
     threshold_scattering_lengths,
 )
-from efimov.two_body import FormFactor, step_form_factor
+from efimov.two_body import (
+    FormFactor,
+    TMatrixModel,
+    dimer_energy,
+    step_form_factor,
+    vdw_form_factor,
+)
 
 
 def test_zero_range_kernel_matches_analytic_form():
@@ -41,23 +49,33 @@ def test_kernel_validation():
         StmKernel(0.0, 10.0).matrix(0.5)
 
 
-def test_det_sign_flip_coincides_with_eigenvalue_crossing():
+def _negative_eigenvalues(kern, E):
+    # inertia of the symmetric form s M s^-1, s = p sqrt(w)
+    rule = kern.grid
+    s = rule.nodes * np.sqrt(rule.weights)
+    m = s[:, None] * kern.matrix(E) / s[None, :]
+    assert np.allclose(m, m.T, rtol=0, atol=1e-13 * np.abs(m).max())
+    return int(np.sum(np.linalg.eigvalsh(m) < 0))
+
+
+def test_level_count_steps_once_per_level():
     kern = StmKernel(0.0, 100.0, n=200)
-    lev = solve_trimers_zero_range(np.inf, 100.0, (-2e3, -1.0), n=200)
-    E0 = lev[-1]
-    lo, hi = smallest_eigenvalue(kern.matrix(E0 * 1.01))[0], smallest_eigenvalue(
-        kern.matrix(E0 * 0.99)
-    )[0]
-    assert lo * hi < 0
+    lev = bound_levels(kern, (-2e3, -1e-3))
+    assert len(lev) == 3
+    edges = [-2e3] + [-math.sqrt(E1 * E2) for E1, E2 in zip(lev, lev[1:])] + [-1e-3]
+    counts = [_negative_eigenvalues(kern, E) for E in edges]
+    assert np.diff(counts).tolist() == [-1] * len(lev)
+    for E in lev:
+        assert _negative_eigenvalues(kern, E * 1.001) - _negative_eigenvalues(kern, E * 0.999) == 1
 
 
 @pytest.fixture(scope="module")
 def zr_reference():
-    return solve_trimers_zero_range(np.inf, 100.0, (-3e4, -1e-2), n=300, n_scan=250)
+    return solve_trimers_zero_range(np.inf, 100.0, (-3e4, -1e-2), n=300)
 
 
 def test_grid_doubling_stability(zr_reference):
-    doubled = solve_trimers_zero_range(np.inf, 100.0, (-3e4, -1e-2), n=600, n_scan=250)
+    doubled = solve_trimers_zero_range(np.inf, 100.0, (-3e4, -1e-2), n=600)
     assert len(doubled) == len(zr_reference)
     for a, b in zip(zr_reference, doubled):
         assert abs(b / a - 1.0) < 2e-3
@@ -65,7 +83,7 @@ def test_grid_doubling_stability(zr_reference):
 
 def test_cutoff_equivalence_class(zr_reference):
     shifted = solve_trimers_zero_range(
-        np.inf, 100.0 * LAMBDA0, (-3e4 * LAMBDA0**2, -1e-2), n=300, n_scan=250
+        np.inf, 100.0 * LAMBDA0, (-3e4 * LAMBDA0**2, -1e-2), n=300
     )
     # Lambda -> lambda0 Lambda reproduces the spectrum shifted by one level;
     # exact grid self-similarity additionally pins each level to lambda0^2
@@ -80,9 +98,26 @@ def test_cutoff_equivalence_class(zr_reference):
 
 def test_positive_a_levels_below_dimer():
     a = 0.5
-    lev = solve_trimers_zero_range(a, 100.0, (-3e4, -1e-2), n=300, n_scan=250)
+    lev = solve_trimers_zero_range(a, 100.0, (-3e4, -1e-2), n=300)
     assert lev
     assert all(E < -1.0 / a**2 for E in lev)
+
+
+@pytest.mark.parametrize(
+    "make_form, n_levels",
+    [(lambda: step_form_factor(1.0, inv_a=0.5), 2), (lambda: vdw_form_factor(0.3), 1)],
+    ids=["step", "vdw"],
+)
+def test_separable_levels_below_dimer(make_form, n_levels):
+    # above the dimer pole the kernel's spectrum holds the discretised
+    # atom-dimer continuum, which must not pass for trimers.  For the vdw
+    # profile the pole of the kernel's own dimer integral lies 1.3e-6
+    # (relative) below dimer_energy's, and 26 continuum states fall between
+    form = make_form()
+    E_dimer = dimer_energy(TMatrixModel("separable", form=form))
+    lev = solve_trimers_separable(form, n=140, n_ang=24)
+    assert len(lev) == n_levels
+    assert all(E < E_dimer for E in lev)
 
 
 def test_narrow_resonance_requires_r_star():
@@ -115,7 +150,7 @@ def test_kappa_star_extrapolated():
 @pytest.fixture(scope="module")
 def step_ground():
     form = step_form_factor(1.0, inv_a=0.0)
-    lev = solve_trimers_separable(form, E_window=(-0.5, -1e-3), n=140, n_ang=24, n_scan=80)
+    lev = solve_trimers_separable(form, E_window=(-0.5, -1e-3), n=140, n_ang=24)
     return form, lev
 
 
@@ -171,6 +206,11 @@ def test_nucleon_kernel_matches_two_channel_block():
         [1.5 * K(ff_s, ff_t), np.diag(-0.04 - I(ff_s)) + 0.5 * K(ff_s, ff_s)],
     ])
     np.testing.assert_allclose(4 * np.pi * kern.matrix(E), ref, rtol=1e-13, atol=0)
+    # s M s^-1 with s = p sqrt(w) on each channel block is symmetric, which
+    # makes the count of negative eigenvalues a level count
+    sym = kern.matrix(E)
+    _symmetrize(kern, sym)
+    np.testing.assert_allclose(sym, sym.T, rtol=0, atol=1e-15 * np.abs(sym).max())
 
 
 def test_wavefunction_exchange_symmetry(step_ground):
