@@ -272,10 +272,8 @@ def half_effective_range_tail(n: float, x_split: float = None) -> float:
 class FormFactor:
     """Momentum profile phi(p) of a rank-one separable potential.
 
-    phi(0) = 1 by normalization.  ``g`` is the interaction strength fixed
-    by the scattering length through
-    g = 4 pi [ 1/a - (2/pi) int_0^inf phi(p)^2 dp ]^{-1} (natural units).
-    ``p_max`` bounds the momenta at which the profile is trustworthy.
+    phi(0) = 1 by normalization.  ``p_max`` bounds the momenta at which the
+    profile is trustworthy.
     """
 
     fn: object
@@ -287,24 +285,32 @@ class FormFactor:
     def __call__(self, p):
         return self.fn(np.asarray(p, dtype=float))
 
-    @property
-    def g(self) -> float:
-        rule = gauss_legendre_log(2000, 1e-8 * self.p_max, self.p_max)
-        norm = self.inv_a - (2.0 / np.pi) * float(np.dot(rule.weights, self(rule.nodes) ** 2))
-        return 4.0 * np.pi / norm
+
+def _sine_transform(r, delta, p):
+    """p * int delta(r) sin(pr) dr by the trapezoid rule on r, per momentum p
+    and per row of delta.  Each uniform run of r is cut into blocks of
+    B ~ sqrt(run) nodes; with r_{jB+k} = r_{jB} + k h, sin(p r_{jB} + p k h)
+    splits into block-phase and in-block factors, so a run costs two
+    (n_p x B)(B x blocks) products and two row-dots: the direct sum to
+    rounding, without n_p x N sines.
+    """
+    dr = np.diff(r)
+    f = np.atleast_2d(delta) * np.convolve(dr, [0.5, 0.5])
+    cuts = np.flatnonzero(np.abs(np.diff(dr)) > 8 * np.finfo(float).eps * np.abs(r[2:])) + 2
+    out = np.zeros((len(f), p.size))
+    for s, e in zip(np.r_[0, cuts], np.r_[cuts, r.size]):
+        b = math.isqrt(e - s - 1) + 1
+        nb = -(-(e - s) // b)
+        fb = np.pad(f[:, s:e], ((0, 0), (0, nb * b - e + s))).reshape(-1, b).T
+        inner = np.multiply.outer(p, (r[e - 1] - r[s]) / max(e - s - 1, 1) * np.arange(b))
+        outer = np.multiply.outer(p, r[s:e:b])
+        out += np.einsum("pj,pmj->mp", np.sin(outer), (np.cos(inner) @ fb).reshape(p.size, -1, nb))
+        out += np.einsum("pj,pmj->mp", np.cos(outer), (np.sin(inner) @ fb).reshape(p.size, -1, nb))
+    return (p * out).reshape(np.shape(delta)[:-1] + p.shape)
 
 
-def _sine_transform_profile(r, delta, p_tab):
-    """phi(p) = 1 - p * int delta(r) sin(pr) dr on a fixed momentum table."""
-    out = np.empty(p_tab.size + 1)
-    out[0] = 1.0
-    for i, p in enumerate(p_tab, 1):
-        out[i] = 1.0 - p * np.trapezoid(delta * np.sin(p * r), r)
-    return out
-
-
-def _spline_form_factor(p_tab, values, inv_a, p_max, kind, meta=None):
-    spl = CubicSpline(np.concatenate([[0.0], p_tab]), values)
+def _spline_form_factor(p_tab, transform, inv_a, p_max, kind, meta=None):
+    spl = CubicSpline(np.concatenate([[0.0], p_tab]), np.concatenate([[1.0], 1.0 - transform]))
     top = p_tab[-1]
 
     def fn(p):
@@ -331,8 +337,7 @@ def est_form_factor(state: ZeroEnergyState, p_max: float = 60.0, n_p: int = 800)
         delta = np.interp(rg, r, delta)
         r = rg
     p_tab = np.geomspace(1e-4, q_top, n_p)
-    vals = _sine_transform_profile(r, delta, p_tab)
-    return _spline_form_factor(p_tab, vals, state.inv_a, p_max, "est")
+    return _spline_form_factor(p_tab, _sine_transform(r, delta, p_tab), state.inv_a, p_max, "est")
 
 
 def step_form_factor(half_re: float = 1.0, inv_a: float = 0.0, p_max: float = 100.0) -> FormFactor:
@@ -368,8 +373,8 @@ def universal_tail_form_factor(n: int, p_max: float = 80.0, n_p: int = 900) -> F
         raise ValueError("tail form factors implemented for n in (4, 6)")
     q_top = 2.2 * p_max
     p_tab = np.geomspace(1e-4, q_top, n_p)
-    vals = _sine_transform_profile(r, delta, p_tab)
-    return _spline_form_factor(p_tab, vals, 0.0, p_max, f"power{n}", {"n": n})
+    transform = _sine_transform(r, delta, p_tab)
+    return _spline_form_factor(p_tab, transform, 0.0, p_max, f"power{n}", {"n": n})
 
 
 _VDW_CACHE: dict = {}
@@ -395,12 +400,11 @@ def vdw_form_factor(inv_a: float = 0.0, p_max: float = 80.0, n_p: int = 900) -> 
         d1[r < 0.085] = r[r < 0.085]
         q_top = 2.2 * p_max
         p_tab = np.geomspace(1e-4, q_top, n_p)
-        s0 = 1.0 - _sine_transform_profile(r, d0, p_tab)  # p * transform of d0
-        s1 = 1.0 - _sine_transform_profile(r, d1, p_tab)
+        s0, s1 = _sine_transform(r, np.array([d0, d1]), p_tab)
         full = np.concatenate([[0.0], p_tab])
         _VDW_CACHE[key] = (
-            CubicSpline(full, np.concatenate([[0.0], s0[1:]])),
-            CubicSpline(full, np.concatenate([[0.0], s1[1:]])),
+            CubicSpline(full, np.concatenate([[0.0], s0])),
+            CubicSpline(full, np.concatenate([[0.0], s1])),
             p_tab[-1],
         )
     sp0, sp1, top = _VDW_CACHE[key]

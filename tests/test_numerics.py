@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -80,6 +81,32 @@ def test_reference_rule_is_shared_and_read_only():
     # the mapped rules are copies: the shared reference rule is unchanged
     gauss_legendre(7, 2.0, 5.0).nodes[0] = 9.0
     assert x[0] == _leggauss.__wrapped__(7)[0][0]
+
+
+def _mp_legendre(n, x):
+    """P_{n-1}(x) and P_n(x) by the three-term recurrence in mpmath."""
+    p0, p1 = mpmath.mpf(1), x
+    for j in range(1, n):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+    return p0, p1
+
+
+@pytest.mark.parametrize("n", [5, 48, 400, 3000])
+def test_gauss_legendre_matches_mpmath(n):
+    from efimov.numerics import _leggauss
+
+    x, w = _leggauss(n)
+    assert w.sum() == pytest.approx(2.0, abs=1e-14)
+    for i in (0, 1, n // 2, n - 1):
+        with mpmath.workdps(40):
+            # Newton from the float node; findroot(legendre) stalls near the ends at n = 3000
+            xm = mpmath.mpf(float(x[i]))
+            for _ in range(3):
+                p0, p1 = _mp_legendre(n, xm)
+                xm -= p1 * (1 - xm**2) / (n * (p0 - xm * p1))
+            wm = 2 * (1 - xm**2) / (n * _mp_legendre(n, xm)[0]) ** 2
+            assert abs(x[i] - xm) < 1e-15
+            assert abs(w[i] / wm - 1) < 1e-13
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,6 +11,7 @@ from efimov.two_body import (
     TwoBodyModel,
     VirtualStateError,
     ZeroEnergyState,
+    _sine_transform,
     a_B,
     dimer_energy,
     dimer_energy_first_order,
@@ -85,6 +86,25 @@ def test_form_factors_normalized_at_zero_momentum():
     ):
         assert float(form(1e-9)) == pytest.approx(1.0, abs=1e-6)
         assert np.all(np.isfinite(form(np.linspace(1e-6, form.p_max, 50))))
+
+
+@pytest.mark.parametrize("layout", ["vdw", "est", "jittered"])
+def test_sine_transform_matches_direct_trapezoid(layout):
+    if layout == "vdw":  # two uniform runs, both profiles in one pass
+        r = np.concatenate([np.arange(1e-6, 0.3, 2e-5), np.arange(0.3, 80.0, 8e-4)])
+        delta = np.array([np.exp(-r) * np.cos(3.0 * r), r * np.exp(-0.5 * r)])
+    elif layout == "est":  # one linspace, as a zero-energy state samples it
+        r = np.linspace(1e-9, 40.0, 20000)
+        delta = np.exp(-r) * (1.0 + r)
+    else:  # uniform up to 1e-7: not a uniform run, whose phases would be off by p * 1e-7
+        r = np.linspace(0.01, 30.0, 2000) + 1e-7 * np.sin(7.0 * np.arange(2000))
+        delta = np.exp(-r)
+    p = np.array([1e-4, 0.3, 4.7, 31.0, 100.0, 176.0])
+    got = _sine_transform(r, delta, p)
+    assert got.shape == delta.shape[:-1] + p.shape
+    for row, d in zip(np.atleast_2d(got), np.atleast_2d(delta)):
+        direct = [q * np.trapezoid(d * np.sin(q * r), r) for q in p]
+        assert row == pytest.approx(direct, rel=0, abs=1e-12)
 
 
 def test_est_form_factor_reproduces_source_observables():
