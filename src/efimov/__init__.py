@@ -6,7 +6,7 @@ Library layers
 numerics          quadrature, root finding, level isolation
 two_body          potentials, zero-energy scattering, form factors, T-matrices
 channels          hyperangular channel exponents s_n
-hyperradial       1D hyperradial bound states, three-body phase, adiabatic spectra
+hyperradial       1D hyperradial bound states, three-body phase
 universal         zero-range universal formula and relations
 stm               momentum-space integral equations (the quantitative oracle)
 born_oppenheimer  heavy-heavy-light adiabatic picture

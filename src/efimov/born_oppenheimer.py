@@ -18,7 +18,6 @@ __all__ = [
     "bonding_energy",
     "effective_potential",
     "s0_estimate",
-    "critical_mass_ratio_bo",
 ]
 
 # Omega constant, the root of x = e^{-x}; kappa R -> Omega for R << a
@@ -74,11 +73,3 @@ def s0_estimate(mass_ratio: float, L: int = 0) -> float:
         raise ValueError("L must be a non-negative integer")
     s2 = 0.5 * mass_ratio * OMEGA**2 - L * (L + 1) - 0.25
     return math.sqrt(s2) if s2 > 0 else float("nan")
-
-
-def critical_mass_ratio_bo(L: int) -> float:
-    """Mass ratio where the adiabatic Efimov strength vanishes at angular
-    momentum L: M/m = 2(L(L+1) + 1/4)/Omega^2."""
-    if L < 0 or L != int(L):
-        raise ValueError("L must be a non-negative integer")
-    return 2.0 * (L * (L + 1) + 0.25) / OMEGA**2

@@ -7,7 +7,7 @@ sigma axis.  A channel with s^2 < 0 supports the log-periodic attraction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,23 +20,14 @@ __all__ = [
     "LAMBDA0",
     "S0_TWO_PAIR",
     "RHO_STAR",
-    "ThreeBodySystem",
     "ChannelExponent",
     "boson_sigma",
-    "boson_exponents",
     "s2_lowest",
-    "distinguishable_exponents",
     "two_plus_one_exponent",
     "critical_mass_ratio",
-    "triton_channel_exponents",
-    "jacobi_transform",
-    "hyper_radius",
 ]
 
 _SQ3 = np.sqrt(3.0)
-# Spurious root of the boson hyperangular condition: sin(s pi/2) vanishes
-# there, so it persists for every R/a and must be dropped by hand.
-_SPURIOUS_BOSON_ROOT = 4.0
 
 
 def _boson_sigma_eq(sigma: float, rho: float) -> float:
@@ -91,46 +82,14 @@ S0_TWO_PAIR = find_root(
 
 
 @dataclass(frozen=True)
-class ThreeBodySystem:
-    """Particle content selecting the hyperangular eigenvalue condition.
-
-    masses are (M, M, m); equal masses are the special case M = m = 1.
-    resonant_pairs lists the pairs (subsets of {"12", "23", "31"}) whose
-    scattering length is resonantly large.
-    """
-
-    masses: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    statistics: str = "bosons"
-    resonant_pairs: frozenset = frozenset({"12", "23", "31"})
-    L: int = 0
-    parity: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "resonant_pairs", frozenset(self.resonant_pairs))
-        if len(self.resonant_pairs) < 2:
-            raise ValueError("an Efimov channel needs at least two resonant pairs")
-        if self.statistics not in ("bosons", "fermions", "distinguishable"):
-            raise ValueError(f"unknown statistics {self.statistics!r}")
-        if min(self.masses) <= 0:
-            raise ValueError("masses must be positive")
-
-    @property
-    def mass_ratio(self) -> float:
-        return self.masses[0] / self.masses[2]
-
-
-@dataclass(frozen=True)
 class ChannelExponent:
     """One hyperangular eigenvalue; s_squared < 0 marks an Efimov channel."""
 
     s_squared: float
-    index: int = 0
-    R_over_a: tuple = ()
-    efimov: bool = field(default=None)
 
-    def __post_init__(self):
-        if self.efimov is None:
-            object.__setattr__(self, "efimov", self.s_squared < 0)
+    @property
+    def efimov(self) -> bool:
+        return self.s_squared < 0
 
     @property
     def sigma(self) -> float:
@@ -139,44 +98,13 @@ class ChannelExponent:
             raise ValueError("exponent is real")
         return float(np.sqrt(-self.s_squared))
 
-    @property
-    def scaling_ratio(self) -> float:
-        return float(np.exp(np.pi / self.sigma))
-
-
-def boson_exponents(n_max: int, R_over_a: float = 0.0) -> list[ChannelExponent]:
-    """Lowest n_max channel exponents for three identical bosons.
-
-    Roots of -s cos(s pi/2) + (8/sqrt3) sin(s pi/6) = -(R/a) sin(s pi/2);
-    the lowest channel is imaginary for R/a > RHO_STAR.  The spurious root
-    s = 4 is excluded.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    rho = float(R_over_a)
-    out = []
-    if rho > RHO_STAR:
-        out.append(
-            ChannelExponent(-boson_sigma(rho) ** 2, 0, (("all", rho),))
-        )
-    # real roots, scanned on a grid fine enough not to skip adjacent ones
-    s_hi = 2.0 * n_max + 6.0 + 2.0 * abs(rho)
-    grid = np.linspace(1e-9, s_hi, int(40 * s_hi))
-    for lo, hi in scan_sign_changes(lambda s: _boson_real_eq(s, rho), grid):
-        root = find_root(lambda s: _boson_real_eq(s, rho), lo, hi)
-        if abs(root - _SPURIOUS_BOSON_ROOT) < 1e-6:
-            continue
-        out.append(ChannelExponent(root**2, len(out), (("all", rho),)))
-        if len(out) >= n_max:
-            break
-    return out[:n_max]
-
 
 @lru_cache(maxsize=None)
 def s2_lowest(R_over_a: float) -> float:
     """s^2(R) of the lowest boson channel, continuous across RHO_STAR.
 
-    Memoized: the hyperradial solver evaluates this thousands of times.
+    Memoized: as the s2(R) of a hyperradial channel it is evaluated
+    thousands of times per solve.
     """
     rho = float(R_over_a)
     if rho > 35.0:
@@ -193,52 +121,6 @@ def s2_lowest(R_over_a: float) -> float:
         raise BracketingError(f"no real root found at R/a = {rho}")
     root = find_root(lambda s: _boson_real_eq(s, rho), *brackets[0])
     return root**2
-
-
-def distinguishable_exponents(
-    R_over_a: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    n_max: int = 1,
-) -> list[ChannelExponent]:
-    """Channel exponents for three distinguishable equal-mass particles.
-
-    Zeros of the 3x3 determinant with diagonal R/a_pair terms; the entries
-    follow the matrix condition with the pair order (23, 31, 12).  At
-    unitarity, 3 resonant pairs give the boson s_0, 2 pairs give
-    s_0 ~ 0.4137i, 1 pair leaves only real roots.
-    """
-    rho = np.asarray(R_over_a, dtype=float)
-
-    def det_sigma(sig):
-        c = np.cosh(sig * np.pi / 2)
-        off = (4 / _SQ3) * np.sinh(sig * np.pi / 6) / sig
-        m = -c * np.eye(3) + off * (np.ones((3, 3)) - np.eye(3))
-        m += np.diag(rho) * np.sinh(sig * np.pi / 2) / sig
-        return np.linalg.det(m)
-
-    def det_real(s):
-        c = np.cos(s * np.pi / 2)
-        off = (4 / _SQ3) * np.sin(s * np.pi / 6) / s
-        m = -c * np.eye(3) + off * (np.ones((3, 3)) - np.eye(3))
-        m += np.diag(rho) * np.sin(s * np.pi / 2) / s
-        return np.linalg.det(m)
-
-    ctx = tuple(zip(("23", "31", "12"), rho))
-    out = []
-    # imaginary roots on the sigma axis
-    sig_grid = np.geomspace(1e-6, 8.0, 300)
-    for lo, hi in scan_sign_changes(det_sigma, sig_grid):
-        sig = find_root(det_sigma, lo, hi)
-        out.append(ChannelExponent(-(sig**2), len(out), ctx))
-    # real roots
-    grid = np.linspace(1e-9, 2.0 * n_max + 8.0, 600)
-    for lo, hi in scan_sign_changes(det_real, grid):
-        root = find_root(det_real, lo, hi)
-        if abs(root - _SPURIOUS_BOSON_ROOT) < 1e-6:
-            continue
-        out.append(ChannelExponent(root**2, len(out), ctx))
-        if len(out) >= n_max + 2:
-            break
-    return out[:n_max]
 
 
 def _gamma(mass_ratio: float) -> float:
@@ -342,7 +224,7 @@ def two_plus_one_exponent(
         while f(hi, mass_ratio) < 0:
             hi *= 2.0
         sig = find_root(lambda s: f(s, mass_ratio), 1e-10, hi)
-        return ChannelExponent(-(sig**2), 0)
+        return ChannelExponent(-(sig**2))
     if statistics == "fermions":
         if ell not in (None, 1):
             raise ValueError("fermion channel implemented for ell = 1")
@@ -355,12 +237,12 @@ def two_plus_one_exponent(
             root = find_root(
                 lambda s: _two_plus_one_condition_real(s, 1, mass_ratio), lo, hi
             )
-            return ChannelExponent(root**2, 0, efimov=False)
+            return ChannelExponent(root**2)
         hi = 1.0
         while _fermion21_sigma(hi, mass_ratio) < 0:
             hi *= 2.0
         sig = find_root(lambda s: _fermion21_sigma(s, mass_ratio), 1e-10, hi)
-        return ChannelExponent(-(sig**2), 0)
+        return ChannelExponent(-(sig**2))
     raise ValueError(f"unknown statistics {statistics!r}")
 
 
@@ -386,59 +268,3 @@ def critical_mass_ratio(statistics: str, ell: int) -> float:
     gam = find_root(crit, 0.2, np.pi / 2 - 1e-6, tol=1e-13)
     sin_g = np.sin(gam)
     return float(sin_g / (1.0 - sin_g))
-
-
-def triton_channel_exponents() -> tuple[ChannelExponent, ChannelExponent]:
-    """Channel exponents of the two nucleon spin channels at unitarity.
-
-    The f channel obeys the identical-boson condition (same Efimov
-    attraction); the phi channel solves
-    -s cos(s pi/2) - (4/sqrt3) sin(s pi/6) = 0 and has only real roots.
-    """
-    f_channel = ChannelExponent(-(S0**2), 0)
-
-    def phi_eq(s):
-        return -s * np.cos(s * np.pi / 2) - (4 / _SQ3) * np.sin(s * np.pi / 6)
-
-    def phi_eq_sigma(sig):
-        return sig * np.cosh(sig * np.pi / 2) + (4 / _SQ3) * np.sinh(sig * np.pi / 6)
-
-    # no sigma-axis root exists (both terms positive); take the lowest real one
-    assert phi_eq_sigma(1.0) > 0
-    grid = np.linspace(1e-9, 8.0, 400)
-    lo, hi = scan_sign_changes(phi_eq, grid)[0]
-    root = find_root(phi_eq, lo, hi)
-    return f_channel, ChannelExponent(root**2, 0, efimov=False)
-
-
-_JACOBI_ROT = {
-    # (r, rho) of the target pair in terms of (r12, rho12_3)
-    "12": np.eye(2),
-    "23": np.array([[-0.5, _SQ3 / 2], [-_SQ3 / 2, -0.5]]),
-    "31": np.array([[-0.5, -_SQ3 / 2], [_SQ3 / 2, -0.5]]),
-}
-
-
-def jacobi_transform(r, rho, source_pair: str = "12", target_pair: str = "23"):
-    """Rotate Jacobi coordinates (r_ij, rho_ij,k) between pair labelings.
-
-    The vectors follow r_ij = x_j - x_i and
-    rho_ij,k = (2/sqrt3)(x_k - (x_i + x_j)/2); the transform is an O(2)
-    rotation acting componentwise, so the hyper-radius is invariant.
-    """
-    for p in (source_pair, target_pair):
-        if p not in _JACOBI_ROT:
-            raise ValueError(f"unknown pair {p!r}")
-    r = np.asarray(r, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    # map back to the 12 set, then forward to the target
-    back = np.linalg.inv(_JACOBI_ROT[source_pair])
-    rot = _JACOBI_ROT[target_pair] @ back
-    return rot[0, 0] * r + rot[0, 1] * rho, rot[1, 0] * r + rot[1, 1] * rho
-
-
-def hyper_radius(r, rho) -> float:
-    """R with R^2 = r^2 + rho^2 = (2/3) sum of squared pair distances."""
-    r = np.asarray(r, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    return float(np.sqrt(np.dot(r, r) + np.dot(rho, rho)))

@@ -90,16 +90,17 @@ def _apply_config(args):
 
 
 def _parse_a(text) -> float:
-    if isinstance(text, (int, float)):
-        return float(text)
     if text in ("inf", "+inf", "unitarity"):
         return math.inf
     if text == "-inf":
         return -math.inf
     try:
-        return float(text)
+        a = float(text)
     except ValueError as exc:
         raise ConfigError(f"bad scattering length {text!r}") from exc
+    if a == 0:
+        raise ConfigError("scattering length must be nonzero (use 'inf' for unitarity)")
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -7,27 +7,25 @@ Working coordinate is x = ln R, where the radial equation
     v'' = [s(R)^2 - E R^2] v,   R = e^x,
 
 so in the scale-invariant window v is a pure cosine in ln R.  Natural units
-hbar = m = 1 with E = -kappa^2 relative to the channel threshold.
+hbar = m = 1 with E = -kappa^2.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .channels import S0, ThreeBodySystem, s2_lowest
-from .numerics import BracketingError, ConvergenceError, find_root, isolate_levels
+from .channels import S0
+from .numerics import ConvergenceError, find_root, isolate_levels
 
 __all__ = [
     "HyperradialChannel",
     "BoundStateSet",
-    "EfimovSpectrum",
     "solve_bound_states",
     "three_body_phase",
-    "adiabatic_spectrum",
 ]
 
 _SAMPLES = 3000
@@ -41,15 +39,13 @@ class HyperradialChannel:
     scale-invariant attraction) or a callable s2(R).  The boundary at R0 is
     a hard wall by default, or a fixed logarithmic derivative F'/F = value
     at R0 when boundary="log_derivative" (caveat: unphysical deep levels
-    can appear for strongly negative values).  ``threshold`` is the channel
-    dissociation energy; bound states lie below it.
+    can appear for strongly negative values).
     """
 
     s_squared: object = -(S0**2)
     R0: float = 1.0
     boundary: str = "hard_wall"
     boundary_value: float = 0.0
-    threshold: float = 0.0
 
     def __post_init__(self):
         if not self.R0 > 0:
@@ -85,7 +81,7 @@ class BoundStateSet:
 
     @property
     def kappas(self) -> np.ndarray:
-        return -np.sqrt(self.channel.threshold - np.asarray(self.energies))
+        return -np.sqrt(-np.asarray(self.energies))
 
     def node_counts(self) -> list[int]:
         """Interior nodes per level, counted in the classically allowed
@@ -102,7 +98,7 @@ class BoundStateSet:
 
 def _shoot(channel: HyperradialChannel, energy: float, samples: int = _SAMPLES):
     """Integrate v'' = (s2(R) - E R^2) v outward; returns (x, v, dv)."""
-    kap = math.sqrt(channel.threshold - energy)
+    kap = math.sqrt(-energy)
     x0 = math.log(channel.R0)
     x1 = math.log(10.0 / kap)
     if x1 <= x0 + 0.1:
@@ -110,8 +106,6 @@ def _shoot(channel: HyperradialChannel, energy: float, samples: int = _SAMPLES):
 
     def rhs(x, y):
         R = math.exp(x)
-        # absolute energy: for R-dependent channels the threshold is already
-        # contained in the large-R limit of s2(R)/R^2
         return [y[1], (channel.s2(R) - energy * R * R) * y[0]]
 
     if channel.boundary == "hard_wall":
@@ -130,7 +124,7 @@ def solve_bound_states(
     kappa_window: tuple[float, float],
     tol: float = 1e-12,
 ) -> BoundStateSet:
-    """All bound levels with kappa = sqrt(threshold - E) inside the window.
+    """All bound levels with kappa = sqrt(-E) inside the window.
 
     The outward solution at energy E has as many interior nodes as there
     are levels below E; the node count is bisected in ln kappa until each
@@ -142,7 +136,7 @@ def solve_bound_states(
     k_lo, k_hi = kappa_window
     if not 0 < k_lo < k_hi:
         raise ValueError("need 0 < kappa_min < kappa_max")
-    E = lambda t: channel.threshold - math.exp(2.0 * t)
+    E = lambda t: -math.exp(2.0 * t)
 
     @functools.cache
     def shot(t):
@@ -202,60 +196,3 @@ def three_body_phase(
     if spread.max() > 1e-6:
         raise ConvergenceError(f"phase not constant in window (spread {spread.max():.1e})")
     return float(mean)
-
-
-@dataclass(frozen=True)
-class EfimovSpectrum:
-    """Adiabatic spectrum over a 1/a scan, in polar observables.
-
-    rows: (inv_a, level, kappa, energy) with kappa = -sqrt(|E_total|)
-    measured from the three-body threshold E = 0.  metadata records the
-    single-channel approximation flag.
-    """
-
-    rows: tuple
-    metadata: dict = field(default_factory=dict)
-
-    def column(self, name: str) -> np.ndarray:
-        i = ("inv_a", "level", "kappa", "energy").index(name)
-        return np.array([r[i] for r in self.rows])
-
-
-def adiabatic_spectrum(
-    system: ThreeBodySystem,
-    inv_a_grid,
-    R0: float,
-    kappa_window: tuple[float, float],
-) -> EfimovSpectrum:
-    """Bound states of the lowest adiabatic channel across a 1/a scan.
-
-    Identical-boson systems only: s2(R) = s2_lowest(R/a).  For a > 0 the
-    channel threshold is the dimer energy -1/a^2, which the large-R limit
-    of the channel exponent reproduces automatically; kappa is reported
-    from the three-body threshold E = 0.  Non-adiabatic couplings are
-    neglected (single-channel approximation, flagged in metadata).
-    """
-    if system.statistics != "bosons":
-        raise NotImplementedError("adiabatic scan implemented for identical bosons")
-    rows = []
-    for inv_a in np.asarray(inv_a_grid, dtype=float):
-        threshold = float(-(inv_a**2)) if inv_a > 0 else 0.0
-        ch = HyperradialChannel(
-            s_squared=(lambda R, ia=inv_a: s2_lowest(R * ia)),
-            R0=R0,
-            threshold=threshold,
-        )
-        try:
-            states = solve_bound_states(ch, kappa_window)
-        except BracketingError:
-            continue
-        for lvl, E in enumerate(states.energies):
-            rows.append((float(inv_a), lvl, -math.sqrt(-E), float(E)))
-    return EfimovSpectrum(
-        tuple(rows),
-        {
-            "approximation": "single-channel adiabatic",
-            "R0": R0,
-            "kappa_window": tuple(kappa_window),
-        },
-    )

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .channels import LAMBDA0
 from .numerics import (
@@ -53,7 +52,6 @@ __all__ = [
     "TritonModel",
     "TritonResult",
     "solve_triton",
-    "reconstruct_wavefunction",
     "ResolutionWarning",
 ]
 
@@ -651,50 +649,3 @@ def solve_triton_unitarity(
         p_min=p_min, q_min=1e-4 * p_min,
     )
     return bound_levels(kern, E_window)
-
-
-def reconstruct_wavefunction(kernel: SeparableKernel, E: float):
-    """Three-body amplitude Psi(P_vec, p_vec) at a trimer energy.
-
-    The spectator amplitude F is the null vector of M(E), s^-1 times the
-    null vector of the symmetric form s M s^-1; the full amplitude sums the
-    three exchange images,
-    Psi = -[sum_i F(P_i) phi(p_i)] / ((3/4)P^2 + p^2 - E),
-    which is symmetric under the bosonic Jacobi momentum rotations.
-    """
-    if E >= 0:
-        raise ValueError("need E < 0")
-    m = kernel.matrix(E)
-    m_max = np.max(np.abs(m))
-    s = _symmetrize(kernel, m)
-    vals, vecs = np.linalg.eigh(m)
-    k = np.argmin(np.abs(vals))
-    if abs(vals[k]) > 1e-6 * m_max:
-        warnings.warn("E is not an eigenenergy; amplitude is approximate", stacklevel=2)
-    vec = vecs[:, k] / s
-    vec /= np.linalg.norm(vec)
-    if vec[np.argmax(np.abs(vec))] < 0:
-        vec = -vec
-    p = kernel.grid.nodes
-    spl = CubicSpline(np.log(p), vec, extrapolate=False)
-    form = kernel.form
-
-    def F(P):
-        out = spl(np.log(np.maximum(P, p[0])))
-        return np.nan_to_num(out, nan=0.0)
-
-    def psi(P_vec, p_vec):
-        P_vec = np.asarray(P_vec, dtype=float)
-        p_vec = np.asarray(p_vec, dtype=float)
-        pairs = [
-            (P_vec, p_vec),
-            (-0.5 * P_vec - p_vec, 0.75 * P_vec - 0.5 * p_vec),
-            (-0.5 * P_vec + p_vec, -0.75 * P_vec - 0.5 * p_vec),
-        ]
-        num = 0.0
-        for Pv, pv in pairs:
-            num += F(np.linalg.norm(Pv, axis=-1)) * form(np.linalg.norm(pv, axis=-1))
-        den = 0.75 * np.sum(P_vec**2, axis=-1) + np.sum(p_vec**2, axis=-1) - E
-        return -num / den
-
-    return psi

@@ -25,31 +25,28 @@ __all__ = [
     "TMatrixModel",
     "solve_zero_energy",
     "tune_to_scattering_length",
-    "tune_to_unitarity",
     "universal_tail_wavefunction",
-    "vdw_tail_wavefunction",
     "half_effective_range_tail",
     "est_form_factor",
     "step_form_factor",
     "universal_tail_form_factor",
     "vdw_form_factor",
     "dimer_energy",
-    "dimer_energy_first_order",
-    "a_B",
     "VirtualStateError",
 ]
 
-_POTENTIAL_KINDS = (
-    "square_well",
-    "gaussian",
-    "poschl_teller",
-    "morse",
-    "yukawa",
-    "exponential",
-    "lennard_jones_6_12",
-    "vdw_hard_core",
-    "power_law_tail",
-)
+# required parameters of each potential kind (morse also takes r0)
+_POTENTIAL_KINDS = {
+    "square_well": ("depth", "range"),
+    "gaussian": ("depth", "range"),
+    "poschl_teller": ("lambda", "range"),
+    "morse": ("depth", "range"),
+    "yukawa": ("strength", "range"),
+    "exponential": ("depth", "range"),
+    "lennard_jones_6_12": ("c6", "c12"),
+    "vdw_hard_core": ("c6", "core"),
+    "power_law_tail": ("n", "cn", "core"),
+}
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,10 @@ class TwoBodyModel:
     def __post_init__(self):
         if self.kind not in _POTENTIAL_KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "power_law_tail" and not self.params.get("n", 6) > 3:
+        missing = [k for k in _POTENTIAL_KINDS[self.kind] if k not in self.params]
+        if missing:
+            raise ValueError(f"{self.kind} potential needs parameter(s) {', '.join(missing)}")
+        if self.kind == "power_law_tail" and not self.params["n"] > 3:
             raise ValueError("power-law tail requires exponent n > 3")
 
     @property
@@ -209,10 +209,6 @@ def tune_to_scattering_length(
     return replace(model, params={**model.params, param: x_star})
 
 
-def tune_to_unitarity(model, param, bracket, **kw) -> TwoBodyModel:
-    return tune_to_scattering_length(model, param, bracket, 0.0, **kw)
-
-
 def universal_tail_wavefunction(n: float, x):
     """Zero-energy radial wave function at unitarity for a -C_n/r^n tail.
 
@@ -226,20 +222,6 @@ def universal_tail_wavefunction(n: float, x):
         raise ValueError("x must be positive")
     nu = 1.0 / (n - 2.0)
     return gamma_fn((n - 1.0) / (n - 2.0)) * np.sqrt(x) * jv(nu, 2.0 * x ** (-(n - 2.0) / 2.0))
-
-
-def vdw_tail_wavefunction(x, inv_a: float = 0.0):
-    """Zero-energy wave function in the van der Waals region at finite a.
-
-    The two Bessel branches combine so that phi -> 1 - x * (l_vdW/a) at
-    large x; inv_a is measured in units of 1/l_vdW.  Reduces to the
-    universal n = 6 form at unitarity.
-    """
-    x = np.asarray(x, dtype=float)
-    z = 2.0 * x**-2.0
-    return np.sqrt(x) * (
-        gamma_fn(1.25) * jv(0.25, z) - inv_a * gamma_fn(0.75) * jv(-0.25, z)
-    )
 
 
 def half_effective_range_tail(n: float, x_split: float = None) -> float:
@@ -469,7 +451,8 @@ def dimer_energy(model: TMatrixModel) -> float:
         disc = 1.0 - 2.0 * model.r_e * inv_a
         if disc < 0:
             raise VirtualStateError("1 - 2 r_e/a < 0: no real pole")
-        kap = (1.0 - np.sqrt(disc)) / model.r_e if model.r_e != 0 else inv_a
+        # (1 - sqrt(disc))/r_e rationalized: no cancellation as r_e -> 0
+        kap = 2.0 * inv_a / (1.0 + np.sqrt(disc))
         return -(kap**2)
     if model.kind == "narrow_resonance":
         if inv_a <= 0:
@@ -491,19 +474,3 @@ def dimer_energy(model: TMatrixModel) -> float:
         return None  # pole beyond the profile's validity window
     kap = find_root(cond, 1e-10 * form.p_max, form.p_max)
     return -(kap**2)
-
-
-def dimer_energy_first_order(a: float, r_e: float) -> float:
-    """Dimer energy with the effective-range correction kept to first order
-    in the pole wave number: kappa = (1/a)(1 + r_e/(2a))."""
-    kap = (1.0 / a) * (1.0 + r_e / (2.0 * a))
-    return -(kap**2)
-
-
-def a_B(a: float, r_e: float) -> float:
-    """Length corresponding to the T-matrix pole: 1/a_B = (1-sqrt(1-2 r_e/a))/r_e."""
-    disc = 1.0 - 2.0 * r_e / a
-    if disc < 0:
-        raise VirtualStateError("2 r_e/a > 1: pole is a virtual state")
-    # rationalized form of r_e/(1 - sqrt(disc)): stable as r_e -> 0
-    return 0.5 * a * (1.0 + np.sqrt(disc))

@@ -8,13 +8,12 @@ number of the reference level n = 0 at unitarity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LAMBDA0, S0
+from .channels import S0
 from .numerics import find_root
-from .two_body import VirtualStateError, a_B
 
 __all__ = [
     "A_MINUS_KAPPA",
@@ -22,16 +21,11 @@ __all__ = [
     "A_STAR_KAPPA",
     "RECOMBINATION_C",
     "PolarSpectrumPoint",
-    "ThreeBodyParameter",
     "delta",
-    "trimer_energy",
     "trimer_point",
     "threshold_constants",
     "universal_relations",
-    "modified_trimer_energy",
-    "renormalization_coefficient",
     "recombination_rate",
-    "resonance_width",
 ]
 
 # exact universal relation constants (zero-range theory)
@@ -71,25 +65,6 @@ class PolarSpectrumPoint:
     @property
     def energy(self) -> float:
         return -self.kappa**2
-
-
-@dataclass(frozen=True)
-class ThreeBodyParameter:
-    """kappa_star with its inelasticity; defined modulo factors lambda_0."""
-
-    kappa_star: float
-    eta: float = 0.0
-
-    def __post_init__(self):
-        if not self.kappa_star > 0:
-            raise ValueError("kappa_star must be positive")
-        if self.eta < 0:
-            raise ValueError("eta must be >= 0")
-
-    @property
-    def representation_equivalents(self) -> dict:
-        a_minus, a_plus, a_star = universal_relations(self.kappa_star)
-        return {"a_minus": a_minus, "a_plus": a_plus, "a_star": a_star}
 
 
 def delta(xi):
@@ -157,12 +132,6 @@ def trimer_point(n: int, inv_a: float, kappa_star: float) -> PolarSpectrumPoint 
     return PolarSpectrumPoint(inv_a, h * math.sin(xi), n)
 
 
-def trimer_energy(n: int, inv_a: float, kappa_star: float) -> float | None:
-    """Energy E^(n) < 0 of the universal trimer level, or None if absent."""
-    pt = trimer_point(n, inv_a, kappa_star)
-    return None if pt is None else pt.energy
-
-
 def threshold_constants() -> tuple[float, float]:
     """(kappa_star * a_minus, kappa_star * a_star) implied by delta().
 
@@ -185,28 +154,6 @@ def universal_relations(kappa_star: float) -> tuple[float, float, float]:
     )
 
 
-def modified_trimer_energy(
-    n: int, a: float, r_e: float, kappa_star: float, Gamma_n: float = 0.0
-) -> float | None:
-    """Finite-range-corrected trimer energy: a -> a_B (T-matrix pole length)
-    and kappa_star -> kappa_star + Gamma_n/a in the universal formula.
-
-    Gamma_n is an empirical per-level coefficient; raises VirtualStateError
-    when the a_B branch turns complex (2 r_e/a > 1).
-    """
-    inv_ab = 0.0 if np.isinf(a) else 1.0 / a_B(a, r_e)
-    ks = kappa_star if np.isinf(a) else kappa_star + Gamma_n / a
-    if not ks > 0:
-        raise ValueError("shifted three-body parameter must stay positive")
-    return trimer_energy(n, inv_ab, ks)
-
-
-def renormalization_coefficient(a: float, kappa_star: float, Gamma_n: float) -> float:
-    """lambda_n = (1 + Gamma_n/(kappa_star a))^{-1}, the per-level scale
-    mapping finite-range spectra back onto the universal curve."""
-    return 1.0 / (1.0 + Gamma_n / (kappa_star * a))
-
-
 def recombination_rate(a: float, a_minus: float, eta: float, mass: float = 1.0, hbar: float = 1.0):
     """Three-body recombination loss coefficient L3 for a < 0.
 
@@ -221,10 +168,3 @@ def recombination_rate(a: float, a_minus: float, eta: float, mass: float = 1.0, 
     if denom == 0.0:
         return math.inf
     return RECOMBINATION_C * math.sinh(2.0 * eta) / denom * hbar * a**4 / mass
-
-
-def resonance_width(energy: float, eta: float) -> float:
-    """Decay width Gamma = (4 eta / s0) E of a lossy Efimov state (small eta)."""
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
-    return 4.0 * eta / S0 * energy

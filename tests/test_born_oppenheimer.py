@@ -9,7 +9,6 @@ from efimov.born_oppenheimer import (
     OMEGA,
     bonding_energy,
     bonding_kappa,
-    critical_mass_ratio_bo,
     effective_potential,
     s0_estimate,
 )
@@ -61,7 +60,6 @@ def test_effective_potential_centrifugal_term():
 
 def test_s0_estimate_and_critical_ratio():
     assert BO_CRITICAL_L1 == pytest.approx(13.990296, abs=1e-4)
-    assert critical_mass_ratio_bo(1) == BO_CRITICAL_L1
     # adiabatic estimate lands within 3% of the exact L = 1 critical ratio
     assert abs(BO_CRITICAL_L1 / 13.6069657 - 1.0) < 0.03
     assert math.isnan(s0_estimate(13.9, L=1))

@@ -1,9 +1,6 @@
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from efimov.channels import (
     LAMBDA0,
@@ -11,14 +8,9 @@ from efimov.channels import (
     S0,
     S0_TWO_PAIR,
     ChannelExponent,
-    boson_exponents,
     boson_sigma,
     critical_mass_ratio,
-    distinguishable_exponents,
-    hyper_radius,
-    jacobi_transform,
     s2_lowest,
-    triton_channel_exponents,
     two_plus_one_exponent,
 )
 
@@ -32,19 +24,6 @@ def test_boson_constants():
 def test_two_pair_channel():
     assert S0_TWO_PAIR == pytest.approx(0.4136973, abs=1e-6)
     assert math.exp(math.pi / S0_TWO_PAIR) == pytest.approx(1986.12, abs=0.5)
-
-
-def test_boson_exponents_structure():
-    ex = boson_exponents(4)
-    assert ex[0].efimov and ex[0].s_squared < 0
-    assert ex[0].sigma == pytest.approx(S0, rel=1e-12)
-    assert ex[0].scaling_ratio == pytest.approx(LAMBDA0, rel=1e-12)
-    reals = [e for e in ex[1:]]
-    assert all(e.s_squared > 0 and not e.efimov for e in reals)
-    # the spurious solution s = 4 of the transcendental condition is excluded
-    assert all(abs(math.sqrt(e.s_squared) - 4.0) > 1e-3 for e in reals)
-    ss = [e.s_squared for e in reals]
-    assert ss == sorted(ss)
 
 
 def test_boson_sigma_domain():
@@ -83,30 +62,7 @@ def test_two_plus_one_bosons_reduces_to_known_channels():
     assert pair.sigma == pytest.approx(S0_TWO_PAIR, rel=1e-8)
 
 
-def test_distinguishable_equal_masses_match_bosons():
-    ex = distinguishable_exponents()[0]
-    assert ex.sigma == pytest.approx(S0, rel=1e-8)
-
-
-def test_triton_channel_exponents():
-    f_chan, phi_chan = triton_channel_exponents()
-    assert f_chan.efimov and f_chan.sigma == pytest.approx(S0, rel=1e-10)
-    assert not phi_chan.efimov and phi_chan.s_squared > 0
-
-
 def test_channel_exponent_guards():
     real = ChannelExponent(4.0)
     with pytest.raises(ValueError):
         real.sigma
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    comps=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
-    target=st.sampled_from(["23", "31"]),
-)
-def test_jacobi_rotation_preserves_hyper_radius(comps, target):
-    r = np.array(comps[:3])
-    rho = np.array(comps[3:])
-    r2, rho2 = jacobi_transform(r, rho, "12", target)
-    assert hyper_radius(r2, rho2) == pytest.approx(hyper_radius(r, rho), abs=1e-12)

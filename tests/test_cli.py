@@ -81,6 +81,9 @@ def test_invalid_values_exit_2(tmp_path):
     assert run(["universal", "--kappa-star", "-1.0", "--output", out]) == 2
     assert run(["stm", "--a", "bogus", "--output", out]) == 2
     assert run(["stm", "--E-min", "-1.0", "--E-max", "1.0", "--output", out]) == 2
+    # a = 0 is no scattering length; unitarity is spelled inf
+    assert run(["stm", "--a", "0", "--output", out]) == 2
+    assert run(["bo", "--a", "0", "--output", out]) == 2
 
 
 @pytest.mark.parametrize("error", [ConvergenceError, BracketingError], ids=lambda e: e.__name__)
@@ -131,6 +134,8 @@ def test_twobody_subcommand(tmp_path):
     assert float(vals["a"]) > 0
     assert float(vals["dimer_effective_range"]) < 0
     assert run(["twobody", "--param", "broken", "--output", str(out)]) == 2
+    # the Poschl-Teller well needs a range as well as lambda
+    assert run(["twobody", "--param", "lambda=1.2", "--output", str(out)]) == 2
 
 
 def test_verify_passes_on_this_build(capsys):

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from efimov.channels import LAMBDA0, S0, ThreeBodySystem, s2_lowest
+from efimov.channels import LAMBDA0, S0, s2_lowest
 from efimov.hyperradial import (
     HyperradialChannel,
-    adiabatic_spectrum,
     solve_bound_states,
     three_body_phase,
 )
@@ -91,32 +90,3 @@ def test_channel_validation():
         HyperradialChannel(boundary="open")
     with pytest.raises(ValueError):
         solve_bound_states(HyperradialChannel(), (0.5, 0.1))
-
-
-def test_adiabatic_scan_negative_a_removes_levels():
-    spec = adiabatic_spectrum(
-        ThreeBodySystem(), [-0.05, 0.0], R0=1.0, kappa_window=(5e-4, 0.5)
-    )
-    at_res = spec.column("inv_a") == 0.0
-    off_res = spec.column("inv_a") == -0.05
-    # finite negative a cuts off the shallowest states
-    assert np.count_nonzero(off_res) < np.count_nonzero(at_res)
-    assert np.all(spec.column("energy") < 0)
-    assert spec.metadata["approximation"] == "single-channel adiabatic"
-
-
-def test_adiabatic_scan_positive_a_binds_below_dimer():
-    inv_a = 0.2
-    spec = adiabatic_spectrum(
-        ThreeBodySystem(), [inv_a], R0=1.0, kappa_window=(5e-3, 0.5)
-    )
-    assert len(spec.rows) >= 1
-    # trimers sit below the dimer threshold -1/a^2
-    assert np.all(spec.column("energy") < -(inv_a**2))
-
-
-def test_adiabatic_scan_bosons_only():
-    with pytest.raises(NotImplementedError):
-        adiabatic_spectrum(
-            ThreeBodySystem(statistics="fermions"), [0.0], 1.0, (1e-3, 1.0)
-        )

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from efimov.stm import (
     _symmetrize,
     bound_levels,
     kappa_star_extrapolated,
-    reconstruct_wavefunction,
     solve_trimers_separable,
     solve_trimers_zero_range,
     threshold_scattering_lengths,
@@ -211,27 +209,3 @@ def test_nucleon_kernel_matches_two_channel_block():
     sym = kern.matrix(E)
     _symmetrize(kern, sym)
     np.testing.assert_allclose(sym, sym.T, rtol=0, atol=1e-15 * np.abs(sym).max())
-
-
-def test_wavefunction_exchange_symmetry(step_ground):
-    form, lev = step_ground
-    kern = SeparableKernel(form, 0.0, n=140, n_ang=24)
-    psi = reconstruct_wavefunction(kern, lev[0])
-    rng = np.random.default_rng(11)
-    P = rng.normal(scale=0.4, size=(6, 3))
-    p = rng.normal(scale=0.4, size=(6, 3))
-    direct = psi(P, p)
-    rotated = psi(-0.5 * P - p, 0.75 * P - 0.5 * p)
-    assert np.all(np.isfinite(direct))
-    assert rotated == pytest.approx(direct, rel=1e-9)
-
-
-def test_wavefunction_needs_negative_energy(step_ground):
-    form, _ = step_ground
-    kern = SeparableKernel(form, 0.0, n=60, n_ang=16)
-    with pytest.raises(ValueError):
-        reconstruct_wavefunction(kern, 0.1)
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        reconstruct_wavefunction(kern, -0.42)
-    assert any("not an eigenenergy" in str(w.message) for w in rec)

@@ -12,19 +12,15 @@ from efimov.two_body import (
     VirtualStateError,
     ZeroEnergyState,
     _sine_transform,
-    a_B,
     dimer_energy,
-    dimer_energy_first_order,
     est_form_factor,
     half_effective_range_tail,
     solve_zero_energy,
     step_form_factor,
     tune_to_scattering_length,
-    tune_to_unitarity,
     universal_tail_form_factor,
     universal_tail_wavefunction,
     vdw_form_factor,
-    vdw_tail_wavefunction,
 )
 
 
@@ -53,7 +49,7 @@ def test_node_count_tracks_bound_states():
 
 
 def test_tuning_helpers():
-    m = tune_to_unitarity(_pt(1.2), "lambda", (0.8, 1.3))
+    m = tune_to_scattering_length(_pt(1.2), "lambda", (0.8, 1.3))
     assert m.params["lambda"] == pytest.approx(1.0, abs=1e-6)
     m2 = tune_to_scattering_length(_pt(1.2), "lambda", (1.05, 1.6), inv_a_target=0.25)
     assert solve_zero_energy(m2).inv_a == pytest.approx(0.25, abs=1e-8)
@@ -68,11 +64,6 @@ def test_tail_wavefunctions_normalized_at_large_distance():
     x = np.array([50.0, 200.0])
     for n in (4, 5, 6, 8):
         assert universal_tail_wavefunction(n, x) == pytest.approx([1.0, 1.0], abs=1e-2)
-    assert vdw_tail_wavefunction(x, 0.0) == pytest.approx([1.0, 1.0], abs=1e-2)
-    # finite 1/a: tail goes like 1 - x/a
-    inv_a = 0.1
-    phi = vdw_tail_wavefunction(np.array([300.0]), inv_a)
-    assert phi[0] == pytest.approx(1.0 - 300.0 * inv_a, rel=1e-2)
 
 
 def test_form_factors_normalized_at_zero_momentum():
@@ -125,10 +116,15 @@ def test_dimer_energy_zero_range_and_effective_range():
     assert dimer_energy(TMatrixModel("effective_range", a=a, r_e=re)) == pytest.approx(
         -(kap**2), rel=1e-12
     )
-    # first-order range correction agrees to O((r_e/a)^2)
-    e1 = dimer_energy_first_order(a, re)
-    e2 = dimer_energy(TMatrixModel("effective_range", a=a, r_e=re))
-    assert abs(e1 - e2) / abs(e2) < 2.0 * (re / a) ** 2
+
+
+def test_a_B_branch():
+    # the pole length a_B = 1/kappa of the effective-range pole equals a at
+    # r_e = 0; past 2 r_e/a = 1 the pole moves to the virtual-state branch
+    E = dimer_energy(TMatrixModel("effective_range", a=7.0, r_e=0.0))
+    assert 1.0 / math.sqrt(-E) == pytest.approx(7.0)
+    with pytest.raises(VirtualStateError):
+        dimer_energy(TMatrixModel("effective_range", a=1.0, r_e=2.0))
 
 
 def test_dimer_energy_narrow_resonance():
@@ -151,20 +147,14 @@ def test_dimer_absent_for_negative_a():
     assert dimer_energy(TMatrixModel("separable", form=form)) is None
 
 
-def test_a_B_branch():
-    assert a_B(7.0, 0.0) == pytest.approx(7.0)
-    with pytest.raises(VirtualStateError):
-        a_B(1.0, 2.0)
-
-
 @settings(max_examples=40, deadline=None)
 @given(a=st.floats(3.0, 100.0), re=st.floats(0.0, 1.0))
-def test_a_B_reduces_to_a_for_small_range(a, re):
-    # the pole length is shorter than a (deeper binding), approaching it
-    # linearly as r_e -> 0
-    ab = a_B(a, re)
-    assert ab <= a + 1e-12
-    assert ab == pytest.approx(a, rel=max(re / a, 1e-12))
+def test_effective_range_pole_approaches_zero_range(a, re):
+    # a positive effective range binds deeper than 1/a^2, approaching the
+    # zero-range pole linearly as r_e -> 0
+    kap = math.sqrt(-dimer_energy(TMatrixModel("effective_range", a=a, r_e=re)))
+    assert kap * a >= 1.0 - 1e-12
+    assert kap * a == pytest.approx(1.0, rel=max(re / a, 1e-12))
 
 
 def test_hard_core_potentials():
@@ -175,6 +165,8 @@ def test_hard_core_potentials():
         TwoBodyModel("power_law_tail", {"n": 3, "cn": 1.0, "core": 0.1})
     with pytest.raises(ValueError):
         TwoBodyModel("no_such_well", {})
+    with pytest.raises(ValueError, match="core"):
+        TwoBodyModel("vdw_hard_core", {"c6": 16.0})
 
 
 def test_zero_energy_state_properties():

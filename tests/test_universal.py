@@ -6,20 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from efimov.channels import LAMBDA0, S0
-from efimov.two_body import VirtualStateError
 from efimov.universal import (
     A_MINUS_KAPPA,
-    A_PLUS_KAPPA,
     A_STAR_KAPPA,
     PolarSpectrumPoint,
-    ThreeBodyParameter,
     delta,
-    modified_trimer_energy,
     recombination_rate,
-    renormalization_coefficient,
-    resonance_width,
     threshold_constants,
-    trimer_energy,
     trimer_point,
     universal_relations,
 )
@@ -64,11 +57,6 @@ def test_trimer_point_thresholds():
     assert trimer_point(0, 1.0 / (ka / ks) * 0.98, ks) is not None
 
 
-def test_trimer_energy_wrapper():
-    assert trimer_energy(1, 0.0, 2.0) == pytest.approx(-((2.0 / LAMBDA0) ** 2))
-    assert trimer_energy(0, -3.0, 1.0) is None
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     inv_a=st.floats(-0.5, 2.0),
@@ -104,31 +92,6 @@ def test_polar_point_invariants():
         PolarSpectrumPoint(0.1, 0.2, 0)
 
 
-def test_three_body_parameter_representations():
-    tbp = ThreeBodyParameter(2.0, eta=0.1)
-    eq = tbp.representation_equivalents
-    assert eq["a_minus"] == pytest.approx(A_MINUS_KAPPA / 2.0)
-    assert eq["a_plus"] == pytest.approx(A_PLUS_KAPPA / 2.0)
-    assert eq["a_star"] == pytest.approx(A_STAR_KAPPA / 2.0)
-    with pytest.raises(ValueError):
-        ThreeBodyParameter(-1.0)
-
-
-def test_modified_energy_reduces_to_universal():
-    E0 = trimer_energy(0, 0.2, 1.0)
-    assert modified_trimer_energy(0, 5.0, 0.0, 1.0, 0.0) == pytest.approx(E0, rel=1e-12)
-    # finite range shifts the level through the pole length a_B
-    E_mod = modified_trimer_energy(0, 5.0, 0.5, 1.0, 0.0)
-    assert E_mod != pytest.approx(E0, rel=1e-6)
-    with pytest.raises(VirtualStateError):
-        modified_trimer_energy(0, 1.0, 2.0, 1.0, 0.0)
-
-
-def test_renormalization_coefficient_limits():
-    assert renormalization_coefficient(5.0, 1.0, 0.0) == 1.0
-    assert renormalization_coefficient(5.0, 1.0, 1.0) == pytest.approx(1.0 / 1.2)
-
-
 def test_recombination_peaks_are_geometric():
     a_minus, eta = -1.0, 0.05
     la = np.linspace(math.log(1.05), math.log(1.05) + 2.0 * math.pi / S0, 60000)
@@ -149,9 +112,3 @@ def test_recombination_divergence_and_domain():
     assert recombination_rate(-2.0, -1.0, 0.0) == 0.0
     with pytest.raises(ValueError):
         recombination_rate(2.0, -1.0, 0.1)
-
-
-def test_resonance_width():
-    assert resonance_width(-4.0, 0.1) == pytest.approx(-1.6 / S0)
-    with pytest.raises(ValueError):
-        resonance_width(-1.0, -0.1)
