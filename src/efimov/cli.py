@@ -46,7 +46,7 @@ def write_csv(path, header, rows):
 def write_manifest(path, subcommand, inputs, outputs):
     doc = {
         "subcommand": subcommand,
-        "inputs": {k: (None if v is None else v) for k, v in sorted(inputs.items())},
+        "inputs": inputs,
         "outputs": outputs,
         "version": __version__,
     }
@@ -79,14 +79,38 @@ def read_config(path) -> dict:
     return out
 
 
-def _apply_config(args):
-    if getattr(args, "config", None):
-        cfg = read_config(args.config)
-        for key, val in cfg.items():
-            if not hasattr(args, key):
-                raise ConfigError(f"unknown config key {key!r}")
-            setattr(args, key, val)
-    return args
+def _apply_config(parser, args):
+    """Set the --config file's values on ``args``.  Each key must be an
+    option of the subcommand, and each value passes the option's type and
+    choices as on the command line."""
+    if not getattr(args, "config", None):
+        return
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        a.dest: a for a in sub.choices[args.subcommand]._actions
+        if a.option_strings and hasattr(args, a.dest)
+    }
+    for key, val in read_config(args.config).items():
+        if key not in options:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            setattr(args, key, _option_value(options[key], val))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config key {key!r}: bad value {val!r}") from exc
+
+
+def _option_value(action, val):
+    if action.nargs == 0:  # a flag
+        if not isinstance(val, bool):
+            raise TypeError("a flag takes true or false")
+        return val
+    many = action.nargs == "*"
+    if many and not isinstance(val, list):
+        raise TypeError("a list option takes a list")
+    out = [(action.type or str)(str(v)) for v in (val if many else [val])]
+    if action.choices is not None and any(v not in action.choices for v in out):
+        raise ValueError(f"not one of {action.choices}")
+    return out if many else out[0]
 
 
 def _parse_a(text) -> float:
@@ -169,8 +193,10 @@ def cmd_hyperradial(args):
     from .channels import S0
     from .hyperradial import HyperradialChannel, solve_bound_states, three_body_phase
 
+    if args.s0 is not None and not args.s0 > 0:
+        raise ConfigError("--s0 must be positive")
     chan = HyperradialChannel(
-        s_squared=-(args.s0**2) if args.s0 else -(S0**2),
+        s_squared=-(S0**2) if args.s0 is None else -(args.s0**2),
         R0=args.R0,
         boundary=args.boundary,
         boundary_value=args.boundary_value,
@@ -432,7 +458,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args)
+        _apply_config(parser, args)
         return args.func(args)
     except (ConvergenceError, BracketingError) as exc:
         # before ValueError: BracketingError subclasses it

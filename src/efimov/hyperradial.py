@@ -56,11 +56,6 @@ class HyperradialChannel:
     def s2(self, R: float) -> float:
         return self.s_squared(R) if callable(self.s_squared) else self.s_squared
 
-    def potential(self, R):
-        R = np.asarray(R, dtype=float)
-        s2 = np.array([self.s2(r) for r in np.atleast_1d(R)]).reshape(R.shape)
-        return (s2 - 0.25) / R**2
-
 
 @dataclass(frozen=True)
 class BoundStateSet:
@@ -120,16 +115,14 @@ def _shoot(channel: HyperradialChannel, energy: float, samples: int = _SAMPLES):
 
 
 def solve_bound_states(
-    channel: HyperradialChannel,
-    kappa_window: tuple[float, float],
-    tol: float = 1e-12,
+    channel: HyperradialChannel, kappa_window: tuple[float, float]
 ) -> BoundStateSet:
     """All bound levels with kappa = sqrt(-E) inside the window.
 
     The outward solution at energy E has as many interior nodes as there
     are levels below E; the node count is bisected in ln kappa until each
     bracket holds one level.  The count steps where a node crosses the end
-    of the shot, so each level is refined by Brent's method, to ``tol`` in
+    of the shot, so each level is refined by Brent's method, to 1e-12 in
     ln kappa, on the continuous end value v(x1(kappa)).  An empty window
     returns an empty set.
     """
@@ -147,32 +140,29 @@ def solve_bound_states(
         return int(np.count_nonzero(np.diff(s) != 0)), v[-1]
 
     brackets = isolate_levels(
-        lambda t: shot(t)[0], math.log(k_lo), math.log(k_hi), tol=tol
+        lambda t: shot(t)[0], math.log(k_lo), math.log(k_hi), tol=1e-12
     )
     energies, profiles = [], []
     for lo, hi, _, _ in reversed(brackets):  # deepest (largest kappa) first
-        t = find_root(lambda t: shot(t)[1], lo, hi, tol=tol)
+        t = find_root(lambda t: shot(t)[1], lo, hi, tol=1e-12)
         energies.append(E(t))
         x, v, dv = _shoot(channel, E(t))
         profiles.append((np.exp(x), v, dv))
     return BoundStateSet(channel, tuple(energies), tuple(profiles))
 
 
-def three_body_phase(
-    source, reference_scale: float = 1.0, decades: float = 2.5
-) -> float:
+def three_body_phase(ch: HyperradialChannel, reference_scale: float = 1.0) -> float:
     """Log-periodic phase Phi = |s0| ln(Lambda/Lambda0) in [0, pi).
 
-    ``source`` is a HyperradialChannel (or a BoundStateSet, whose channel
-    is used).  The zero-energy solution is integrated outward from the
-    boundary; in the scale-invariant window v ~ cos(|s0| ln(Lambda R)), so
-    the local phase theta = atan2(-v', |s0| v) gives
+    The zero-energy solution is integrated outward from the boundary over
+    2.5 decades of R; in the scale-invariant window
+    v ~ cos(|s0| ln(Lambda R)), so the local phase
+    theta = atan2(-v', |s0| v) gives
     Phi = theta - |s0| ln(R * reference_scale) (mod pi).  Raises
     ConvergenceError when the phase is not stable over the fit window.
     """
-    ch = source.channel if isinstance(source, BoundStateSet) else source
     x0 = math.log(ch.R0)
-    x = np.linspace(x0, x0 + decades * math.log(10.0), 800)
+    x = np.linspace(x0, x0 + 2.5 * math.log(10.0), 800)
     R = np.exp(x)
 
     def rhs(t, y):

@@ -34,15 +34,10 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights of a quadrature rule on a mapped interval.
-
-    ``mapping`` records the change of variable: "linear" on [lo, hi] or
-    "log" on [p_min, p_max] (nodes placed uniformly in ln p).
-    """
+    """Nodes and weights of a quadrature rule on a mapped interval."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    mapping: str = "linear"
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
@@ -151,7 +146,7 @@ def gauss_legendre(n: int, lo: float, hi: float) -> QuadratureRule:
         raise ValueError("need lo < hi")
     x, w = _leggauss(n)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return QuadratureRule(mid + half * x, half * w, mapping="linear")
+    return QuadratureRule(mid + half * x, half * w)
 
 
 def gauss_legendre_log(n: int, p_min: float, p_max: float) -> QuadratureRule:
@@ -165,4 +160,4 @@ def gauss_legendre_log(n: int, p_min: float, p_max: float) -> QuadratureRule:
         raise ValueError("need 0 < p_min < p_max")
     t = gauss_legendre(n, np.log(p_min), np.log(p_max))
     p = np.exp(t.nodes)
-    return QuadratureRule(p, p * t.weights, mapping="log")
+    return QuadratureRule(p, p * t.weights)

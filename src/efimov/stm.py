@@ -157,10 +157,12 @@ class StmKernel:
         return gauss_legendre_log(self.n, self.p_min_factor * self.cutoff, self.cutoff)
 
     def _threshold(self) -> float:
-        """Lowest breakup threshold: the dimer pole -kappa_d^2 with
-        kappa_d = (-1 + sqrt(1 + 4 R*/a))/(2 R*), or 0 without a dimer."""
-        inv_a = max(self.inv_a, 0.0)
-        return -((2.0 * inv_a / (1.0 + math.sqrt(1.0 + 4.0 * self.r_star * inv_a))) ** 2)
+        """Lowest breakup threshold: the dimer pole of the two-body T, or 0
+        without a dimer."""
+        if self.inv_a <= 0:
+            return 0.0
+        kind = "narrow_resonance" if self.r_star > 0 else "zero_range"
+        return dimer_energy(TMatrixModel(kind, a=1.0 / self.inv_a, r_star=self.r_star))
 
     def _exchange(self, E: float, p, wp):
         P = p[:, None]
@@ -220,35 +222,25 @@ def solve_trimers_zero_range(
 
 
 def solve_trimers_narrow_resonance(
-    a: float,
-    r_star: float,
-    E_window: tuple[float, float],
-    cutoff: float = None,
-    n: int = 500,
-    check_cutoff: bool = True,
+    a: float, r_star: float, E_window: tuple[float, float]
 ) -> list[float]:
     """Trimer energies with the energy-dependent narrow-resonance T-matrix.
 
     R* regulates the short-distance physics, so results must be cutoff
-    independent; with ``check_cutoff`` each level is re-solved at twice the
-    cutoff and a >1% drift raises ConvergenceError.
+    independent: the levels are solved at cutoff 100/R* (500 nodes),
+    re-solved at twice the cutoff, and a >1% drift raises ConvergenceError.
     """
     if not r_star > 0:
         raise ValueError("r_star must be positive")
-    if cutoff is None:
-        cutoff = 100.0 / r_star
+    cutoff = 100.0 / r_star
 
     def solve(lam):
-        return solve_trimers_zero_range(a, lam, E_window, n=n, r_star=r_star, p_min_factor=1e-8)
+        return solve_trimers_zero_range(a, lam, E_window, n=500, r_star=r_star, p_min_factor=1e-8)
 
     roots = solve(cutoff)
-    if check_cutoff:
-        roots2 = solve(2.0 * cutoff)
-        for E, E2 in zip(roots, roots2):
-            if abs(E2 - E) > 0.01 * abs(E):
-                raise ConvergenceError(
-                    f"cutoff drift {abs(E2 - E) / abs(E):.2%} at E = {E:g}"
-                )
+    for E, E2 in zip(roots, solve(2.0 * cutoff)):
+        if abs(E2 - E) > 0.01 * abs(E):
+            raise ConvergenceError(f"cutoff drift {abs(E2 - E) / abs(E):.2%} at E = {E:g}")
     return roots
 
 
@@ -395,20 +387,15 @@ def solve_trimers_separable(
 
 
 def threshold_scattering_lengths(
-    source,
-    n_max: int = 4,
-    r_star: float = 0.0,
-    cutoff: float = None,
-    n: int = 500,
-    return_rejected: bool = False,
-):
+    source, n_max: int = 4, r_star: float = 0.0, n: int = 500
+) -> list[float]:
     """Dissociation scattering lengths a_-^(n) < 0 where trimer n meets the
     three-body threshold, smallest |a_-| (deepest level) first.
 
     ``source`` is a cutoff (zero-range / narrow-resonance kernel) or a
     FormFactor.  1/a enters the E = 0 kernel linearly, so the a_-^(n) are
     eigenvalues; roots with |a_-| * cutoff <= 10 sit at the regularization
-    scale and are filtered out (returned separately on request).
+    scale and are filtered out.
     """
     if isinstance(source, FormFactor):
         kern = SeparableKernel(source, 0.0, n=min(n, 300))
@@ -416,7 +403,7 @@ def threshold_scattering_lengths(
         m = -4 * np.pi * kern.matrix(0.0, homogeneous=True)
         scale = source.p_max
     else:
-        lam = float(source) if cutoff is None else cutoff
+        lam = float(source)
         kern = StmKernel(0.0, lam, r_star=r_star, n=n, p_min_factor=1e-8)
         m = kern.threshold_matrix()
         scale = lam
@@ -424,38 +411,27 @@ def threshold_scattering_lengths(
     ev = np.linalg.eigvalsh(m)
     neg = np.sort(ev[ev < 0])  # most negative first -> smallest |a|
     a_all = 1.0 / neg
-    keep = np.abs(a_all) * scale > 10.0
-    accepted = list(a_all[keep][:n_max])
-    if return_rejected:
-        return accepted, list(a_all[~keep])
-    return accepted
+    return list(a_all[np.abs(a_all) * scale > 10.0][:n_max])
 
 
-def a_minus_ground(
-    form_family,
-    bracket: tuple[float, float],
-    E_floor: float = -1e-6,
-    n: int = 200,
-    n_ang: int = 32,
-    rel_tol: float = 1e-3,
-) -> float:
+def a_minus_ground(form_family, bracket: tuple[float, float]) -> float:
     """Ground-level dissociation length a_-^(0) for an a-dependent
     form-factor family (callable 1/a -> FormFactor).
 
-    The kernel itself depends on a here, so a_- is found by bisecting the
-    existence of a trimer below ``E_floor`` between the two bracket
-    scattering lengths (both < 0; |lo| without state, |hi| with)."""
+    The kernel itself depends on a here, so a_- is found, to 1e-3 relative,
+    by bisecting the existence of a trimer in (-3, -1e-6) between the two
+    bracket scattering lengths (both < 0; |lo| without state, |hi| with)."""
     lo, hi = bracket
     if not (lo < 0 and hi < 0 and abs(lo) < abs(hi)):
         raise ValueError("bracket must be (a_without, a_with), both negative")
 
     def has_state(a):
-        kern = SeparableKernel(form_family(1.0 / a), 1.0 / a, n=n, n_ang=n_ang)
-        return _level_count(kern, (min(-3.0, 100 * E_floor), E_floor)) > 0
+        kern = SeparableKernel(form_family(1.0 / a), 1.0 / a, n=200, n_ang=32)
+        return _level_count(kern, (-3.0, -1e-6)) > 0
 
     if has_state(lo) or not has_state(hi):
         raise ValueError("bracket does not straddle the threshold")
-    while abs(hi - lo) > rel_tol * abs(lo):
+    while abs(hi - lo) > 1e-3 * abs(lo):
         mid = 0.5 * (lo + hi)
         if has_state(mid):
             hi = mid
@@ -464,30 +440,25 @@ def a_minus_ground(
     return 0.5 * (lo + hi)
 
 
-def narrow_resonance_a_star0(
-    r_star: float,
-    bracket: tuple[float, float] = (1.8, 2.6),
-    n: int = 400,
-    rel_tol: float = 1e-4,
-) -> float:
+def narrow_resonance_a_star0(r_star: float) -> float:
     """a_*^(0): scattering length where the ground narrow-resonance trimer
     meets the particle-dimer threshold (a > 0), in units set by R*.
 
-    The existence of a trimer below the dimer pole is bisected in 1/a over
-    ``bracket`` (given in units of 1/R*)."""
+    The existence of a trimer below the dimer pole is bisected in 1/a, to
+    1e-4 relative, over 1/a in (1.8, 2.6)/R*."""
     if not r_star > 0:
         raise ValueError("r_star must be positive")
     cutoff = 100.0 / r_star
 
     def has_state(inv_a):
-        kern = StmKernel(inv_a, cutoff, r_star=r_star, n=n, p_min_factor=1e-8)
+        kern = StmKernel(inv_a, cutoff, r_star=r_star, n=400, p_min_factor=1e-8)
         Ed = kern._threshold()
         return _level_count(kern, (1e4 * Ed, Ed * (1 + 1e-10))) > 0
 
-    lo, hi = (b / r_star for b in bracket)
+    lo, hi = 1.8 / r_star, 2.6 / r_star
     if not (has_state(lo) and not has_state(hi)):
         raise ValueError("bracket does not straddle the dimer crossing")
-    while hi - lo > rel_tol * lo:
+    while hi - lo > 1e-4 * lo:
         mid = 0.5 * (lo + hi)
         if has_state(mid):
             lo = mid
@@ -584,9 +555,10 @@ class TritonModel:
 
     @property
     def deuteron_energy(self) -> float:
-        """Effective-range T-matrix pole of the triplet channel, in MeV."""
-        kap = (1.0 - math.sqrt(1.0 - 2.0 * self.r_et / self.a_t)) / self.r_et
-        return self.hbar2_over_m * kap**2
+        """Binding at the effective-range T-matrix pole of the triplet
+        channel, in MeV."""
+        pole = dimer_energy(TMatrixModel("effective_range", a=self.a_t, r_e=self.r_et))
+        return -self.hbar2_over_m * pole
 
 
 @dataclass(frozen=True)
@@ -594,58 +566,40 @@ class TritonResult:
     deuteron: float  # MeV, effective-range pole
     deuteron_separable: float  # MeV, dimer pole of the triplet form factor
     trimers: tuple  # MeV, deepest first
-    inputs: dict
 
 
-def solve_triton(
-    model: TritonModel,
-    E_window: tuple[float, float] = None,
-    n: int = 300,
-    n_ang: int = _DEF_NANG,
-    p_max: float = 40.0,
-) -> TritonResult:
+def solve_triton(model: TritonModel) -> TritonResult:
     """Bound states of the coupled triplet/singlet spectator equations.
 
-    Energies in MeV; the trimer search runs below the deuteron.  The
-    deuteron itself is quoted from the effective-range pole of the triplet
-    T-matrix (the separable form factor's own pole is reported alongside
-    as a model diagnostic).
+    Energies in MeV; the trimer search runs from -0.5 fm^-2 up to 1.02
+    times the deuteron energy, on n = 300 momenta in (1e-4, 40) fm^-1 and
+    48 angular nodes (grid convergence: README, "Triton ground state").
+    The deuteron itself is quoted from the effective-range pole of the
+    triplet T-matrix (the separable form factor's own pole is reported
+    alongside as a model diagnostic).
     """
     h2m = model.hbar2_over_m
-    if E_window is None:
-        E_window = (-0.5, -1.02 * model.deuteron_energy / h2m)
-    ff_t, ff_s = model.form_factors(p_max)
+    ff_t, ff_s = model.form_factors()
     p_min = 1e-4
     kern = SeparableKernel(
-        (ff_t, ff_s), (1.0 / model.a_t, 1.0 / model.a_s), n=n, n_ang=n_ang,
+        (ff_t, ff_s), (1.0 / model.a_t, 1.0 / model.a_s), n=300, n_ang=_DEF_NANG,
         p_min=p_min, q_min=1e-4 * p_min,
     )
-    roots = bound_levels(kern, E_window)
+    roots = bound_levels(kern, (-0.5, -1.02 * model.deuteron_energy / h2m))
     Ed_sep = dimer_energy(TMatrixModel("separable", form=ff_t))
     return TritonResult(
         deuteron=model.deuteron_energy,
         deuteron_separable=-h2m * Ed_sep,
         trimers=tuple(h2m * E for E in roots),
-        inputs={
-            "a_t": model.a_t, "r_et": model.r_et,
-            "a_s": model.a_s, "r_es": model.r_es,
-            "n": n, "n_ang": n_ang, "p_max": p_max,
-        },
     )
 
 
-def solve_triton_unitarity(
-    model: TritonModel,
-    n: int = 240,
-    n_ang: int = 32,
-    p_max: float = 40.0,
-    E_window: tuple[float, float] = (-0.5, -1e-9),
-) -> list[float]:
-    """Two-channel spectrum with both inverse scattering lengths set to
-    zero (natural units, fm^-2); exposes the boson-like scaling ratio."""
+def solve_triton_unitarity(model: TritonModel) -> list[float]:
+    """Two-channel spectrum in (-0.5, -1e-9) fm^-2 with both inverse
+    scattering lengths set to zero (natural units, fm^-2); exposes the
+    boson-like scaling ratio."""
     p_min = 1e-6
     kern = SeparableKernel(
-        model.form_factors(p_max), (0.0, 0.0), n=n, n_ang=n_ang,
-        p_min=p_min, q_min=1e-4 * p_min,
+        model.form_factors(), (0.0, 0.0), n=240, n_ang=32, p_min=p_min, q_min=1e-4 * p_min
     )
-    return bound_levels(kern, E_window)
+    return bound_levels(kern, (-0.5, -1e-9))

@@ -7,8 +7,9 @@ equation at energy E reads u'' = (V - E) u.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -55,12 +56,11 @@ class TwoBodyModel:
 
     Parameters live in ``params``; every kind uses ``range`` as its length
     scale except the hard-core tails, which use the tail coefficient and a
-    core radius.  ``reduced_mass`` defaults to 1/2 (equal partners).
+    core radius.  The reduced mass is 1/2 (equal partners).
     """
 
     kind: str
     params: dict
-    reduced_mass: float = 0.5
 
     def __post_init__(self):
         if self.kind not in _POTENTIAL_KINDS:
@@ -134,30 +134,24 @@ class ZeroEnergyState:
         return np.inf if self.inv_a == 0 else 1.0 / self.inv_a
 
 
-def solve_zero_energy(
-    model: TwoBodyModel,
-    r_max: float = None,
-    samples: int = 20000,
-    rtol: float = 1e-12,
-) -> ZeroEnergyState:
-    """Integrate the zero-energy radial equation and extract (a, r_e).
+def solve_zero_energy(model: TwoBodyModel) -> ZeroEnergyState:
+    """Integrate the zero-energy radial equation out to r_max = 40 length
+    scales and extract (a, r_e).
 
     The scattering length comes from matching u to alpha + beta r at the
     outer radius; the effective range from the integral
-    (1/2) r_e = int [ (1-r/a)^2 - phi^2 ] dr.
+    (1/2) r_e = int [ (1-r/a)^2 - phi^2 ] dr over 20000 samples.
     """
     b = model.length_scale
     r0 = model.core_radius if model.core_radius > 0 else 1e-9 * b
-    if r_max is None:
-        r_max = 40.0 * b
-    weight = 2.0 * model.reduced_mass
+    r_max = 40.0 * b
 
     def rhs(r, y):
-        return [y[1], weight * (model.potential(r) - 0.0) * y[0]]
+        return [y[1], model.potential(r) * y[0]]
 
     sol = solve_ivp(
         rhs, (r0, r_max), [0.0, 1.0], method="DOP853",
-        rtol=rtol, atol=1e-15 * r_max, dense_output=True,
+        rtol=1e-12, atol=1e-15 * r_max, dense_output=True,
     )
     if not sol.success:
         raise ConvergenceError(f"zero-energy integration failed: {sol.message}")
@@ -170,9 +164,9 @@ def solve_zero_energy(
     resid = abs(u_chk - (alpha + beta * r_chk)) / max(abs(u_chk), 1e-300)
     if resid > 1e-5:
         raise ConvergenceError(
-            f"tail not linear at r_max={r_max:g} (residual {resid:.2e}); increase r_max"
+            f"tail not linear at r_max={r_max:g} (residual {resid:.2e})"
         )
-    rg = np.linspace(r0, r_max, samples)
+    rg = np.linspace(r0, r_max, 20000)
     u = sol.sol(rg)[0]
     if alpha == 0.0:
         inv_a = 0.0
@@ -192,7 +186,6 @@ def tune_to_scattering_length(
     param: str,
     bracket: tuple[float, float],
     inv_a_target: float = 0.0,
-    **solve_kw,
 ) -> TwoBodyModel:
     """Adjust one potential parameter so the model has the target 1/a.
 
@@ -203,7 +196,7 @@ def tune_to_scattering_length(
 
     def f(x):
         m = replace(model, params={**model.params, param: x})
-        return solve_zero_energy(m, **solve_kw).inv_a - inv_a_target
+        return solve_zero_energy(m).inv_a - inv_a_target
 
     x_star = find_root(f, *bracket, tol=1e-13)
     return replace(model, params={**model.params, param: x_star})
@@ -224,7 +217,7 @@ def universal_tail_wavefunction(n: float, x):
     return gamma_fn((n - 1.0) / (n - 2.0)) * np.sqrt(x) * jv(nu, 2.0 * x ** (-(n - 2.0) / 2.0))
 
 
-def half_effective_range_tail(n: float, x_split: float = None) -> float:
+def half_effective_range_tail(n: float) -> float:
     """(1/2) r_e / l_n at unitarity from the wave-function integral.
 
     Splits the integral at small x (oscillatory region, WKB envelope
@@ -232,8 +225,7 @@ def half_effective_range_tail(n: float, x_split: float = None) -> float:
     analytically).
     """
     nu = 1.0 / (n - 2.0)
-    if x_split is None:
-        x_split = (2.0 / 120.0) ** (2.0 / (n - 2.0))  # Bessel argument ~120
+    x_split = (2.0 / 120.0) ** (2.0 / (n - 2.0))  # Bessel argument ~120
     x_top = 50.0
 
     def integrand(x):
@@ -261,8 +253,6 @@ class FormFactor:
     fn: object
     inv_a: float
     p_max: float
-    kind: str = "custom"
-    meta: dict = field(default_factory=dict)
 
     def __call__(self, p):
         return self.fn(np.asarray(p, dtype=float))
@@ -291,22 +281,22 @@ def _sine_transform(r, delta, p):
     return (p * out).reshape(np.shape(delta)[:-1] + p.shape)
 
 
-def _spline_form_factor(p_tab, transform, inv_a, p_max, kind, meta=None):
+def _spline_form_factor(p_tab, transform, inv_a, p_max):
     spl = CubicSpline(np.concatenate([[0.0], p_tab]), np.concatenate([[1.0], 1.0 - transform]))
     top = p_tab[-1]
 
     def fn(p):
         return np.where(p <= top, spl(np.minimum(p, top)), spl(top))
 
-    return FormFactor(fn, inv_a, p_max, kind, meta or {})
+    return FormFactor(fn, inv_a, p_max)
 
 
-def est_form_factor(state: ZeroEnergyState, p_max: float = 60.0, n_p: int = 800) -> FormFactor:
+def est_form_factor(state: ZeroEnergyState, p_max: float = 60.0) -> FormFactor:
     """Rank-one separable profile reproducing a zero-energy state exactly.
 
-    phi(p) = 1 - p int (phibar - phi) sin(pr) dr; the input state must
-    have converged linear asymptotics so that the integrand vanishes beyond
-    the sampled range.
+    phi(p) = 1 - p int (phibar - phi) sin(pr) dr, tabulated at 800 momenta
+    up to 2.2 p_max; the input state must have converged linear asymptotics
+    so that the integrand vanishes beyond the sampled range.
     """
     if state.fit_residual > 1e-5:
         raise ConvergenceError("zero-energy state asymptotics not converged")
@@ -318,8 +308,8 @@ def est_form_factor(state: ZeroEnergyState, p_max: float = 60.0, n_p: int = 800)
         rg = np.arange(r[0], r[-1], 0.4 / q_top)
         delta = np.interp(rg, r, delta)
         r = rg
-    p_tab = np.geomspace(1e-4, q_top, n_p)
-    return _spline_form_factor(p_tab, _sine_transform(r, delta, p_tab), state.inv_a, p_max, "est")
+    p_tab = np.geomspace(1e-4, q_top, 800)
+    return _spline_form_factor(p_tab, _sine_transform(r, delta, p_tab), state.inv_a, p_max)
 
 
 def step_form_factor(half_re: float = 1.0, inv_a: float = 0.0, p_max: float = 100.0) -> FormFactor:
@@ -330,15 +320,20 @@ def step_form_factor(half_re: float = 1.0, inv_a: float = 0.0, p_max: float = 10
     def fn(p):
         return np.cos(p * b)
 
-    return FormFactor(fn, inv_a, p_max, "step", {"half_re": b})
+    return FormFactor(fn, inv_a, p_max)
 
 
-def universal_tail_form_factor(n: int, p_max: float = 80.0, n_p: int = 900) -> FormFactor:
+_P_MAX = 80.0  # validity window of the tabulated tail profiles, 1/l_n units
+_P_TAB = np.geomspace(1e-4, 2.2 * _P_MAX, 900)
+
+
+def universal_tail_form_factor(n: int) -> FormFactor:
     """EST profile of the universal -C_n/r^n tail wave function at unitarity.
 
-    Lengths in units of l_n.  The short-distance oscillatory region needs a
-    fine r grid; below the innermost sampled x the deficit 1 - phi is
-    replaced by its limit (phi's envelope is negligible there).
+    Lengths in units of l_n; valid up to p_max = 80.  The short-distance
+    oscillatory region needs a fine r grid; below the innermost sampled x
+    the deficit 1 - phi is replaced by its limit (phi's envelope is
+    negligible there).
     """
     if n == 4:
         r1 = np.arange(1e-6, 0.2, 5e-6)
@@ -353,49 +348,41 @@ def universal_tail_form_factor(n: int, p_max: float = 80.0, n_p: int = 900) -> F
         delta[r < 0.085] = 1.0  # phi envelope < 0.012 inside
     else:
         raise ValueError("tail form factors implemented for n in (4, 6)")
-    q_top = 2.2 * p_max
-    p_tab = np.geomspace(1e-4, q_top, n_p)
-    transform = _sine_transform(r, delta, p_tab)
-    return _spline_form_factor(p_tab, transform, 0.0, p_max, f"power{n}", {"n": n})
+    return _spline_form_factor(_P_TAB, _sine_transform(r, delta, _P_TAB), 0.0, _P_MAX)
 
 
-_VDW_CACHE: dict = {}
+@functools.cache
+def _vdw_splines():
+    """Splines of the two sine transforms of the vdW profile, built once."""
+    r1 = np.arange(1e-6, 0.3, 2e-5)
+    r2 = np.arange(0.3, 80.0, 8e-4)
+    r = np.concatenate([r1, r2])
+    z = 2.0 * np.maximum(r, 1e-6) ** -2.0
+    d0 = 1.0 - gamma_fn(1.25) * np.sqrt(r) * jv(0.25, z)
+    d0[r < 0.085] = 1.0
+    d1 = r - gamma_fn(0.75) * np.sqrt(r) * jv(-0.25, z)
+    d1[r < 0.085] = r[r < 0.085]
+    s0, s1 = _sine_transform(r, np.array([d0, d1]), _P_TAB)
+    full = np.concatenate([[0.0], _P_TAB])
+    return tuple(CubicSpline(full, np.concatenate([[0.0], s])) for s in (s0, s1))
 
 
-def vdw_form_factor(inv_a: float = 0.0, p_max: float = 80.0, n_p: int = 900) -> FormFactor:
+def vdw_form_factor(inv_a: float = 0.0) -> FormFactor:
     """EST profile of the van der Waals zero-energy state at 1/a = inv_a
-    (units of 1/l_vdW).
+    (units of 1/l_vdW), valid up to p_max = 80.
 
     phi_a(p) is linear in 1/a, so the two sine transforms (unitarity part
-    and the J_{-1/4} admixture) are precomputed once and reused across the
+    and the J_{-1/4} admixture) are computed once and reused across the
     whole scattering-length family.
     """
-    key = (p_max, n_p)
-    if key not in _VDW_CACHE:
-        r1 = np.arange(1e-6, 0.3, 2e-5)
-        r2 = np.arange(0.3, 80.0, 8e-4)
-        r = np.concatenate([r1, r2])
-        z = 2.0 * np.maximum(r, 1e-6) ** -2.0
-        d0 = 1.0 - gamma_fn(1.25) * np.sqrt(r) * jv(0.25, z)
-        d0[r < 0.085] = 1.0
-        d1 = r - gamma_fn(0.75) * np.sqrt(r) * jv(-0.25, z)
-        d1[r < 0.085] = r[r < 0.085]
-        q_top = 2.2 * p_max
-        p_tab = np.geomspace(1e-4, q_top, n_p)
-        s0, s1 = _sine_transform(r, np.array([d0, d1]), p_tab)
-        full = np.concatenate([[0.0], p_tab])
-        _VDW_CACHE[key] = (
-            CubicSpline(full, np.concatenate([[0.0], s0])),
-            CubicSpline(full, np.concatenate([[0.0], s1])),
-            p_tab[-1],
-        )
-    sp0, sp1, top = _VDW_CACHE[key]
+    sp0, sp1 = _vdw_splines()
+    top = _P_TAB[-1]
 
     def fn(p, _inv_a=float(inv_a)):
         pc = np.minimum(p, top)
         return 1.0 - sp0(pc) + _inv_a * sp1(pc)
 
-    return FormFactor(fn, float(inv_a), p_max, "vdw", {"inv_a": float(inv_a)})
+    return FormFactor(fn, float(inv_a), _P_MAX)
 
 
 class VirtualStateError(ValueError):
@@ -406,13 +393,12 @@ class VirtualStateError(ValueError):
 class TMatrixModel:
     """Analytic or separable on-shell T-matrix model.
 
-    kind: zero_range(a, cutoff), effective_range(a, r_e),
+    kind: zero_range(a), effective_range(a, r_e),
     narrow_resonance(a, r_star), separable(FormFactor).
     """
 
     kind: str
     a: float = np.inf
-    cutoff: float = np.inf
     r_e: float = 0.0
     r_star: float = 0.0
     form: FormFactor = None
@@ -432,32 +418,20 @@ def dimer_energy(model: TMatrixModel) -> float:
     """Bound-state pole of the on-shell T-matrix on the imaginary k axis.
 
     Returns E = -kappa^2 in natural units (multiply by hbar^2/m for
-    physical energies); None when the model has no dimer.
+    physical energies); None when the model has no dimer.  The analytic
+    kinds share the effective-range pole 1/a - kappa + (r_e/2) kappa^2 = 0,
+    with r_e = 0 at zero range and r_e = -2 R* for a narrow resonance.
     """
     inv_a = model.inv_a
-    if model.kind == "zero_range":
+    if model.kind != "separable":
         if inv_a <= 0:
             return None
-        if np.isinf(model.cutoff):
-            return -(inv_a**2)
-        kap = find_root(
-            lambda k: inv_a - (2 / np.pi) * k * np.arctan(model.cutoff / k),
-            1e-12 * inv_a, model.cutoff,
-        )
-        return -(kap**2)
-    if model.kind == "effective_range":
-        if inv_a <= 0:
-            return None
-        disc = 1.0 - 2.0 * model.r_e * inv_a
+        r_e = {"zero_range": 0.0, "narrow_resonance": -2.0 * model.r_star}
+        disc = 1.0 - 2.0 * r_e.get(model.kind, model.r_e) * inv_a
         if disc < 0:
             raise VirtualStateError("1 - 2 r_e/a < 0: no real pole")
         # (1 - sqrt(disc))/r_e rationalized: no cancellation as r_e -> 0
-        kap = 2.0 * inv_a / (1.0 + np.sqrt(disc))
-        return -(kap**2)
-    if model.kind == "narrow_resonance":
-        if inv_a <= 0:
-            return None
-        kap = (-1.0 + np.sqrt(1.0 + 4.0 * model.r_star * inv_a)) / (2.0 * model.r_star)
+        kap = 2.0 * inv_a / (1.0 + math.sqrt(disc))
         return -(kap**2)
     # separable: root of 1/a = (2/pi) int phi^2 kap^2/(p^2+kap^2) dp
     form = model.form

@@ -154,10 +154,11 @@ def universal_relations(kappa_star: float) -> tuple[float, float, float]:
     )
 
 
-def recombination_rate(a: float, a_minus: float, eta: float, mass: float = 1.0, hbar: float = 1.0):
+def recombination_rate(a: float, a_minus: float, eta: float):
     """Three-body recombination loss coefficient L3 for a < 0.
 
-    L3 = C sinh(2 eta) / (sin^2[s0 ln(a/a_minus)] + sinh^2 eta) * hbar a^4/m.
+    L3 = C sinh(2 eta) / (sin^2[s0 ln(a/a_minus)] + sinh^2 eta) * hbar a^4/m,
+    in natural units hbar = m = 1.
     Returns inf (divergence flag) at the eta = 0 resonance peaks.
     """
     if not (a < 0 and a_minus < 0):
@@ -167,4 +168,4 @@ def recombination_rate(a: float, a_minus: float, eta: float, mass: float = 1.0, 
     denom = math.sin(S0 * math.log(a / a_minus)) ** 2 + math.sinh(eta) ** 2
     if denom == 0.0:
         return math.inf
-    return RECOMBINATION_C * math.sinh(2.0 * eta) / denom * hbar * a**4 / mass
+    return RECOMBINATION_C * math.sinh(2.0 * eta) / denom * a**4

@@ -71,6 +71,14 @@ def test_config_errors_exit_2(tmp_path):
     unknown = tmp_path / "unknown.cfg"
     unknown.write_text("no_such_key = 1\n", encoding="utf-8")
     assert run(["universal", "--config", str(unknown)]) == 2
+    # an attribute of the parsed arguments that is not an option
+    dispatch = tmp_path / "dispatch.cfg"
+    dispatch.write_text("func = 1\n", encoding="utf-8")
+    assert run(["channels", "--config", str(dispatch)]) == 2
+    # a value the option's type rejects
+    mistyped = tmp_path / "mistyped.cfg"
+    mistyped.write_text('points = "many"\n', encoding="utf-8")
+    assert run(["universal", "--config", str(mistyped)]) == 2
     with pytest.raises(ConfigError):
         read_config(str(bad))
 
@@ -84,6 +92,8 @@ def test_invalid_values_exit_2(tmp_path):
     # a = 0 is no scattering length; unitarity is spelled inf
     assert run(["stm", "--a", "0", "--output", out]) == 2
     assert run(["bo", "--a", "0", "--output", out]) == 2
+    # |s0| = 0 is no Efimov channel, not a request for the boson value
+    assert run(["hyperradial", "--s0", "0", "--output", out]) == 2
 
 
 @pytest.mark.parametrize("error", [ConvergenceError, BracketingError], ids=lambda e: e.__name__)

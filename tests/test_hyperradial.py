@@ -49,7 +49,7 @@ def test_discrete_scale_invariance_under_wall_scaling(wall_states):
 
 def test_phase_of_hard_wall(wall_states):
     # hard wall at R0 = reference scale: v ~ sin(s0 ln(R/R0)), phase pi/2
-    phi = three_body_phase(wall_states, reference_scale=1.0)
+    phi = three_body_phase(wall_states.channel, reference_scale=1.0)
     assert phi == pytest.approx(math.pi / 2, abs=1e-10)
 
 

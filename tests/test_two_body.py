@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from efimov.stm import StmKernel
 from efimov.two_body import (
     FormFactor,
     TMatrixModel,
@@ -132,6 +133,21 @@ def test_dimer_energy_narrow_resonance():
     kap = (-1.0 + math.sqrt(1.0 + 4.0 * rs / a)) / (2.0 * rs)
     E = dimer_energy(TMatrixModel("narrow_resonance", a=a, r_star=rs))
     assert E == pytest.approx(-(kap**2), rel=1e-12)
+
+
+def test_narrow_resonance_pole_without_cancellation():
+    # r_e = -2 R* in the rationalized effective-range pole: no cancellation
+    # as R* -> 0, where (-1 + sqrt(1 + 4 R*/a))/(2 R*) loses digits
+    a, rs = 3.0, 1e-12
+    kap = 2.0 / a / (1.0 + math.sqrt(1.0 + 4.0 * rs / a))
+    E = dimer_energy(TMatrixModel("narrow_resonance", a=a, r_star=rs))
+    assert E == pytest.approx(-(kap**2), rel=1e-15)
+    # the zero-range kernel's breakup threshold is this pole, bit for bit
+    for a, rs in ((3.0, 1e-12), (0.7, 0.3), (5.0, 2.0), (2.0, 0.0)):
+        kind = "narrow_resonance" if rs else "zero_range"
+        assert StmKernel(1.0 / a, 100.0, r_star=rs)._threshold() == dimer_energy(
+            TMatrixModel(kind, a=a, r_star=rs)
+        )
 
 
 def test_dimer_energy_separable_matches_zero_range_for_wide_form():
