@@ -16,7 +16,6 @@ from efimov.two_body import (
     half_effective_range_tail,
     step_form_factor,
     universal_tail_form_factor,
-    vdw_form_factor,
 )
 from efimov.stm import solve_trimers_separable
 
@@ -29,7 +28,7 @@ def main():
     args = ap.parse_args()
 
     families = {
-        "vdw": (vdw_form_factor(0.0), 1.0),  # in units of l_vdW
+        "vdw": (universal_tail_form_factor(6), 1.0),  # the n = 6 tail, in units of l_vdW
         "power4": (universal_tail_form_factor(4), half_effective_range_tail(4)),
         "power6": (universal_tail_form_factor(6), half_effective_range_tail(6)),
         "step": (step_form_factor(1.0), 1.0),  # half_re = 1 by construction

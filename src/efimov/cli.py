@@ -80,23 +80,24 @@ def read_config(path) -> dict:
 
 
 def _apply_config(parser, args):
-    """Set the --config file's values on ``args``.  Each key must be an
-    option of the subcommand, and each value passes the option's type and
-    choices as on the command line."""
-    if not getattr(args, "config", None):
-        return
+    """Make the --config file's values the subcommand's defaults, so that
+    options given on the command line win.  Each key must be an option of
+    the subcommand, and each value passes the option's type and choices as
+    on the command line."""
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    subparser = sub.choices[args.subcommand]
     options = {
-        a.dest: a for a in sub.choices[args.subcommand]._actions
-        if a.option_strings and hasattr(args, a.dest)
+        a.dest: a for a in subparser._actions if a.option_strings and hasattr(args, a.dest)
     }
+    defaults = {}
     for key, val in read_config(args.config).items():
         if key not in options:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            setattr(args, key, _option_value(options[key], val))
+            defaults[key] = _option_value(options[key], val)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config key {key!r}: bad value {val!r}") from exc
+    subparser.set_defaults(**defaults)
 
 
 def _option_value(action, val):
@@ -219,7 +220,7 @@ def cmd_stm(args):
         solve_trimers_separable,
         solve_trimers_zero_range,
     )
-    from .two_body import step_form_factor, universal_tail_form_factor, vdw_form_factor
+    from .two_body import step_form_factor, universal_tail_form_factor
 
     a = _parse_a(args.a)
     window = (args.E_min, args.E_max)
@@ -231,15 +232,11 @@ def cmd_stm(args):
         lev = solve_trimers_narrow_resonance(a, args.r_star, window)
     else:
         inv_a = 0.0 if math.isinf(a) else 1.0 / a
-        family = {
-            "vdw": lambda: vdw_form_factor(inv_a),
-            "step": lambda: step_form_factor(1.0, inv_a=inv_a),
-            "power4": lambda: universal_tail_form_factor(4),
-            "power6": lambda: universal_tail_form_factor(6),
-        }
-        if args.model not in family:
-            raise ConfigError(f"unknown stm model {args.model!r}")
-        lev = solve_trimers_separable(family[args.model](), a, window)
+        if args.model == "step":
+            form = step_form_factor(1.0, inv_a=inv_a)
+        else:  # vdw is the n = 6 tail
+            form = universal_tail_form_factor(4 if args.model == "power4" else 6, inv_a)
+        lev = solve_trimers_separable(form, a, window)
     rows = []
     for i, E in enumerate(lev):
         ratio = lev[i - 1] / E if i else float("nan")
@@ -375,8 +372,10 @@ def build_parser():
         sp.add_argument("--config", help="key=value configuration file")
         sp.add_argument("--output", default="-", help="CSV output path ('-' = stdout)")
         sp.add_argument("--manifest", help="JSON run-manifest path")
+
+    def energy_unit(sp, default=1.0):
         sp.add_argument(
-            "--hbar2-over-m", dest="hbar2_over_m", type=float, default=1.0,
+            "--hbar2-over-m", dest="hbar2_over_m", type=float, default=default,
             help="energy*length^2 unit constant (e.g. 41.46 MeV fm^2)",
         )
 
@@ -401,6 +400,7 @@ def build_parser():
 
     sp = sub.add_parser("hyperradial", help="hyperradial bound states and phase")
     common(sp)
+    energy_unit(sp)
     sp.add_argument("--R0", type=float, default=1.0)
     sp.add_argument("--s0", type=float, help="fixed |s0| (default: boson value)")
     sp.add_argument("--boundary", default="hard_wall",
@@ -413,6 +413,7 @@ def build_parser():
 
     sp = sub.add_parser("stm", help="momentum-space trimer spectra")
     common(sp)
+    energy_unit(sp)
     sp.add_argument("--model", default="zero-range",
                     choices=["zero-range", "narrow-resonance", "vdw", "step",
                              "power4", "power6"])
@@ -426,11 +427,12 @@ def build_parser():
 
     sp = sub.add_parser("triton", help="two-channel nucleon model")
     common(sp)
+    energy_unit(sp, 41.46)
     sp.add_argument("--a-t", dest="a_t", type=float, default=5.4112)
     sp.add_argument("--r-et", dest="r_et", type=float, default=1.7436)
     sp.add_argument("--a-s", dest="a_s", type=float, default=-23.7148)
     sp.add_argument("--r-es", dest="r_es", type=float, default=2.750)
-    sp.set_defaults(func=cmd_triton, hbar2_over_m=41.46)
+    sp.set_defaults(func=cmd_triton)
 
     sp = sub.add_parser("bo", help="heavy-heavy-light adiabatic curves")
     common(sp)
@@ -444,6 +446,7 @@ def build_parser():
 
     sp = sub.add_parser("twobody", help="two-body scattering observables")
     common(sp)
+    energy_unit(sp)
     sp.add_argument("--potential", default="poschl_teller")
     sp.add_argument("--param", action="append", default=[],
                     help="potential parameter key=value (repeatable)")
@@ -458,7 +461,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(parser, args)
+        if getattr(args, "config", None):
+            _apply_config(parser, args)
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ConvergenceError, BracketingError) as exc:
         # before ValueError: BracketingError subclasses it

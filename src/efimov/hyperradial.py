@@ -91,6 +91,14 @@ class BoundStateSet:
         return out
 
 
+def _start(channel: HyperradialChannel) -> list[float]:
+    """(v, dv/dx) at R0: a node at the hard wall, else F'/F = value, which
+    for F = sqrt(R) v reads dv/dx = (R0 value - 1/2) v."""
+    if channel.boundary == "hard_wall":
+        return [0.0, 1.0]
+    return [1.0, channel.R0 * channel.boundary_value - 0.5]
+
+
 def _shoot(channel: HyperradialChannel, energy: float, samples: int = _SAMPLES):
     """Integrate v'' = (s2(R) - E R^2) v outward; returns (x, v, dv)."""
     kap = math.sqrt(-energy)
@@ -103,12 +111,10 @@ def _shoot(channel: HyperradialChannel, energy: float, samples: int = _SAMPLES):
         R = math.exp(x)
         return [y[1], (channel.s2(R) - energy * R * R) * y[0]]
 
-    if channel.boundary == "hard_wall":
-        y0 = [0.0, 1.0]
-    else:
-        y0 = [1.0, channel.R0 * channel.boundary_value - 0.5]
     x = np.linspace(x0, x1, samples)
-    sol = solve_ivp(rhs, (x0, x1), y0, t_eval=x, method="DOP853", rtol=1e-10, atol=1e-12)
+    sol = solve_ivp(
+        rhs, (x0, x1), _start(channel), t_eval=x, method="DOP853", rtol=1e-10, atol=1e-12
+    )
     if not sol.success:
         raise ConvergenceError(f"hyperradial shot failed: {sol.message}")
     return x, sol.y[0], sol.y[1]
@@ -168,8 +174,9 @@ def three_body_phase(ch: HyperradialChannel, reference_scale: float = 1.0) -> fl
     def rhs(t, y):
         return [y[1], ch.s2(math.exp(t)) * y[0]]
 
-    y0 = [0.0, 1.0] if ch.boundary == "hard_wall" else [1.0, ch.R0 * ch.boundary_value - 0.5]
-    sol = solve_ivp(rhs, (x[0], x[-1]), y0, t_eval=x, method="DOP853", rtol=1e-12, atol=1e-14)
+    sol = solve_ivp(
+        rhs, (x[0], x[-1]), _start(ch), t_eval=x, method="DOP853", rtol=1e-12, atol=1e-14
+    )
     if not sol.success:
         raise ConvergenceError(f"zero-energy shot failed: {sol.message}")
     v, dv = sol.y

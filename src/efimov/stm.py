@@ -348,9 +348,7 @@ class SeparableKernel:
         kap2 = (0.75 * t["p"] ** 2 - E)[:, None]
         return ((kap2 / (t["qd2"][None, :] + kap2)) @ t["wphd2"]).T.ravel() / (2 * np.pi**2)
 
-    def matrix(self, E: float, homogeneous: bool = False) -> np.ndarray:
-        """M(E); with ``homogeneous`` the 1/a diagonal term is dropped
-        (threshold eigenproblem form)."""
+    def matrix(self, E: float) -> np.ndarray:
         self._build()
         t = self._tables
         inv_den = t["P"] * t["Q"] * t["C"]
@@ -364,7 +362,7 @@ class SeparableKernel:
             [W[a, b] * (S[a, b] if a <= b else S[b, a].T) * col for b in range(len(W))]
             for a in range(len(W))
         ])
-        D = 0.0 if homogeneous else np.repeat(self.inv_a, self.n) / (4 * np.pi)
+        D = np.repeat(self.inv_a, self.n) / (4 * np.pi)
         return np.diag(D - self.dimer_integral(E)) + K
 
 
@@ -387,31 +385,23 @@ def solve_trimers_separable(
 
 
 def threshold_scattering_lengths(
-    source, n_max: int = 4, r_star: float = 0.0, n: int = 500
+    cutoff: float, n_max: int = 4, r_star: float = 0.0, n: int = 500
 ) -> list[float]:
     """Dissociation scattering lengths a_-^(n) < 0 where trimer n meets the
-    three-body threshold, smallest |a_-| (deepest level) first.
+    three-body threshold, smallest |a_-| (deepest level) first, for the
+    zero-range (or narrow-resonance) kernel with this cutoff.
 
-    ``source`` is a cutoff (zero-range / narrow-resonance kernel) or a
-    FormFactor.  1/a enters the E = 0 kernel linearly, so the a_-^(n) are
-    eigenvalues; roots with |a_-| * cutoff <= 10 sit at the regularization
-    scale and are filtered out.
+    1/a enters the E = 0 kernel linearly, so the a_-^(n) are eigenvalues;
+    roots with |a_-| * cutoff <= 10 sit at the regularization scale and are
+    filtered out.
     """
-    if isinstance(source, FormFactor):
-        kern = SeparableKernel(source, 0.0, n=min(n, 300))
-        # M = diag(1/(4 pi a) - I) + K = 0  =>  (1/a) eigvals of -4 pi (K - diag I)
-        m = -4 * np.pi * kern.matrix(0.0, homogeneous=True)
-        scale = source.p_max
-    else:
-        lam = float(source)
-        kern = StmKernel(0.0, lam, r_star=r_star, n=n, p_min_factor=1e-8)
-        m = kern.threshold_matrix()
-        scale = lam
+    kern = StmKernel(0.0, cutoff, r_star=r_star, n=n, p_min_factor=1e-8)
+    m = kern.threshold_matrix()
     _symmetrize(kern, m)
     ev = np.linalg.eigvalsh(m)
     neg = np.sort(ev[ev < 0])  # most negative first -> smallest |a|
     a_all = 1.0 / neg
-    return list(a_all[np.abs(a_all) * scale > 10.0][:n_max])
+    return list(a_all[np.abs(a_all) * cutoff > 10.0][:n_max])
 
 
 def a_minus_ground(form_family, bracket: tuple[float, float]) -> float:

@@ -1,6 +1,9 @@
 """Two-body layer: potential library, zero-energy scattering, separable
 form factors (analytic and EST-constructed), and on-shell T-matrix models.
 
+The EST profiles of -C_n/r^n tails (n = 6 is van der Waals) come from one
+builder, ``universal_tail_form_factor(n, inv_a)``, linear in 1/a.
+
 Units are natural, hbar = m = 1 with reduced mass 1/2 for equal partners,
 so that the relative kinetic energy is hbar^2 k^2 / m and the radial
 equation at energy E reads u'' = (V - E) u.
@@ -15,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.special import gamma as gamma_fn
-from scipy.special import jv
+from scipy.special import jv, sici
 
 from .numerics import ConvergenceError, find_root, gauss_legendre_log
 
@@ -31,7 +34,6 @@ __all__ = [
     "est_form_factor",
     "step_form_factor",
     "universal_tail_form_factor",
-    "vdw_form_factor",
     "dimer_energy",
     "VirtualStateError",
 ]
@@ -281,16 +283,6 @@ def _sine_transform(r, delta, p):
     return (p * out).reshape(np.shape(delta)[:-1] + p.shape)
 
 
-def _spline_form_factor(p_tab, transform, inv_a, p_max):
-    spl = CubicSpline(np.concatenate([[0.0], p_tab]), np.concatenate([[1.0], 1.0 - transform]))
-    top = p_tab[-1]
-
-    def fn(p):
-        return np.where(p <= top, spl(np.minimum(p, top)), spl(top))
-
-    return FormFactor(fn, inv_a, p_max)
-
-
 def est_form_factor(state: ZeroEnergyState, p_max: float = 60.0) -> FormFactor:
     """Rank-one separable profile reproducing a zero-energy state exactly.
 
@@ -309,7 +301,13 @@ def est_form_factor(state: ZeroEnergyState, p_max: float = 60.0) -> FormFactor:
         delta = np.interp(rg, r, delta)
         r = rg
     p_tab = np.geomspace(1e-4, q_top, 800)
-    return _spline_form_factor(p_tab, _sine_transform(r, delta, p_tab), state.inv_a, p_max)
+    transform = _sine_transform(r, delta, p_tab)
+    spl = CubicSpline(np.concatenate([[0.0], p_tab]), np.concatenate([[1.0], 1.0 - transform]))
+
+    def fn(p, _top=p_tab[-1]):
+        return spl(np.minimum(p, _top))
+
+    return FormFactor(fn, state.inv_a, p_max)
 
 
 def step_form_factor(half_re: float = 1.0, inv_a: float = 0.0, p_max: float = 100.0) -> FormFactor:
@@ -325,61 +323,52 @@ def step_form_factor(half_re: float = 1.0, inv_a: float = 0.0, p_max: float = 10
 
 _P_MAX = 80.0  # validity window of the tabulated tail profiles, 1/l_n units
 _P_TAB = np.geomspace(1e-4, 2.2 * _P_MAX, 900)
-
-
-def universal_tail_form_factor(n: int) -> FormFactor:
-    """EST profile of the universal -C_n/r^n tail wave function at unitarity.
-
-    Lengths in units of l_n; valid up to p_max = 80.  The short-distance
-    oscillatory region needs a fine r grid; below the innermost sampled x
-    the deficit 1 - phi is replaced by its limit (phi's envelope is
-    negligible there).
-    """
-    if n == 4:
-        r1 = np.arange(1e-6, 0.2, 5e-6)
-        r2 = np.arange(0.2, 120.0, 4e-4)
-        r = np.concatenate([r1, r2])
-        delta = 1.0 - universal_tail_wavefunction(4, r)
-    elif n == 6:
-        r1 = np.arange(1e-6, 0.3, 2e-5)
-        r2 = np.arange(0.3, 80.0, 8e-4)
-        r = np.concatenate([r1, r2])
-        delta = 1.0 - universal_tail_wavefunction(6, r)
-        delta[r < 0.085] = 1.0  # phi envelope < 0.012 inside
-    else:
-        raise ValueError("tail form factors implemented for n in (4, 6)")
-    return _spline_form_factor(_P_TAB, _sine_transform(r, delta, _P_TAB), 0.0, _P_MAX)
+# per tail exponent n: the r grid of the deficits, two uniform runs (start,
+# joint, end, step below and above the joint); the inner cut below which
+# phi's envelope is negligible (< 0.012 for n = 6) and the deficits take
+# their limits; and c of the admixture's c/x decay past the grid, whose
+# transform is added in closed form (the n = 6 admixture falls as x^-3)
+_TAIL_GRIDS = {
+    4: (1e-6, 0.2, 120.0, 5e-6, 4e-4, 0.0, 2.0),
+    6: (1e-6, 0.3, 80.0, 2e-5, 8e-4, 0.085, 0.0),
+}
 
 
 @functools.cache
-def _vdw_splines():
-    """Splines of the two sine transforms of the vdW profile, built once."""
-    r1 = np.arange(1e-6, 0.3, 2e-5)
-    r2 = np.arange(0.3, 80.0, 8e-4)
-    r = np.concatenate([r1, r2])
-    z = 2.0 * np.maximum(r, 1e-6) ** -2.0
-    d0 = 1.0 - gamma_fn(1.25) * np.sqrt(r) * jv(0.25, z)
-    d0[r < 0.085] = 1.0
-    d1 = r - gamma_fn(0.75) * np.sqrt(r) * jv(-0.25, z)
-    d1[r < 0.085] = r[r < 0.085]
-    s0, s1 = _sine_transform(r, np.array([d0, d1]), _P_TAB)
+def _tail_transforms(n: int):
+    """Splines of the sine transforms of the two deficits of the -C_n/r^n
+    zero-energy state, built once per n: the unitarity part 1 - phi(x) and
+    the 1/a admixture x - Gamma(1-nu) sqrt(x) J_{-nu}(2 x^{-(n-2)/2}),
+    nu = 1/(n-2)."""
+    if n not in _TAIL_GRIDS:
+        raise ValueError(f"tail form factors implemented for n in {tuple(_TAIL_GRIDS)}")
+    r0, joint, end, h_in, h_out, cut, far = _TAIL_GRIDS[n]
+    r = np.concatenate([np.arange(r0, joint, h_in), np.arange(joint, end, h_out)])
+    nu = 1.0 / (n - 2.0)
+    d0 = 1.0 - universal_tail_wavefunction(n, r)
+    d1 = r - gamma_fn(1.0 - nu) * np.sqrt(r) * jv(-nu, 2.0 * r ** (-(n - 2.0) / 2.0))
+    inner = r < cut
+    d0[inner] = 1.0
+    d1[inner] = r[inner]
+    t0, t1 = _sine_transform(r, np.array([d0, d1]), _P_TAB)
+    t1 += far * _P_TAB * (0.5 * np.pi - sici(_P_TAB * r[-1])[0])
     full = np.concatenate([[0.0], _P_TAB])
-    return tuple(CubicSpline(full, np.concatenate([[0.0], s])) for s in (s0, s1))
+    return tuple(CubicSpline(full, np.concatenate([[0.0], t])) for t in (t0, t1))
 
 
-def vdw_form_factor(inv_a: float = 0.0) -> FormFactor:
-    """EST profile of the van der Waals zero-energy state at 1/a = inv_a
-    (units of 1/l_vdW), valid up to p_max = 80.
+def universal_tail_form_factor(n: int, inv_a: float = 0.0) -> FormFactor:
+    """EST profile of the -C_n/r^n tail's zero-energy state at 1/a = inv_a,
+    for n in (4, 6); lengths in units of l_n, valid up to p_max = 80.
+    n = 6 is the van der Waals profile (l_vdW units).
 
-    phi_a(p) is linear in 1/a, so the two sine transforms (unitarity part
-    and the J_{-1/4} admixture) are computed once and reused across the
-    whole scattering-length family.
+    phi_a(p) = 1 - T_0(p) + (1/a) T_1(p) is linear in 1/a: T_0 and T_1,
+    the sine transforms of the unitarity deficit and of the 1/a admixture,
+    are computed once per n and reused across the scattering-length family.
     """
-    sp0, sp1 = _vdw_splines()
-    top = _P_TAB[-1]
+    sp0, sp1 = _tail_transforms(n)
 
-    def fn(p, _inv_a=float(inv_a)):
-        pc = np.minimum(p, top)
+    def fn(p, _inv_a=float(inv_a), _top=_P_TAB[-1]):
+        pc = np.minimum(p, _top)
         return 1.0 - sp0(pc) + _inv_a * sp1(pc)
 
     return FormFactor(fn, float(inv_a), _P_MAX)

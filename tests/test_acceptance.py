@@ -41,7 +41,6 @@ from efimov.two_body import (
     step_form_factor,
     tune_to_scattering_length,
     universal_tail_form_factor,
-    vdw_form_factor,
 )
 from efimov.universal import delta, threshold_constants
 
@@ -72,9 +71,9 @@ def narrow_thresholds():
 @pytest.fixture(scope="module")
 def separable_classes():
     out = {}
-    out["vdw"] = solve_trimers_separable(vdw_form_factor(0.0))
     out["power4"] = solve_trimers_separable(universal_tail_form_factor(4))
-    out["power6"] = solve_trimers_separable(universal_tail_form_factor(6))
+    # the van der Waals profile is the n = 6 tail, in units of l_vdW
+    out["vdw"] = out["power6"] = solve_trimers_separable(universal_tail_form_factor(6))
     out["step"] = solve_trimers_separable(step_form_factor(1.0))
     return out
 
@@ -181,7 +180,7 @@ def test_criterion_05a_vdw_three_body_parameter(separable_classes):
 
 
 def test_criterion_05b_vdw_ground_dissociation_length():
-    am = a_minus_ground(vdw_form_factor, (-10.0, -11.7))
+    am = a_minus_ground(lambda inv_a: universal_tail_form_factor(6, inv_a), (-10.0, -11.7))
     assert am == pytest.approx(-10.86, rel=3e-2)
 
 

@@ -1,10 +1,12 @@
+import ast
+import inspect
 import json
 import math
 
 import pytest
 
 from efimov import __version__
-from efimov.cli import ConfigError, main, read_config
+from efimov.cli import ConfigError, build_parser, main, read_config
 from efimov.numerics import BracketingError, ConvergenceError
 
 
@@ -63,6 +65,16 @@ def test_config_file_round_trip(tmp_path):
     assert rc == 0
 
 
+def test_command_line_overrides_config(tmp_path):
+    # --config values are defaults: an option given on the command line wins
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("points = 2\n", encoding="utf-8")
+    out = tmp_path / "u.csv"
+    argv = ["universal", "--points", "5", "--levels", "1", "--config", str(cfg)]
+    assert run(argv + ["--output", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 5
+
+
 def test_config_errors_exit_2(tmp_path):
     assert run(["universal", "--config", str(tmp_path / "missing.cfg")]) == 2
     bad = tmp_path / "bad.cfg"
@@ -118,6 +130,53 @@ def test_hbar2_over_m_scales_energies(tmp_path):
     rows2 = [l.split(",") for l in out2.read_text().splitlines()[1:]]
     for r1, r2 in zip(rows1, rows2):
         assert float(r2[3]) == pytest.approx(41.46 * float(r1[1]), rel=1e-12)
+
+
+def _stm_csv(tmp_path, *argv):
+    out = tmp_path / "stm.csv"
+    assert run(["stm", *argv, "--output", str(out)]) == 0
+    return out.read_text()
+
+
+@pytest.mark.parametrize("a", ["5", "-30"])
+def test_power6_is_the_vdw_model(tmp_path, a):
+    # both build the n = 6 tail profile at the --a scattering length
+    vdw = _stm_csv(tmp_path, "--model", "vdw", f"--a={a}")
+    assert len(vdw.splitlines()) > 1
+    assert _stm_csv(tmp_path, "--model", "power6", f"--a={a}") == vdw
+
+
+def test_exact_domain_moves_only_the_three_body_parameter(tmp_path):
+    # the exact exchange domain is a cutoff-scale change: it shifts every
+    # shallow level by the same factor, as a changed three-body parameter
+    plain, exact = (
+        [float(row.split(",")[1]) for row in _stm_csv(tmp_path, *flag).splitlines()[1:]]
+        for flag in ((), ("--exact-domain",))
+    )
+    assert len(plain) == len(exact) >= 3
+    r1, r2 = exact[1] / plain[1], exact[2] / plain[2]
+    assert r1 == pytest.approx(r2, rel=1e-4)
+    assert abs(r2 - 1.0) > 0.1
+
+
+def test_every_option_is_read():
+    # an option that its subcommand never reads is a setting that does nothing
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if a.dest == "subcommand")
+    unread = []
+    for name, sp in sub.choices.items():
+        tree = ast.parse(inspect.getsource(sp.get_default("func")))
+        read = {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"
+        }
+        unread += [
+            f"{name} {action.option_strings[0]}" for action in sp._actions
+            if action.option_strings and action.dest not in read
+            and action.dest not in ("help", "config", "output", "manifest")
+        ]
+    assert not unread
 
 
 def test_bo_subcommand(tmp_path):

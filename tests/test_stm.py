@@ -20,7 +20,7 @@ from efimov.two_body import (
     TMatrixModel,
     dimer_energy,
     step_form_factor,
-    vdw_form_factor,
+    universal_tail_form_factor,
 )
 
 
@@ -103,14 +103,18 @@ def test_positive_a_levels_below_dimer():
 
 @pytest.mark.parametrize(
     "make_form, n_levels",
-    [(lambda: step_form_factor(1.0, inv_a=0.5), 2), (lambda: vdw_form_factor(0.3), 1)],
+    [
+        (lambda: step_form_factor(1.0, inv_a=0.5), 2),
+        (lambda: universal_tail_form_factor(6, 0.3), 1),
+    ],
     ids=["step", "vdw"],
 )
 def test_separable_levels_below_dimer(make_form, n_levels):
     # above the dimer pole the kernel's spectrum holds the discretised
-    # atom-dimer continuum, which must not pass for trimers.  For the vdw
-    # profile the pole of the kernel's own dimer integral lies 1.3e-6
-    # (relative) below dimer_energy's, and 26 continuum states fall between
+    # atom-dimer continuum, which must not pass for trimers.  For the van
+    # der Waals (n = 6 tail) profile at 1/a = 0.3 the pole of the kernel's
+    # own dimer integral lies 1.3e-6 (relative) below dimer_energy's, and 26
+    # continuum states fall between
     form = make_form()
     E_dimer = dimer_energy(TMatrixModel("separable", form=form))
     lev = solve_trimers_separable(form, n=140, n_ang=24)
@@ -154,19 +158,6 @@ def test_separable_ground_state_scale(step_ground):
     kappa = math.sqrt(-lev[0])
     # ground-state wave number is set by the only scale, r_e/2 = 1
     assert 0.1 < kappa < 0.4
-
-
-def test_separable_homogeneous_matrix_consistency(step_ground):
-    form, _ = step_ground
-    kern = SeparableKernel(form, 0.25, n=60, n_ang=16)
-    E = -0.3
-    m_full = kern.matrix(E)
-    m_hom = kern.matrix(E, homogeneous=True)
-    diff = m_full - m_hom
-    off = diff - np.diag(np.diag(diff))
-    # 1/a enters the diagonal only
-    assert np.max(np.abs(off)) < 1e-14
-    assert np.diag(diff) == pytest.approx(np.full(60, 0.25 / (4 * np.pi)), rel=1e-12)
 
 
 def test_nucleon_kernel_matches_two_channel_block():

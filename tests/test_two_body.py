@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from efimov.stm import StmKernel
 from efimov.two_body import (
@@ -21,7 +22,6 @@ from efimov.two_body import (
     tune_to_scattering_length,
     universal_tail_form_factor,
     universal_tail_wavefunction,
-    vdw_form_factor,
 )
 
 
@@ -74,10 +74,26 @@ def test_form_factors_normalized_at_zero_momentum():
         step_form_factor(0.7),
         universal_tail_form_factor(4),
         universal_tail_form_factor(6),
-        vdw_form_factor(0.0),
+        universal_tail_form_factor(4, 0.3),
+        universal_tail_form_factor(6, 0.3),
     ):
         assert float(form(1e-9)) == pytest.approx(1.0, abs=1e-6)
         assert np.all(np.isfinite(form(np.linspace(1e-6, form.p_max, 50))))
+
+
+def test_power4_admixture_matches_closed_form():
+    # for n = 4 the 1/a admixture of the zero-energy state is x (1 - cos(2/x)),
+    # which decays as 2/x: its sine transform needs the part past the r grid
+    def transform(p):
+        # p int_0^inf x (1 - cos(2/x)) sin(px) dx, split at x = 1; below, u = 1/x
+        outer, _ = quad(lambda x: x * (1 - math.cos(2 / x)), 1.0, np.inf, weight="sin", wvar=p)
+        inner, _ = quad(lambda u: math.sin(p / u) / u**3, 1.0, np.inf, limit=500)
+        osc, _ = quad(lambda u: math.sin(p / u) / u**3, 1.0, np.inf, weight="cos", wvar=2.0)
+        return p * (outer + inner - osc)
+
+    p = np.array([1e-3, 0.01, 0.1, 1.0, 10.0])
+    admixture = universal_tail_form_factor(4, 1.0)(p) - universal_tail_form_factor(4, 0.0)(p)
+    assert admixture == pytest.approx([transform(q) for q in p], rel=0, abs=1e-5)
 
 
 @pytest.mark.parametrize("layout", ["vdw", "est", "jittered"])
@@ -159,7 +175,7 @@ def test_dimer_energy_separable_matches_zero_range_for_wide_form():
 
 def test_dimer_absent_for_negative_a():
     assert dimer_energy(TMatrixModel("zero_range", a=-4.0)) is None
-    form = vdw_form_factor(-0.1)
+    form = universal_tail_form_factor(6, -0.1)
     assert dimer_energy(TMatrixModel("separable", form=form)) is None
 
 
