@@ -4,7 +4,7 @@ resonant interactions.
 Library layers
 --------------
 numerics          quadrature, root finding, level isolation
-two_body          potentials, zero-energy scattering, form factors, T-matrices
+two_body          potentials, zero-energy scattering, form factors, dimer poles
 channels          hyperangular channel exponents s_n
 hyperradial       1D hyperradial bound states, three-body phase
 universal         zero-range universal formula and relations

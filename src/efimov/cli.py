@@ -27,6 +27,11 @@ class ConfigError(Exception):
     pass
 
 
+class _Unset(float):
+    """An option's default value, told apart by type from the same value
+    given explicitly."""
+
+
 def _fmt(x) -> str:
     return _FMT % float(x)
 
@@ -224,6 +229,13 @@ def cmd_stm(args):
 
     a = _parse_a(args.a)
     window = (args.E_min, args.E_max)
+    for opt, given, model in (
+        ("--cutoff", not isinstance(args.cutoff, _Unset), "zero-range"),
+        ("--exact-domain", args.exact_domain, "zero-range"),
+        ("--r-star", not isinstance(args.r_star, _Unset), "narrow-resonance"),
+    ):
+        if given and args.model != model:
+            raise ConfigError(f"{opt} applies only to --model {model}, not {args.model}")
     if args.model == "zero-range":
         lev = solve_trimers_zero_range(
             a, args.cutoff, window, exact_domain=args.exact_domain
@@ -292,7 +304,7 @@ def cmd_bo(args):
 
 
 def cmd_twobody(args):
-    from .two_body import TMatrixModel, TwoBodyModel, dimer_energy, solve_zero_energy
+    from .two_body import TwoBodyModel, dimer_energy, solve_zero_energy
 
     params = {}
     for item in args.param:
@@ -304,9 +316,7 @@ def cmd_twobody(args):
     state = solve_zero_energy(model)
     rows = [("a", 1.0 / state.inv_a if state.inv_a else math.inf), ("r_e", state.r_e)]
     if state.inv_a > 0:
-        Ed = dimer_energy(
-            TMatrixModel("effective_range", a=1.0 / state.inv_a, r_e=state.r_e)
-        )
+        Ed = dimer_energy(state.inv_a, state.r_e)
         rows.append(("dimer_effective_range", Ed * args.hbar2_over_m))
     write_csv(args.output, ["quantity", "value"], rows)
     if args.manifest:
@@ -418,8 +428,8 @@ def build_parser():
                     choices=["zero-range", "narrow-resonance", "vdw", "step",
                              "power4", "power6"])
     sp.add_argument("--a", default="inf")
-    sp.add_argument("--cutoff", type=float, default=1000.0)
-    sp.add_argument("--r-star", dest="r_star", type=float, default=1.0)
+    sp.add_argument("--cutoff", type=float, default=_Unset(1000.0))
+    sp.add_argument("--r-star", dest="r_star", type=float, default=_Unset(1.0))
     sp.add_argument("--E-min", dest="E_min", type=float, default=-1e7)
     sp.add_argument("--E-max", dest="E_max", type=float, default=-1e-3)
     sp.add_argument("--exact-domain", dest="exact_domain", action="store_true")

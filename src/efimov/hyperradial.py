@@ -59,16 +59,12 @@ class HyperradialChannel:
 
 @dataclass(frozen=True)
 class BoundStateSet:
-    """Bound levels of one hyperradial channel, deepest first.
-
-    ``profiles`` holds (R, v, dv/dx) samples of the reduced function
-    v = F/sqrt(R), the quantity that is log-periodic in the
-    scale-invariant window; level k has exactly k interior nodes.
+    """Bound levels of one hyperradial channel, deepest first; level k has
+    exactly k interior nodes.
     """
 
     channel: HyperradialChannel
     energies: tuple
-    profiles: tuple
 
     def __post_init__(self):
         if list(self.energies) != sorted(self.energies):
@@ -79,11 +75,14 @@ class BoundStateSet:
         return -np.sqrt(-np.asarray(self.energies))
 
     def node_counts(self) -> list[int]:
-        """Interior nodes per level, counted in the classically allowed
+        """Interior nodes per level of the reduced function v = F/sqrt(R),
+        shot again at each level and counted in the classically allowed
         region only (the diverging tail admixture beyond the turning point
         is an artifact of finite shooting precision)."""
         out = []
-        for E, (R, v, _) in zip(self.energies, self.profiles):
+        for E in self.energies:
+            x, v, _ = _shoot(self.channel, E)
+            R = np.exp(x)
             allowed = np.array([self.channel.s2(r) for r in R]) - E * R**2 < 0
             body = v[1:][allowed[1:]] if self.channel.boundary == "hard_wall" else v[allowed]
             s = np.sign(body[np.abs(body) > 0])
@@ -148,13 +147,11 @@ def solve_bound_states(
     brackets = isolate_levels(
         lambda t: shot(t)[0], math.log(k_lo), math.log(k_hi), tol=1e-12
     )
-    energies, profiles = [], []
-    for lo, hi, _, _ in reversed(brackets):  # deepest (largest kappa) first
-        t = find_root(lambda t: shot(t)[1], lo, hi, tol=1e-12)
-        energies.append(E(t))
-        x, v, dv = _shoot(channel, E(t))
-        profiles.append((np.exp(x), v, dv))
-    return BoundStateSet(channel, tuple(energies), tuple(profiles))
+    energies = [
+        E(find_root(lambda t: shot(t)[1], lo, hi, tol=1e-12))
+        for lo, hi, _, _ in reversed(brackets)  # deepest (largest kappa) first
+    ]
+    return BoundStateSet(channel, tuple(energies))
 
 
 def three_body_phase(ch: HyperradialChannel, reference_scale: float = 1.0) -> float:

@@ -31,10 +31,11 @@ from .numerics import (
 )
 from .two_body import (
     FormFactor,
-    TMatrixModel,
     TwoBodyModel,
     dimer_energy,
+    dimer_integral,
     est_form_factor,
+    separable_dimer_energy,
     solve_zero_energy,
 )
 
@@ -161,8 +162,7 @@ class StmKernel:
         without a dimer."""
         if self.inv_a <= 0:
             return 0.0
-        kind = "narrow_resonance" if self.r_star > 0 else "zero_range"
-        return dimer_energy(TMatrixModel(kind, a=1.0 / self.inv_a, r_star=self.r_star))
+        return dimer_energy(self.inv_a, -2.0 * self.r_star)
 
     def _exchange(self, E: float, p, wp):
         P = p[:, None]
@@ -262,7 +262,7 @@ class SeparableKernel:
     K_ab(P,Q) = (1/(2 pi^2)) w_Q Q^2 int dc phi_a(q1) phi_b(q2)/(P^2+Q^2+PQc-E),
     q1 = |Q + P/2|, q2 = |P + Q/2|.  The recoupling weights W are [[1]] for
     bosons and [[1/4, 3/4], [3/4, 1/4]] for the nucleon triplet/singlet
-    pair.  The dimer integral I runs over q in [q_min, 2.2 p_max].
+    pair.  I_a is ``two_body.dimer_integral`` from q_min.
     """
 
     form: FormFactor | tuple
@@ -293,9 +293,6 @@ class SeparableKernel:
         rule = self.grid
         p, wp = rule.nodes, rule.weights
         ang = gauss_legendre(self.n_ang, -1.0, 1.0)
-        # before the tables: the 3000-point rule's eigensolve is the
-        # largest transient allocation of the build
-        dim = gauss_legendre_log(3000, self.q_min, 2.2 * self.p_max)
         P = p[:, None, None]
         Q = p[None, :, None]
         C = ang.nodes[None, None, :]
@@ -318,8 +315,7 @@ class SeparableKernel:
         del phi1
         self._tables.update(
             p=p, wp=wp, P=P, Q=Q, C=C, ang=ang_tables,
-            qd2=dim.nodes**2,
-            wphd2=dim.weights[:, None] * np.stack([f(dim.nodes) ** 2 for f in self.forms], 1),
+            dimer=[dimer_integral(f, self.q_min) for f in self.forms],
         )
 
     @property
@@ -327,26 +323,13 @@ class SeparableKernel:
         return gauss_legendre_log(self.n, self.p_min, self.p_max)
 
     def _threshold(self) -> float:
-        """Lowest breakup threshold: the deepest pole -kappa^2 of the
-        channels' dimer integrals on this kernel's rule,
-        1/(4 pi a) = I(P = 0), or 0 without a dimer."""
-        self._build()
-        t = self._tables
-        poles = [0.0]
-        for inv_a, wphd2 in zip(np.atleast_1d(self.inv_a), t["wphd2"].T):
-            def gap(kap):
-                return inv_a / (4 * np.pi) - wphd2 @ (kap**2 / (t["qd2"] + kap**2)) / (2 * np.pi**2)
-
-            if inv_a > 0 and gap(self.p_max) < 0:
-                poles.append(-find_root(gap, 1e-10 * self.p_max, self.p_max) ** 2)
-        return min(poles)
-
-    def dimer_integral(self, E: float) -> np.ndarray:
-        """I(P) over the momentum grid, channel after channel."""
-        self._build()
-        t = self._tables
-        kap2 = (0.75 * t["p"] ** 2 - E)[:, None]
-        return ((kap2 / (t["qd2"][None, :] + kap2)) @ t["wphd2"]).T.ravel() / (2 * np.pi**2)
+        """Lowest breakup threshold: the deepest of the channels' dimer
+        poles from this kernel's q_min, or 0 without a dimer."""
+        poles = [
+            separable_dimer_energy(f, inv_a, self.q_min)
+            for f, inv_a in zip(self.forms, np.atleast_1d(self.inv_a))
+        ]
+        return min([0.0, *(E for E in poles if E is not None)])
 
     def matrix(self, E: float) -> np.ndarray:
         self._build()
@@ -363,7 +346,8 @@ class SeparableKernel:
             for a in range(len(W))
         ])
         D = np.repeat(self.inv_a, self.n) / (4 * np.pi)
-        return np.diag(D - self.dimer_integral(E)) + K
+        kap2 = (0.75 * t["p"] ** 2 - E)[:, None]
+        return np.diag(D - np.concatenate([I(kap2) for I in t["dimer"]])) + K
 
 
 def solve_trimers_separable(
@@ -404,6 +388,20 @@ def threshold_scattering_lengths(
     return list(a_all[np.abs(a_all) * cutoff > 10.0][:n_max])
 
 
+def _bisect_threshold(has_state, x_without: float, x_with: float, rel: float) -> float:
+    """Midpoint of the bracket on which ``has_state`` switches, bisected
+    until the bracket is under rel * min(|x_without|, |x_with|)."""
+    if has_state(x_without) or not has_state(x_with):
+        raise ValueError("bracket does not straddle the threshold")
+    while abs(x_with - x_without) > rel * min(abs(x_without), abs(x_with)):
+        mid = 0.5 * (x_without + x_with)
+        if has_state(mid):
+            x_with = mid
+        else:
+            x_without = mid
+    return 0.5 * (x_without + x_with)
+
+
 def a_minus_ground(form_family, bracket: tuple[float, float]) -> float:
     """Ground-level dissociation length a_-^(0) for an a-dependent
     form-factor family (callable 1/a -> FormFactor).
@@ -419,15 +417,7 @@ def a_minus_ground(form_family, bracket: tuple[float, float]) -> float:
         kern = SeparableKernel(form_family(1.0 / a), 1.0 / a, n=200, n_ang=32)
         return _level_count(kern, (-3.0, -1e-6)) > 0
 
-    if has_state(lo) or not has_state(hi):
-        raise ValueError("bracket does not straddle the threshold")
-    while abs(hi - lo) > 1e-3 * abs(lo):
-        mid = 0.5 * (lo + hi)
-        if has_state(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bisect_threshold(has_state, lo, hi, 1e-3)
 
 
 def narrow_resonance_a_star0(r_star: float) -> float:
@@ -445,16 +435,7 @@ def narrow_resonance_a_star0(r_star: float) -> float:
         Ed = kern._threshold()
         return _level_count(kern, (1e4 * Ed, Ed * (1 + 1e-10))) > 0
 
-    lo, hi = 1.8 / r_star, 2.6 / r_star
-    if not (has_state(lo) and not has_state(hi)):
-        raise ValueError("bracket does not straddle the dimer crossing")
-    while hi - lo > 1e-4 * lo:
-        mid = 0.5 * (lo + hi)
-        if has_state(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 2.0 / (lo + hi)
+    return 1.0 / _bisect_threshold(has_state, 2.6 / r_star, 1.8 / r_star, 1e-4)
 
 
 def kappa_star_extrapolated(energies, level: int = 0) -> float:
@@ -547,7 +528,7 @@ class TritonModel:
     def deuteron_energy(self) -> float:
         """Binding at the effective-range T-matrix pole of the triplet
         channel, in MeV."""
-        pole = dimer_energy(TMatrixModel("effective_range", a=self.a_t, r_e=self.r_et))
+        pole = dimer_energy(1.0 / self.a_t, self.r_et)
         return -self.hbar2_over_m * pole
 
 
@@ -576,7 +557,7 @@ def solve_triton(model: TritonModel) -> TritonResult:
         p_min=p_min, q_min=1e-4 * p_min,
     )
     roots = bound_levels(kern, (-0.5, -1.02 * model.deuteron_energy / h2m))
-    Ed_sep = dimer_energy(TMatrixModel("separable", form=ff_t))
+    Ed_sep = separable_dimer_energy(ff_t, ff_t.inv_a, 1e-8 * ff_t.p_max)
     return TritonResult(
         deuteron=model.deuteron_energy,
         deuteron_separable=-h2m * Ed_sep,

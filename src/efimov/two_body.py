@@ -1,5 +1,5 @@
 """Two-body layer: potential library, zero-energy scattering, separable
-form factors (analytic and EST-constructed), and on-shell T-matrix models.
+form factors (analytic and EST-constructed), and dimer poles.
 
 The EST profiles of -C_n/r^n tails (n = 6 is van der Waals) come from one
 builder, ``universal_tail_form_factor(n, inv_a)``, linear in 1/a.
@@ -26,7 +26,6 @@ __all__ = [
     "TwoBodyModel",
     "ZeroEnergyState",
     "FormFactor",
-    "TMatrixModel",
     "solve_zero_energy",
     "tune_to_scattering_length",
     "universal_tail_wavefunction",
@@ -35,6 +34,8 @@ __all__ = [
     "step_form_factor",
     "universal_tail_form_factor",
     "dimer_energy",
+    "dimer_integral",
+    "separable_dimer_energy",
     "VirtualStateError",
 ]
 
@@ -378,62 +379,46 @@ class VirtualStateError(ValueError):
     """The effective-range pole moved to the virtual-state branch."""
 
 
-@dataclass(frozen=True)
-class TMatrixModel:
-    """Analytic or separable on-shell T-matrix model.
-
-    kind: zero_range(a), effective_range(a, r_e),
-    narrow_resonance(a, r_star), separable(FormFactor).
-    """
-
-    kind: str
-    a: float = np.inf
-    r_e: float = 0.0
-    r_star: float = 0.0
-    form: FormFactor = None
-
-    def __post_init__(self):
-        if self.kind not in ("zero_range", "effective_range", "narrow_resonance", "separable"):
-            raise ValueError(f"unknown T-matrix kind {self.kind!r}")
-        if self.kind == "narrow_resonance" and not self.r_star > 0:
-            raise ValueError("narrow resonance requires r_star > 0")
-
-    @property
-    def inv_a(self) -> float:
-        return 0.0 if np.isinf(self.a) else 1.0 / self.a
-
-
-def dimer_energy(model: TMatrixModel) -> float:
-    """Bound-state pole of the on-shell T-matrix on the imaginary k axis.
+def dimer_energy(inv_a: float, r_e: float = 0.0) -> float:
+    """Bound-state pole of the effective-range T-matrix on the imaginary k
+    axis, 1/a - kappa + (r_e/2) kappa^2 = 0: zero range is r_e = 0 and a
+    narrow resonance is r_e = -2 R*.
 
     Returns E = -kappa^2 in natural units (multiply by hbar^2/m for
-    physical energies); None when the model has no dimer.  The analytic
-    kinds share the effective-range pole 1/a - kappa + (r_e/2) kappa^2 = 0,
-    with r_e = 0 at zero range and r_e = -2 R* for a narrow resonance.
+    physical energies); None without a dimer (1/a <= 0).
     """
-    inv_a = model.inv_a
-    if model.kind != "separable":
-        if inv_a <= 0:
-            return None
-        r_e = {"zero_range": 0.0, "narrow_resonance": -2.0 * model.r_star}
-        disc = 1.0 - 2.0 * r_e.get(model.kind, model.r_e) * inv_a
-        if disc < 0:
-            raise VirtualStateError("1 - 2 r_e/a < 0: no real pole")
-        # (1 - sqrt(disc))/r_e rationalized: no cancellation as r_e -> 0
-        kap = 2.0 * inv_a / (1.0 + math.sqrt(disc))
-        return -(kap**2)
-    # separable: root of 1/a = (2/pi) int phi^2 kap^2/(p^2+kap^2) dp
-    form = model.form
-    if form.inv_a <= 0:
+    if inv_a <= 0:
         return None
-    rule = gauss_legendre_log(3000, 1e-8 * form.p_max, 2.2 * form.p_max)
-    q, w = rule.nodes, rule.weights
-    phi2 = form(q) ** 2
-
-    def cond(kap):
-        return form.inv_a - (2 / np.pi) * np.dot(w, phi2 * kap**2 / (q**2 + kap**2))
-
-    if cond(form.p_max) > 0:
-        return None  # pole beyond the profile's validity window
-    kap = find_root(cond, 1e-10 * form.p_max, form.p_max)
+    disc = 1.0 - 2.0 * r_e * inv_a
+    if disc < 0:
+        raise VirtualStateError("1 - 2 r_e/a < 0: no real pole")
+    # (1 - sqrt(disc))/r_e rationalized: no cancellation as r_e -> 0
+    kap = 2.0 * inv_a / (1.0 + math.sqrt(disc))
     return -(kap**2)
+
+
+def dimer_integral(form: FormFactor, q_min: float):
+    """The dimer integral of a separable channel as a function of kappa^2,
+    I(kappa^2) = (1/(2 pi^2)) int phi(q)^2 kappa^2/(q^2 + kappa^2) dq over
+    [q_min, 2.2 p_max] on a 3000-point log rule; phi is sampled once.
+    kappa^2 is a scalar or a column of values."""
+    rule = gauss_legendre_log(3000, q_min, 2.2 * form.p_max)
+    q2, wphi2 = rule.nodes**2, rule.weights * form(rule.nodes) ** 2
+    return lambda kap2: (kap2 / (q2 + kap2)) @ wphi2 / (2 * np.pi**2)
+
+
+def separable_dimer_energy(form: FormFactor, inv_a: float, q_min: float) -> float:
+    """Dimer pole E = -kappa^2 of a separable channel: the root of
+    1/(4 pi a) = I(kappa^2), with I the ``dimer_integral`` from q_min, for
+    kappa in (1e-10, 1) p_max.  None without a dimer (1/a <= 0) or when the
+    pole lies beyond the profile's validity window."""
+    if inv_a <= 0:
+        return None
+    integral = dimer_integral(form, q_min)
+
+    def gap(kap):
+        return inv_a / (4 * np.pi) - integral(kap**2)
+
+    if gap(form.p_max) >= 0:
+        return None
+    return -find_root(gap, 1e-10 * form.p_max, form.p_max) ** 2

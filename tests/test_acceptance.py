@@ -33,10 +33,10 @@ from efimov.stm import (
     threshold_scattering_lengths,
 )
 from efimov.two_body import (
-    TMatrixModel,
     dimer_energy,
     est_form_factor,
     half_effective_range_tail,
+    separable_dimer_energy,
     solve_zero_energy,
     step_form_factor,
     tune_to_scattering_length,
@@ -288,8 +288,8 @@ def test_criterion_09b_est_reproduces_two_body_input():
     )
     st = solve_zero_energy(m)
     form = est_form_factor(st, p_max=80.0)
-    E_sep = dimer_energy(TMatrixModel("separable", form=form))
-    E_er = dimer_energy(TMatrixModel("effective_range", a=st.a, r_e=st.r_e))
+    E_sep = separable_dimer_energy(form, form.inv_a, 1e-8 * form.p_max)
+    E_er = dimer_energy(st.inv_a, st.r_e)
     assert E_sep == pytest.approx(E_er, rel=5e-3)
 
 

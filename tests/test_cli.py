@@ -106,6 +106,10 @@ def test_invalid_values_exit_2(tmp_path):
     assert run(["bo", "--a", "0", "--output", out]) == 2
     # |s0| = 0 is no Efimov channel, not a request for the boson value
     assert run(["hyperradial", "--s0", "0", "--output", out]) == 2
+    # options of one stm model are refused with another, not ignored
+    assert run(["stm", "--model", "step", "--cutoff", "5", "--output", out]) == 2
+    assert run(["stm", "--model", "narrow-resonance", "--exact-domain", "--output", out]) == 2
+    assert run(["stm", "--r-star", "2", "--output", out]) == 2
 
 
 @pytest.mark.parametrize("error", [ConvergenceError, BracketingError], ids=lambda e: e.__name__)

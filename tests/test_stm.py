@@ -8,6 +8,7 @@ from efimov.numerics import gauss_legendre, gauss_legendre_log
 from efimov.stm import (
     SeparableKernel,
     StmKernel,
+    TritonModel,
     _symmetrize,
     bound_levels,
     kappa_star_extrapolated,
@@ -17,8 +18,7 @@ from efimov.stm import (
 )
 from efimov.two_body import (
     FormFactor,
-    TMatrixModel,
-    dimer_energy,
+    separable_dimer_energy,
     step_form_factor,
     universal_tail_form_factor,
 )
@@ -112,14 +112,34 @@ def test_positive_a_levels_below_dimer():
 def test_separable_levels_below_dimer(make_form, n_levels):
     # above the dimer pole the kernel's spectrum holds the discretised
     # atom-dimer continuum, which must not pass for trimers.  For the van
-    # der Waals (n = 6 tail) profile at 1/a = 0.3 the pole of the kernel's
-    # own dimer integral lies 1.3e-6 (relative) below dimer_energy's, and 26
+    # der Waals (n = 6 tail) profile at 1/a = 0.3 the kernel's pole
+    # (separable_dimer_energy from the kernel's q_min = 1e-6) lies 1.3e-6
+    # (relative) below the stand-alone pole from 1e-8 p_max, and 26
     # continuum states fall between
     form = make_form()
-    E_dimer = dimer_energy(TMatrixModel("separable", form=form))
+    E_dimer = separable_dimer_energy(form, form.inv_a, 1e-8 * form.p_max)
     lev = solve_trimers_separable(form, n=140, n_ang=24)
     assert len(lev) == n_levels
     assert all(E < E_dimer for E in lev)
+
+
+@pytest.mark.parametrize(
+    "make_form",
+    [
+        lambda: universal_tail_form_factor(6, 0.3),
+        lambda: step_form_factor(1.0, inv_a=0.5),
+        lambda: TritonModel.fit().form_factors()[0],
+    ],
+    ids=["vdw", "step", "triton_triplet"],
+)
+def test_stand_alone_pole_is_kernel_threshold(make_form):
+    # one dimer integral and one pole solve: on the same lower limit the
+    # stand-alone pole and the kernel's breakup threshold are the same bits
+    form = make_form()
+    q_min = 1e-8 * form.p_max
+    E = separable_dimer_energy(form, form.inv_a, q_min)
+    assert E < 0
+    assert SeparableKernel(form, form.inv_a, q_min=q_min)._threshold() == E
 
 
 def test_narrow_resonance_requires_r_star():

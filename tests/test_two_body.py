@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from efimov.stm import StmKernel
 from efimov.two_body import (
     FormFactor,
-    TMatrixModel,
     TwoBodyModel,
     VirtualStateError,
     ZeroEnergyState,
@@ -17,6 +16,7 @@ from efimov.two_body import (
     dimer_energy,
     est_form_factor,
     half_effective_range_tail,
+    separable_dimer_energy,
     solve_zero_energy,
     step_form_factor,
     tune_to_scattering_length,
@@ -121,33 +121,31 @@ def test_est_form_factor_reproduces_source_observables():
     m = tune_to_scattering_length(_pt(1.1), "lambda", (1.02, 1.4), inv_a_target=0.12)
     st_ = solve_zero_energy(m)
     form = est_form_factor(st_, p_max=80.0)
-    E_sep = dimer_energy(TMatrixModel("separable", form=form))
-    E_er = dimer_energy(TMatrixModel("effective_range", a=st_.a, r_e=st_.r_e))
+    E_sep = separable_dimer_energy(form, form.inv_a, 1e-8 * form.p_max)
+    E_er = dimer_energy(st_.inv_a, st_.r_e)
     assert E_sep == pytest.approx(E_er, rel=5e-3)
 
 
 def test_dimer_energy_zero_range_and_effective_range():
-    assert dimer_energy(TMatrixModel("zero_range", a=4.0)) == pytest.approx(-1.0 / 16.0)
+    assert dimer_energy(1.0 / 4.0) == pytest.approx(-1.0 / 16.0)
     a, re = 10.0, 1.0
     kap = (1.0 - math.sqrt(1.0 - 2.0 * re / a)) / re
-    assert dimer_energy(TMatrixModel("effective_range", a=a, r_e=re)) == pytest.approx(
-        -(kap**2), rel=1e-12
-    )
+    assert dimer_energy(1.0 / a, re) == pytest.approx(-(kap**2), rel=1e-12)
 
 
 def test_a_B_branch():
     # the pole length a_B = 1/kappa of the effective-range pole equals a at
     # r_e = 0; past 2 r_e/a = 1 the pole moves to the virtual-state branch
-    E = dimer_energy(TMatrixModel("effective_range", a=7.0, r_e=0.0))
+    E = dimer_energy(1.0 / 7.0, 0.0)
     assert 1.0 / math.sqrt(-E) == pytest.approx(7.0)
     with pytest.raises(VirtualStateError):
-        dimer_energy(TMatrixModel("effective_range", a=1.0, r_e=2.0))
+        dimer_energy(1.0, 2.0)
 
 
 def test_dimer_energy_narrow_resonance():
     a, rs = 5.0, 2.0
     kap = (-1.0 + math.sqrt(1.0 + 4.0 * rs / a)) / (2.0 * rs)
-    E = dimer_energy(TMatrixModel("narrow_resonance", a=a, r_star=rs))
+    E = dimer_energy(1.0 / a, -2.0 * rs)
     assert E == pytest.approx(-(kap**2), rel=1e-12)
 
 
@@ -156,27 +154,24 @@ def test_narrow_resonance_pole_without_cancellation():
     # as R* -> 0, where (-1 + sqrt(1 + 4 R*/a))/(2 R*) loses digits
     a, rs = 3.0, 1e-12
     kap = 2.0 / a / (1.0 + math.sqrt(1.0 + 4.0 * rs / a))
-    E = dimer_energy(TMatrixModel("narrow_resonance", a=a, r_star=rs))
+    E = dimer_energy(1.0 / a, -2.0 * rs)
     assert E == pytest.approx(-(kap**2), rel=1e-15)
     # the zero-range kernel's breakup threshold is this pole, bit for bit
     for a, rs in ((3.0, 1e-12), (0.7, 0.3), (5.0, 2.0), (2.0, 0.0)):
-        kind = "narrow_resonance" if rs else "zero_range"
-        assert StmKernel(1.0 / a, 100.0, r_star=rs)._threshold() == dimer_energy(
-            TMatrixModel(kind, a=a, r_star=rs)
-        )
+        assert StmKernel(1.0 / a, 100.0, r_star=rs)._threshold() == dimer_energy(1.0 / a, -2.0 * rs)
 
 
 def test_dimer_energy_separable_matches_zero_range_for_wide_form():
     # a sharp form factor approaches the zero-range pole
     form = step_form_factor(1e-3, inv_a=0.2, p_max=5e3)
-    E = dimer_energy(TMatrixModel("separable", form=form))
+    E = separable_dimer_energy(form, form.inv_a, 1e-8 * form.p_max)
     assert E == pytest.approx(-0.04, rel=2e-2)
 
 
 def test_dimer_absent_for_negative_a():
-    assert dimer_energy(TMatrixModel("zero_range", a=-4.0)) is None
+    assert dimer_energy(-1.0 / 4.0) is None
     form = universal_tail_form_factor(6, -0.1)
-    assert dimer_energy(TMatrixModel("separable", form=form)) is None
+    assert separable_dimer_energy(form, form.inv_a, 1e-8 * form.p_max) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -184,7 +179,7 @@ def test_dimer_absent_for_negative_a():
 def test_effective_range_pole_approaches_zero_range(a, re):
     # a positive effective range binds deeper than 1/a^2, approaching the
     # zero-range pole linearly as r_e -> 0
-    kap = math.sqrt(-dimer_energy(TMatrixModel("effective_range", a=a, r_e=re)))
+    kap = math.sqrt(-dimer_energy(1.0 / a, re))
     assert kap * a >= 1.0 - 1e-12
     assert kap * a == pytest.approx(1.0, rel=max(re / a, 1e-12))
 
