@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .numerics import BracketingError, find_root, scan_sign_changes
+from .numerics import BracketingError, find_root, propagate, scan_sign_changes
 
 __all__ = [
     "S0",
@@ -167,38 +166,19 @@ def _fermion21_sigma_limit(mass_ratio: float) -> float:
     return np.pi / 2 - 2 / np.sin(2 * gam) + gam / np.sin(gam) ** 2
 
 
-def _hyperangular_shoot(ell: int, s2: float, alpha_eval: np.ndarray):
-    """Solve phi'' = [l(l+1)/cos^2(a) - s^2] phi with phi(pi/2) = 0.
+def _two_plus_one_condition(ell: int, s2: float, gam: float) -> float:
+    """Boundary condition phi'(0) + (2/sin 2gam) phi(pi/2 - gam) for two
+    identical particles plus one at unitarity, zero at a channel exponent.
 
-    Integrates inward from the regular series start at alpha = pi/2 - b0.
-    Returns (phi at alpha_eval, phi'(0)).
+    phi'' = [l(l+1)/cos^2(a) - s^2] phi is propagated in b = pi/2 - a from
+    the regular series start phi ~ b^(l+1) at b = 1e-4 (the coalescence
+    point alpha = pi/2) to b = pi/2, with b = gam inserted as a node.
     """
-    b0 = 1e-4
-
-    def rhs(alpha, y):
-        return [y[1], (ell * (ell + 1) / np.cos(alpha) ** 2 - s2) * y[0]]
-
-    # regular solution ~ b^(l+1) near the coalescence point alpha = pi/2
-    y0 = [b0 ** (ell + 1), -(ell + 1) * b0**ell]
-    alphas = np.sort(np.unique(np.concatenate([alpha_eval, [0.0]])))[::-1]
-    sol = solve_ivp(
-        rhs,
-        (np.pi / 2 - b0, 0.0),
-        y0,
-        t_eval=alphas,
-        method="DOP853",
-        rtol=1e-11,
-        atol=1e-14,
-    )
-    phi = {a: v for a, v in zip(sol.t, sol.y[0])}
-    return np.array([phi[a] for a in alpha_eval]), float(sol.y[1][-1])
-
-
-def _two_plus_one_condition_real(s: float, ell: int, mass_ratio: float) -> float:
-    """Real-s boundary condition for 2 fermions + 1 particle at unitarity."""
-    gam = _gamma(mass_ratio)
-    phi_at, dphi0 = _hyperangular_shoot(ell, s * s, np.array([np.pi / 2 - gam]))
-    return dphi0 + (2 / np.sin(2 * gam)) * float(phi_at[0])
+    b = np.union1d(np.geomspace(1e-4, np.pi / 2, 4000), [gam])
+    start = (b[0] ** (ell + 1), (ell + 1) * b[0] ** ell)
+    phi, dphi = propagate(lambda t: ell * (ell + 1) / np.sin(t) ** 2 - s2, b, start)
+    # d/da = -d/db
+    return -dphi[-1] + (2 / np.sin(2 * gam)) * phi[np.searchsorted(b, gam)]
 
 
 def two_plus_one_exponent(
@@ -231,12 +211,9 @@ def two_plus_one_exponent(
         if _fermion21_sigma_limit(mass_ratio) > 0:
             # subcritical: no Efimov channel; report the lowest real root
             grid = np.linspace(1e-3, 1.999, 200)
-            lo, hi = scan_sign_changes(
-                lambda s: _two_plus_one_condition_real(s, 1, mass_ratio), grid
-            )[0]
-            root = find_root(
-                lambda s: _two_plus_one_condition_real(s, 1, mass_ratio), lo, hi
-            )
+            gam = _gamma(mass_ratio)
+            lo, hi = scan_sign_changes(lambda s: _two_plus_one_condition(1, s * s, gam), grid)[0]
+            root = find_root(lambda s: _two_plus_one_condition(1, s * s, gam), lo, hi)
             return ChannelExponent(root**2)
         hi = 1.0
         while _fermion21_sigma(hi, mass_ratio) < 0:
@@ -261,10 +238,8 @@ def critical_mass_ratio(statistics: str, ell: int) -> float:
     else:
         raise ValueError(f"unknown statistics {statistics!r}")
 
-    def crit(gam):
-        phi_at, dphi0 = _hyperangular_shoot(ell, 0.0, np.array([np.pi / 2 - gam]))
-        return dphi0 + (2 / np.sin(2 * gam)) * float(phi_at[0])
-
-    gam = find_root(crit, 0.2, np.pi / 2 - 1e-6, tol=1e-13)
+    gam = find_root(
+        lambda g: _two_plus_one_condition(ell, 0.0, g), 0.2, np.pi / 2 - 1e-6, tol=1e-13
+    )
     sin_g = np.sin(gam)
     return float(sin_g / (1.0 - sin_g))

@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .channels import S0
-from .numerics import ConvergenceError, find_root, isolate_levels
+from .numerics import ConvergenceError, find_root, isolate_levels, propagate
 
 __all__ = [
     "HyperradialChannel",
@@ -53,8 +52,10 @@ class HyperradialChannel:
         if self.boundary not in ("hard_wall", "log_derivative"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
 
-    def s2(self, R: float) -> float:
-        return self.s_squared(R) if callable(self.s_squared) else self.s_squared
+    def s2(self, R: np.ndarray) -> np.ndarray:
+        if callable(self.s_squared):
+            return np.vectorize(self.s_squared, otypes=[float])(R)
+        return np.full(np.shape(R), float(self.s_squared))
 
 
 @dataclass(frozen=True)
@@ -77,13 +78,13 @@ class BoundStateSet:
     def node_counts(self) -> list[int]:
         """Interior nodes per level of the reduced function v = F/sqrt(R),
         shot again at each level and counted in the classically allowed
-        region only (the diverging tail admixture beyond the turning point
-        is an artifact of finite shooting precision)."""
+        region only: at a level the tail decays to rounding, where its sign
+        is noise."""
         out = []
         for E in self.energies:
-            x, v, _ = _shoot(self.channel, E)
+            x, v = _shoot(self.channel, E)
             R = np.exp(x)
-            allowed = np.array([self.channel.s2(r) for r in R]) - E * R**2 < 0
+            allowed = self.channel.s2(R) - E * R**2 < 0
             body = v[1:][allowed[1:]] if self.channel.boundary == "hard_wall" else v[allowed]
             s = np.sign(body[np.abs(body) > 0])
             out.append(int(np.count_nonzero(np.diff(s) != 0)))
@@ -98,25 +99,19 @@ def _start(channel: HyperradialChannel) -> list[float]:
     return [1.0, channel.R0 * channel.boundary_value - 0.5]
 
 
-def _shoot(channel: HyperradialChannel, energy: float, samples: int = _SAMPLES):
-    """Integrate v'' = (s2(R) - E R^2) v outward; returns (x, v, dv)."""
+def _shoot(channel: HyperradialChannel, energy: float):
+    """Propagate v'' = (s2(R) - E R^2) v outward to R = 20/kappa, where the
+    end value shifts a level by e^-2kappaR = e^-40; returns (x, v)."""
     kap = math.sqrt(-energy)
     x0 = math.log(channel.R0)
-    x1 = math.log(10.0 / kap)
+    x1 = math.log(20.0 / kap)
     if x1 <= x0 + 0.1:
         x1 = x0 + 0.1  # level pushed against the wall; tiny forbidden region
-
-    def rhs(x, y):
-        R = math.exp(x)
-        return [y[1], (channel.s2(R) - energy * R * R) * y[0]]
-
-    x = np.linspace(x0, x1, samples)
-    sol = solve_ivp(
-        rhs, (x0, x1), _start(channel), t_eval=x, method="DOP853", rtol=1e-10, atol=1e-12
+    x = np.linspace(x0, x1, _SAMPLES)
+    v, _ = propagate(
+        lambda t: channel.s2(np.exp(t)) - energy * np.exp(2.0 * t), x, _start(channel)
     )
-    if not sol.success:
-        raise ConvergenceError(f"hyperradial shot failed: {sol.message}")
-    return x, sol.y[0], sol.y[1]
+    return x, v
 
 
 def solve_bound_states(
@@ -139,7 +134,7 @@ def solve_bound_states(
     @functools.cache
     def shot(t):
         """(node count, end value) of the shot at kappa = e^t."""
-        _, v, _ = _shoot(channel, E(t))
+        _, v = _shoot(channel, E(t))
         body = v[1:] if channel.boundary == "hard_wall" else v
         s = np.sign(body[np.abs(body) > 0])
         return int(np.count_nonzero(np.diff(s) != 0)), v[-1]
@@ -157,8 +152,9 @@ def solve_bound_states(
 def three_body_phase(ch: HyperradialChannel, reference_scale: float = 1.0) -> float:
     """Log-periodic phase Phi = |s0| ln(Lambda/Lambda0) in [0, pi).
 
-    The zero-energy solution is integrated outward from the boundary over
-    2.5 decades of R; in the scale-invariant window
+    The zero-energy solution is propagated outward from the boundary over
+    2.5 decades of R on 800 nodes, each step exact for a constant s^2; in
+    the scale-invariant window
     v ~ cos(|s0| ln(Lambda R)), so the local phase
     theta = atan2(-v', |s0| v) gives
     Phi = theta - |s0| ln(R * reference_scale) (mod pi).  Raises
@@ -167,20 +163,11 @@ def three_body_phase(ch: HyperradialChannel, reference_scale: float = 1.0) -> fl
     x0 = math.log(ch.R0)
     x = np.linspace(x0, x0 + 2.5 * math.log(10.0), 800)
     R = np.exp(x)
-
-    def rhs(t, y):
-        return [y[1], ch.s2(math.exp(t)) * y[0]]
-
-    sol = solve_ivp(
-        rhs, (x[0], x[-1]), _start(ch), t_eval=x, method="DOP853", rtol=1e-12, atol=1e-14
-    )
-    if not sol.success:
-        raise ConvergenceError(f"zero-energy shot failed: {sol.message}")
-    v, dv = sol.y
     mask = R > 3.0 * ch.R0  # fit past the boundary region
-    s2w = np.array([ch.s2(r) for r in R[mask]])
+    s2w = ch.s2(R[mask])
     if np.any(s2w > -1e-12) or np.ptp(s2w) > 1e-9 * (1 + np.abs(s2w).max()):
         raise ConvergenceError("exponent not constant and attractive in the fit window")
+    v, dv = propagate(lambda t: ch.s2(np.exp(t)), x, _start(ch))
     s0 = math.sqrt(-s2w[0])
     theta = np.arctan2(-dv[mask], s0 * v[mask])
     phi = np.mod(theta - s0 * np.log(R[mask] * reference_scale), np.pi)

@@ -1,5 +1,5 @@
-"""Shared numerical substrate: quadrature, root finding and level
-isolation.
+"""Shared numerical substrate: quadrature, root finding, level isolation
+and the linear propagator of y'' = q(x) y.
 
 All physics modules work in natural units hbar = m = 1, where m is the mass
 of the reference particle.  Everything here is a pure function of its inputs.
@@ -7,6 +7,7 @@ of the reference particle.  Everything here is a pure function of its inputs.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,15 @@ __all__ = [
     "scan_sign_changes",
     "gauss_legendre",
     "gauss_legendre_log",
+    "propagate",
 ]
+
+# Gauss points of one step, as fractions of the step
+_GAUSS2 = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+# largest phase h sqrt(-q) of one step.  The step error grows as its fifth
+# power: a hard-core tail's a is 1.5e-7 off at 0.12 rad and 1.4e-6 at 0.29.
+# A Yukawa 1/r origin puts 0.11 rad into the first step at strength 2/range.
+_MAX_PHASE = 0.12
 
 
 class BracketingError(ValueError):
@@ -161,3 +170,42 @@ def gauss_legendre_log(n: int, p_min: float, p_max: float) -> QuadratureRule:
     t = gauss_legendre(n, np.log(p_min), np.log(p_max))
     p = np.exp(t.nodes)
     return QuadratureRule(p, p * t.weights)
+
+
+def propagate(q, x, y0):
+    """(y, y') at every node of the grid ``x`` for y'' = q(x) y, from
+    (y, y') = y0 at x[0]; ``q`` takes an array.
+
+    Each step is the fourth-order Magnus exponential on the two Gauss
+    points (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 983 (1999)).
+    For y'' = q y, Omega = [[d, h], [h qbar, -d]] with qbar the Gauss mean
+    of q and d = (sqrt3/12) h^2 (q1 - q2); it is traceless, so
+    exp(Omega) = cosh(mu) I + sinh(mu)/mu Omega with mu^2 = d^2 + h^2 qbar.
+    The steps are chained by a doubling prefix product.  q is evaluated
+    only inside steps, never on a node, so a grid may start on a hard core
+    or at a 1/r singularity.  Raises ConvergenceError for a non-finite
+    result or an oscillation the grid does not resolve.
+    """
+    x = np.asarray(x, dtype=float)
+    h = np.diff(x)
+    q1, q2 = q(x[:-1] + _GAUSS2[0] * h), q(x[:-1] + _GAUSS2[1] * h)
+    qbar = 0.5 * (q1 + q2)
+    phase = float(np.max(h * np.sqrt(np.maximum(-qbar, 0.0))))
+    if phase > _MAX_PHASE:
+        raise ConvergenceError(f"grid does not resolve the oscillation ({phase:.2g} rad per step)")
+    d = math.sqrt(3.0) / 12.0 * h * h * (q1 - q2)
+    mu2 = d * d + h * h * qbar
+    mu = np.sqrt(np.abs(mu2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.where(mu2 > 0, np.cosh(mu), np.cos(mu))
+        s = np.where(mu2 > 0, np.sinh(mu) / mu, np.sinc(mu / np.pi))
+        m = np.array([[c + s * d, s * h], [s * h * qbar, c - s * d]])
+        shift = 1
+        while shift < h.size:  # m[..., k] becomes the product of steps k, ..., 0
+            a, b = m[..., shift:], m[..., :-shift]
+            m[..., shift:] = a[:, :1] * b[0] + a[:, 1:] * b[1]
+            shift *= 2
+        y = np.column_stack([y0, m[:, 0] * y0[0] + m[:, 1] * y0[1]])
+    if not np.all(np.isfinite(y)):
+        raise ConvergenceError("propagated solution is not finite")
+    return y[0], y[1]

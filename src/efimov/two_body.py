@@ -15,12 +15,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicSpline
 from scipy.special import gamma as gamma_fn
 from scipy.special import jv, sici
 
-from .numerics import ConvergenceError, find_root, gauss_legendre_log
+from .numerics import ConvergenceError, find_root, gauss_legendre_log, propagate
 
 __all__ = [
     "TwoBodyModel",
@@ -138,39 +138,29 @@ class ZeroEnergyState:
 
 
 def solve_zero_energy(model: TwoBodyModel) -> ZeroEnergyState:
-    """Integrate the zero-energy radial equation out to r_max = 40 length
+    """Propagate the zero-energy radial equation out to r_max = 40 length
     scales and extract (a, r_e).
 
-    The scattering length comes from matching u to alpha + beta r at the
-    outer radius; the effective range from the integral
-    (1/2) r_e = int [ (1-r/a)^2 - phi^2 ] dr over 20000 samples.
+    The grid has 20001 uniform nodes from the core radius (r = 0, on the
+    regular solution, for a well without a core); a square well's edge
+    falls on node 500.  The scattering length comes from matching u to
+    alpha + beta r at r_max, checked against node 16000; the effective
+    range from (1/2) r_e = int [ (1-r/a)^2 - phi^2 ] dr by Simpson's rule
+    on the same nodes.
     """
     b = model.length_scale
-    r0 = model.core_radius if model.core_radius > 0 else 1e-9 * b
     r_max = 40.0 * b
-
-    def rhs(r, y):
-        return [y[1], model.potential(r) * y[0]]
-
-    sol = solve_ivp(
-        rhs, (r0, r_max), [0.0, 1.0], method="DOP853",
-        rtol=1e-12, atol=1e-15 * r_max, dense_output=True,
-    )
-    if not sol.success:
-        raise ConvergenceError(f"zero-energy integration failed: {sol.message}")
-    u_end, du_end = sol.y[0, -1], sol.y[1, -1]
+    rg = np.linspace(model.core_radius, r_max, 20001)
+    u, du = propagate(model.potential, rg, (0.0, 1.0))
+    u_end, du_end = u[-1], du[-1]
     beta = du_end
     alpha = u_end - du_end * r_max
     # check the asymptote really is linear: compare against a second match point
-    r_chk = 0.8 * r_max
-    u_chk = sol.sol(r_chk)[0]
-    resid = abs(u_chk - (alpha + beta * r_chk)) / max(abs(u_chk), 1e-300)
+    resid = abs(u[16000] - (alpha + beta * rg[16000])) / max(abs(u[16000]), 1e-300)
     if resid > 1e-5:
         raise ConvergenceError(
             f"tail not linear at r_max={r_max:g} (residual {resid:.2e})"
         )
-    rg = np.linspace(r0, r_max, 20000)
-    u = sol.sol(rg)[0]
     if alpha == 0.0:
         inv_a = 0.0
         # at unitarity normalize to the constant tail u -> alpha' = u(r_max)
@@ -179,7 +169,7 @@ def solve_zero_energy(model: TwoBodyModel) -> ZeroEnergyState:
         inv_a = -beta / alpha  # a = -alpha/beta from u -> alpha + beta r = alpha (1 - r/a)
         phi = u / alpha
     phibar = 1.0 - rg * inv_a
-    r_e = 2.0 * np.trapezoid(phibar**2 - phi**2, rg)
+    r_e = 2.0 * simpson(phibar**2 - phi**2, x=rg)
     nodes = int(np.count_nonzero(np.diff(np.sign(phi[np.abs(phi) > 0])) != 0))
     return ZeroEnergyState(float(inv_a), float(r_e), rg, phi, nodes, float(resid))
 

@@ -125,6 +125,24 @@ def test_solver_failure_exits_3(monkeypatch, tmp_path, error):
     assert cli.main(["channels", "--output", str(tmp_path / "x.csv")]) == 3
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        # 7.7 rad per step
+        ["--potential", "vdw_hard_core", "--param", "c6=16", "--param", "core=0.1"],
+        # 0.29 rad per step, where a would be off by 1.4e-6
+        ["--potential", "vdw_hard_core", "--param", "c6=16", "--param", "core=0.3"],
+        # c12/r^12 overflows the solution
+        ["--potential", "lennard_jones_6_12", "--param", "c6=1", "--param", "c12=1e-3"],
+    ],
+    ids=["vdw_core_0.1", "vdw_core_0.3", "lj_6_12"],
+)
+def test_unresolved_twobody_exits_3_without_a_number(capsys, params):
+    # the grid cannot resolve these wells: no a or r_e may be printed
+    assert run(["twobody", *params]) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_hbar2_over_m_scales_energies(tmp_path):
     out1, out2 = tmp_path / "n.csv", tmp_path / "s.csv"
     args = ["hyperradial", "--kappa-min", "1e-3", "--kappa-max", "1.0"]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -45,6 +46,34 @@ def test_discrete_scale_invariance_under_wall_scaling(wall_states):
     E_scl = np.asarray(scaled.energies) * LAMBDA0**2
     m = min(len(E_ref), len(E_scl))
     assert E_scl[:m] == pytest.approx(E_ref[:m], rel=1e-8)
+
+
+def _bessel_k_zeros(x_lo, x_hi):
+    """Zeros of K_{i s0}(x) in (x_lo, x_hi), largest first: the hard-wall
+    levels kappa R0 of v'' = (kappa^2 R^2 - s0^2) v.  Scanned with 8 points
+    per factor LAMBDA0 (the zero spacing), then refined in mpmath.  A zero
+    moves by ln(x) dS0 / S0 relative to S0's rounding, under 1e-14 here."""
+    with mpmath.workdps(30):
+
+        def k(x):
+            return mpmath.re(mpmath.besselk(1j * S0, x))
+
+        grid = [mpmath.mpf(x_lo) * mpmath.mpf(LAMBDA0) ** (i / 8) for i in range(8 * 16)]
+        grid = [x for x in grid if x < x_hi] + [mpmath.mpf(x_hi)]
+        vals = [k(x) for x in grid]
+        zeros = [
+            float(mpmath.findroot(k, (a, b), solver="anderson"))
+            for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:])
+            if fa * fb < 0
+        ]
+    return sorted(zeros, reverse=True)
+
+
+def test_hard_wall_levels_match_bessel_zeros():
+    states = solve_bound_states(HyperradialChannel(R0=1.0), (1e-20, 10.0))
+    zeros = _bessel_k_zeros(1e-20, 10.0)
+    assert len(zeros) == 14
+    assert -states.kappas == pytest.approx(zeros, rel=1e-9)
 
 
 def test_phase_of_hard_wall(wall_states):

@@ -14,8 +14,10 @@ from efimov.numerics import (
     gauss_legendre,
     gauss_legendre_log,
     isolate_levels,
+    propagate,
     scan_sign_changes,
 )
+from scipy.special import airy
 
 
 def test_gauss_legendre_exact_for_polynomials():
@@ -130,3 +132,38 @@ def test_isolate_levels_rejects_coincident_steps():
     count = lambda x: 2 if x > 0.3 else 0
     with pytest.raises(ConvergenceError):
         isolate_levels(count, 0.0, 1.0, tol=1e-9)
+
+
+@pytest.mark.parametrize("q0", [4.0, -0.0625])
+def test_propagate_exact_for_constant_q(q0):
+    # one Magnus step is the exact exponential when q is constant, so a
+    # coarse grid (steps of 0.3 and 0.4) only adds rounding
+    x = np.array([0.0, 0.3, 0.6, 1.0, 1.4, 1.7])
+    y, dy = propagate(lambda t: np.full_like(t, q0), x, (1.0, 0.5))
+    k = math.sqrt(abs(q0))
+    if q0 > 0:
+        y_ex = np.cosh(k * x) + 0.5 / k * np.sinh(k * x)
+        dy_ex = k * np.sinh(k * x) + 0.5 * np.cosh(k * x)
+    else:
+        y_ex = np.cos(k * x) + 0.5 / k * np.sin(k * x)
+        dy_ex = -k * np.sin(k * x) + 0.5 * np.cos(k * x)
+    assert y == pytest.approx(y_ex, rel=1e-13, abs=1e-13)
+    assert dy == pytest.approx(dy_ex, rel=1e-13, abs=1e-13)
+
+
+def test_propagate_is_fourth_order_on_airy():
+    # y'' = x y from Ai on [-4, 2]: the error falls by 2^4 when h halves
+    err = []
+    for n in (200, 400, 800):
+        x = np.linspace(-4.0, 2.0, n + 1)
+        ai, aip, _, _ = airy(x)
+        y, _ = propagate(lambda t: t, x, (ai[0], aip[0]))
+        err.append(np.max(np.abs(y - ai)))
+    assert err[0] / err[1] == pytest.approx(16.0, rel=0.05)
+    assert err[1] / err[2] == pytest.approx(16.0, rel=0.05)
+
+
+def test_propagate_rejects_unresolved_oscillation():
+    x = np.linspace(0.0, 1.0, 11)  # 0.1 per step against a period of 2 pi / 5
+    with pytest.raises(ConvergenceError, match="oscillation"):
+        propagate(lambda t: np.full_like(t, -25.0), x, (0.0, 1.0))

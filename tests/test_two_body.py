@@ -1,10 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
+from scipy.special import digamma
+
+from efimov.numerics import propagate
 
 from efimov.stm import StmKernel
 from efimov.two_body import (
@@ -34,8 +38,57 @@ def test_square_well_matches_analytic():
     st_ = solve_zero_energy(TwoBodyModel("square_well", {"depth": depth, "range": rng}))
     k = math.sqrt(depth)  # weight 1 for reduced mass 1/2
     a_exact = rng * (1.0 - math.tan(k * rng) / (k * rng))
-    # the potential step limits the ODE accuracy
-    assert st_.a == pytest.approx(a_exact, rel=1e-6)
+    assert st_.a == pytest.approx(a_exact, rel=1e-10)
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.9, 1.3, 1.7])
+def test_poschl_teller_matches_closed_form(lam):
+    # from the P_lam, Q_lam(tanh r/b) solution:
+    # a/b = gamma_E + psi(lam + 1) - (pi/2) tan(pi lam/2)
+    st_ = solve_zero_energy(_pt(lam))
+    a_exact = np.euler_gamma + digamma(lam + 1.0) - 0.5 * math.pi * math.tan(0.5 * math.pi * lam)
+    assert st_.a == pytest.approx(a_exact, rel=1e-11)
+    if lam == 1.3:
+        # r_e against the same integral on 8 times as many nodes
+        r = np.linspace(0.0, 40.0, 160001)
+        u, du = propagate(_pt(lam).potential, r, (0.0, 1.0))
+        alpha = u[-1] - du[-1] * r[-1]
+        r_e = 2.0 * simpson((1.0 + r * du[-1] / alpha) ** 2 - (u / alpha) ** 2, x=r)
+        assert st_.r_e == pytest.approx(r_e, rel=1e-10)
+
+
+def _tail_scattering_length(n, cn, core, r):
+    """r - u/u' at r of the exact zero-energy solution of u'' = -cn r^-n u
+    with u(core) = 0: u = sqrt(r) [A J_nu(z) + B J_-nu(z)], nu = 1/(n-2),
+    z = (2 sqrt(cn)/(n-2)) r^-((n-2)/2)."""
+    with mpmath.workdps(30):
+        nu = mpmath.mpf(1) / (n - 2)
+
+        def z(x):
+            return 2 * mpmath.sqrt(cn) / (n - 2) * mpmath.mpf(x) ** (-(mpmath.mpf(n) - 2) / 2)
+
+        A, B = mpmath.besselj(-nu, z(core)), -mpmath.besselj(nu, z(core))
+
+        def u(x):
+            return mpmath.sqrt(x) * (A * mpmath.besselj(nu, z(x)) + B * mpmath.besselj(-nu, z(x)))
+
+        return float(r - u(r) / mpmath.diff(u, r))
+
+
+@pytest.mark.parametrize(
+    "kind, params, n, cn",
+    [
+        ("vdw_hard_core", {"c6": 1.0, "core": 0.3}, 6, 1.0),
+        ("power_law_tail", {"n": 5, "cn": 1.0, "core": 0.3}, 5, 1.0),
+        ("power_law_tail", {"n": 8, "cn": 1.0, "core": 0.5}, 8, 1.0),
+    ],
+    ids=["vdw", "n5", "n8"],
+)
+def test_hard_core_tail_matches_bessel_solution(kind, params, n, cn):
+    # matched at the solver's own r_max, so the O(r_max^-(n-2)) tail cut is shared
+    st_ = solve_zero_energy(TwoBodyModel(kind, params))
+    a_exact = _tail_scattering_length(n, cn, params["core"], st_.r[-1])
+    assert st_.a == pytest.approx(a_exact, rel=1e-8)
 
 
 def test_poschl_teller_unitarity_at_integer_lambda():
