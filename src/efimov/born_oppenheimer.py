@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import lambertw
 
 __all__ = [
     "OMEGA",
@@ -20,8 +19,39 @@ __all__ = [
     "s0_estimate",
 ]
 
+
+def _lambert_w(x):
+    """Principal branch W(x) of the Lambert function for real x >= 0.
+
+    Halley's iteration (Corless et al., Adv. Comput. Math. 5, 329 (1996))
+    from a Pade start below x = 1.5 and from ln x - ln ln x above it; each
+    value stops once a step changes it by less than 1e-8 relative, which
+    cubic convergence leaves at rounding.  W(inf) = inf.
+    """
+    x = np.asarray(x, dtype=float)
+    w = x.flatten()  # W(0) = 0 and W(inf) = inf stay as they are
+    live = np.isfinite(w)
+    big = live & (w >= 1.5)
+    lx = np.log(w[big])
+    w[big] = lx - np.log(lx)
+    small = live & ~big
+    xs = w[small]
+    w[small] = xs * ((12.85106382978723404255 * xs + 12.34042553191489361902) * xs + 1.0) / (
+        (32.53191489361702127660 * xs + 14.34042553191489361702) * xs + 1.0
+    )
+    xf = x.ravel()
+    while np.any(live):
+        wl, xl = w[live], xf[live]
+        g = wl - xl * np.exp(-wl)  # (w e^w - x) e^-w, which cannot overflow
+        wn = wl - g / (wl + 1.0 - (wl + 2.0) * g / (2.0 * wl + 2.0))
+        w[live] = wn
+        live[live] = np.abs(wn - wl) > 1e-8 * np.abs(wn)
+    w = w.reshape(x.shape)
+    return w if w.ndim else float(w)
+
+
 # Omega constant, the root of x = e^{-x}; kappa R -> Omega for R << a
-OMEGA = float(lambertw(1.0).real)
+OMEGA = _lambert_w(1.0)
 
 # mass ratio where the L = 1 Efimov strength vanishes: (M/2m) Omega^2 = 2 + 1/4
 BO_CRITICAL_L1 = 2.0 * (1.0 * 2.0 + 0.25) / OMEGA**2
@@ -39,7 +69,7 @@ def bonding_kappa(R, a: float):
     if np.any(R <= 0):
         raise ValueError("R must be positive")
     inv_a = 0.0 if np.isinf(a) else 1.0 / a
-    kap = inv_a + lambertw(np.exp(-R * inv_a)).real / R
+    kap = inv_a + _lambert_w(np.exp(-R * inv_a)) / R
     out = np.where(kap > 0, kap, np.nan)
     return out if out.ndim else float(out)
 

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "QuadratureRule",
@@ -31,6 +30,9 @@ _GAUSS2 = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 # power: a hard-core tail's a is 1.5e-7 off at 0.12 rad and 1.4e-6 at 0.29.
 # A Yukawa 1/r origin puts 0.11 rad into the first step at strength 2/range.
 _MAX_PHASE = 0.12
+# Brent's relative tolerance and iteration cap, those of scipy's brentq
+_RTOL = 4 * float(np.finfo(float).eps)
+_MAXITER = 100
 
 
 class BracketingError(ValueError):
@@ -63,21 +65,61 @@ class QuadratureRule:
 def find_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     """Bracketed root of a continuous scalar function.
 
-    Brent's method (inverse-quadratic with a bisection fallback), so
-    convergence is guaranteed for a valid bracket.
+    Brent's zeroin (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4): inverse-quadratic steps with a bisection fallback, so
+    convergence is guaranteed for a valid bracket.  Operation for operation
+    the iteration of scipy's brentq.c, so its iterates agree bit for bit,
+    but each endpoint is evaluated once.  A NaN value of f raises
+    ConvergenceError.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    flo, fhi = f(lo), f(hi)
-    if np.isnan(flo) or np.isnan(fhi):
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if math.isnan(fpre) or math.isnan(fcur):
         raise ConvergenceError("function returned NaN at a bracket endpoint")
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise BracketingError(f"no sign change on [{lo}, {hi}]")
-    return brentq(f, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise BracketingError(f"no sign change on [{xpre}, {xcur}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # C gives inf or nan for a zero denominator: a bisection
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            bound = 3 * abs(sbis) - delta
+            if abs(spre) < bound:
+                bound = abs(spre)
+            if 2 * abs(stry) < bound:  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise ConvergenceError(f"function returned NaN at {xcur}")
+    raise ConvergenceError(f"no convergence after {_MAXITER} iterations, value is {xcur}")
 
 
 def isolate_levels(count, lo: float, hi: float, tol: float) -> list[tuple]:

@@ -15,10 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad, simpson
-from scipy.interpolate import CubicSpline
-from scipy.special import gamma as gamma_fn
-from scipy.special import jv, sici
 
 from .numerics import ConvergenceError, find_root, gauss_legendre_log, propagate
 
@@ -169,9 +165,25 @@ def solve_zero_energy(model: TwoBodyModel) -> ZeroEnergyState:
         inv_a = -beta / alpha  # a = -alpha/beta from u -> alpha + beta r = alpha (1 - r/a)
         phi = u / alpha
     phibar = 1.0 - rg * inv_a
-    r_e = 2.0 * simpson(phibar**2 - phi**2, x=rg)
+    r_e = 2.0 * _simpson(phibar**2 - phi**2, rg)
     nodes = int(np.count_nonzero(np.diff(np.sign(phi[np.abs(phi) > 0])) != 0))
     return ZeroEnergyState(float(inv_a), float(r_e), rg, phi, nodes, float(resid))
+
+
+def _simpson(y, x):
+    """Composite Simpson's rule on an odd number of nodes x, with the
+    operations of scipy.integrate.simpson's unequal-spacing branch, so the
+    sum agrees with it bit for bit."""
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum, hprod, h0divh1 = h0 + h1, h0 * h1, h0 / h1
+    return np.sum(
+        hsum / 6.0 * (
+            y[0:-2:2] * (2.0 - 1.0 / h0divh1)
+            + y[1:-1:2] * (hsum * (hsum / hprod))
+            + y[2::2] * (2.0 - h0divh1)
+        )
+    )
 
 
 def tune_to_scattering_length(
@@ -207,7 +219,65 @@ def universal_tail_wavefunction(n: float, x):
     if np.any(x <= 0):
         raise ValueError("x must be positive")
     nu = 1.0 / (n - 2.0)
-    return gamma_fn((n - 1.0) / (n - 2.0)) * np.sqrt(x) * jv(nu, 2.0 * x ** (-(n - 2.0) / 2.0))
+    z = 2.0 * x ** (-(n - 2.0) / 2.0)
+    return math.gamma((n - 1.0) / (n - 2.0)) * np.sqrt(x) * _bessel_j(nu, z)
+
+
+def _bessel_j(nu: float, z):
+    """Bessel function J_nu(z) for real 0 < |nu| < 1 and z > 0.
+
+    The power series for z <= 5; for 5 < z < 25 Miller's backward
+    recurrence from order nu + 60, normalised by the Neumann sum
+    (z/2)^nu = sum_k (nu + 2k) Gamma(nu + k)/k! J_{nu+2k}(z); for z >= 25
+    Hankel's expansion, summed until its terms fall below 1e-17, long
+    before its smallest term (at k ~ 2z, of size ~ e^{-2z}).
+    """
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    low, high = z <= 5.0, z >= 25.0
+    mid = ~(low | high)
+
+    x = z[low]  # power series
+    q = -0.25 * x * x
+    term = np.full_like(x, 1.0 / math.gamma(nu + 1.0))
+    total, ratio = term.copy(), np.empty_like(x)
+    k = 0
+    while np.max(np.abs(term), initial=0.0) > 1e-19:
+        k += 1
+        term *= np.divide(q, k * (nu + k), out=ratio)
+        total += term
+    out[low] = total * (0.5 * x) ** nu
+
+    x = z[mid]  # Miller
+    top = 60
+    f_up, f = np.zeros_like(x), np.full_like(x, 1e-30)
+    weight = math.gamma(nu) / math.gamma(top // 2 + 1) * math.prod(nu + j for j in range(top // 2))
+    norm = (nu + top) * weight * f
+    for m in range(top, 0, -1):  # f holds order nu + m, f_up nu + m + 1
+        f_up, f = f, 2.0 * (nu + m) / x * f - f_up
+        if m % 2 == 1:  # f is now of even order nu + m - 1 = nu + 2k
+            k = (m - 1) // 2
+            weight *= (k + 1) / (nu + k)  # Gamma(nu + k)/k! from k + 1
+            norm += (nu + 2 * k) * weight * f
+    out[mid] = f * (0.5 * x) ** nu / norm
+
+    x = z[high]  # Hankel
+    mu = 4.0 * nu * nu
+    term, p, q = np.ones_like(x), np.ones_like(x), np.zeros_like(x)
+    k = 0
+    while np.max(np.abs(term), initial=0.0) > 1e-17:
+        k += 1
+        term *= (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
+        if k % 2:
+            q += term if k % 4 == 1 else -term
+        else:
+            p += term if k % 4 == 0 else -term
+    phase = (0.5 * nu + 0.25) * math.pi
+    c, s = math.cos(phase), math.sin(phase)
+    out[high] = np.sqrt(2.0 / (math.pi * x)) * (
+        (p * c + q * s) * np.cos(x) + (p * s - q * c) * np.sin(x)
+    )
+    return out
 
 
 def half_effective_range_tail(n: float) -> float:
@@ -221,13 +291,15 @@ def half_effective_range_tail(n: float) -> float:
     x_split = (2.0 / 120.0) ** (2.0 / (n - 2.0))  # Bessel argument ~120
     x_top = 50.0
 
+    from scipy.integrate import quad  # efimov verify's one quadrature
+
     def integrand(x):
         return 1.0 - universal_tail_wavefunction(n, x) ** 2
 
     val, _ = quad(integrand, x_split, x_top, limit=4000)
     # below x_split: 1 contributes x_split; phi^2 has WKB envelope
     # Gamma^2 x^{1+(n-2)/2}/(2 pi) after averaging the oscillation
-    g2 = gamma_fn((n - 1.0) / (n - 2.0)) ** 2
+    g2 = math.gamma((n - 1.0) / (n - 2.0)) ** 2
     pow_ = 2.0 + (n - 2.0) / 2.0
     small = x_split - g2 * x_split**pow_ / (2.0 * np.pi * pow_)
     # beyond x_top: 1 - phi^2 ~ 2 x^{-(n-2)}/(1+nu)
@@ -274,6 +346,84 @@ def _sine_transform(r, delta, p):
     return (p * out).reshape(np.shape(delta)[:-1] + p.shape)
 
 
+_SPLINE_CHUNK = 32768  # points per pass of a spline evaluation: its buffers stay in cache
+
+
+def _geom_spline(p_tab, y):
+    """Not-a-knot cubic spline through (0, y[..., 0]) and (p_tab, y[..., 1:])
+    on geometric knots p_tab; returns p -> the spline at min(p, p_tab[-1]),
+    of shape y.shape[:-1] + p.shape.
+
+    The knot slopes solve scipy CubicSpline's tridiagonal system by
+    elimination without pivoting (Thomas), in the order of LAPACK's gtsv.
+    On geometric knots the interval of p is one logarithm, and evaluation
+    is an in-place Horner step.  It runs in chunks through a few buffers:
+    temporaries the size of a kernel slab would each be a fresh mmap, and
+    page faults would cost more than the arithmetic.
+    """
+    x = np.concatenate([[0.0], p_tab])
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d, e = x[2] - x[0], x[-1] - x[-3]
+    rhs = np.concatenate([
+        ((dx[0] + 2 * d) * dx[1] * slope[..., :1] + dx[0] ** 2 * slope[..., 1:2]) / d,
+        3 * (dx[1:] * slope[..., :-1] + dx[:-1] * slope[..., 1:]),
+        (dx[-1] ** 2 * slope[..., -2:-1] + (2 * e + dx[-1]) * dx[-2] * slope[..., -1:]) / e,
+    ], axis=-1)
+    lower = np.r_[dx[1:], e].tolist()  # row i + 1, column i
+    diag = np.r_[dx[1], 2 * (dx[:-1] + dx[1:]), dx[-2]].tolist()
+    upper = np.r_[d, dx[:-1]].tolist()  # row i, column i + 1
+    fact = []
+    for i in range(len(lower)):
+        fact.append(lower[i] / diag[i])
+        diag[i + 1] -= fact[i] * upper[i]
+    knot_slopes = []
+    for b in np.atleast_2d(rhs).tolist():
+        for i, f in enumerate(fact):
+            b[i + 1] -= f * b[i]
+        b[-1] /= diag[-1]
+        for i in range(len(b) - 2, -1, -1):
+            b[i] = (b[i] - upper[i] * b[i + 1]) / diag[i]
+        knot_slopes.append(b)
+    sl = np.reshape(knot_slopes, np.shape(y))
+    t = (sl[..., :-1] + sl[..., 1:] - 2 * slope) / dx
+    coef = [t / dx, (slope - sl[..., :-1]) / dx - t, sl[..., :-1], np.asarray(y)[..., :-1]]
+    # the last interval once more, for p = p_tab[-1] whose index rounds up;
+    # one list of the four coefficient rows per row of y
+    coef = [np.concatenate([c, c[..., -1:]], axis=-1).reshape(-1, x.size) for c in coef]
+    rows = list(zip(*coef))
+    base = np.r_[x[:-1], x[-2]]
+    top, inv_log_ratio = x[-1], (len(p_tab) - 1) / math.log(x[-1] / x[1])
+    shift = 1.0 - math.log(x[1]) * inv_log_ratio
+    p_low = x[1] * math.exp(-0.5 / inv_log_ratio)  # [0, p_tab[0]) maps to interval 0
+
+    def spline(p):
+        flat = np.reshape(p, -1)
+        out = np.empty((len(rows), flat.size))
+        n = min(max(flat.size, 1), _SPLINE_CHUNK)
+        s, u, k = np.empty(n), np.empty(n), np.empty(n, dtype=np.intp)
+        for a in range(0, flat.size, n):
+            m = min(n, flat.size - a)
+            sm, um, km = s[:m], u[:m], k[:m]
+            np.minimum(flat[a : a + m], top, out=sm)
+            np.maximum(sm, p_low, out=um)
+            np.log(um, out=um)
+            um *= inv_log_ratio
+            um += shift
+            km[...] = um  # truncation is the floor: um >= 0.5
+            sm -= base.take(km, out=um, mode="clip")  # every index is in range
+            for row, c in zip(out, rows):
+                o = c[0].take(km, out=row[a : a + m], mode="clip")
+                o *= sm
+                for cj in c[1:3]:
+                    o += cj.take(km, out=um, mode="clip")
+                    o *= sm
+                o += c[3].take(km, out=um, mode="clip")
+        return out.reshape(np.shape(y)[:-1] + np.shape(p))
+
+    return spline
+
+
 def est_form_factor(state: ZeroEnergyState, p_max: float = 60.0) -> FormFactor:
     """Rank-one separable profile reproducing a zero-energy state exactly.
 
@@ -293,12 +443,7 @@ def est_form_factor(state: ZeroEnergyState, p_max: float = 60.0) -> FormFactor:
         r = rg
     p_tab = np.geomspace(1e-4, q_top, 800)
     transform = _sine_transform(r, delta, p_tab)
-    spl = CubicSpline(np.concatenate([[0.0], p_tab]), np.concatenate([[1.0], 1.0 - transform]))
-
-    def fn(p, _top=p_tab[-1]):
-        return spl(np.minimum(p, _top))
-
-    return FormFactor(fn, state.inv_a, p_max)
+    return FormFactor(_geom_spline(p_tab, np.r_[1.0, 1.0 - transform]), state.inv_a, p_max)
 
 
 def step_form_factor(half_re: float = 1.0, inv_a: float = 0.0, p_max: float = 100.0) -> FormFactor:
@@ -327,24 +472,26 @@ _TAIL_GRIDS = {
 
 @functools.cache
 def _tail_transforms(n: int):
-    """Splines of the sine transforms of the two deficits of the -C_n/r^n
-    zero-energy state, built once per n: the unitarity part 1 - phi(x) and
-    the 1/a admixture x - Gamma(1-nu) sqrt(x) J_{-nu}(2 x^{-(n-2)/2}),
-    nu = 1/(n-2)."""
+    """Spline of the sine transforms of the two deficits of the -C_n/r^n
+    zero-energy state, built once per n; it returns both rows, the
+    unitarity part 1 - phi(x) and the 1/a admixture
+    x - Gamma(1-nu) sqrt(x) J_{-nu}(2 x^{-(n-2)/2}), nu = 1/(n-2)."""
     if n not in _TAIL_GRIDS:
         raise ValueError(f"tail form factors implemented for n in {tuple(_TAIL_GRIDS)}")
     r0, joint, end, h_in, h_out, cut, far = _TAIL_GRIDS[n]
     r = np.concatenate([np.arange(r0, joint, h_in), np.arange(joint, end, h_out)])
     nu = 1.0 / (n - 2.0)
     d0 = 1.0 - universal_tail_wavefunction(n, r)
-    d1 = r - gamma_fn(1.0 - nu) * np.sqrt(r) * jv(-nu, 2.0 * r ** (-(n - 2.0) / 2.0))
+    d1 = r - math.gamma(1.0 - nu) * np.sqrt(r) * _bessel_j(-nu, 2.0 * r ** (-(n - 2.0) / 2.0))
     inner = r < cut
     d0[inner] = 1.0
     d1[inner] = r[inner]
     t0, t1 = _sine_transform(r, np.array([d0, d1]), _P_TAB)
-    t1 += far * _P_TAB * (0.5 * np.pi - sici(_P_TAB * r[-1])[0])
-    full = np.concatenate([[0.0], _P_TAB])
-    return tuple(CubicSpline(full, np.concatenate([[0.0], t])) for t in (t0, t1))
+    if far:
+        from scipy.special import sici  # the n = 4 admixture's far tail only
+
+        t1 += far * _P_TAB * (0.5 * np.pi - sici(_P_TAB * r[-1])[0])
+    return _geom_spline(_P_TAB, np.pad([t0, t1], ((0, 0), (1, 0))))
 
 
 def universal_tail_form_factor(n: int, inv_a: float = 0.0) -> FormFactor:
@@ -356,11 +503,11 @@ def universal_tail_form_factor(n: int, inv_a: float = 0.0) -> FormFactor:
     the sine transforms of the unitarity deficit and of the 1/a admixture,
     are computed once per n and reused across the scattering-length family.
     """
-    sp0, sp1 = _tail_transforms(n)
+    transforms = _tail_transforms(n)
 
-    def fn(p, _inv_a=float(inv_a), _top=_P_TAB[-1]):
-        pc = np.minimum(p, _top)
-        return 1.0 - sp0(pc) + _inv_a * sp1(pc)
+    def fn(p, _inv_a=float(inv_a)):
+        t0, t1 = transforms(p)
+        return 1.0 - t0 + _inv_a * t1
 
     return FormFactor(fn, float(inv_a), _P_MAX)
 

@@ -1,5 +1,7 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from efimov.born_oppenheimer import (
     BO_CRITICAL_L1,
     OMEGA,
     bonding_energy,
+    _lambert_w,
     bonding_kappa,
     effective_potential,
     s0_estimate,
@@ -15,8 +18,20 @@ from efimov.born_oppenheimer import (
 
 
 def test_omega_is_the_exchange_root():
-    assert OMEGA * math.exp(OMEGA) == pytest.approx(1.0, abs=1e-15)
+    assert OMEGA * math.exp(OMEGA) == 1.0
     assert OMEGA == pytest.approx(0.567143290409784, abs=1e-12)
+
+
+def test_lambert_w_matches_mpmath():
+    x = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-12, 1e6, 400), [1.5, math.e]])
+    ref = np.array([float(mpmath.lambertw(mpmath.mpf(v))) for v in x])
+    assert _lambert_w(x) == pytest.approx(ref, rel=1e-15, abs=0)
+    assert _lambert_w(x[:400].reshape(20, 20)).shape == (20, 20)
+    # no overflow on the way to the largest double, and W(inf) = inf
+    top = np.finfo(float).max
+    big = _lambert_w(np.array([1e300, top, np.inf]))
+    assert big[:2] == pytest.approx([float(mpmath.lambertw(v)) for v in (1e300, top)], rel=1e-15)
+    assert big[2] == math.inf
 
 
 @settings(max_examples=50, deadline=None)

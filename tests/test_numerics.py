@@ -17,6 +17,7 @@ from efimov.numerics import (
     propagate,
     scan_sign_changes,
 )
+from scipy.optimize import brentq
 from scipy.special import airy
 
 
@@ -58,6 +59,55 @@ def test_quadrature_rule_rejects_bad_input():
 def test_find_root_recovers_cubic_root(root):
     f = lambda x: (x - root) * (x**2 + 1.0)
     assert find_root(f, -1.0, 1.0) == pytest.approx(root, abs=1e-10)
+
+
+# (f, lo, hi): smooth roots; a near-triple root and a jump, which take the
+# bisection fallback; a steep atan whose flat tails make secant steps
+# overshoot; and a sign change across a pole
+_BRENT_CASES = [
+    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (math.sin, 3.0, 4.0),
+    (lambda x: math.exp(x) - 10.0, 0.0, 5.0),
+    (lambda x: (x - 0.3) ** 3 + 1e-9 * (x - 0.3), 0.0, 1.0),
+    (lambda x: math.copysign(1.0, x - 0.123), -1.0, 1.0),
+    (lambda x: math.atan(1e6 * (x - 0.7)), 0.0, 1.0),
+    (lambda x: 1.0 / (x - 0.5), 0.0, 1.2),
+    (lambda x: x * math.exp(-x) - 0.1, 0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-13, 1e-6])
+@pytest.mark.parametrize("f, lo, hi", _BRENT_CASES)
+def test_find_root_is_brentq_with_one_evaluation_per_endpoint(f, lo, hi, tol):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    root = find_root(counted, lo, hi, tol=tol)
+    ref, info = brentq(f, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps, full_output=True)
+    assert root == ref  # bit for bit
+    assert len(calls) == info.function_calls  # brentq's count includes both endpoints
+    assert calls[:2] == [lo, hi]
+
+
+def test_find_root_reports_non_convergence_as_brentq_does():
+    # at a triple root f is rounding noise within 1e-5 of 0.3, so 100
+    # iterations do not reach 1e-12
+    f = lambda x: (x - 0.3) ** 3
+    with pytest.raises(RuntimeError):
+        brentq(f, 0.0, 1.0, xtol=1e-12, rtol=4 * np.finfo(float).eps)
+    with pytest.raises(ConvergenceError):
+        find_root(f, 0.0, 1.0, tol=1e-12)
+
+
+def test_find_root_rejects_nan_inside_the_bracket():
+    # the endpoints are fine and of opposite sign; the first secant step
+    # lands at 0.5, inside the NaN window
+    f = lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5
+    with pytest.raises(ConvergenceError, match="NaN"):
+        find_root(f, 0.0, 1.0)
 
 
 def test_find_root_requires_bracket():

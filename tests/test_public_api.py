@@ -6,8 +6,14 @@ script, or by an acceptance criterion.  A helper that only its own unit
 test calls is dead weight.  No library module may import a name it does
 not use.  Every defaulted parameter or dataclass field of the public API
 must be set by some call: one that nothing sets is a constant.
+
+No library module imports scipy at module level, and the solver paths of
+the CLI run without it: importing scipy costs more than most solves.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,10 +104,11 @@ def _signature(fn, method):
 
 
 def _settings(path):
-    """(label, callee name, positional names, defaulted names) of every public
-    function, public dataclass and public method of a library module."""
+    """(label, callee name, positional names, defaulted names) of every
+    module-level function, public dataclass and public method of a library
+    module; private helpers count, so they grow no unset knobs either."""
     for node in _tree(path).body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+        if isinstance(node, ast.FunctionDef):
             yield (f"{path.stem}.{node.name}", node.name, *_signature(node, False))
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             if _is_dataclass(node):
@@ -159,9 +166,9 @@ class _Calls(ast.NodeVisitor):
 
 
 def test_every_parameter_is_passed():
-    """Every defaulted parameter of a public function or method, and every
-    defaulted field of a public dataclass, is set by some call in src,
-    scripts, tests or bench.  A default that nothing overrides is a
+    """Every defaulted parameter of a module-level function or public
+    method, and every defaulted field of a public dataclass, is set by some
+    call in src, scripts, tests or bench.  A default that nothing overrides is a
     constant, and each such setting doubles the configurations to check."""
     visitor = _Calls()
     for path in CALLERS:
@@ -186,3 +193,59 @@ def test_every_parameter_is_passed():
         if not p.startswith("_") and p not in passed.get(callee, ())
     ]
     assert not unset, f"parameters that no call in src, scripts, tests or bench sets: {unset}"
+
+
+def _module_level_imports(tree):
+    """Import nodes that run when the module is imported: everything outside
+    function bodies (class bodies and if/try blocks included)."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.stem)
+def test_no_module_level_scipy_import(path):
+    found = []
+    for node in _module_level_imports(_tree(path)):
+        names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+        if any(name and name.split(".")[0] == "scipy" for name in names):
+            found.append(f"line {node.lineno}")
+    assert not found, f"{path.name} imports scipy at module level ({', '.join(found)})"
+
+
+_SOLVER_PATHS = """
+import sys
+import numpy as np
+import efimov.cli
+from efimov import born_oppenheimer, channels, hyperradial, numerics, stm, two_body, universal
+
+form = two_body.universal_tail_form_factor(6, 0.3)  # J_nu down to x = 1e-6, z = 2e12
+assert np.all(np.isfinite(form(np.linspace(0.0, 200.0, 101))))
+state = two_body.solve_zero_energy(
+    two_body.TwoBodyModel("poschl_teller", {"lambda": 1.3, "range": 1.0})
+)
+two_body.est_form_factor(state)(np.linspace(0.0, 200.0, 101))
+numerics.find_root(np.cos, 1.0, 2.0)
+born_oppenheimer.bonding_kappa(np.array([0.5, 2.0]), -1.0)
+hyperradial.solve_bound_states(hyperradial.HyperradialChannel(), (1e-3, 10.0))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_solver_paths_load_no_scipy():
+    """The CLI and every library module import, and the tail and EST form
+    factors, a root, a bonding orbital and a hyperradial spectrum solve,
+    without loading scipy and, under -W error, without a numpy warning."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _SOLVER_PATHS],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = ast.literal_eval(proc.stdout.strip())
+    assert not loaded, f"{len(loaded)} scipy modules loaded, e.g. {loaded[:4]}"

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
-from scipy.special import digamma
+from scipy.interpolate import CubicSpline
+from scipy.special import digamma, jv
 
+from efimov import two_body
 from efimov.numerics import propagate
 
 from efimov.stm import StmKernel
@@ -16,6 +18,8 @@ from efimov.two_body import (
     TwoBodyModel,
     VirtualStateError,
     ZeroEnergyState,
+    _bessel_j,
+    _simpson,
     _sine_transform,
     dimer_energy,
     est_form_factor,
@@ -166,6 +170,58 @@ def test_sine_transform_matches_direct_trapezoid(layout):
     for row, d in zip(np.atleast_2d(got), np.atleast_2d(delta)):
         direct = [q * np.trapezoid(d * np.sin(q * r), r) for q in p]
         assert row == pytest.approx(direct, rel=0, abs=1e-12)
+
+
+def _built_tables(monkeypatch):
+    """(p_tab, y) of every spline the two form-factor builders make: the
+    n = 6 tail transforms and the EST profile of a Poschl-Teller state."""
+    tables = []
+
+    def record(p_tab, y):
+        tables.append((p_tab, np.atleast_2d(y)))
+        return spline(p_tab, y)
+
+    spline = two_body._geom_spline
+    monkeypatch.setattr(two_body, "_geom_spline", record)
+    tail = two_body._tail_transforms.__wrapped__(6)  # bypass the cache
+    est = est_form_factor(solve_zero_energy(_pt(1.3)), p_max=40.0)
+    return [(tables[0], lambda p: tail(p)), (tables[1], lambda p: est(p)[None])]
+
+
+def test_spline_matches_scipy_cubic_spline(monkeypatch):
+    for (p_tab, y), evaluate in _built_tables(monkeypatch):
+        knots = np.r_[0.0, p_tab]
+        p = np.concatenate([
+            knots,
+            np.nextafter(knots[1:], 0.0),  # one ulp either side of each knot
+            np.nextafter(knots, np.inf),
+            np.geomspace(1e-6, p_tab[-1], 5000),
+            [p_tab[-1], 1.5 * p_tab[-1], 1e9],  # the clamp
+        ])
+        ref = [CubicSpline(knots, row)(np.minimum(p, p_tab[-1])) for row in y]
+        assert evaluate(p) == pytest.approx(np.array(ref), rel=0, abs=1e-15)
+        assert evaluate(np.array(0.0)) == pytest.approx(y[:, 0], rel=0, abs=0)
+
+
+def test_simpson_is_scipy_simpson_bit_for_bit():
+    st_ = solve_zero_energy(_pt(1.3))
+    y = (1.0 - st_.r * st_.inv_a) ** 2 - st_.phi**2
+    assert st_.r.size == 20001
+    assert _simpson(y, st_.r) == simpson(y, x=st_.r)
+    assert st_.r_e == 2.0 * simpson(y, x=st_.r)
+
+
+@pytest.mark.parametrize("nu", [0.25, -0.25, 0.5, -0.5])
+def test_bessel_j_matches_scipy_and_mpmath(nu):
+    # dense across the three regimes: series (z <= 5), Miller (5 < z < 25), Hankel
+    z = np.concatenate([np.geomspace(1e-4, 300.0, 4000), np.linspace(4.9, 25.1, 2021)])
+    ref = jv(nu, z)
+    # 1e-14 absolute, relative where |J| > 1: J_{-1/2}(1e-4) = 80 has a 1.4e-14 ulp
+    assert np.all(np.abs(_bessel_j(nu, z) - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+    pts = [1e-4, 0.3, 2.0, 5.0, 5.001, 9.7, 24.99, 25.0, 60.0, 300.0, 2e6]
+    exact = np.array([float(mpmath.besselj(nu, z_)) for z_ in pts])
+    got = _bessel_j(nu, np.array(pts))
+    assert np.all(np.abs(got - exact) <= 2e-15 * np.maximum(1.0, np.abs(exact)))
 
 
 def test_est_form_factor_reproduces_source_observables():
