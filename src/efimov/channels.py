@@ -62,7 +62,7 @@ def boson_sigma(rho: float = 0.0) -> float:
     hi = 1.5
     while _boson_sigma_eq(hi, rho) < 0:
         hi *= 2.0
-    return find_root(lambda s: _boson_sigma_eq(s, rho), 1e-12, hi)
+    return find_root(lambda s: _boson_sigma_eq(s, rho), 1e-12, hi, tol=1e-14)
 
 
 #: |s_0| for three identical bosons at unitarity.
@@ -77,6 +77,7 @@ S0_TWO_PAIR = find_root(
     lambda sig: np.cosh(sig * np.pi / 2) - (4 / _SQ3) * np.sinh(sig * np.pi / 6) / sig,
     0.05,
     1.5,
+    tol=1e-14,
 )
 
 

@@ -110,7 +110,7 @@ def _option_value(action, val):
         if not isinstance(val, bool):
             raise TypeError("a flag takes true or false")
         return val
-    many = action.nargs == "*"
+    many = action.nargs == "*" or isinstance(action, argparse._AppendAction)
     if many and not isinstance(val, list):
         raise TypeError("a list option takes a list")
     out = [(action.type or str)(str(v)) for v in (val if many else [val])]

@@ -32,6 +32,7 @@ from .numerics import (
 from .two_body import (
     FormFactor,
     TwoBodyModel,
+    ZeroEnergyState,
     dimer_energy,
     dimer_integral,
     est_form_factor,
@@ -58,6 +59,10 @@ __all__ = [
 
 _DEF_N = 400
 _DEF_NANG = 48
+_TRITON_P_MAX = 40.0  # fm^-1, top of the nucleon momentum grid
+# relative gap kept between an energy window's top and a dimer pole: on the
+# pole M(E) is singular, and its count of negative eigenvalues jumps there
+_POLE_GAP = 1e-10
 
 
 class ResolutionWarning(UserWarning):
@@ -90,16 +95,16 @@ def bound_levels(kernel, E_window: tuple[float, float]) -> list[float]:
     """Bound-state energies of ``kernel`` in (E_lo, E_hi), E < 0, deepest
     first.
 
-    The window ends at the kernel's lowest dimer pole, above which M(E)
-    holds the discretised atom-dimer continuum.  The number of negative
-    eigenvalues of M(E) is bisected in ln(-E) until each bracket holds one
-    level; Brent's method refines it on the eigenvalue of sorted index
-    min(count) that crosses zero there.
+    The window ends 1e-10 (relative) below the kernel's lowest dimer
+    pole, above which M(E) holds the discretised atom-dimer continuum.  The
+    number of negative eigenvalues of M(E) is bisected in ln(-E) until each
+    bracket holds one level; Brent's method refines it on the eigenvalue of
+    sorted index min(count) that crosses zero there.
     """
     E_lo, E_hi = E_window
     if not E_lo < E_hi < 0:
         raise ValueError("need E_lo < E_hi < 0")
-    E_hi = min(E_hi, kernel._threshold())
+    E_hi = min(E_hi, (1 + _POLE_GAP) * kernel._threshold())
     if not E_lo < E_hi:
         return []
     spectrum = functools.cache(lambda l: _spectrum(kernel, -math.exp(l)))
@@ -433,7 +438,7 @@ def narrow_resonance_a_star0(r_star: float) -> float:
     def has_state(inv_a):
         kern = StmKernel(inv_a, cutoff, r_star=r_star, n=400, p_min_factor=1e-8)
         Ed = kern._threshold()
-        return _level_count(kern, (1e4 * Ed, Ed * (1 + 1e-10))) > 0
+        return _level_count(kern, (1e4 * Ed, (1 + _POLE_GAP) * Ed)) > 0
 
     return 1.0 / _bisect_threshold(has_state, 2.6 / r_star, 1.8 / r_star, 1e-4)
 
@@ -452,77 +457,72 @@ def kappa_star_extrapolated(energies, level: int = 0) -> float:
 # two-channel triton model
 
 
+def _sech2_state(lam: float, b: float) -> ZeroEnergyState:
+    """Zero-energy state of V = -lambda(lambda+1)/b^2 sech^2(r/b)."""
+    return solve_zero_energy(TwoBodyModel("poschl_teller", {"lambda": lam, "range": b}))
+
+
 @dataclass(frozen=True)
 class TritonModel:
     """Coupled triplet/singlet nucleon model with potential-shape form
     factors from a sech^2 well fitted to each channel's (a, r_e).
 
-    Lengths in fm; ``hbar2_over_m`` converts natural energies (fm^-2) to
-    MeV.  The fitted well parameters and the achieved (a, r_e) residuals
-    are stored for inspection.
+    Built by ``TritonModel.fit``.  Lengths in fm; ``hbar2_over_m`` converts
+    natural energies (fm^-2) to MeV.  The fitted wells are kept as their
+    zero-energy states, from which the form factors are built and the
+    achieved (a, r_e) residual is read.
     """
 
-    a_t: float = 5.4112
-    r_et: float = 1.7436
-    a_s: float = -23.7148
-    r_es: float = 2.750
-    hbar2_over_m: float = 41.46
-    lambda_t: float = None
-    b_t: float = None
-    lambda_s: float = None
-    b_s: float = None
-    fit_residual: float = None
+    a_t: float
+    r_et: float
+    a_s: float
+    r_es: float
+    hbar2_over_m: float
+    triplet: ZeroEnergyState = field(repr=False, compare=False)
+    singlet: ZeroEnergyState = field(repr=False, compare=False)
 
     @classmethod
     def fit(cls, a_t=5.4112, r_et=1.7436, a_s=-23.7148, r_es=2.750, hbar2_over_m=41.46):
         """Fit (lambda, b) of V = -lambda(lambda+1)/b^2 sech^2(r/b) per
         channel: lambda sets the shape ratio r_e/a, then b sets the scale."""
-        out = {}
-        resid = 0.0
-        for tag, (a, re, lo, hi) in {
-            "t": (a_t, r_et, 1.05, 1.9),
-            "s": (a_s, r_es, 0.3, 0.999),
-        }.items():
 
-            def shape(lam, _target=re / a):
-                st = solve_zero_energy(
-                    TwoBodyModel("poschl_teller", {"lambda": lam, "range": 1.0})
-                )
-                return st.r_e * st.inv_a - _target
+        @functools.cache
+        def unit_well(lam):  # 1/a and the shape ratio r_e/a of the b = 1 well
+            st = _sech2_state(lam, 1.0)
+            return st.inv_a, st.r_e * st.inv_a
 
-            lam = find_root(shape, lo, hi, tol=1e-12)
-            st = solve_zero_energy(
-                TwoBodyModel("poschl_teller", {"lambda": lam, "range": 1.0})
-            )
-            b = a * st.inv_a  # scale b so that a comes out exactly
-            chk = solve_zero_energy(
-                TwoBodyModel("poschl_teller", {"lambda": lam, "range": b})
-            )
-            resid = max(
-                resid,
-                abs(chk.inv_a * a - 1.0),
-                abs(chk.r_e / re - 1.0),
-            )
-            out[tag] = (lam, b)
-        if resid > 1e-3:
-            raise ConvergenceError(f"channel fit residual {resid:.1e} exceeds 0.1%")
-        return cls(
+        def well(a, re, lo, hi):
+            lam = find_root(lambda l: unit_well(l)[1] - re / a, lo, hi, tol=1e-12)
+            return _sech2_state(lam, a * unit_well(lam)[0])  # b such that a comes out exactly
+
+        model = cls(
             a_t, r_et, a_s, r_es, hbar2_over_m,
-            lambda_t=out["t"][0], b_t=out["t"][1],
-            lambda_s=out["s"][0], b_s=out["s"][1],
-            fit_residual=resid,
+            well(a_t, r_et, 1.05, 1.9), well(a_s, r_es, 0.3, 0.999),
+        )
+        if model.fit_residual > 1e-3:
+            raise ConvergenceError(f"channel fit residual {model.fit_residual:.1e} exceeds 0.1%")
+        return model
+
+    @property
+    def fit_residual(self) -> float:
+        """Largest relative miss of the fitted wells' a and r_e."""
+        return max(
+            max(abs(st.inv_a * a - 1.0), abs(st.r_e / re - 1.0))
+            for st, a, re in (
+                (self.triplet, self.a_t, self.r_et), (self.singlet, self.a_s, self.r_es)
+            )
         )
 
-    def form_factors(self, p_max: float = 40.0) -> tuple[FormFactor, FormFactor]:
-        if self.lambda_t is None:
-            raise ValueError("model not fitted; use TritonModel.fit()")
-        out = []
-        for lam, b in ((self.lambda_t, self.b_t), (self.lambda_s, self.b_s)):
-            st = solve_zero_energy(
-                TwoBodyModel("poschl_teller", {"lambda": lam, "range": b})
-            )
-            out.append(est_form_factor(st, p_max=p_max))
-        return tuple(out)
+    def form_factors(self, p_max: float = _TRITON_P_MAX) -> tuple[FormFactor, FormFactor]:
+        return tuple(est_form_factor(st, p_max=p_max) for st in (self.triplet, self.singlet))
+
+    def kernel(self, inv_a, n, n_ang, p_min, p_max=_TRITON_P_MAX) -> SeparableKernel:
+        """Two-channel kernel at the (triplet, singlet) inverse scattering
+        lengths inv_a, on n log-spaced momenta in (p_min, p_max) fm^-1;
+        each channel's dimer integral starts at 1e-4 p_min."""
+        return SeparableKernel(
+            self.form_factors(p_max), inv_a, n=n, n_ang=n_ang, p_min=p_min, q_min=1e-4 * p_min
+        )
 
     @property
     def deuteron_energy(self) -> float:
@@ -550,13 +550,9 @@ def solve_triton(model: TritonModel) -> TritonResult:
     alongside as a model diagnostic).
     """
     h2m = model.hbar2_over_m
-    ff_t, ff_s = model.form_factors()
-    p_min = 1e-4
-    kern = SeparableKernel(
-        (ff_t, ff_s), (1.0 / model.a_t, 1.0 / model.a_s), n=300, n_ang=_DEF_NANG,
-        p_min=p_min, q_min=1e-4 * p_min,
-    )
+    kern = model.kernel((1.0 / model.a_t, 1.0 / model.a_s), 300, _DEF_NANG, 1e-4)
     roots = bound_levels(kern, (-0.5, -1.02 * model.deuteron_energy / h2m))
+    ff_t = kern.forms[0]
     Ed_sep = separable_dimer_energy(ff_t, ff_t.inv_a, 1e-8 * ff_t.p_max)
     return TritonResult(
         deuteron=model.deuteron_energy,
@@ -569,8 +565,4 @@ def solve_triton_unitarity(model: TritonModel) -> list[float]:
     """Two-channel spectrum in (-0.5, -1e-9) fm^-2 with both inverse
     scattering lengths set to zero (natural units, fm^-2); exposes the
     boson-like scaling ratio."""
-    p_min = 1e-6
-    kern = SeparableKernel(
-        model.form_factors(), (0.0, 0.0), n=240, n_ang=32, p_min=p_min, q_min=1e-4 * p_min
-    )
-    return bound_levels(kern, (-0.5, -1e-9))
+    return bound_levels(model.kernel((0.0, 0.0), 240, 32, 1e-6), (-0.5, -1e-9))

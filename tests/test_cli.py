@@ -2,12 +2,14 @@ import ast
 import inspect
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from efimov import __version__
 from efimov.cli import ConfigError, build_parser, main, read_config
 from efimov.numerics import BracketingError, ConvergenceError
+from efimov.stm import TritonModel
 
 
 def run(argv):
@@ -74,6 +76,18 @@ def test_command_line_overrides_config(tmp_path):
     assert run(argv + ["--output", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 1 + 5
 
+    # the repeatable --param takes a list; entries given on the command
+    # line follow the config's, so a key repeated there wins
+    def a_of(*argv):
+        assert run(["twobody", *argv, "--output", str(out)]) == 0
+        return dict(l.split(",") for l in out.read_text().splitlines()[1:])["a"]
+
+    cfg.write_text('param = ["lambda=1.3", "range=1.0"]\n', encoding="utf-8")
+    assert a_of("--config", str(cfg)) == a_of("--param", "lambda=1.3", "--param", "range=1.0")
+    assert a_of("--config", str(cfg), "--param", "range=2.0") == a_of(
+        "--param", "lambda=1.3", "--param", "range=2.0"
+    )
+
 
 def test_config_errors_exit_2(tmp_path):
     assert run(["universal", "--config", str(tmp_path / "missing.cfg")]) == 2
@@ -91,6 +105,10 @@ def test_config_errors_exit_2(tmp_path):
     mistyped = tmp_path / "mistyped.cfg"
     mistyped.write_text('points = "many"\n', encoding="utf-8")
     assert run(["universal", "--config", str(mistyped)]) == 2
+    # a repeatable option takes a list, not one string
+    scalar = tmp_path / "scalar.cfg"
+    scalar.write_text('param = "lambda=1.3"\n', encoding="utf-8")
+    assert run(["twobody", "--config", str(scalar), "--param", "range=1.0"]) == 2
     with pytest.raises(ConfigError):
         read_config(str(bad))
 
@@ -168,6 +186,13 @@ def test_power6_is_the_vdw_model(tmp_path, a):
     assert _stm_csv(tmp_path, "--model", "power6", f"--a={a}") == vdw
 
 
+def test_narrow_resonance_level_below_the_dimer(tmp_path):
+    # the level search ends just below the dimer pole, where the kernel's
+    # count of negative eigenvalues jumps by 2
+    rows = _stm_csv(tmp_path, "--model", "narrow-resonance", "--a", "2").splitlines()[1:]
+    assert [float(row.split(",")[1]) for row in rows] == [-1.72181790188e-01]
+
+
 def test_exact_domain_moves_only_the_three_body_parameter(tmp_path):
     # the exact exchange domain is a cutoff-scale change: it shifts every
     # shallow level by the same factor, as a changed three-body parameter
@@ -199,6 +224,22 @@ def test_every_option_is_read():
             and action.dest not in ("help", "config", "output", "manifest")
         ]
     assert not unread
+
+
+def test_triton_defaults_are_the_model_fit_defaults():
+    # the triton options of the CLI and of scripts/triton_study.py default
+    # to the inputs of TritonModel.fit
+    fit = {k: p.default for k, p in inspect.signature(TritonModel.fit).parameters.items()}
+    (sub,) = (a for a in build_parser()._actions if a.dest == "subcommand")
+    assert {k: sub.choices["triton"].get_default(k) for k in fit} == fit
+    script = Path(__file__).resolve().parents[1] / "scripts" / "triton_study.py"
+    study = {
+        node.args[0].value.lstrip("-").replace("-", "_"): ast.literal_eval(kw.value)
+        for node in ast.walk(ast.parse(script.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+        for kw in node.keywords if kw.arg == "default"
+    }
+    assert {k: study[k] for k in fit} == fit
 
 
 def test_bo_subcommand(tmp_path):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from efimov.channels import LAMBDA0
 from efimov.numerics import gauss_legendre, gauss_legendre_log
 from efimov.stm import (
+    ResolutionWarning,
     SeparableKernel,
     StmKernel,
     TritonModel,
@@ -102,23 +104,28 @@ def test_positive_a_levels_below_dimer():
 
 
 @pytest.mark.parametrize(
-    "make_form, n_levels",
+    "make_form, n_levels, n, warns",
     [
-        (lambda: step_form_factor(1.0, inv_a=0.5), 2),
-        (lambda: universal_tail_form_factor(6, 0.3), 1),
+        (lambda: step_form_factor(1.0, inv_a=0.5), 2, 140, True),
+        (lambda: step_form_factor(1.0, inv_a=0.5), 2, 280, False),
+        (lambda: universal_tail_form_factor(6, 0.3), 1, 140, False),
     ],
-    ids=["step", "vdw"],
+    ids=["step", "step_n280", "vdw"],
 )
-def test_separable_levels_below_dimer(make_form, n_levels):
+def test_separable_levels_below_dimer(make_form, n_levels, n, warns):
     # above the dimer pole the kernel's spectrum holds the discretised
     # atom-dimer continuum, which must not pass for trimers.  For the van
     # der Waals (n = 6 tail) profile at 1/a = 0.3 the kernel's pole
     # (separable_dimer_energy from the kernel's q_min = 1e-6) lies 1.3e-6
     # (relative) below the stand-alone pole from 1e-8 p_max, and 26
-    # continuum states fall between
+    # continuum states fall between.  The two step levels lie 1.9 cells of
+    # the n = 140 grid apart, and there they are 1e-4 off (-1.34744,
+    # -0.95430); from n = 280 on they agree to 1e-10 (-1.3473116,
+    # -0.9541246), and the spacing check is quiet
     form = make_form()
     E_dimer = separable_dimer_energy(form, form.inv_a, 1e-8 * form.p_max)
-    lev = solve_trimers_separable(form, n=140, n_ang=24)
+    with pytest.warns(ResolutionWarning) if warns else contextlib.nullcontext():
+        lev = solve_trimers_separable(form, n=n, n_ang=24)
     assert len(lev) == n_levels
     assert all(E < E_dimer for E in lev)
 
