@@ -4,7 +4,8 @@ Solves the s-wave spectator-amplitude equation for zero-range and
 narrow-resonance interactions (``StmKernel``) and for rank-one separable
 interactions (``SeparableKernel``).  The separable kernel takes one form
 factor per spin-isospin channel: one channel for identical bosons, the
-triplet/singlet pair for the nucleon model.  Natural units hbar = m = 1:
+triplet/singlet pair for the nucleon model, and keeps its exchange sums
+on the upper triangle only (S_ba = S_ab^T).  Natural units hbar = m = 1:
 the spectator kinetic term is (3/4)P^2 and dimers sit at -kappa^2.
 
 Each kernel M(E) is real symmetric under a diagonal similarity, so
@@ -268,6 +269,11 @@ class SeparableKernel:
     q1 = |Q + P/2|, q2 = |P + Q/2|.  The recoupling weights W are [[1]] for
     bosons and [[1/4, 3/4], [3/4, 1/4]] for the nucleon triplet/singlet
     pair.  I_a is ``two_body.dimer_integral`` from q_min.
+
+    S_ab = sum_c w_c phi_a(q1) phi_b(q2)/den, the angular sum of K_ab, has
+    S_ba = S_ab^T (den is symmetric in P, Q; q1, q2 swap), so the tables of
+    each ordered pair (a, b) are kept for Q >= P only, in row slabs, and
+    ``matrix`` sums them against one reused slab of 1/den.
     """
 
     form: FormFactor | tuple
@@ -296,30 +302,28 @@ class SeparableKernel:
         if self._tables:
             return
         rule = self.grid
-        p, wp = rule.nodes, rule.weights
-        ang = gauss_legendre(self.n_ang, -1.0, 1.0)
-        P = p[:, None, None]
-        Q = p[None, :, None]
-        C = ang.nodes[None, None, :]
-        # phi_a(q1) in slabs of P rows, which keeps the temporaries of the
-        # form-factor calls small.  q2(P, Q, c) = q1(Q, P, c): phi(q2) is a
-        # transposed view of phi(q1), and the (b, a) angular sum is the
-        # transpose of the (a, b) one
-        nc = len(self.forms)
-        phi1 = np.empty((nc, self.n, self.n, self.n_ang))
-        for i in range(0, self.n, _SLAB):
-            Ps = P[i : i + _SLAB]
-            q1 = np.sqrt(Q * Q + 0.25 * Ps * Ps + Ps * Q * C)
-            for a, f in enumerate(self.forms):
-                phi1[a, i : i + _SLAB] = f(q1)
-        ang_tables = {}
-        for a in range(nc):
-            for b in range(a, nc):
-                ang_tables[a, b] = ang.weights * phi1[a]
-                ang_tables[a, b] *= phi1[b].transpose(1, 0, 2)
-        del phi1
+        p, n, n_ang = rule.nodes, self.n, self.n_ang
+        ang = gauss_legendre(n_ang, -1.0, 1.0)
+        # one packed table per ordered channel pair (a, b), in row slabs
+        # [i0, i0 + _SLAB) that keep the columns j >= i0 only
+        pairs = [(a, b) for a in range(len(self.forms)) for b in range(len(self.forms))]
+        starts = range(0, n, _SLAB)
+        shapes = [(min(_SLAB, n - i0), n - i0, n_ang) for i0 in starts]
+        packed = {ab: np.empty(sum(map(math.prod, shapes))) for ab in pairs}
+        slabs, off = [], 0
+        for i0, shape in zip(starts, shapes):
+            P, Q = p[i0 : i0 + shape[0], None, None], p[None, i0:, None]
+            q = np.sqrt([Q * Q + 0.25 * P * P + P * Q * ang.nodes,  # q1, q2
+                         P * P + 0.25 * Q * Q + Q * P * ang.nodes])
+            phi = [f(q) for f in self.forms]
+            tabs = {ab: packed[ab][off : off + math.prod(shape)].reshape(shape) for ab in pairs}
+            for (a, b), tab in tabs.items():
+                np.multiply(ang.weights, phi[a][0], out=tab)
+                tab *= phi[b][1]
+            slabs.append((i0, tabs))
+            off += math.prod(shape)
         self._tables.update(
-            p=p, wp=wp, P=P, Q=Q, C=C, ang=ang_tables,
+            p=p, wp=rule.weights, c=ang.nodes, slabs=slabs, buf=np.empty(_SLAB * n * n_ang),
             dimer=[dimer_integral(f, self.q_min) for f in self.forms],
         )
 
@@ -339,19 +343,25 @@ class SeparableKernel:
     def matrix(self, E: float) -> np.ndarray:
         self._build()
         t = self._tables
-        inv_den = t["P"] * t["Q"] * t["C"]
-        inv_den += t["P"] ** 2 + t["Q"] ** 2
-        inv_den -= E
-        np.reciprocal(inv_den, out=inv_den)
-        S = {ab: np.einsum("ijk,ijk->ij", tab, inv_den) for ab, tab in t["ang"].items()}
-        col = t["wp"] * t["p"] ** 2 / (2 * np.pi**2)
-        W = _RECOUPLING[len(self.forms)]
+        nc, p = len(self.forms), t["p"]
+        U = np.empty((nc, nc, self.n, self.n))  # S_ab on and above the diagonal
+        for i0, tabs in t["slabs"]:
+            shape = tabs[0, 0].shape
+            P, Q = p[i0 : i0 + shape[0], None, None], p[None, i0:, None]
+            inv_den = np.multiply(P * Q, t["c"], out=t["buf"][: math.prod(shape)].reshape(shape))
+            inv_den += P**2 + Q**2
+            inv_den -= E
+            np.reciprocal(inv_den, out=inv_den)
+            for (a, b), tab in tabs.items():
+                np.einsum("ijk,ijk->ij", tab, inv_den, out=U[a, b, i0 : i0 + shape[0], i0:])
+        col = t["wp"] * p**2 / (2 * np.pi**2)
+        W = _RECOUPLING[nc]
         K = np.block([
-            [W[a, b] * (S[a, b] if a <= b else S[b, a].T) * col for b in range(len(W))]
-            for a in range(len(W))
+            [W[a, b] * (np.triu(U[a, b]) + np.triu(U[b, a], 1).T) * col for b in range(nc)]
+            for a in range(nc)
         ])
         D = np.repeat(self.inv_a, self.n) / (4 * np.pi)
-        kap2 = (0.75 * t["p"] ** 2 - E)[:, None]
+        kap2 = (0.75 * p**2 - E)[:, None]
         return np.diag(D - np.concatenate([I(kap2) for I in t["dimer"]])) + K
 
 
@@ -531,6 +541,16 @@ class TritonModel:
         pole = dimer_energy(1.0 / self.a_t, self.r_et)
         return -self.hbar2_over_m * pole
 
+    @property
+    def inv_a(self) -> tuple[float, float]:
+        """Physical (triplet, singlet) inverse scattering lengths, fm^-1."""
+        return (1.0 / self.a_t, 1.0 / self.a_s)
+
+    @property
+    def trimer_window(self) -> tuple[float, float]:
+        """Trimer search window, -0.5 up to 1.02 E_deuteron, in fm^-2."""
+        return (-0.5, -1.02 * self.deuteron_energy / self.hbar2_over_m)
+
 
 @dataclass(frozen=True)
 class TritonResult:
@@ -542,16 +562,16 @@ class TritonResult:
 def solve_triton(model: TritonModel) -> TritonResult:
     """Bound states of the coupled triplet/singlet spectator equations.
 
-    Energies in MeV; the trimer search runs from -0.5 fm^-2 up to 1.02
-    times the deuteron energy, on n = 300 momenta in (1e-4, 40) fm^-1 and
-    48 angular nodes (grid convergence: README, "Triton ground state").
+    Energies in MeV; the trimer search runs over ``model.trimer_window``,
+    on n = 300 momenta in (1e-4, 40) fm^-1 and 48 angular nodes (grid
+    convergence: README, "Triton ground state").
     The deuteron itself is quoted from the effective-range pole of the
     triplet T-matrix (the separable form factor's own pole is reported
     alongside as a model diagnostic).
     """
     h2m = model.hbar2_over_m
-    kern = model.kernel((1.0 / model.a_t, 1.0 / model.a_s), 300, _DEF_NANG, 1e-4)
-    roots = bound_levels(kern, (-0.5, -1.02 * model.deuteron_energy / h2m))
+    kern = model.kernel(model.inv_a, 300, _DEF_NANG, 1e-4)
+    roots = bound_levels(kern, model.trimer_window)
     ff_t = kern.forms[0]
     Ed_sep = separable_dimer_energy(ff_t, ff_t.inv_a, 1e-8 * ff_t.p_max)
     return TritonResult(

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,16 +188,11 @@ def test_separable_ground_state_scale(step_ground):
     assert 0.1 < kappa < 0.4
 
 
-def test_nucleon_kernel_matches_two_channel_block():
-    # reference: the triplet/singlet 2x2-block assembly written out in the
-    # 1/pi normalisation (4 pi times the kernel's), exchange weight 1/2
-    # within a channel and 3/2 across, dimer integral from 1e-4 p_min
-    ff_t = FormFactor(lambda q: 1.0 / (1.0 + q**2 / 1.4**2), 0.2, 40.0)
-    ff_s = FormFactor(lambda q: 1.0 / (1.0 + q**2 / 1.1**2), -0.04, 40.0)
-    n, n_ang, p_min, p_max, E = 40, 12, 1e-4, 40.0, -0.3
-    kern = SeparableKernel(
-        (ff_t, ff_s), (0.2, -0.04), n=n, n_ang=n_ang, p_min=p_min, q_min=1e-4 * p_min
-    )
+def _direct_sum(n, n_ang, p_min, p_max, E):
+    """Exchange sum K(fa, fb) and dimer integral I(f), summed directly on
+    the full (P, Q, c) grid: 4 pi times the kernel's block (a, b) is
+    delta_ab diag(1/a_a - I(f_a)) + 2 W_ab K(f_a, f_b), with the dimer
+    integral from 1e-4 p_min."""
     rule = gauss_legendre_log(n, p_min, p_max)
     p, wp = rule.nodes, rule.weights
     ang = gauss_legendre(n_ang, -1.0, 1.0)
@@ -213,6 +209,36 @@ def test_nucleon_kernel_matches_two_channel_block():
     def I(f):
         return (2 / np.pi) * (f(dim.nodes) ** 2 * kap2 / (dim.nodes**2 + kap2)) @ dim.weights
 
+    return K, I
+
+
+def _lorentzian(b, inv_a):
+    return FormFactor(lambda q: 1.0 / (1.0 + q**2 / b**2), inv_a, 40.0)
+
+
+# the kernel keeps row slabs of 8 rows: n = 41 leaves a ragged last slab
+@pytest.mark.parametrize("n", [40, 41])
+def test_boson_kernel_matches_direct_sum(n):
+    # one channel: W = 1, so exchange weight 2 in the 1/pi normalisation
+    ff = _lorentzian(1.4, 0.2)
+    n_ang, p_min, E = 12, 1e-4, -0.3
+    kern = SeparableKernel(ff, 0.2, n=n, n_ang=n_ang, p_min=p_min, q_min=1e-4 * p_min)
+    K, I = _direct_sum(n, n_ang, p_min, 40.0, E)
+    ref = np.diag(0.2 - I(ff)) + 2 * K(ff, ff)
+    np.testing.assert_allclose(4 * np.pi * kern.matrix(E), ref, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n", [40, 41])
+def test_nucleon_kernel_matches_two_channel_block(n):
+    # reference: the triplet/singlet 2x2-block assembly written out in the
+    # 1/pi normalisation (4 pi times the kernel's), exchange weight 1/2
+    # within a channel and 3/2 across, dimer integral from 1e-4 p_min
+    ff_t, ff_s = _lorentzian(1.4, 0.2), _lorentzian(1.1, -0.04)
+    n_ang, p_min, E = 12, 1e-4, -0.3
+    kern = SeparableKernel(
+        (ff_t, ff_s), (0.2, -0.04), n=n, n_ang=n_ang, p_min=p_min, q_min=1e-4 * p_min
+    )
+    K, I = _direct_sum(n, n_ang, p_min, 40.0, E)
     ref = np.block([
         [np.diag(0.2 - I(ff_t)) + 0.5 * K(ff_t, ff_t), 1.5 * K(ff_t, ff_s)],
         [1.5 * K(ff_s, ff_t), np.diag(-0.04 - I(ff_s)) + 0.5 * K(ff_s, ff_s)],
@@ -223,3 +249,28 @@ def test_nucleon_kernel_matches_two_channel_block():
     sym = kern.matrix(E)
     _symmetrize(kern, sym)
     np.testing.assert_allclose(sym, sym.T, rtol=0, atol=1e-15 * np.abs(sym).max())
+
+
+@pytest.mark.parametrize("nc, n", [(2, 300), (1, 260)])
+def test_separable_kernel_memory(nc, n):
+    # F is one full n x n x n_ang table.  The kernel keeps nc^2 tables on
+    # the upper triangle (F/2 each, plus the slabs' diagonal blocks), and a
+    # call after the first allocates no table-sized array: its peak is the
+    # n x n blocks and the 3000-point dimer rule's n x 3000 temporaries,
+    # which is why small grids cannot test this
+    n_ang = 48
+    F = n * n * n_ang * 8
+    forms = (_lorentzian(1.4, 0.2), _lorentzian(1.1, -0.04))[:nc]
+    kern = SeparableKernel(forms, (0.2, -0.04)[:nc], n=n, n_ang=n_ang)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kern.matrix(-0.3)
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        kern.matrix(-0.2)
+        peak = tracemalloc.get_traced_memory()[1] - base - held
+    finally:
+        tracemalloc.stop()
+    assert held <= (nc**2 / 2 + 0.25) * F
+    assert peak <= 0.75 * F
