@@ -131,8 +131,9 @@ def isolate_levels(count, lo: float, hi: float, tol: float) -> list[tuple]:
     skipped silently.
     """
     out = []
-
-    def split(a, ca, b, cb):
+    stack = [(lo, count(lo), hi, count(hi))]
+    while stack:
+        a, ca, b, cb = stack.pop()
         if abs(cb - ca) == 1:
             out.append((a, b, ca, cb))
         elif ca != cb:
@@ -140,10 +141,7 @@ def isolate_levels(count, lo: float, hi: float, tol: float) -> list[tuple]:
                 raise ConvergenceError(f"{abs(cb - ca)} levels within {tol:g} of {a:.15g}")
             m = 0.5 * (a + b)
             cm = count(m)
-            split(a, ca, m, cm)
-            split(m, cm, b, cb)
-
-    split(lo, count(lo), hi, count(hi))
+            stack += [(m, cm, b, cb), (a, ca, m, cm)]  # lower half first
     return out
 
 

@@ -8,10 +8,12 @@ triplet/singlet pair for the nucleon model, and keeps its exchange sums
 on the upper triangle only (S_ba = S_ab^T).  Natural units hbar = m = 1:
 the spectator kinetic term is (3/4)P^2 and dimers sit at -kappa^2.
 
-Each kernel M(E) is real symmetric under a diagonal similarity, so
+Each kernel's ``matrix(E)`` is real symmetric: it acts on p sqrt(w_p) F(p),
+so the quadrature weights enter its exchange term as sqrt(w_P w_Q).
 ``bound_levels`` locates trimers by the inertia of M(E), whose number of
-negative eigenvalues drops by one at each level; dissociation thresholds
-a_-^(n) come from symmetric eigenvalue problems in 1/a at E = 0.
+negative eigenvalues drops by one at each level.  1/a enters M(0) on the
+diagonal alone, so the dissociation thresholds a_-^(n) are eigenvalues of
+M(0) at 1/a = 0.
 """
 from __future__ import annotations
 
@@ -70,25 +72,9 @@ class ResolutionWarning(UserWarning):
     """Adjacent levels closer than a few momentum-grid cells."""
 
 
-def _symmetrize(kernel, m):
-    """Overwrite a kernel matrix m with its real symmetric form s m s^-1,
-    s = p sqrt(w) on each channel block; returns s."""
-    rule = kernel.grid
-    s = np.tile(rule.nodes * np.sqrt(rule.weights), len(m) // kernel.n)
-    m *= s[:, None]
-    m /= s
-    return s
-
-
-def _spectrum(kernel, E):
-    m = kernel.matrix(E)
-    _symmetrize(kernel, m)
-    return np.linalg.eigvalsh(m)
-
-
 def _level_count(kernel, E_window):
     """Number of levels in E_window, from the inertia of M(E) at its ends."""
-    lo, hi = (np.count_nonzero(_spectrum(kernel, E) < 0) for E in E_window)
+    lo, hi = (np.count_nonzero(np.linalg.eigvalsh(kernel.matrix(E)) < 0) for E in E_window)
     return int(abs(lo - hi))
 
 
@@ -98,9 +84,11 @@ def bound_levels(kernel, E_window: tuple[float, float]) -> list[float]:
 
     The window ends 1e-10 (relative) below the kernel's lowest dimer
     pole, above which M(E) holds the discretised atom-dimer continuum.  The
-    number of negative eigenvalues of M(E) is bisected in ln(-E) until each
-    bracket holds one level; Brent's method refines it on the eigenvalue of
-    sorted index min(count) that crosses zero there.
+    number of negative eigenvalues of the symmetric M(E) is bisected in
+    ln(-E) until each bracket holds one level; Brent's method refines it on
+    the eigenvalue of sorted index min(count) that crosses zero there.
+    Adjacent levels whose momenta sqrt(-E) lie under 3 cells of the
+    kernel's log grid apart raise a ResolutionWarning.
     """
     E_lo, E_hi = E_window
     if not E_lo < E_hi < 0:
@@ -108,7 +96,7 @@ def bound_levels(kernel, E_window: tuple[float, float]) -> list[float]:
     E_hi = min(E_hi, (1 + _POLE_GAP) * kernel._threshold())
     if not E_lo < E_hi:
         return []
-    spectrum = functools.cache(lambda l: _spectrum(kernel, -math.exp(l)))
+    spectrum = functools.cache(lambda l: np.linalg.eigvalsh(kernel.matrix(-math.exp(l))))
     brackets = isolate_levels(
         lambda l: int(np.count_nonzero(spectrum(l) < 0)),
         math.log(-E_hi), math.log(-E_lo), tol=1e-12,
@@ -117,27 +105,26 @@ def bound_levels(kernel, E_window: tuple[float, float]) -> list[float]:
         find_root(lambda l, k=min(na, nb): spectrum(l)[k], a, b, tol=1e-12)
         for a, b, na, nb in brackets
     ]
+    # one cell of the log grid in ln p (its w/p sum to the grid's width in
+    # ln p); a level's momentum sqrt(-E) sits at ln p = l/2
+    rule = kernel.grid
+    cell = np.sum(rule.weights / rule.nodes) / kernel.n
+    if any(0.5 * (l2 - l1) < 3.0 * cell for l1, l2 in zip(roots, roots[1:])):
+        warnings.warn(
+            "level spacing under 3 momentum-grid cells; refine the grid",
+            ResolutionWarning,
+            stacklevel=3,  # the caller of solve_trimers_*
+        )
     return sorted(-math.exp(l) for l in roots)
-
-
-def _warn_resolution(energies, nodes_per_decade):
-    for E_deep, E_shallow in zip(energies, energies[1:]):
-        cells = nodes_per_decade * 0.5 * math.log10(E_deep / E_shallow)
-        if cells < 3.0:
-            warnings.warn(
-                "level spacing under 3 momentum-grid cells; refine the grid",
-                ResolutionWarning,
-                stacklevel=3,
-            )
-            break
 
 
 @dataclass(frozen=True)
 class StmKernel:
     """Zero-range (optionally narrow-resonance) kernel on a log grid.
 
-    The s-wave projected exchange integral is analytic,
-    K(P,Q) = (2/pi)(Q/P) ln[(P^2+PQ+Q^2-E)/(P^2-PQ+Q^2-E)] w_Q,
+    The s-wave projected exchange integral is analytic; in the symmetric
+    form of ``matrix(E)``, E <= 0, it reads
+    K(P,Q) = (2/pi) sqrt(w_P w_Q) ln[(P^2+PQ+Q^2-E)/(P^2-PQ+Q^2-E)],
     and the diagonal is the inverse two-body T at the shifted energy,
     1/a + R*(E - (3/4)P^2) - sqrt((3/4)P^2 - E).
 
@@ -170,9 +157,12 @@ class StmKernel:
             return 0.0
         return dimer_energy(self.inv_a, -2.0 * self.r_star)
 
-    def _exchange(self, E: float, p, wp):
-        P = p[:, None]
-        Q = p[None, :]
+    def matrix(self, E: float) -> np.ndarray:
+        if E > 0:
+            raise ValueError("M(E) needs E <= 0")
+        rule = self.grid
+        p, wp = rule.nodes, rule.weights
+        P, Q = p[:, None], p
         if self.exact_domain:
             # angular upper limit keeping both shifted momenta below cutoff
             lam2 = self.cutoff**2
@@ -185,24 +175,11 @@ class StmKernel:
         else:
             num = P * P + P * Q + Q * Q - E
         den = P * P - P * Q + Q * Q - E
-        return (2 / np.pi) * (Q / P) * np.log(num / den) * wp[None, :]
-
-    def matrix(self, E: float) -> np.ndarray:
-        if E >= 0:
-            raise ValueError("bound-state search needs E < 0")
-        rule = self.grid
-        p, wp = rule.nodes, rule.weights
-        D = self.inv_a + self.r_star * (E - 0.75 * p**2) - np.sqrt(0.75 * p**2 - E)
-        return np.diag(D) + self._exchange(E, p, wp)
-
-    def threshold_matrix(self) -> np.ndarray:
-        """A with A F = (1/a) F at E = 0: diagonal sqrt(3)/2 p + (3/4) R* p^2
-        minus the zero-energy exchange kernel."""
-        rule = self.grid
-        p, wp = rule.nodes, rule.weights
-        return np.diag(np.sqrt(0.75) * p + 0.75 * self.r_star * p**2) - self._exchange(
-            0.0, p, wp
+        m = (2 / np.pi) * np.log(num / den) * np.sqrt(wp[:, None] * wp)
+        m.flat[:: self.n + 1] += (
+            self.inv_a + self.r_star * (E - 0.75 * p**2) - np.sqrt(0.75 * p**2 - E)
         )
+        return m
 
 
 def solve_trimers_zero_range(
@@ -222,9 +199,7 @@ def solve_trimers_zero_range(
         inv_a, cutoff, r_star=r_star, exact_domain=exact_domain, n=n,
         p_min_factor=p_min_factor,
     )
-    roots = bound_levels(kern, E_window)
-    _warn_resolution(roots, n / math.log10(cutoff / (kern.p_min_factor * cutoff)))
-    return roots
+    return bound_levels(kern, E_window)
 
 
 def solve_trimers_narrow_resonance(
@@ -262,15 +237,16 @@ class SeparableKernel:
 
     ``form`` and ``inv_a`` give one form factor phi_a and one inverse
     scattering length per spin-isospin channel; a bare FormFactor and a
-    float are the one-channel (identical-boson) case.  Block (a, b) of M(E)
-    is delta_ab diag[1/(4 pi a_a) - I_a(P)] + W_ab K_ab with
+    float are the one-channel (identical-boson) case.  Block (a, b) of the
+    symmetric M(E) is delta_ab diag[1/(4 pi a_a) - I_a(P)] + W_ab K_ab with
     I_a(P) = (1/(2 pi^2)) int dq phi_a(q)^2 kap^2/(q^2+kap^2), kap^2 = 3P^2/4 - E,
-    K_ab(P,Q) = (1/(2 pi^2)) w_Q Q^2 int dc phi_a(q1) phi_b(q2)/(P^2+Q^2+PQc-E),
+    K_ab(P,Q) = (1/(2 pi^2)) P Q sqrt(w_P w_Q) S_ab(P,Q),
+    S_ab = int dc phi_a(q1) phi_b(q2)/(P^2+Q^2+PQc-E),
     q1 = |Q + P/2|, q2 = |P + Q/2|.  The recoupling weights W are [[1]] for
     bosons and [[1/4, 3/4], [3/4, 1/4]] for the nucleon triplet/singlet
     pair.  I_a is ``two_body.dimer_integral`` from q_min.
 
-    S_ab = sum_c w_c phi_a(q1) phi_b(q2)/den, the angular sum of K_ab, has
+    The angular sum S_ab = sum_c w_c phi_a(q1) phi_b(q2)/den has
     S_ba = S_ab^T (den is symmetric in P, Q; q1, q2 swap), so the tables of
     each ordered pair (a, b) are kept for Q >= P only, in row slabs, and
     ``matrix`` sums them against one reused slab of 1/den.
@@ -354,15 +330,18 @@ class SeparableKernel:
             np.reciprocal(inv_den, out=inv_den)
             for (a, b), tab in tabs.items():
                 np.einsum("ijk,ijk->ij", tab, inv_den, out=U[a, b, i0 : i0 + shape[0], i0:])
-        col = t["wp"] * p**2 / (2 * np.pi**2)
         W = _RECOUPLING[nc]
         K = np.block([
-            [W[a, b] * (np.triu(U[a, b]) + np.triu(U[b, a], 1).T) * col for b in range(nc)]
+            [W[a, b] * (np.triu(U[a, b]) + np.triu(U[b, a], 1).T) for b in range(nc)]
             for a in range(nc)
         ])
+        s = np.tile(p * np.sqrt(t["wp"] / (2 * np.pi**2)), nc)
+        K *= s[:, None]
+        K *= s
         D = np.repeat(self.inv_a, self.n) / (4 * np.pi)
         kap2 = (0.75 * p**2 - E)[:, None]
-        return np.diag(D - np.concatenate([I(kap2) for I in t["dimer"]])) + K
+        K.flat[:: nc * self.n + 1] += D - np.concatenate([I(kap2) for I in t["dimer"]])
+        return K
 
 
 def solve_trimers_separable(
@@ -377,10 +356,7 @@ def solve_trimers_separable(
     ``a`` defaults to the scattering length the form factor was built for.
     """
     inv_a = form.inv_a if a is None else (0.0 if np.isinf(a) else 1.0 / a)
-    kern = SeparableKernel(form, inv_a, n=n, n_ang=n_ang)
-    roots = bound_levels(kern, E_window)
-    _warn_resolution(roots, n / math.log10(form.p_max / kern.p_min))
-    return roots
+    return bound_levels(SeparableKernel(form, inv_a, n=n, n_ang=n_ang), E_window)
 
 
 def threshold_scattering_lengths(
@@ -390,15 +366,13 @@ def threshold_scattering_lengths(
     three-body threshold, smallest |a_-| (deepest level) first, for the
     zero-range (or narrow-resonance) kernel with this cutoff.
 
-    1/a enters the E = 0 kernel linearly, so the a_-^(n) are eigenvalues;
-    roots with |a_-| * cutoff <= 10 sit at the regularization scale and are
-    filtered out.
+    1/a enters M(0) as 1/a times the identity, so the 1/a_-^(n) are the
+    negative eigenvalues of -M(0) at 1/a = 0; roots with |a_-| * cutoff <= 10
+    sit at the regularization scale and are filtered out.
     """
     kern = StmKernel(0.0, cutoff, r_star=r_star, n=n, p_min_factor=1e-8)
-    m = kern.threshold_matrix()
-    _symmetrize(kern, m)
-    ev = np.linalg.eigvalsh(m)
-    neg = np.sort(ev[ev < 0])  # most negative first -> smallest |a|
+    ev = np.linalg.eigvalsh(-kern.matrix(0.0))
+    neg = ev[ev < 0]  # ascending: most negative first -> smallest |a|
     a_all = 1.0 / neg
     return list(a_all[np.abs(a_all) * cutoff > 10.0][:n_max])
 

@@ -1,6 +1,8 @@
 import contextlib
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from efimov.stm import (
     SeparableKernel,
     StmKernel,
     TritonModel,
-    _symmetrize,
     bound_levels,
     kappa_star_extrapolated,
     solve_trimers_separable,
@@ -27,18 +28,45 @@ from efimov.two_body import (
 )
 
 
-def test_zero_range_kernel_matches_analytic_form():
-    kern = StmKernel(inv_a=0.5, cutoff=50.0, r_star=0.3, n=40)
-    E = -2.7
+def _zero_range_reference(kern, E):
+    """The plain zero-range M(E) in its non-symmetric form, exchange
+    (2/pi)(Q/P) ln(...) w_Q, and s = p sqrt(w): s M s^-1 is symmetric."""
     rule = kern.grid
     p, w = rule.nodes, rule.weights
     P, Q = p[:, None], p[None, :]
     K = (2.0 / np.pi) * (Q / P) * np.log(
         (P**2 + P * Q + Q**2 - E) / (P**2 - P * Q + Q**2 - E)
     ) * w[None, :]
-    D = 0.5 + 0.3 * (E - 0.75 * p**2) - np.sqrt(0.75 * p**2 - E)
-    ref = np.diag(D) + K
-    assert np.allclose(kern.matrix(E), ref, rtol=1e-12, atol=1e-12)
+    D = kern.inv_a + kern.r_star * (E - 0.75 * p**2) - np.sqrt(0.75 * p**2 - E)
+    return np.diag(D) + K, p * np.sqrt(w)
+
+
+def test_zero_range_kernel_matches_analytic_form():
+    kern = StmKernel(inv_a=0.5, cutoff=50.0, r_star=0.3, n=40)
+    ref, s = _zero_range_reference(kern, -2.7)
+    assert np.allclose(kern.matrix(-2.7), s[:, None] * ref / s, rtol=1e-12, atol=1e-12)
+
+
+def _lorentzian(b, inv_a):
+    return FormFactor(lambda q: 1.0 / (1.0 + q**2 / b**2), inv_a, 40.0)
+
+
+@pytest.mark.parametrize(
+    "kern",
+    [
+        StmKernel(0.5, 50.0, n=40),
+        StmKernel(0.5, 50.0, n=40, exact_domain=True),
+        StmKernel(0.5, 50.0, r_star=0.3, n=40),
+        SeparableKernel(_lorentzian(1.4, 0.2), 0.2, n=41, n_ang=12),
+        SeparableKernel(
+            (_lorentzian(1.4, 0.2), _lorentzian(1.1, -0.04)), (0.2, -0.04), n=41, n_ang=12
+        ),
+    ],
+    ids=["zero_range", "exact_domain", "r_star", "boson", "nucleon"],
+)
+def test_kernel_matrix_is_symmetric(kern):
+    m = kern.matrix(-0.3)
+    np.testing.assert_allclose(m, m.T, rtol=0, atol=1e-15 * np.abs(m).max())
 
 
 def test_kernel_validation():
@@ -51,10 +79,10 @@ def test_kernel_validation():
 
 
 def _negative_eigenvalues(kern, E):
-    # inertia of the symmetric form s M s^-1, s = p sqrt(w)
-    rule = kern.grid
-    s = rule.nodes * np.sqrt(rule.weights)
-    m = s[:, None] * kern.matrix(E) / s[None, :]
+    # inertia of the symmetric form s M s^-1, s = p sqrt(w), of the
+    # analytic reference
+    ref, s = _zero_range_reference(kern, E)
+    m = s[:, None] * ref / s[None, :]
     assert np.allclose(m, m.T, rtol=0, atol=1e-13 * np.abs(m).max())
     return int(np.sum(np.linalg.eigvalsh(m) < 0))
 
@@ -68,6 +96,20 @@ def test_level_count_steps_once_per_level():
     assert np.diff(counts).tolist() == [-1] * len(lev)
     for E in lev:
         assert _negative_eigenvalues(kern, E * 1.001) - _negative_eigenvalues(kern, E * 0.999) == 1
+
+
+def test_bound_levels_frees_the_kernel_without_gc():
+    # no reference cycle may keep a kernel, and with it a separable
+    # kernel's tables, alive until the cyclic collector runs
+    kern = StmKernel(0.0, 100.0, n=200)
+    ref = weakref.ref(kern)
+    gc.disable()
+    try:
+        assert len(bound_levels(kern, (-2e3, -1e-3))) == 3
+        del kern
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.fixture(scope="module")
@@ -125,8 +167,10 @@ def test_separable_levels_below_dimer(make_form, n_levels, n, warns):
     # -0.9541246), and the spacing check is quiet
     form = make_form()
     E_dimer = separable_dimer_energy(form, form.inv_a, 1e-8 * form.p_max)
-    with pytest.warns(ResolutionWarning) if warns else contextlib.nullcontext():
+    with pytest.warns(ResolutionWarning) if warns else contextlib.nullcontext() as rec:
         lev = solve_trimers_separable(form, n=n, n_ang=24)
+    # the warning points at the caller of the solver
+    assert all(w.filename == __file__ for w in rec or [])
     assert len(lev) == n_levels
     assert all(E < E_dimer for E in lev)
 
@@ -163,6 +207,20 @@ def test_threshold_lengths_geometric():
     assert am[1] / am[0] == pytest.approx(LAMBDA0, rel=5e-3)
     assert am[2] / am[1] == pytest.approx(LAMBDA0, rel=5e-3)
     assert all(abs(a) * 300.0 > 10.0 for a in am)
+
+
+def test_threshold_lengths_make_the_zero_energy_kernel_singular():
+    # M(0) at 1/a is 1/a times the identity plus M(0) at 1/a = 0
+    for a in threshold_scattering_lengths(300.0, n_max=3, n=400):
+        kern = StmKernel(1.0 / a, 300.0, n=400, p_min_factor=1e-8)
+        assert np.abs(np.linalg.eigvalsh(kern.matrix(0.0))).min() * abs(a) < 1e-10
+
+
+def test_bound_levels_warns_on_unresolved_levels():
+    # the two step levels lie 1.9 cells of this grid apart
+    kern = SeparableKernel(step_form_factor(1.0, inv_a=0.5), 0.5, n=140, n_ang=24)
+    with pytest.warns(ResolutionWarning):
+        bound_levels(kern, (-3.0, -1e-7))
 
 
 def test_kappa_star_extrapolated():
@@ -212,10 +270,6 @@ def _direct_sum(n, n_ang, p_min, p_max, E):
     return K, I
 
 
-def _lorentzian(b, inv_a):
-    return FormFactor(lambda q: 1.0 / (1.0 + q**2 / b**2), inv_a, 40.0)
-
-
 # the kernel keeps row slabs of 8 rows: n = 41 leaves a ragged last slab
 @pytest.mark.parametrize("n", [40, 41])
 def test_boson_kernel_matches_direct_sum(n):
@@ -225,7 +279,10 @@ def test_boson_kernel_matches_direct_sum(n):
     kern = SeparableKernel(ff, 0.2, n=n, n_ang=n_ang, p_min=p_min, q_min=1e-4 * p_min)
     K, I = _direct_sum(n, n_ang, p_min, 40.0, E)
     ref = np.diag(0.2 - I(ff)) + 2 * K(ff, ff)
-    np.testing.assert_allclose(4 * np.pi * kern.matrix(E), ref, rtol=1e-13, atol=0)
+    s = kern.grid.nodes * np.sqrt(kern.grid.weights)
+    np.testing.assert_allclose(
+        4 * np.pi * kern.matrix(E), s[:, None] * ref / s, rtol=1e-13, atol=0
+    )
 
 
 @pytest.mark.parametrize("n", [40, 41])
@@ -243,12 +300,10 @@ def test_nucleon_kernel_matches_two_channel_block(n):
         [np.diag(0.2 - I(ff_t)) + 0.5 * K(ff_t, ff_t), 1.5 * K(ff_t, ff_s)],
         [1.5 * K(ff_s, ff_t), np.diag(-0.04 - I(ff_s)) + 0.5 * K(ff_s, ff_s)],
     ])
-    np.testing.assert_allclose(4 * np.pi * kern.matrix(E), ref, rtol=1e-13, atol=0)
-    # s M s^-1 with s = p sqrt(w) on each channel block is symmetric, which
-    # makes the count of negative eigenvalues a level count
-    sym = kern.matrix(E)
-    _symmetrize(kern, sym)
-    np.testing.assert_allclose(sym, sym.T, rtol=0, atol=1e-15 * np.abs(sym).max())
+    s = np.tile(kern.grid.nodes * np.sqrt(kern.grid.weights), 2)
+    np.testing.assert_allclose(
+        4 * np.pi * kern.matrix(E), s[:, None] * ref / s, rtol=1e-13, atol=0
+    )
 
 
 @pytest.mark.parametrize("nc, n", [(2, 300), (1, 260)])
