@@ -6,7 +6,7 @@ grid of the README table ("Triton ground state"): n momentum nodes on a log
 grid from p_min to p_max (fm^-1) and n_ang angular nodes.  The first row is
 the grid of ``solve_triton``, and every row's kernel comes from the same
 ``TritonModel.kernel`` call.  Prints CSV to stdout; each row takes 1-3 s
-on 2 cores, and the whole loop peaks at about 270 MB of resident memory.
+on 2 cores, and the whole loop peaks at about 260 MB of resident memory.
 """
 from efimov.cli import write_csv
 from efimov.stm import TritonModel, bound_levels

@@ -10,10 +10,12 @@ the spectator kinetic term is (3/4)P^2 and dimers sit at -kappa^2.
 
 Each kernel's ``matrix(E)`` is real symmetric: it acts on p sqrt(w_p) F(p),
 so the quadrature weights enter its exchange term as sqrt(w_P w_Q).
-``bound_levels`` locates trimers by the inertia of M(E), whose number of
-negative eigenvalues drops by one at each level.  1/a enters M(0) on the
-diagonal alone, so the dissociation thresholds a_-^(n) are eigenvalues of
-M(0) at 1/a = 0.
+Each call assembles M(E) in place in the array it returns: besides it, a
+zero-range call allocates one n x n buffer (two with ``exact_domain``) and
+a separable call only row slabs.  ``bound_levels`` locates trimers by the
+inertia of M(E), whose number of negative eigenvalues drops by one at each
+level.  1/a enters M(0) on the diagonal alone, so the dissociation
+thresholds a_-^(n) are eigenvalues of M(0) at 1/a = 0.
 """
 from __future__ import annotations
 
@@ -162,20 +164,35 @@ class StmKernel:
             raise ValueError("M(E) needs E <= 0")
         rule = self.grid
         p, wp = rule.nodes, rule.weights
-        P, Q = p[:, None], p
+        p2 = p * p
+        # m holds num, then num/den, then the result; den is the only other
+        # n x n buffer (exact_domain needs one more).  Each entry takes the
+        # operations of the broadcast expression of the formulas above in
+        # the same order, so it matches that expression bit for bit.
+        m, den = np.multiply.outer(p, p), np.empty((self.n, self.n))  # m = PQ
         if self.exact_domain:
-            # angular upper limit keeping both shifted momenta below cutoff
-            lam2 = self.cutoff**2
-            c_hi = np.minimum(
-                (lam2 - Q * Q - 0.25 * P * P) / (P * Q),
-                (lam2 - P * P - 0.25 * Q * Q) / (P * Q),
-            )
-            c_hi = np.clip(c_hi, -1.0, 1.0)
-            num = P * P + Q * Q + P * Q * c_hi - E
-        else:
-            num = P * P + P * Q + Q * Q - E
-        den = P * P - P * Q + Q * Q - E
-        m = (2 / np.pi) * np.log(num / den) * np.sqrt(wp[:, None] * wp)
+            # angular upper limit keeping both shifted momenta below cutoff:
+            # c_hi = min(h, h^T) clipped to [-1, 1], with
+            # h = (cutoff^2 - P^2 - Q^2/4)/(PQ); num = P^2 + Q^2 + PQ c_hi - E
+            c_hi = np.subtract.outer(self.cutoff**2 - p2, 0.25 * p * p, out=den)
+            c_hi /= m
+            tmp = c_hi.T.copy()
+            np.minimum(c_hi, tmp, out=c_hi)
+            np.clip(c_hi, -1.0, 1.0, out=c_hi)
+            m *= c_hi
+            np.add(np.add.outer(p2, p2, out=tmp), m, out=m)
+        else:  # num = P^2 + PQ + Q^2 - E
+            np.add(p2[:, None], m, out=m)
+            m += p2
+        m -= E
+        # den = P^2 - PQ + Q^2 - E
+        np.subtract(p2[:, None], np.multiply.outer(p, p, out=den), out=den)
+        den += p2
+        den -= E
+        m /= den
+        np.log(m, out=m)
+        m *= 2 / np.pi
+        m *= np.sqrt(np.multiply.outer(wp, wp, out=den), out=den)
         m.flat[:: self.n + 1] += (
             self.inv_a + self.r_star * (E - 0.75 * p**2) - np.sqrt(0.75 * p**2 - E)
         )
@@ -248,8 +265,11 @@ class SeparableKernel:
 
     The angular sum S_ab = sum_c w_c phi_a(q1) phi_b(q2)/den has
     S_ba = S_ab^T (den is symmetric in P, Q; q1, q2 swap), so the tables of
-    each ordered pair (a, b) are kept for Q >= P only, in row slabs, and
-    ``matrix`` sums them against one reused slab of 1/den.
+    each ordered pair (a, b) are kept for Q >= P only, in row slabs.
+    ``matrix`` assembles M(E) in place in one (nc n)^2 array: it sums each
+    slab against one reused slab of 1/den straight into the upper triangle
+    of block (a, b), copies the lower triangle from block (b, a), and
+    applies W and the weights in place.
     """
 
     form: FormFactor | tuple
@@ -319,28 +339,31 @@ class SeparableKernel:
     def matrix(self, E: float) -> np.ndarray:
         self._build()
         t = self._tables
-        nc, p = len(self.forms), t["p"]
-        U = np.empty((nc, nc, self.n, self.n))  # S_ab on and above the diagonal
+        n, nc, p = self.n, len(self.forms), t["p"]
+        K = np.empty((nc * n, nc * n))
+        block = K.reshape(nc, n, nc, n)  # block[a, :, b] is block (a, b) of K
         for i0, tabs in t["slabs"]:
             shape = tabs[0, 0].shape
-            P, Q = p[i0 : i0 + shape[0], None, None], p[None, i0:, None]
+            i1 = i0 + shape[0]
+            P, Q = p[i0:i1, None, None], p[None, i0:, None]
             inv_den = np.multiply(P * Q, t["c"], out=t["buf"][: math.prod(shape)].reshape(shape))
             inv_den += P**2 + Q**2
             inv_den -= E
             np.reciprocal(inv_den, out=inv_den)
             for (a, b), tab in tabs.items():
-                np.einsum("ijk,ijk->ij", tab, inv_den, out=U[a, b, i0 : i0 + shape[0], i0:])
-        W = _RECOUPLING[nc]
-        K = np.block([
-            [W[a, b] * (np.triu(U[a, b]) + np.triu(U[b, a], 1).T) for b in range(nc)]
-            for a in range(nc)
-        ])
+                np.einsum("ijk,ijk->ij", tab, inv_den, out=block[a, i0:i1, b, i0:])
+            # below the diagonal, block (a, b) is S_ba^T: row i takes its
+            # columns j < i from the upper triangle of block (b, a)
+            below = np.arange(i1) < np.arange(i0, i1)[:, None]
+            for a, b in tabs:
+                np.copyto(block[a, i0:i1, b, :i1], block[b, :i1, a, i0:i1].T, where=below)
+        block *= _RECOUPLING[nc][:, None, :, None]
         s = np.tile(p * np.sqrt(t["wp"] / (2 * np.pi**2)), nc)
         K *= s[:, None]
         K *= s
-        D = np.repeat(self.inv_a, self.n) / (4 * np.pi)
+        D = np.repeat(self.inv_a, n) / (4 * np.pi)
         kap2 = (0.75 * p**2 - E)[:, None]
-        K.flat[:: nc * self.n + 1] += D - np.concatenate([I(kap2) for I in t["dimer"]])
+        K.flat[:: nc * n + 1] += D - np.concatenate([I(kap2) for I in t["dimer"]])
         return K
 
 
@@ -371,7 +394,8 @@ def threshold_scattering_lengths(
     sit at the regularization scale and are filtered out.
     """
     kern = StmKernel(0.0, cutoff, r_star=r_star, n=n, p_min_factor=1e-8)
-    ev = np.linalg.eigvalsh(-kern.matrix(0.0))
+    m0 = kern.matrix(0.0)
+    ev = np.linalg.eigvalsh(np.negative(m0, out=m0))
     neg = ev[ev < 0]  # ascending: most negative first -> smallest |a|
     a_all = 1.0 / neg
     return list(a_all[np.abs(a_all) * cutoff > 10.0][:n_max])

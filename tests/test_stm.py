@@ -22,6 +22,7 @@ from efimov.stm import (
 )
 from efimov.two_body import (
     FormFactor,
+    dimer_integral,
     separable_dimer_energy,
     step_form_factor,
     universal_tail_form_factor,
@@ -45,6 +46,27 @@ def test_zero_range_kernel_matches_analytic_form():
     kern = StmKernel(inv_a=0.5, cutoff=50.0, r_star=0.3, n=40)
     ref, s = _zero_range_reference(kern, -2.7)
     assert np.allclose(kern.matrix(-2.7), s[:, None] * ref / s, rtol=1e-12, atol=1e-12)
+
+
+def test_exact_domain_kernel_matches_broadcast_form():
+    # the angular upper limit c_hi keeps |Q + P/2| and |P + Q/2| below the
+    # cutoff; the kernel builds it in place from one half and its transpose
+    kern = StmKernel(inv_a=0.5, cutoff=50.0, n=40, exact_domain=True)
+    rule, E, lam2 = kern.grid, -2.7, 50.0**2
+    p, w = rule.nodes, rule.weights
+    P, Q = p[:, None], p[None, :]
+    c_hi = np.clip(
+        np.minimum(
+            (lam2 - Q * Q - 0.25 * P * P) / (P * Q), (lam2 - P * P - 0.25 * Q * Q) / (P * Q)
+        ),
+        -1.0, 1.0,
+    )
+    assert (c_hi < 1.0).any()  # the cutoff bites on this grid
+    ref = (2 / np.pi) * np.log(
+        (P * P + Q * Q + P * Q * c_hi - E) / (P * P - P * Q + Q * Q - E)
+    ) * np.sqrt(w[:, None] * w)
+    ref.flat[:: kern.n + 1] += kern.inv_a - np.sqrt(0.75 * p**2 - E)
+    np.testing.assert_allclose(kern.matrix(E), ref, rtol=1e-14, atol=0)
 
 
 def _lorentzian(b, inv_a):
@@ -306,26 +328,69 @@ def test_nucleon_kernel_matches_two_channel_block(n):
     )
 
 
+def _traced_peak(fn):
+    """Bytes still allocated after a first call of ``fn``, and the peak a
+    second call allocates on top of them (its result included)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        fn()
+        peak = tracemalloc.get_traced_memory()[1] - base - held
+    finally:
+        tracemalloc.stop()
+    return held, peak
+
+
+@pytest.mark.parametrize(
+    "kern, bound",
+    [
+        (StmKernel(0.5, 300.0, n=400), 2.5),
+        (StmKernel(0.5, 300.0, r_star=0.3, n=400), 2.5),
+        (StmKernel(0.5, 300.0, n=400, exact_domain=True), 3.5),
+    ],
+    ids=["zero_range", "r_star", "exact_domain"],
+)
+def test_zero_range_kernel_memory(kern, bound):
+    # bound in n x n arrays of doubles: M(E) is built in its result plus
+    # one n x n buffer, and exact_domain needs one more for c_hi's transpose
+    _, peak = _traced_peak(lambda: kern.matrix(-0.3))
+    assert peak <= bound * kern.n**2 * 8
+
+
 @pytest.mark.parametrize("nc, n", [(2, 300), (1, 260)])
 def test_separable_kernel_memory(nc, n):
     # F is one full n x n x n_ang table.  The kernel keeps nc^2 tables on
     # the upper triangle (F/2 each, plus the slabs' diagonal blocks), and a
-    # call after the first allocates no table-sized array: its peak is the
-    # n x n blocks and the 3000-point dimer rule's n x 3000 temporaries,
-    # which is why small grids cannot test this
+    # call after the first allocates no table-sized array: it assembles
+    # M(E) in its (nc n)^2 result, and its peak is that result and the
+    # dimer integral's row-block buffer, which is why small grids cannot
+    # test this
     n_ang = 48
     F = n * n * n_ang * 8
     forms = (_lorentzian(1.4, 0.2), _lorentzian(1.1, -0.04))[:nc]
     kern = SeparableKernel(forms, (0.2, -0.04)[:nc], n=n, n_ang=n_ang)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        kern.matrix(-0.3)
-        held = tracemalloc.get_traced_memory()[0] - base
-        tracemalloc.reset_peak()
-        kern.matrix(-0.2)
-        peak = tracemalloc.get_traced_memory()[1] - base - held
-    finally:
-        tracemalloc.stop()
+    held, peak = _traced_peak(lambda: kern.matrix(-0.3))
     assert held <= (nc**2 / 2 + 0.25) * F
-    assert peak <= 0.75 * F
+    assert peak <= 0.2 * F
+
+
+# the column is summed in blocks of 64 rows: 130 leaves a ragged last block
+@pytest.mark.parametrize("rows", [64, 130])
+def test_dimer_integral_column_matches_scalar_calls(rows):
+    integral = dimer_integral(_lorentzian(1.4, 0.2), 1e-6)
+    kap2 = np.geomspace(1e-8, 1e3, rows)
+    # not bit for bit: a column sums each row in a blocked matrix product
+    np.testing.assert_allclose(
+        integral(kap2[:, None]), [integral(k) for k in kap2], rtol=1e-14, atol=0
+    )
+
+
+def test_dimer_integral_memory():
+    # a 600-row column at once would take two 600 x 3000 arrays (28.8 MB)
+    integral = dimer_integral(_lorentzian(1.4, 0.2), 1e-6)
+    kap2 = np.geomspace(1e-8, 1e3, 600)[:, None]
+    _, peak = _traced_peak(lambda: integral(kap2))
+    assert peak < 4e6
