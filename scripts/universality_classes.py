@@ -17,7 +17,7 @@ from efimov.two_body import (
     step_form_factor,
     universal_tail_form_factor,
 )
-from efimov.stm import solve_trimers_separable
+from efimov.stm import SeparableKernel, bound_levels
 
 
 def main():
@@ -35,7 +35,8 @@ def main():
     }
     rows = []
     for name, (form, scale) in families.items():
-        lev = solve_trimers_separable(form, n=args.n, n_ang=args.n_ang)
+        kern = SeparableKernel(form, form.inv_a, n=args.n, n_ang=args.n_ang)
+        lev = bound_levels(kern, (-3.0, -1e-7))
         kappa0 = math.sqrt(-lev[0])
         rows.append((name, kappa0, kappa0 * scale, len(lev)))
         print(f"{name:8s} kappa0={kappa0:.6f} kappa0*scale={kappa0 * scale:.6f}",

@@ -128,6 +128,8 @@ def _parse_a(text) -> float:
         a = float(text)
     except ValueError as exc:
         raise ConfigError(f"bad scattering length {text!r}") from exc
+    if math.isnan(a):
+        raise ConfigError("scattering length must be a number, not nan")
     if a == 0:
         raise ConfigError("scattering length must be nonzero (use 'inf' for unitarity)")
     return a
@@ -220,14 +222,11 @@ def cmd_hyperradial(args):
 
 
 def cmd_stm(args):
-    from .stm import (
-        solve_trimers_narrow_resonance,
-        solve_trimers_separable,
-        solve_trimers_zero_range,
-    )
+    from .stm import SeparableKernel, StmKernel, bound_levels, solve_trimers_narrow_resonance
     from .two_body import step_form_factor, universal_tail_form_factor
 
     a = _parse_a(args.a)
+    inv_a = 0.0 if math.isinf(a) else 1.0 / a
     window = (args.E_min, args.E_max)
     for opt, given, model in (
         ("--cutoff", not isinstance(args.cutoff, _Unset), "zero-range"),
@@ -236,19 +235,17 @@ def cmd_stm(args):
     ):
         if given and args.model != model:
             raise ConfigError(f"{opt} applies only to --model {model}, not {args.model}")
-    if args.model == "zero-range":
-        lev = solve_trimers_zero_range(
-            a, args.cutoff, window, exact_domain=args.exact_domain
-        )
-    elif args.model == "narrow-resonance":
-        lev = solve_trimers_narrow_resonance(a, args.r_star, window)
+    if args.model == "narrow-resonance":
+        lev = solve_trimers_narrow_resonance(inv_a, args.r_star, window)
     else:
-        inv_a = 0.0 if math.isinf(a) else 1.0 / a
-        if args.model == "step":
-            form = step_form_factor(1.0, inv_a=inv_a)
+        if args.model == "zero-range":
+            kern = StmKernel(inv_a, args.cutoff, exact_domain=args.exact_domain)
+        elif args.model == "step":
+            kern = SeparableKernel(step_form_factor(1.0, inv_a=inv_a), inv_a)
         else:  # vdw is the n = 6 tail
             form = universal_tail_form_factor(4 if args.model == "power4" else 6, inv_a)
-        lev = solve_trimers_separable(form, a, window)
+            kern = SeparableKernel(form, inv_a)
+        lev = bound_levels(kern, window)
     rows = []
     for i, E in enumerate(lev):
         ratio = lev[i - 1] / E if i else float("nan")
@@ -328,7 +325,7 @@ def _verify_table():
     """(name, computed, reference, relative tolerance) regression rows."""
     from . import born_oppenheimer as bo
     from . import channels as ch
-    from .stm import solve_trimers_zero_range, threshold_scattering_lengths
+    from .stm import StmKernel, bound_levels, threshold_scattering_lengths
     from .two_body import half_effective_range_tail
     from .universal import threshold_constants
 
@@ -347,7 +344,7 @@ def _verify_table():
     rows.append(("bo_critical_L1", bo.BO_CRITICAL_L1, 13.990296, 1e-4))
     rows.append(("half_re_over_l4", half_effective_range_tail(4), 2 * math.pi / 3, 1e-3))
     rows.append(("half_re_over_l6", half_effective_range_tail(6), 1.3947329, 1e-3))
-    lev = solve_trimers_zero_range(math.inf, 1000.0, (-1e7, -1e-3))
+    lev = bound_levels(StmKernel(0.0, 1000.0), (-1e7, -1e-3))
     rows.append(("zero_range_energy_ratio", lev[1] / lev[2], 515.035, 1e-2))
     am = threshold_scattering_lengths(1000.0)
     rows.append(("a_minus_ratio", am[2] / am[1], 22.694, 5e-3))

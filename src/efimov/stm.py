@@ -49,9 +49,7 @@ __all__ = [
     "StmKernel",
     "SeparableKernel",
     "bound_levels",
-    "solve_trimers_zero_range",
     "solve_trimers_narrow_resonance",
-    "solve_trimers_separable",
     "threshold_scattering_lengths",
     "a_minus_ground",
     "narrow_resonance_a_star0",
@@ -90,7 +88,8 @@ def bound_levels(kernel, E_window: tuple[float, float]) -> list[float]:
     ln(-E) until each bracket holds one level; Brent's method refines it on
     the eigenvalue of sorted index min(count) that crosses zero there.
     Adjacent levels whose momenta sqrt(-E) lie under 3 cells of the
-    kernel's log grid apart raise a ResolutionWarning.
+    kernel's log grid apart raise a ResolutionWarning, which names the
+    caller of ``bound_levels``.
     """
     E_lo, E_hi = E_window
     if not E_lo < E_hi < 0:
@@ -115,7 +114,7 @@ def bound_levels(kernel, E_window: tuple[float, float]) -> list[float]:
         warnings.warn(
             "level spacing under 3 momentum-grid cells; refine the grid",
             ResolutionWarning,
-            stacklevel=3,  # the caller of solve_trimers_*
+            stacklevel=2,
         )
     return sorted(-math.exp(l) for l in roots)
 
@@ -130,9 +129,10 @@ class StmKernel:
     and the diagonal is the inverse two-body T at the shifted energy,
     1/a + R*(E - (3/4)P^2) - sqrt((3/4)P^2 - E).
 
-    ``exact_domain`` keeps both exchange momenta |Q+P/2|, |P+Q/2| below the
-    cutoff instead of the plain Q < cutoff domain; the difference is a
-    cutoff-scale effect only.
+    The cutoff is the three-body parameter: levels depend on it only
+    through cutoff * e^{n pi/|s0|}.  ``exact_domain`` keeps both exchange
+    momenta |Q+P/2|, |P+Q/2| below the cutoff instead of the plain
+    Q < cutoff domain; the difference is a cutoff-scale effect only.
     """
 
     inv_a: float
@@ -199,30 +199,11 @@ class StmKernel:
         return m
 
 
-def solve_trimers_zero_range(
-    a: float,
-    cutoff: float,
-    E_window: tuple[float, float],
-    n: int = _DEF_N,
-    r_star: float = 0.0,
-    exact_domain: bool = False,
-    p_min_factor: float = 1e-5,
-) -> list[float]:
-    """Trimer energies of the zero-range theory with sharp cutoff, deepest
-    first.  The cutoff is the three-body parameter: energies depend on it
-    only through the equivalence class cutoff * e^{n pi/|s0|}."""
-    inv_a = 0.0 if np.isinf(a) else 1.0 / a
-    kern = StmKernel(
-        inv_a, cutoff, r_star=r_star, exact_domain=exact_domain, n=n,
-        p_min_factor=p_min_factor,
-    )
-    return bound_levels(kern, E_window)
-
-
 def solve_trimers_narrow_resonance(
-    a: float, r_star: float, E_window: tuple[float, float]
+    inv_a: float, r_star: float, E_window: tuple[float, float]
 ) -> list[float]:
-    """Trimer energies with the energy-dependent narrow-resonance T-matrix.
+    """Trimer energies at inverse scattering length ``inv_a`` with the
+    energy-dependent narrow-resonance T-matrix, deepest first.
 
     R* regulates the short-distance physics, so results must be cutoff
     independent: the levels are solved at cutoff 100/R* (500 nodes),
@@ -233,7 +214,7 @@ def solve_trimers_narrow_resonance(
     cutoff = 100.0 / r_star
 
     def solve(lam):
-        return solve_trimers_zero_range(a, lam, E_window, n=500, r_star=r_star, p_min_factor=1e-8)
+        return bound_levels(StmKernel(inv_a, lam, r_star, n=500, p_min_factor=1e-8), E_window)
 
     roots = solve(cutoff)
     for E, E2 in zip(roots, solve(2.0 * cutoff)):
@@ -365,21 +346,6 @@ class SeparableKernel:
         kap2 = (0.75 * p**2 - E)[:, None]
         K.flat[:: nc * n + 1] += D - np.concatenate([I(kap2) for I in t["dimer"]])
         return K
-
-
-def solve_trimers_separable(
-    form: FormFactor,
-    a: float = None,
-    E_window: tuple[float, float] = (-3.0, -1e-7),
-    n: int = 260,
-    n_ang: int = _DEF_NANG,
-) -> list[float]:
-    """Trimer energies for a separable model, deepest first.
-
-    ``a`` defaults to the scattering length the form factor was built for.
-    """
-    inv_a = form.inv_a if a is None else (0.0 if np.isinf(a) else 1.0 / a)
-    return bound_levels(SeparableKernel(form, inv_a, n=n, n_ang=n_ang), E_window)
 
 
 def threshold_scattering_lengths(

@@ -20,6 +20,7 @@ from efimov.hyperradial import HyperradialChannel, solve_bound_states
 from efimov.numerics import gauss_legendre_log
 from efimov.stm import (
     SeparableKernel,
+    StmKernel,
     TritonModel,
     a_minus_ground,
     bound_levels,
@@ -28,8 +29,6 @@ from efimov.stm import (
     solve_triton,
     solve_triton_unitarity,
     solve_trimers_narrow_resonance,
-    solve_trimers_separable,
-    solve_trimers_zero_range,
     threshold_scattering_lengths,
 )
 from efimov.two_body import (
@@ -50,17 +49,17 @@ from efimov.universal import delta, threshold_constants
 
 @pytest.fixture(scope="module")
 def zero_range_levels():
-    return solve_trimers_zero_range(np.inf, 1000.0, (-1e7, -1e-3))
+    return bound_levels(StmKernel(0.0, 1000.0), (-1e7, -1e-3))
 
 
 @pytest.fixture(scope="module")
 def zero_range_levels_shifted():
-    return solve_trimers_zero_range(np.inf, 1000.0 * LAMBDA0, (-1e9, -1e-3))
+    return bound_levels(StmKernel(0.0, 1000.0 * LAMBDA0), (-1e9, -1e-3))
 
 
 @pytest.fixture(scope="module")
 def narrow_levels():
-    return solve_trimers_narrow_resonance(np.inf, 1.0, (-1.0, -1e-7))
+    return solve_trimers_narrow_resonance(0.0, 1.0, (-1.0, -1e-7))
 
 
 @pytest.fixture(scope="module")
@@ -70,11 +69,14 @@ def narrow_thresholds():
 
 @pytest.fixture(scope="module")
 def separable_classes():
+    def levels(form):
+        return bound_levels(SeparableKernel(form, form.inv_a), (-3.0, -1e-7))
+
     out = {}
-    out["power4"] = solve_trimers_separable(universal_tail_form_factor(4))
+    out["power4"] = levels(universal_tail_form_factor(4))
     # the van der Waals profile is the n = 6 tail, in units of l_vdW
-    out["vdw"] = out["power6"] = solve_trimers_separable(universal_tail_form_factor(6))
-    out["step"] = solve_trimers_separable(step_form_factor(1.0))
+    out["vdw"] = out["power6"] = levels(universal_tail_form_factor(6))
+    out["step"] = levels(step_form_factor(1.0))
     return out
 
 
@@ -294,7 +296,7 @@ def test_criterion_09b_est_reproduces_two_body_input():
 
 
 def test_criterion_09c_stm_grid_doubling(zero_range_levels):
-    doubled = solve_trimers_zero_range(np.inf, 1000.0, (-1e7, -1e-3), n=800)
+    doubled = bound_levels(StmKernel(0.0, 1000.0, n=800), (-1e7, -1e-3))
     for a, b in zip(zero_range_levels, doubled):
         assert abs(b / a - 1.0) < 2e-3
 

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from efimov import __version__
-from efimov.cli import ConfigError, build_parser, main, read_config
+from efimov.cli import ConfigError, _fmt, build_parser, main, read_config
 from efimov.numerics import BracketingError, ConvergenceError
-from efimov.stm import TritonModel
+from efimov.stm import SeparableKernel, StmKernel, TritonModel, bound_levels
+from efimov.two_body import step_form_factor, universal_tail_form_factor
 
 
 def run(argv):
@@ -122,6 +123,10 @@ def test_invalid_values_exit_2(tmp_path):
     # a = 0 is no scattering length; unitarity is spelled inf
     assert run(["stm", "--a", "0", "--output", out]) == 2
     assert run(["bo", "--a", "0", "--output", out]) == 2
+    # nan is no scattering length either, for any model
+    assert run(["stm", "--a", "nan", "--output", out]) == 2
+    assert run(["stm", "--model", "vdw", "--a", "nan", "--output", out]) == 2
+    assert run(["bo", "--a", "nan", "--output", out]) == 2
     # |s0| = 0 is no Efimov channel, not a request for the boson value
     assert run(["hyperradial", "--s0", "0", "--output", out]) == 2
     # options of one stm model are refused with another, not ignored
@@ -184,6 +189,25 @@ def test_power6_is_the_vdw_model(tmp_path, a):
     vdw = _stm_csv(tmp_path, "--model", "vdw", f"--a={a}")
     assert len(vdw.splitlines()) > 1
     assert _stm_csv(tmp_path, "--model", "power6", f"--a={a}") == vdw
+
+
+@pytest.mark.parametrize(
+    "argv, kernel",
+    [
+        (["--cutoff", "100"], lambda: StmKernel(0.0, 100.0)),
+        (["--model", "step", "--a", "2"],
+         lambda: SeparableKernel(step_form_factor(1.0, inv_a=0.5), 0.5)),
+        (["--model", "vdw", "--a", "3"],
+         lambda: SeparableKernel(universal_tail_form_factor(6, 1 / 3), 1 / 3)),
+    ],
+    ids=["zero-range", "step", "vdw"],
+)
+def test_stm_prints_the_levels_of_its_kernel(tmp_path, argv, kernel):
+    # the front door builds the documented kernel at 1/a and searches the
+    # default window (--E-min, --E-max)
+    rows = _stm_csv(tmp_path, *argv).splitlines()[1:]
+    levels = bound_levels(kernel(), (-1e7, -1e-3))
+    assert [row.split(",")[1] for row in rows] == [_fmt(E) for E in levels]
 
 
 def test_narrow_resonance_level_below_the_dimer(tmp_path):

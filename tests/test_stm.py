@@ -16,8 +16,6 @@ from efimov.stm import (
     TritonModel,
     bound_levels,
     kappa_star_extrapolated,
-    solve_trimers_separable,
-    solve_trimers_zero_range,
     threshold_scattering_lengths,
 )
 from efimov.two_body import (
@@ -136,20 +134,18 @@ def test_bound_levels_frees_the_kernel_without_gc():
 
 @pytest.fixture(scope="module")
 def zr_reference():
-    return solve_trimers_zero_range(np.inf, 100.0, (-3e4, -1e-2), n=300)
+    return bound_levels(StmKernel(0.0, 100.0, n=300), (-3e4, -1e-2))
 
 
 def test_grid_doubling_stability(zr_reference):
-    doubled = solve_trimers_zero_range(np.inf, 100.0, (-3e4, -1e-2), n=600)
+    doubled = bound_levels(StmKernel(0.0, 100.0, n=600), (-3e4, -1e-2))
     assert len(doubled) == len(zr_reference)
     for a, b in zip(zr_reference, doubled):
         assert abs(b / a - 1.0) < 2e-3
 
 
 def test_cutoff_equivalence_class(zr_reference):
-    shifted = solve_trimers_zero_range(
-        np.inf, 100.0 * LAMBDA0, (-3e4 * LAMBDA0**2, -1e-2), n=300
-    )
+    shifted = bound_levels(StmKernel(0.0, 100.0 * LAMBDA0, n=300), (-3e4 * LAMBDA0**2, -1e-2))
     # Lambda -> lambda0 Lambda reproduces the spectrum shifted by one level;
     # exact grid self-similarity additionally pins each level to lambda0^2
     # times its unshifted value
@@ -163,7 +159,7 @@ def test_cutoff_equivalence_class(zr_reference):
 
 def test_positive_a_levels_below_dimer():
     a = 0.5
-    lev = solve_trimers_zero_range(a, 100.0, (-3e4, -1e-2), n=300)
+    lev = bound_levels(StmKernel(1.0 / a, 100.0, n=300), (-3e4, -1e-2))
     assert lev
     assert all(E < -1.0 / a**2 for E in lev)
 
@@ -190,8 +186,8 @@ def test_separable_levels_below_dimer(make_form, n_levels, n, warns):
     form = make_form()
     E_dimer = separable_dimer_energy(form, form.inv_a, 1e-8 * form.p_max)
     with pytest.warns(ResolutionWarning) if warns else contextlib.nullcontext() as rec:
-        lev = solve_trimers_separable(form, n=n, n_ang=24)
-    # the warning points at the caller of the solver
+        lev = bound_levels(SeparableKernel(form, form.inv_a, n=n, n_ang=24), (-3.0, -1e-7))
+    # the warning points at the caller of bound_levels
     assert all(w.filename == __file__ for w in rec or [])
     assert len(lev) == n_levels
     assert all(E < E_dimer for E in lev)
@@ -220,7 +216,7 @@ def test_narrow_resonance_requires_r_star():
     from efimov.stm import solve_trimers_narrow_resonance
 
     with pytest.raises(ValueError):
-        solve_trimers_narrow_resonance(np.inf, 0.0, (-1.0, -1e-6))
+        solve_trimers_narrow_resonance(0.0, 0.0, (-1.0, -1e-6))
 
 
 def test_threshold_lengths_geometric():
@@ -241,8 +237,9 @@ def test_threshold_lengths_make_the_zero_energy_kernel_singular():
 def test_bound_levels_warns_on_unresolved_levels():
     # the two step levels lie 1.9 cells of this grid apart
     kern = SeparableKernel(step_form_factor(1.0, inv_a=0.5), 0.5, n=140, n_ang=24)
-    with pytest.warns(ResolutionWarning):
+    with pytest.warns(ResolutionWarning) as rec:
         bound_levels(kern, (-3.0, -1e-7))
+    assert all(w.filename == __file__ for w in rec)
 
 
 def test_kappa_star_extrapolated():
@@ -256,7 +253,7 @@ def test_kappa_star_extrapolated():
 @pytest.fixture(scope="module")
 def step_ground():
     form = step_form_factor(1.0, inv_a=0.0)
-    lev = solve_trimers_separable(form, E_window=(-0.5, -1e-3), n=140, n_ang=24)
+    lev = bound_levels(SeparableKernel(form, form.inv_a, n=140, n_ang=24), (-0.5, -1e-3))
     return form, lev
 
 
