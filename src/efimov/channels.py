@@ -99,13 +99,8 @@ class ChannelExponent:
         return float(np.sqrt(-self.s_squared))
 
 
-@lru_cache(maxsize=None)
 def s2_lowest(R_over_a: float) -> float:
-    """s^2(R) of the lowest boson channel, continuous across RHO_STAR.
-
-    Memoized: as the s2(R) of a hyperradial channel it is evaluated
-    thousands of times per solve.
-    """
+    """s^2(R) of the lowest boson channel, continuous across RHO_STAR."""
     rho = float(R_over_a)
     if rho > 35.0:
         # sigma = rho + O(e^{-pi rho/3}): the channel merges with the dimer

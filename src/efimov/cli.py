@@ -209,12 +209,12 @@ def cmd_hyperradial(args):
         boundary=args.boundary,
         boundary_value=args.boundary_value,
     )
+    phase = three_body_phase(chan, args.reference_scale)
     states = solve_bound_states(chan, (args.kappa_min, args.kappa_max))
     rows = []
     for lvl, E in enumerate(states.energies):
         rows.append((lvl, E, -math.sqrt(-E) if E < 0 else 0.0, E * args.hbar2_over_m))
     write_csv(args.output, ["level", "energy", "kappa", "energy_scaled"], rows)
-    phase = three_body_phase(chan, args.reference_scale)
     print(f"three_body_phase={phase:.12g}")
     if args.manifest:
         write_manifest(args.manifest, "hyperradial", vars_of(args), [args.output])
@@ -342,8 +342,8 @@ def _verify_table():
     rows.append(("kappa_star_a_star", ks, 0.0707645086901, 5e-3))
     rows.append(("omega_constant", bo.OMEGA, 0.567143290409784, 1e-10))
     rows.append(("bo_critical_L1", bo.BO_CRITICAL_L1, 13.990296, 1e-4))
-    rows.append(("half_re_over_l4", half_effective_range_tail(4), 2 * math.pi / 3, 1e-3))
-    rows.append(("half_re_over_l6", half_effective_range_tail(6), 1.3947329, 1e-3))
+    rows.append(("half_re_over_l4", half_effective_range_tail(4), 2 * math.pi / 3, 1e-12))
+    rows.append(("half_re_over_l6", half_effective_range_tail(6), 1.3947328267375, 1e-12))
     lev = bound_levels(StmKernel(0.0, 1000.0), (-1e7, -1e-3))
     rows.append(("zero_range_energy_ratio", lev[1] / lev[2], 515.035, 1e-2))
     am = threshold_scattering_lengths(1000.0)

@@ -2,11 +2,11 @@
 short-range three-body boundary condition.
 
 Working coordinate is x = ln R, where the radial equation
--F'' + [(s(R)^2 - 1/4)/R^2] F = E F becomes, with F = e^{x/2} v(x),
+-F'' + [(s^2 - 1/4)/R^2] F = E F becomes, with F = e^{x/2} v(x),
 
-    v'' = [s(R)^2 - E R^2] v,   R = e^x,
+    v'' = [s^2 - E R^2] v,   R = e^x,
 
-so in the scale-invariant window v is a pure cosine in ln R.  Natural units
+so for s^2 < 0 the zero-energy solution is a pure cosine in ln R.  Natural units
 hbar = m = 1 with E = -kappa^2.
 """
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import S0
-from .numerics import ConvergenceError, find_root, isolate_levels, propagate
+from .numerics import find_root, isolate_levels, propagate
 
 __all__ = [
     "HyperradialChannel",
@@ -32,30 +32,30 @@ _SAMPLES = 3000
 
 @dataclass(frozen=True)
 class HyperradialChannel:
-    """Hyperradial channel: exponent source plus short-range boundary.
+    """Hyperradial channel: a fixed exponent plus a short-range boundary.
 
-    ``s_squared`` is either a number (fixed exponent; -S0**2 gives the
-    scale-invariant attraction) or a callable s2(R).  The boundary at R0 is
-    a hard wall by default, or a fixed logarithmic derivative F'/F = value
-    at R0 when boundary="log_derivative" (caveat: unphysical deep levels
-    can appear for strongly negative values).
+    ``s_squared`` is the constant s^2 of the channel; -S0**2 gives the
+    scale-invariant attraction.  The boundary at R0 is a hard wall by
+    default, or a fixed logarithmic derivative F'/F = value at R0 when
+    boundary="log_derivative" (caveat: unphysical deep levels can appear
+    for strongly negative values).
     """
 
-    s_squared: object = -(S0**2)
+    s_squared: float = -(S0**2)
     R0: float = 1.0
     boundary: str = "hard_wall"
     boundary_value: float = 0.0
 
     def __post_init__(self):
-        if not self.R0 > 0:
-            raise ValueError("R0 must be positive")
+        object.__setattr__(self, "s_squared", float(self.s_squared))
+        if not math.isfinite(self.s_squared):
+            raise ValueError("s_squared must be finite")
+        if not 0 < self.R0 < math.inf:
+            raise ValueError("R0 must be positive and finite")
         if self.boundary not in ("hard_wall", "log_derivative"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
-
-    def s2(self, R: np.ndarray) -> np.ndarray:
-        if callable(self.s_squared):
-            return np.vectorize(self.s_squared, otypes=[float])(R)
-        return np.full(np.shape(R), float(self.s_squared))
+        if not math.isfinite(self.boundary_value):
+            raise ValueError("boundary_value must be finite")
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class BoundStateSet:
         for E in self.energies:
             x, v = _shoot(self.channel, E)
             R = np.exp(x)
-            allowed = self.channel.s2(R) - E * R**2 < 0
+            allowed = self.channel.s_squared - E * R**2 < 0
             body = v[1:][allowed[1:]] if self.channel.boundary == "hard_wall" else v[allowed]
             s = np.sign(body[np.abs(body) > 0])
             out.append(int(np.count_nonzero(np.diff(s) != 0)))
@@ -100,7 +100,7 @@ def _start(channel: HyperradialChannel) -> list[float]:
 
 
 def _shoot(channel: HyperradialChannel, energy: float):
-    """Propagate v'' = (s2(R) - E R^2) v outward to R = 20/kappa, where the
+    """Propagate v'' = (s^2 - E R^2) v outward to R = 20/kappa, where the
     end value shifts a level by e^-2kappaR = e^-40; returns (x, v)."""
     kap = math.sqrt(-energy)
     x0 = math.log(channel.R0)
@@ -108,9 +108,7 @@ def _shoot(channel: HyperradialChannel, energy: float):
     if x1 <= x0 + 0.1:
         x1 = x0 + 0.1  # level pushed against the wall; tiny forbidden region
     x = np.linspace(x0, x1, _SAMPLES)
-    v, _ = propagate(
-        lambda t: channel.s2(np.exp(t)) - energy * np.exp(2.0 * t), x, _start(channel)
-    )
+    v, _ = propagate(lambda t: channel.s_squared - energy * np.exp(2.0 * t), x, _start(channel))
     return x, v
 
 
@@ -152,28 +150,19 @@ def solve_bound_states(
 def three_body_phase(ch: HyperradialChannel, reference_scale: float = 1.0) -> float:
     """Log-periodic phase Phi = |s0| ln(Lambda/Lambda0) in [0, pi).
 
-    The zero-energy solution is propagated outward from the boundary over
-    2.5 decades of R on 800 nodes, each step exact for a constant s^2; in
-    the scale-invariant window
-    v ~ cos(|s0| ln(Lambda R)), so the local phase
-    theta = atan2(-v', |s0| v) gives
-    Phi = theta - |s0| ln(R * reference_scale) (mod pi).  Raises
-    ConvergenceError when the phase is not stable over the fit window.
+    At zero energy v'' = s^2 v holds outward from the boundary with
+    s^2 = -s0^2, so v = A cos(|s0| ln R + phi) and the local phase
+    theta = atan2(-v', |s0| v) advances exactly as |s0| ln R.  Hence
+    Phi = theta(R0) - |s0| ln(R0 * reference_scale) (mod pi), with
+    theta(R0) read off the boundary values.  Raises ValueError for a
+    channel without attraction (s^2 >= 0) or a reference scale outside
+    (0, inf).
     """
-    x0 = math.log(ch.R0)
-    x = np.linspace(x0, x0 + 2.5 * math.log(10.0), 800)
-    R = np.exp(x)
-    mask = R > 3.0 * ch.R0  # fit past the boundary region
-    s2w = ch.s2(R[mask])
-    if np.any(s2w > -1e-12) or np.ptp(s2w) > 1e-9 * (1 + np.abs(s2w).max()):
-        raise ConvergenceError("exponent not constant and attractive in the fit window")
-    v, dv = propagate(lambda t: ch.s2(np.exp(t)), x, _start(ch))
-    s0 = math.sqrt(-s2w[0])
-    theta = np.arctan2(-dv[mask], s0 * v[mask])
-    phi = np.mod(theta - s0 * np.log(R[mask] * reference_scale), np.pi)
-    # circular mean guards the wrap-around of mod pi
-    mean = 0.5 * math.atan2(np.sin(2 * phi).mean(), np.cos(2 * phi).mean()) % np.pi
-    spread = np.abs(np.mod(phi - mean + np.pi / 2, np.pi) - np.pi / 2)
-    if spread.max() > 1e-6:
-        raise ConvergenceError(f"phase not constant in window (spread {spread.max():.1e})")
-    return float(mean)
+    if not ch.s_squared < 0:
+        raise ValueError("the three-body phase needs an attractive channel, s_squared < 0")
+    if not 0 < reference_scale < math.inf:
+        raise ValueError("reference_scale must be positive and finite")
+    s0 = math.sqrt(-ch.s_squared)
+    v, dv = _start(ch)
+    phi = (math.atan2(-dv, s0 * v) - s0 * math.log(ch.R0 * reference_scale)) % math.pi
+    return phi if phi < math.pi else 0.0  # a tiny negative phase rounds up to pi

@@ -281,30 +281,24 @@ def _bessel_j(nu: float, z):
 
 
 def half_effective_range_tail(n: float) -> float:
-    """(1/2) r_e / l_n at unitarity from the wave-function integral.
+    """(1/2) r_e / l_n at unitarity, the integral of 1 - phi(x)^2 over x > 0
+    for the zero-energy state phi of a -C_n/r^n tail, in closed form.
 
-    Splits the integral at small x (oscillatory region, WKB envelope
-    integrated in closed form) and large x (algebraic tail integrated
-    analytically).
+    In z = 2 x^{-(n-2)/2} it is the Weber-Schafheitlin integral of
+    J_nu(z)^2 z^{-1-4 nu} (DLMF 10.22.57), continued in its power past the
+    subtracted small-z term:
+    Gamma(1+nu)^2 Gamma(1-nu) Gamma(1+4 nu) / [Gamma(1+2 nu)^2 Gamma(1+3 nu)],
+    nu = 1/(n-2).  It gives 2 pi/3 for n = 4 and Gamma(1/4)^2/(3 pi) for
+    n = 6 (Gao, PRA 58, 4222 (1998); Flambaum, Gribakin & Harabati, PRA
+    59, 1998 (1999)).
     """
+    if not n > 3:
+        raise ValueError("need tail exponent n > 3")
     nu = 1.0 / (n - 2.0)
-    x_split = (2.0 / 120.0) ** (2.0 / (n - 2.0))  # Bessel argument ~120
-    x_top = 50.0
-
-    from scipy.integrate import quad  # efimov verify's one quadrature
-
-    def integrand(x):
-        return 1.0 - universal_tail_wavefunction(n, x) ** 2
-
-    val, _ = quad(integrand, x_split, x_top, limit=4000)
-    # below x_split: 1 contributes x_split; phi^2 has WKB envelope
-    # Gamma^2 x^{1+(n-2)/2}/(2 pi) after averaging the oscillation
-    g2 = math.gamma((n - 1.0) / (n - 2.0)) ** 2
-    pow_ = 2.0 + (n - 2.0) / 2.0
-    small = x_split - g2 * x_split**pow_ / (2.0 * np.pi * pow_)
-    # beyond x_top: 1 - phi^2 ~ 2 x^{-(n-2)}/(1+nu)
-    tail = 2.0 * x_top ** (-(n - 3.0)) / ((1.0 + nu) * (n - 3.0))
-    return float(small + val + tail)
+    g = math.gamma
+    return g(1.0 + nu) ** 2 * g(1.0 - nu) * g(1.0 + 4.0 * nu) / (
+        g(1.0 + 2.0 * nu) ** 2 * g(1.0 + 3.0 * nu)
+    )
 
 
 @dataclass(frozen=True)

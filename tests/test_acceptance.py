@@ -259,8 +259,9 @@ def test_criterion_07_born_oppenheimer():
 
 
 def test_criterion_08_effective_range_tails():
-    assert half_effective_range_tail(4) == pytest.approx(2.0944, abs=1e-3)
-    assert half_effective_range_tail(6) == pytest.approx(1.39473, abs=1e-3)
+    exact = {4: 2 * math.pi / 3, 6: math.gamma(0.25) ** 2 / (3 * math.pi)}
+    for n, ref in exact.items():
+        assert half_effective_range_tail(n) == pytest.approx(ref, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

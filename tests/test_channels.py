@@ -43,6 +43,8 @@ def exact():
             "OMEGA": omega,
             "BO_CRITICAL_L1": 2 * (2 + mpmath.mpf(1) / 4) / omega**2,
             "fermion_critical_mass_ratio": sin(gam) / (1 - sin(gam)),
+            # (1/2) r_e / l_6 of the -C_6/r^6 tail at unitarity
+            "half_re_over_l6": mpmath.gamma(mpmath.mpf(1) / 4) ** 2 / (3 * pi),
         }
 
 
@@ -74,6 +76,7 @@ def test_verify_references_round_the_exact_constants(exact):
         "boson_s0": "S0", "scaling_ratio": "LAMBDA0", "two_pair_ratio": "lambda0_two_pair",
         "fermion_critical_mass_ratio": "fermion_critical_mass_ratio",
         "omega_constant": "OMEGA", "bo_critical_L1": "BO_CRITICAL_L1",
+        "half_re_over_l6": "half_re_over_l6",
     }
     with mpmath.workdps(30):
         for row, name in rows.items():

@@ -114,7 +114,7 @@ def test_config_errors_exit_2(tmp_path):
         read_config(str(bad))
 
 
-def test_invalid_values_exit_2(tmp_path):
+def test_invalid_values_exit_2(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     # kappa_star <= 0 is a domain error in the universal formula
     assert run(["universal", "--kappa-star", "-1.0", "--output", out]) == 2
@@ -133,6 +133,18 @@ def test_invalid_values_exit_2(tmp_path):
     assert run(["stm", "--model", "step", "--cutoff", "5", "--output", out]) == 2
     assert run(["stm", "--model", "narrow-resonance", "--exact-domain", "--output", out]) == 2
     assert run(["stm", "--r-star", "2", "--output", out]) == 2
+    # a hyperradial channel or phase that cannot be formed is refused before
+    # any level is printed to stdout
+    capsys.readouterr()
+    for args in (
+        *(["--reference-scale", v] for v in ("nan", "0", "-1", "inf")),
+        *(["--boundary", "log_derivative", "--boundary-value", v] for v in ("nan", "inf")),
+        ["--boundary-value", "nan"],  # read by no hard wall, still no number
+        ["--R0", "inf"],
+        ["--s0", "inf"],
+    ):
+        assert run(["hyperradial", *args]) == 2, args
+        assert capsys.readouterr().out == "", args
 
 
 @pytest.mark.parametrize("error", [ConvergenceError, BracketingError], ids=lambda e: e.__name__)

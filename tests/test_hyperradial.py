@@ -10,7 +10,7 @@ from efimov.hyperradial import (
     solve_bound_states,
     three_body_phase,
 )
-from efimov.numerics import ConvergenceError
+from efimov.numerics import propagate
 
 
 @pytest.fixture(scope="module")
@@ -97,10 +97,56 @@ def test_phase_shifts_with_reference_scale():
     assert phi2 == pytest.approx(expect, abs=1e-8)
 
 
-def test_phase_rejects_running_exponent():
-    chan = HyperradialChannel(s_squared=lambda R: s2_lowest(-0.3 * R), R0=1.0)
-    with pytest.raises(ConvergenceError):
-        three_body_phase(chan)
+def test_channel_rejects_callable_exponent():
+    # s^2 is one number: a running exponent s2(R) is no hyperradial channel
+    with pytest.raises(TypeError):
+        HyperradialChannel(s_squared=lambda R: s2_lowest(-0.3 * R))
+
+
+def _propagated_phase(ch, reference_scale):
+    """The phase by propagation: the zero-energy solution carried over 2.5
+    decades of R on 800 nodes, with theta = atan2(-v', |s0| v) read at the
+    last node."""
+    x = np.linspace(math.log(ch.R0), math.log(ch.R0) + 2.5 * math.log(10.0), 800)
+    start = [0.0, 1.0] if ch.boundary == "hard_wall" else [1.0, ch.R0 * ch.boundary_value - 0.5]
+    v, dv = propagate(lambda t: np.full_like(t, ch.s_squared), x, start)
+    s0 = math.sqrt(-ch.s_squared)
+    return math.atan2(-dv[-1], s0 * v[-1]) - s0 * (x[-1] + math.log(reference_scale))
+
+
+@pytest.mark.parametrize("reference_scale", [1.0, 2.5])
+@pytest.mark.parametrize("R0", [0.5, 1.0, LAMBDA0], ids=["0.5", "1", "lambda0"])
+@pytest.mark.parametrize(
+    "boundary", [("hard_wall", 0.0), ("log_derivative", -3.0), ("log_derivative", 10.0)],
+    ids=["hard_wall", "log_derivative_-3", "log_derivative_10"],
+)
+def test_phase_matches_propagated_solution(boundary, R0, reference_scale):
+    ch = HyperradialChannel(R0=R0, boundary=boundary[0], boundary_value=boundary[1])
+    phi = three_body_phase(ch, reference_scale)
+    assert 0.0 <= phi < math.pi
+    diff = (phi - _propagated_phase(ch, reference_scale)) % math.pi
+    assert min(diff, math.pi - diff) < 1e-12
+
+
+@pytest.mark.parametrize("R0", [0.5, 1.0, LAMBDA0], ids=["0.5", "1", "lambda0"])
+def test_phase_in_range_at_zero_boundary_phase(R0):
+    # F'/F = 1/(2 R0) starts v with v' = 0, so theta(R0) = -0.0; one ulp
+    # more gives v' = 1.1e-16 and a phase of -1.1e-16, which a bare mod pi
+    # rounds up to pi.  At reference scale 1/R0 both phases are 0 mod pi.
+    for value in (0.5, math.nextafter(0.5, 1.0)):
+        ch = HyperradialChannel(R0=R0, boundary="log_derivative", boundary_value=value / R0)
+        phi = three_body_phase(ch, 1.0 / R0)
+        assert 0.0 <= phi < math.pi
+        assert min(phi, math.pi - phi) < 1e-15
+
+
+def test_phase_validation():
+    for s_squared in (0.0, 0.25):  # no attraction, no log-periodic phase
+        with pytest.raises(ValueError):
+            three_body_phase(HyperradialChannel(s_squared=s_squared))
+    for reference_scale in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            three_body_phase(HyperradialChannel(), reference_scale)
 
 
 def test_log_derivative_boundary():
@@ -113,8 +159,13 @@ def test_log_derivative_boundary():
 
 
 def test_channel_validation():
-    with pytest.raises(ValueError):
-        HyperradialChannel(R0=-1.0)
+    for fields in (
+        {"R0": -1.0}, {"R0": 0.0}, {"R0": math.inf}, {"R0": math.nan},
+        {"s_squared": math.nan}, {"s_squared": -math.inf},
+        {"boundary_value": math.nan}, {"boundary_value": math.inf},
+    ):
+        with pytest.raises(ValueError):
+            HyperradialChannel(**fields)
     with pytest.raises(ValueError):
         HyperradialChannel(boundary="open")
     with pytest.raises(ValueError):

@@ -218,6 +218,8 @@ def test_no_module_level_scipy_import(path):
 
 
 _SOLVER_PATHS = """
+import contextlib
+import io
 import sys
 import numpy as np
 import efimov.cli
@@ -232,6 +234,10 @@ two_body.est_form_factor(state)(np.linspace(0.0, 200.0, 101))
 numerics.find_root(np.cos, 1.0, 2.0)
 born_oppenheimer.bonding_kappa(np.array([0.5, 2.0]), -1.0)
 hyperradial.solve_bound_states(hyperradial.HyperradialChannel(), (1e-3, 10.0))
+hyperradial.three_body_phase(hyperradial.HyperradialChannel())
+two_body.half_effective_range_tail(4), two_body.half_effective_range_tail(6)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert efimov.cli.main(["verify"]) == 0
 stm.bound_levels(stm.StmKernel(0.0, 100.0, n=120), (-3e4, -1e-2))
 stm.bound_levels(stm.SeparableKernel(form, 0.3, n=140, n_ang=24), (-3.0, -1e-7))
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
@@ -240,9 +246,10 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 def test_solver_paths_load_no_scipy():
     """The CLI and every library module import, and the tail and EST form
-    factors, a root, a bonding orbital, a hyperradial spectrum and a
-    zero-range and a separable STM spectrum solve, without loading scipy
-    and, under -W error, without a numpy warning."""
+    factors, a root, a bonding orbital, a hyperradial spectrum and phase,
+    the tail effective ranges, a zero-range and a separable STM spectrum
+    and `efimov verify` solve, without loading scipy and, under -W error,
+    without a numpy warning."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(

@@ -114,8 +114,42 @@ def test_tuning_helpers():
 
 
 def test_half_effective_range_tail_constants():
-    assert half_effective_range_tail(4) == pytest.approx(2.0 * math.pi / 3.0, abs=1e-3)
-    assert half_effective_range_tail(6) == pytest.approx(1.3947329, abs=1e-3)
+    # Gao, PRA 58, 4222 (1998); Flambaum, Gribakin & Harabati, PRA 59, 1998 (1999)
+    with mpmath.workdps(30):
+        exact = {4: 2 * mpmath.pi / 3, 6: mpmath.gamma(0.25) ** 2 / (3 * mpmath.pi)}
+        for n, ref in exact.items():
+            assert abs(half_effective_range_tail(n) / ref - 1) < 1e-14, n
+
+
+def _half_effective_range_by_quadrature(n):
+    """int_0^inf [1 - phi(x)^2] dx by quad on [x_split, 50], where the Bessel
+    argument falls from 120 to below 1.  Below x_split phi^2 is taken as its
+    oscillation-averaged WKB envelope Gamma^2 x^{1+(n-2)/2}/(2 pi), and above
+    50 1 - phi^2 as 2 x^{-(n-2)}/(1 + nu); both pieces integrate in closed
+    form."""
+    nu = 1.0 / (n - 2.0)
+    x_split, x_top = (2.0 / 120.0) ** (2.0 / (n - 2.0)), 50.0
+    val, _ = quad(
+        lambda x: 1.0 - universal_tail_wavefunction(n, x) ** 2, x_split, x_top, limit=4000
+    )
+    g2 = math.gamma((n - 1.0) / (n - 2.0)) ** 2
+    power = 2.0 + (n - 2.0) / 2.0
+    small = x_split - g2 * x_split**power / (2.0 * math.pi * power)
+    tail = 2.0 * x_top ** (-(n - 3.0)) / ((1.0 + nu) * (n - 3.0))
+    return small + val + tail
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_half_effective_range_tail_matches_quadrature(n):
+    # the closed form holds for every n > 3, not only at the two known constants
+    ref = _half_effective_range_by_quadrature(n)
+    assert half_effective_range_tail(n) == pytest.approx(ref, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [3, 2.5, math.nan])
+def test_half_effective_range_tail_domain(n):
+    with pytest.raises(ValueError):
+        half_effective_range_tail(n)
 
 
 def test_tail_wavefunctions_normalized_at_large_distance():
