@@ -7,19 +7,17 @@ sigma axis.  A channel with s^2 < 0 supports the log-periodic attraction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .numerics import BracketingError, find_root, propagate, scan_sign_changes
+from .numerics import find_root, propagate
 
 __all__ = [
     "S0",
     "LAMBDA0",
     "S0_TWO_PAIR",
     "RHO_STAR",
-    "ChannelExponent",
     "boson_sigma",
     "s2_lowest",
     "two_plus_one_exponent",
@@ -81,26 +79,17 @@ S0_TWO_PAIR = find_root(
 )
 
 
-@dataclass(frozen=True)
-class ChannelExponent:
-    """One hyperangular eigenvalue; s_squared < 0 marks an Efimov channel."""
-
-    s_squared: float
-
-    @property
-    def efimov(self) -> bool:
-        return self.s_squared < 0
-
-    @property
-    def sigma(self) -> float:
-        """|s| for an imaginary exponent."""
-        if self.s_squared >= 0:
-            raise ValueError("exponent is real")
-        return float(np.sqrt(-self.s_squared))
-
-
 def s2_lowest(R_over_a: float) -> float:
-    """s^2(R) of the lowest boson channel, continuous across RHO_STAR."""
+    """s^2(R) of the lowest boson channel, continuous across RHO_STAR.
+
+    Above RHO_STAR the root is imaginary (``boson_sigma``).  Below it the
+    lowest real root is the Brent zero of the real condition f(s) on
+    (1e-9, 2), whose end signs are known: f(s) ~ (pi/2)(rho - RHO_STAR) s
+    < 0 as s -> 0+, and f(2) = 6.  It holds one zero (measured for R/a
+    from RHO_STAR - 1e-6 down to -1e15).
+    Below R/a of about -5e16 the rounding of sin(pi) flips f(2), and
+    BracketingError is raised.
+    """
     rho = float(R_over_a)
     if rho > 35.0:
         # sigma = rho + O(e^{-pi rho/3}): the channel merges with the dimer
@@ -110,12 +99,7 @@ def s2_lowest(R_over_a: float) -> float:
     if abs(rho - RHO_STAR) <= 1e-9:
         return 0.0
     # lowest real root rises from 0 at RHO_STAR toward 2 as rho -> -inf
-    grid = np.linspace(1e-9, 2.5, 500)
-    brackets = scan_sign_changes(lambda s: _boson_real_eq(s, rho), grid)
-    if not brackets:
-        raise BracketingError(f"no real root found at R/a = {rho}")
-    root = find_root(lambda s: _boson_real_eq(s, rho), *brackets[0])
-    return root**2
+    return find_root(lambda s: _boson_real_eq(s, rho), 1e-9, 2.0) ** 2
 
 
 def _gamma(mass_ratio: float) -> float:
@@ -182,13 +166,18 @@ def two_plus_one_exponent(
     statistics: str = "bosons",
     resonant_pairs: int = 3,
     ell: int = None,
-) -> ChannelExponent:
-    """Lowest channel exponent for two identical particles plus one, at
-    unitarity of the resonant pairs.
+) -> float:
+    """s^2 of the lowest channel for two identical particles plus one, at
+    unitarity of the resonant pairs; s^2 < 0 marks an Efimov channel.
 
     Bosons use ell = 0 (2 or 3 resonant pairs); fermions use ell = 1 and
-    return a real exponent flagged non-Efimov below the critical mass
-    ratio 13.6069657.
+    give a real exponent, s^2 > 0, below the critical mass ratio
+    13.6069657.  That real s is the Brent zero of the channel condition on
+    (1e-6, 2), where the condition is negative at the lower end wherever
+    the sigma -> 0 limit is positive and positive at s = 2 (measured for
+    mass ratios 1e-5 to 13.606965).  Within about 3.5e-11 below the
+    critical ratio the root falls under 1e-6, or the propagated condition
+    is already past its own zero crossing, and BracketingError is raised.
     """
     if mass_ratio <= 0:
         raise ValueError("mass_ratio must be positive")
@@ -200,22 +189,19 @@ def two_plus_one_exponent(
         while f(hi, mass_ratio) < 0:
             hi *= 2.0
         sig = find_root(lambda s: f(s, mass_ratio), 1e-10, hi)
-        return ChannelExponent(-(sig**2))
+        return -(sig**2)
     if statistics == "fermions":
         if ell not in (None, 1):
             raise ValueError("fermion channel implemented for ell = 1")
         if _fermion21_sigma_limit(mass_ratio) > 0:
             # subcritical: no Efimov channel; report the lowest real root
-            grid = np.linspace(1e-3, 1.999, 200)
             gam = _gamma(mass_ratio)
-            lo, hi = scan_sign_changes(lambda s: _two_plus_one_condition(1, s * s, gam), grid)[0]
-            root = find_root(lambda s: _two_plus_one_condition(1, s * s, gam), lo, hi)
-            return ChannelExponent(root**2)
+            return find_root(lambda s: _two_plus_one_condition(1, s * s, gam), 1e-6, 2.0) ** 2
         hi = 1.0
         while _fermion21_sigma(hi, mass_ratio) < 0:
             hi *= 2.0
         sig = find_root(lambda s: _fermion21_sigma(s, mass_ratio), 1e-10, hi)
-        return ChannelExponent(-(sig**2))
+        return -(sig**2)
     raise ValueError(f"unknown statistics {statistics!r}")
 
 

@@ -146,9 +146,9 @@ def cmd_universal(args):
     rows = []
     for ia in inv_a:
         for n in range(args.levels):
-            pt = trimer_point(n, float(ia), args.kappa_star)
-            if pt is not None:
-                rows.append((float(ia), n, pt.kappa))
+            kappa = trimer_point(n, float(ia), args.kappa_star)
+            if kappa is not None:
+                rows.append((float(ia), n, kappa))
     write_csv(args.output, ["inv_a", "level", "kappa"], rows)
     outputs = [args.output]
     if args.constants:
@@ -184,10 +184,8 @@ def cmd_channels(args):
         ("rho_star", ch.RHO_STAR),
     ]
     if args.mass_ratio is not None:
-        exp = ch.two_plus_one_exponent(
-            args.mass_ratio, statistics=args.system, ell=args.ell
-        )
-        rows.append(("s_squared_2plus1", exp.s_squared))
+        s2 = ch.two_plus_one_exponent(args.mass_ratio, statistics=args.system, ell=args.ell)
+        rows.append(("s_squared_2plus1", s2))
     if not args.unitarity:
         for rho in args.rho:
             rows.append((f"s2_lowest@{rho:g}", ch.s2_lowest(float(rho))))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import S0
-from .numerics import find_root, isolate_levels, propagate
+from .numerics import locate_levels, propagate
 
 __all__ = [
     "HyperradialChannel",
@@ -118,11 +118,12 @@ def solve_bound_states(
     """All bound levels with kappa = sqrt(-E) inside the window.
 
     The outward solution at energy E has as many interior nodes as there
-    are levels below E; the node count is bisected in ln kappa until each
-    bracket holds one level.  The count steps where a node crosses the end
-    of the shot, so each level is refined by Brent's method, to 1e-12 in
-    ln kappa, on the continuous end value v(x1(kappa)).  An empty window
-    returns an empty set.
+    are levels below E, and the count steps where a node crosses the end
+    of the shot.  So ``locate_levels`` bisects the node count in ln kappa
+    until each bracket holds one level and refines the level, to 1e-12 in
+    ln kappa, as the zero of the continuous end value v(x1(kappa)); each
+    shot is made once and shared by both steps.  An empty window returns
+    an empty set.
     """
     k_lo, k_hi = kappa_window
     if not 0 < k_lo < k_hi:
@@ -137,14 +138,11 @@ def solve_bound_states(
         s = np.sign(body[np.abs(body) > 0])
         return int(np.count_nonzero(np.diff(s) != 0)), v[-1]
 
-    brackets = isolate_levels(
-        lambda t: shot(t)[0], math.log(k_lo), math.log(k_hi), tol=1e-12
+    roots = locate_levels(
+        lambda t: shot(t)[0], lambda t, _: shot(t)[1], math.log(k_lo), math.log(k_hi), tol=1e-12
     )
-    energies = [
-        E(find_root(lambda t: shot(t)[1], lo, hi, tol=1e-12))
-        for lo, hi, _, _ in reversed(brackets)  # deepest (largest kappa) first
-    ]
-    return BoundStateSet(channel, tuple(energies))
+    # deepest (largest kappa) first
+    return BoundStateSet(channel, tuple(E(t) for t in reversed(roots)))
 
 
 def three_body_phase(ch: HyperradialChannel, reference_scale: float = 1.0) -> float:

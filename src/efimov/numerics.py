@@ -1,5 +1,11 @@
-"""Shared numerical substrate: quadrature, root finding, level isolation
+"""Shared numerical substrate: quadrature, root finding, level location
 and the linear propagator of y'' = q(x) y.
+
+Every level, threshold and channel root is a Brent zero (``find_root``)
+of a continuous function inside a bracket whose end signs are known before
+the search: ``locate_levels`` proves them from the steps of a monotone
+integer count, and the channel solvers from the limits of their
+conditions at the bracket ends.
 
 All physics modules work in natural units hbar = m = 1, where m is the mass
 of the reference particle.  Everything here is a pure function of its inputs.
@@ -17,8 +23,7 @@ __all__ = [
     "BracketingError",
     "ConvergenceError",
     "find_root",
-    "isolate_levels",
-    "scan_sign_changes",
+    "locate_levels",
     "gauss_legendre",
     "gauss_legendre_log",
     "propagate",
@@ -57,9 +62,6 @@ class QuadratureRule:
             raise ValueError("quadrature weights must be strictly positive")
         if np.any(np.diff(self.nodes) <= 0):
             raise ValueError("quadrature nodes must be strictly increasing")
-
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
 
 
 def find_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -122,35 +124,30 @@ def find_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     raise ConvergenceError(f"no convergence after {_MAXITER} iterations, value is {xcur}")
 
 
-def isolate_levels(count, lo: float, hi: float, tol: float) -> list[tuple]:
-    """Brackets of the unit steps of a monotone integer ``count`` on [lo, hi].
+def locate_levels(count, value, lo: float, hi: float, tol: float) -> list[float]:
+    """Every point in [lo, hi] where the monotone integer ``count`` steps
+    by one, in increasing order.
 
-    The interval is bisected until each piece holds exactly one step;
-    returns (a, b, count(a), count(b)) per step, in increasing a.  Raises
-    ConvergenceError when two steps are closer than ``tol``, so no level is
-    skipped silently.
+    The interval is bisected until each piece holds exactly one step, so
+    no step is skipped; two steps closer than ``tol`` raise
+    ConvergenceError.  Each step on [a, b] is then refined by Brent's
+    method, to ``tol``, as the zero of the continuous ``value(x, k)`` with
+    k = min(count(a), count(b)): the caller's value must change sign
+    wherever its count steps.
     """
-    out = []
+    brackets = []
     stack = [(lo, count(lo), hi, count(hi))]
     while stack:
         a, ca, b, cb = stack.pop()
         if abs(cb - ca) == 1:
-            out.append((a, b, ca, cb))
+            brackets.append((a, b, min(ca, cb)))
         elif ca != cb:
             if b - a <= tol:
                 raise ConvergenceError(f"{abs(cb - ca)} levels within {tol:g} of {a:.15g}")
             m = 0.5 * (a + b)
             cm = count(m)
             stack += [(m, cm, b, cb), (a, ca, m, cm)]  # lower half first
-    return out
-
-
-def scan_sign_changes(f, grid) -> list[tuple[float, float]]:
-    """Brackets [x_i, x_{i+1}] of ``grid`` on which f changes sign."""
-    grid = np.asarray(grid, dtype=float)
-    vals = np.array([f(x) for x in grid])
-    idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    return [(grid[i], grid[i + 1]) for i in idx]
+    return [find_root(lambda x, k=k: value(x, k), a, b, tol=tol) for a, b, k in brackets]
 
 
 def _legendre_theta(n: int, theta):

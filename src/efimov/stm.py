@@ -28,11 +28,12 @@ import numpy as np
 
 from .channels import LAMBDA0
 from .numerics import (
+    BracketingError,
     ConvergenceError,
     find_root,
     gauss_legendre,
     gauss_legendre_log,
-    isolate_levels,
+    locate_levels,
 )
 from .two_body import (
     FormFactor,
@@ -72,10 +73,14 @@ class ResolutionWarning(UserWarning):
     """Adjacent levels closer than a few momentum-grid cells."""
 
 
-def _level_count(kernel, E_window):
-    """Number of levels in E_window, from the inertia of M(E) at its ends."""
-    lo, hi = (np.count_nonzero(np.linalg.eigvalsh(kernel.matrix(E)) < 0) for E in E_window)
-    return int(abs(lo - hi))
+def _eigenvalue_zeros(spectrum, lo: float, hi: float) -> list[float]:
+    """Every x in [lo, hi] where an eigenvalue of the cached ascending
+    ``spectrum(x)`` crosses zero, to 1e-12: the steps of its count of
+    negative eigenvalues, each refined on the eigenvalue that crosses."""
+    return locate_levels(
+        lambda x: int(np.count_nonzero(spectrum(x) < 0)), lambda x, k: spectrum(x)[k],
+        lo, hi, tol=1e-12,
+    )
 
 
 def bound_levels(kernel, E_window: tuple[float, float]) -> list[float]:
@@ -84,12 +89,13 @@ def bound_levels(kernel, E_window: tuple[float, float]) -> list[float]:
 
     The window ends 1e-10 (relative) below the kernel's lowest dimer
     pole, above which M(E) holds the discretised atom-dimer continuum.  The
-    number of negative eigenvalues of the symmetric M(E) is bisected in
-    ln(-E) until each bracket holds one level; Brent's method refines it on
-    the eigenvalue of sorted index min(count) that crosses zero there.
-    Adjacent levels whose momenta sqrt(-E) lie under 3 cells of the
-    kernel's log grid apart raise a ResolutionWarning, which names the
-    caller of ``bound_levels``.
+    number of negative eigenvalues of the symmetric M(E) drops by one at
+    each level, so ``locate_levels`` bisects it in ln(-E) until each
+    bracket holds one level and refines the level, to 1e-12 in ln(-E), as
+    the zero of the eigenvalue of sorted index min(count) there; each
+    eigvalsh is made once and shared by both steps.  Adjacent levels whose
+    momenta sqrt(-E) lie under 3 cells of the kernel's log grid apart
+    raise a ResolutionWarning, which names the caller of ``bound_levels``.
     """
     E_lo, E_hi = E_window
     if not E_lo < E_hi < 0:
@@ -98,14 +104,7 @@ def bound_levels(kernel, E_window: tuple[float, float]) -> list[float]:
     if not E_lo < E_hi:
         return []
     spectrum = functools.cache(lambda l: np.linalg.eigvalsh(kernel.matrix(-math.exp(l))))
-    brackets = isolate_levels(
-        lambda l: int(np.count_nonzero(spectrum(l) < 0)),
-        math.log(-E_hi), math.log(-E_lo), tol=1e-12,
-    )
-    roots = [
-        find_root(lambda l, k=min(na, nb): spectrum(l)[k], a, b, tol=1e-12)
-        for a, b, na, nb in brackets
-    ]
+    roots = _eigenvalue_zeros(spectrum, math.log(-E_hi), math.log(-E_lo))
     # one cell of the log grid in ln p (its w/p sum to the grid's width in
     # ln p); a level's momentum sqrt(-E) sits at ln p = l/2
     rule = kernel.grid
@@ -367,54 +366,55 @@ def threshold_scattering_lengths(
     return list(a_all[np.abs(a_all) * cutoff > 10.0][:n_max])
 
 
-def _bisect_threshold(has_state, x_without: float, x_with: float, rel: float) -> float:
-    """Midpoint of the bracket on which ``has_state`` switches, bisected
-    until the bracket is under rel * min(|x_without|, |x_with|)."""
-    if has_state(x_without) or not has_state(x_with):
-        raise ValueError("bracket does not straddle the threshold")
-    while abs(x_with - x_without) > rel * min(abs(x_without), abs(x_with)):
-        mid = 0.5 * (x_without + x_with)
-        if has_state(mid):
-            x_with = mid
-        else:
-            x_without = mid
-    return 0.5 * (x_without + x_with)
+def _threshold(spectrum, lo: float, hi: float) -> float:
+    """The one x in (lo, hi) at which a level crosses the top of its window,
+    where ``spectrum(x)`` is the cached eigvalsh of M at that top."""
+    roots = _eigenvalue_zeros(spectrum, lo, hi)
+    if len(roots) != 1:
+        raise BracketingError(f"{len(roots)} thresholds in 1/a in ({lo:g}, {hi:g}), need one")
+    return roots[0]
 
 
 def a_minus_ground(form_family, bracket: tuple[float, float]) -> float:
     """Ground-level dissociation length a_-^(0) for an a-dependent
     form-factor family (callable 1/a -> FormFactor).
 
-    The kernel itself depends on a here, so a_- is found, to 1e-3 relative,
-    by bisecting the existence of a trimer in (-3, -1e-6) between the two
-    bracket scattering lengths (both < 0; |lo| without state, |hi| with)."""
+    The kernel itself depends on a here, so a_- is located in 1/a between
+    the two bracket scattering lengths (both < 0; |lo| without state,
+    |hi| with), as the zero, to 1e-12 in 1/a, of the eigenvalue of
+    M(-1e-6; 1/a) whose crossing adds the trimer to the window
+    (-3, -1e-6).  A bracket holding no crossing, or more than one, raises
+    BracketingError."""
     lo, hi = bracket
     if not (lo < 0 and hi < 0 and abs(lo) < abs(hi)):
         raise ValueError("bracket must be (a_without, a_with), both negative")
 
-    def has_state(a):
-        kern = SeparableKernel(form_family(1.0 / a), 1.0 / a, n=200, n_ang=32)
-        return _level_count(kern, (-3.0, -1e-6)) > 0
+    @functools.cache
+    def spectrum(inv_a):
+        kern = SeparableKernel(form_family(inv_a), inv_a, n=200, n_ang=32)
+        return np.linalg.eigvalsh(kern.matrix(-1e-6))
 
-    return _bisect_threshold(has_state, lo, hi, 1e-3)
+    return 1.0 / _threshold(spectrum, 1.0 / lo, 1.0 / hi)
 
 
 def narrow_resonance_a_star0(r_star: float) -> float:
     """a_*^(0): scattering length where the ground narrow-resonance trimer
     meets the particle-dimer threshold (a > 0), in units set by R*.
 
-    The existence of a trimer below the dimer pole is bisected in 1/a, to
-    1e-4 relative, over 1/a in (1.8, 2.6)/R*."""
+    Located in 1/a over (1.8, 2.6)/R*, as the zero, to 1e-12 in 1/a, of
+    the eigenvalue of M(E; 1/a) whose crossing takes the trimer out of the
+    window below E = (1 + 1e-10) E_dimer(1/a).  No crossing, or more than
+    one, raises BracketingError."""
     if not r_star > 0:
         raise ValueError("r_star must be positive")
     cutoff = 100.0 / r_star
 
-    def has_state(inv_a):
+    @functools.cache
+    def spectrum(inv_a):
         kern = StmKernel(inv_a, cutoff, r_star=r_star, n=400, p_min_factor=1e-8)
-        Ed = kern._threshold()
-        return _level_count(kern, (1e4 * Ed, (1 + _POLE_GAP) * Ed)) > 0
+        return np.linalg.eigvalsh(kern.matrix((1 + _POLE_GAP) * kern._threshold()))
 
-    return 1.0 / _bisect_threshold(has_state, 2.6 / r_star, 1.8 / r_star, 1e-4)
+    return 1.0 / _threshold(spectrum, 1.8 / r_star, 2.6 / r_star)
 
 
 def kappa_star_extrapolated(energies, level: int = 0) -> float:

@@ -125,7 +125,6 @@ class ZeroEnergyState:
     r_e: float
     r: np.ndarray
     phi: np.ndarray
-    node_count: int
     fit_residual: float = 0.0
 
     @property
@@ -166,8 +165,7 @@ def solve_zero_energy(model: TwoBodyModel) -> ZeroEnergyState:
         phi = u / alpha
     phibar = 1.0 - rg * inv_a
     r_e = 2.0 * _simpson(phibar**2 - phi**2, rg)
-    nodes = int(np.count_nonzero(np.diff(np.sign(phi[np.abs(phi) > 0])) != 0))
-    return ZeroEnergyState(float(inv_a), float(r_e), rg, phi, nodes, float(resid))
+    return ZeroEnergyState(float(inv_a), float(r_e), rg, phi, float(resid))
 
 
 def _simpson(y, x):

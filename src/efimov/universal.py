@@ -8,7 +8,6 @@ number of the reference level n = 0 at unitarity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,6 @@ __all__ = [
     "A_PLUS_KAPPA",
     "A_STAR_KAPPA",
     "RECOMBINATION_C",
-    "PolarSpectrumPoint",
     "delta",
     "trimer_point",
     "threshold_constants",
@@ -35,36 +33,6 @@ A_STAR_KAPPA = 0.0707645086901
 RECOMBINATION_C = 4590.0
 
 _XI_LO, _XI_HI = -np.pi, -np.pi / 4
-
-
-@dataclass(frozen=True)
-class PolarSpectrumPoint:
-    """One trimer state in polar coordinates of the (1/a, kappa) plane.
-
-    kappa is the signed wave number E sqrt(m/(hbar^2 |E|)), negative for
-    bound states, so 1/a = h cos(xi), kappa = h sin(xi) with
-    xi in [-pi, -pi/4].
-    """
-
-    inv_a: float
-    kappa: float
-    level: int
-
-    def __post_init__(self):
-        if self.kappa > 0:
-            raise ValueError("bound-state kappa must be <= 0")
-
-    @property
-    def h(self) -> float:
-        return math.hypot(self.inv_a, self.kappa)
-
-    @property
-    def xi(self) -> float:
-        return math.atan2(self.kappa, self.inv_a)
-
-    @property
-    def energy(self) -> float:
-        return -self.kappa**2
 
 
 def delta(xi):
@@ -91,18 +59,19 @@ def _log_radius_sq(n: int, xi: float, kappa_star: float) -> float:
     return 2.0 * math.log(kappa_star) - 2.0 * np.pi * n / S0 + float(delta(xi)) / S0
 
 
-def trimer_point(n: int, inv_a: float, kappa_star: float) -> PolarSpectrumPoint | None:
-    """Level-n trimer state at inverse scattering length 1/a, or None when
-    the level does not exist there (beyond its a- or a* threshold).
+def trimer_point(n: int, inv_a: float, kappa_star: float) -> float | None:
+    """Signed wave number kappa = h sin(xi) < 0 of the level-n trimer at
+    inverse scattering length 1/a, or None when the level does not exist
+    there (beyond its a- or a* threshold).
 
     Solves h(xi)^2 = kappa_star^2 e^{-2 pi n / s0} e^{delta(xi)/s0} along
-    the radial ray 1/a = h cos(xi).
+    the radial ray 1/a = h cos(xi), with xi in [-pi, -pi/4].
     """
     if not kappa_star > 0:
         raise ValueError("kappa_star must be positive")
+    kappa_unitarity = -kappa_star * math.exp(-np.pi * n / S0)
     if inv_a == 0.0:
-        kap = -kappa_star * math.exp(-np.pi * n / S0)
-        return PolarSpectrumPoint(0.0, kap, n)
+        return kappa_unitarity
 
     if inv_a < 0:
         xi_lo, xi_hi = _XI_LO, -np.pi / 2
@@ -120,16 +89,15 @@ def trimer_point(n: int, inv_a: float, kappa_star: float) -> PolarSpectrumPoint 
         if g(xi_hi - eps) < 0:
             # |1/a| so small the crossing sits inside the guard band at
             # -pi/2: indistinguishable from unitarity at double precision
-            return PolarSpectrumPoint(inv_a, -kappa_star * math.exp(-np.pi * n / S0), n)
+            return kappa_unitarity
         xi = find_root(g, xi_lo, xi_hi - eps, tol=1e-14)
     else:
         if g(xi_hi) >= 0:
             return None  # a < a_*^(n): level below the particle-dimer crossing
         if g(xi_lo + eps) < 0:
-            return PolarSpectrumPoint(inv_a, -kappa_star * math.exp(-np.pi * n / S0), n)
+            return kappa_unitarity
         xi = find_root(g, xi_lo + eps, xi_hi, tol=1e-14)
-    h = abs(inv_a / math.cos(xi))
-    return PolarSpectrumPoint(inv_a, h * math.sin(xi), n)
+    return abs(inv_a / math.cos(xi)) * math.sin(xi)
 
 
 def threshold_constants() -> tuple[float, float]:

@@ -13,13 +13,13 @@ from efimov.channels import (
     RHO_STAR,
     S0,
     S0_TWO_PAIR,
-    ChannelExponent,
     boson_sigma,
     critical_mass_ratio,
     s2_lowest,
     two_plus_one_exponent,
 )
-from efimov.cli import _verify_table
+from efimov.cli import _verify_table, main
+from efimov.numerics import BracketingError
 
 
 @pytest.fixture(scope="module")
@@ -118,22 +118,57 @@ def test_fermion_critical_mass_ratio(exact):
 
 
 def test_two_plus_one_fermions_across_critical():
-    below = two_plus_one_exponent(13.0, "fermions", ell=1)
-    above = two_plus_one_exponent(14.0, "fermions", ell=1)
-    assert not below.efimov and below.s_squared > 0
-    assert above.efimov and above.s_squared < 0
+    assert two_plus_one_exponent(13.0, "fermions", ell=1) > 0
+    assert two_plus_one_exponent(14.0, "fermions", ell=1) < 0
+
+
+@pytest.mark.parametrize(
+    "mass_ratio, s2, rel",
+    [
+        (0.001, 3.99830458, 1e-8),  # root at s = 1.9996, just inside the bracket top 2
+        (13.606965, 1.3350e-7, 1e-4),  # root at s = 3.7e-4, 7e-7 below the critical ratio
+    ],
+)
+def test_subcritical_fermion_root_near_the_bracket_ends(mass_ratio, s2, rel):
+    assert two_plus_one_exponent(mass_ratio, "fermions") == pytest.approx(s2, rel=rel)
+
+
+def test_subcritical_fermion_root_below_the_bracket_floor_raises():
+    # 3.2e-11 below the critical ratio the real root is s = 7.5e-7
+    with pytest.raises(BracketingError):
+        two_plus_one_exponent(13.606965697867, "fermions")
+
+
+@pytest.mark.parametrize(
+    "mass_ratio, code", [("0.001", 0), ("13.606965", 0), ("13.606965697867", 3)]
+)
+def test_fermion_channels_exit_codes(tmp_path, mass_ratio, code):
+    argv = ["channels", "--system", "fermions", "--mass-ratio", mass_ratio, "--unitarity"]
+    assert main([*argv, "--output", str(tmp_path / "c.csv")]) == code
+
+
+@pytest.mark.parametrize("rho", [RHO_STAR - 1e-8, -1.0, -5.0, -1e3, -1e12])
+def test_real_boson_root_is_the_lowest(rho):
+    # the real branch takes the one zero of the condition on (1e-9, 2);
+    # every zero below it would show as a sign change on a fine grid
+    s = math.sqrt(s2_lowest(rho))
+
+    def f(x):
+        return (
+            -x * math.cos(x * math.pi / 2)
+            + 8 / math.sqrt(3) * math.sin(x * math.pi / 6)
+            + rho * math.sin(x * math.pi / 2)
+        )
+
+    grid = [s * k / 2000 for k in range(1, 2000)]
+    assert all(f(x) < 0 for x in grid)
+    assert 0 < s < 2
 
 
 def test_two_plus_one_bosons_reduces_to_known_channels():
     # equal masses, all three pairs resonant: the identical-boson channel
     full = two_plus_one_exponent(1.0, "bosons", resonant_pairs=3)
-    assert full.sigma == pytest.approx(S0, rel=1e-8)
+    assert math.sqrt(-full) == pytest.approx(S0, rel=1e-8)
     # only the unlike pairs resonant: the two-pair universality class
     pair = two_plus_one_exponent(1.0, "bosons", resonant_pairs=2)
-    assert pair.sigma == pytest.approx(S0_TWO_PAIR, rel=1e-8)
-
-
-def test_channel_exponent_guards():
-    real = ChannelExponent(4.0)
-    with pytest.raises(ValueError):
-        real.sigma
+    assert math.sqrt(-pair) == pytest.approx(S0_TWO_PAIR, rel=1e-8)

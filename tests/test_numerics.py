@@ -13,12 +13,15 @@ from efimov.numerics import (
     find_root,
     gauss_legendre,
     gauss_legendre_log,
-    isolate_levels,
+    locate_levels,
     propagate,
-    scan_sign_changes,
 )
 from scipy.optimize import brentq
 from scipy.special import airy
+
+
+def _integrate(rule, f):
+    return float(np.dot(rule.weights, f(rule.nodes)))
 
 
 def test_gauss_legendre_exact_for_polynomials():
@@ -27,13 +30,13 @@ def test_gauss_legendre_exact_for_polynomials():
     coeffs = np.arange(1.0, 11.0)
     f = np.polynomial.Polynomial(coeffs)
     exact = f.integ()(3.0) - f.integ()(-1.0)
-    assert rule.integrate(f) == pytest.approx(exact, rel=1e-13)
+    assert _integrate(rule, f) == pytest.approx(exact, rel=1e-13)
 
 
 def test_gauss_legendre_spectral_convergence():
     f = lambda x: np.exp(np.sin(3.0 * x))
-    exact = gauss_legendre(200, 0.0, 2.0).integrate(f)
-    errs = [abs(gauss_legendre(n, 0.0, 2.0).integrate(f) - exact) for n in (4, 8, 16, 32)]
+    exact = _integrate(gauss_legendre(200, 0.0, 2.0), f)
+    errs = [abs(_integrate(gauss_legendre(n, 0.0, 2.0), f) - exact) for n in (4, 8, 16, 32)]
     # error decays faster than any power of 1/n: doubling n must beat n^-4
     assert errs[1] < errs[0] / 16.0
     assert errs[2] < errs[1] / 16.0
@@ -42,7 +45,7 @@ def test_gauss_legendre_spectral_convergence():
 
 def test_log_rule_handles_many_decades():
     rule = gauss_legendre_log(60, 1e-8, 1e4)
-    assert rule.integrate(lambda p: 1.0 / p) == pytest.approx(math.log(1e12), rel=1e-12)
+    assert _integrate(rule, lambda p: 1.0 / p) == pytest.approx(math.log(1e12), rel=1e-12)
 
 
 def test_quadrature_rule_rejects_bad_input():
@@ -115,13 +118,6 @@ def test_find_root_requires_bracket():
         find_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
-def test_scan_sign_changes_locates_all_zeros():
-    grid = np.linspace(0.1, 9.9, 200)
-    brackets = scan_sign_changes(math.sin, grid)
-    roots = [find_root(math.sin, lo, hi) for lo, hi in brackets]
-    assert roots == pytest.approx([math.pi, 2 * math.pi, 3 * math.pi], rel=1e-10)
-
-
 def test_reference_rule_is_shared_and_read_only():
     from efimov.numerics import _leggauss
 
@@ -162,26 +158,24 @@ def test_gauss_legendre_matches_mpmath(n):
 
 @settings(max_examples=60, deadline=None)
 @given(steps=st.lists(st.floats(0.001, 0.999), min_size=0, max_size=12, unique=True))
-def test_isolate_levels_brackets_every_step_once(steps):
+def test_locate_levels_returns_every_step_once(steps):
     steps = sorted(steps)
     assume(np.diff([0.0] + steps + [1.0]).min() > 1e-6)
-    count = lambda x: int(np.searchsorted(steps, x))
-    brackets = isolate_levels(count, 0.0, 1.0, tol=1e-9)
-    assert len(brackets) == len(steps)
-    for (a, b, ca, cb), x in zip(brackets, steps):
-        assert a <= x < b  # count(x) = number of steps below x
-        assert (ca, cb) == (count(a), count(b))
-        assert abs(cb - ca) == 1
-    # a decreasing count is bracketed the same way
-    assert [br[:2] for br in isolate_levels(lambda x: -count(x), 0.0, 1.0, 1e-9)] == [
-        br[:2] for br in brackets
-    ]
+    count = lambda x: int(np.searchsorted(steps, x))  # steps below x
+    # the step between counts k and k + 1 is the zero of x - steps[k]
+    roots = locate_levels(count, lambda x, k: x - steps[k], 0.0, 1.0, tol=1e-12)
+    assert len(roots) == len(steps)
+    assert roots == pytest.approx(steps, rel=0, abs=1e-12)
+    # a decreasing count is located the same way: its step between -k and
+    # -(k + 1) has min = -(k + 1)
+    down = locate_levels(lambda x: -count(x), lambda x, k: x - steps[-k - 1], 0.0, 1.0, 1e-12)
+    assert down == pytest.approx(steps, rel=0, abs=1e-12)
 
 
-def test_isolate_levels_rejects_coincident_steps():
+def test_locate_levels_rejects_coincident_steps():
     count = lambda x: 2 if x > 0.3 else 0
     with pytest.raises(ConvergenceError):
-        isolate_levels(count, 0.0, 1.0, tol=1e-9)
+        locate_levels(count, lambda x, k: x - 0.3, 0.0, 1.0, tol=1e-9)
 
 
 @pytest.mark.parametrize("q0", [4.0, -0.0625])

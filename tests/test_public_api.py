@@ -1,11 +1,12 @@
 """Guards against dead public API.
 
-Every name a library module exports in ``__all__`` must be used somewhere
-other than its own definition: by the library (the CLI included), by a
-script, or by an acceptance criterion.  A helper that only its own unit
-test calls is dead weight.  No library module may import a name it does
-not use.  Every defaulted parameter or dataclass field of the public API
-must be set by some call: one that nothing sets is a constant.
+Every name a library module exports in ``__all__``, and every public
+method, property and dataclass field of an exported class, must be used
+somewhere other than its own definition: by the library (the CLI
+included), by a script, or by an acceptance criterion.  A helper that only
+its own unit test calls is dead weight.  No library module may import a
+name it does not use.  Every defaulted parameter or dataclass field of the
+public API must be set by some call: one that nothing sets is a constant.
 
 No library module imports scipy at module level, and the solver paths of
 the CLI run without it: importing scipy costs more than most solves.
@@ -65,14 +66,39 @@ def _imports(tree):
                 yield alias.asname or alias.name, node.lineno
 
 
+def _members(tree, exported):
+    """(class, name) of every public method, property and dataclass field of
+    the exported classes of a module."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in exported:
+            for s in node.body:
+                if isinstance(s, ast.FunctionDef):
+                    name = s.name
+                elif isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name):
+                    name = s.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield node.name, name
+
+
 def test_every_export_is_used():
-    used = set().union(*(_references(_tree(path)) for path in USERS))
-    dead = [
-        f"{path.stem}.{name}"
-        for path in LIBRARY
-        for name in _exports(_tree(path))
-        if name not in used
-    ]
+    trees = [_tree(path) for path in USERS]
+    used = set().union(*map(_references, trees))
+    # a member is read as an attribute: a bare name of the same spelling is not a use
+    attributes = {
+        node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+    dead = []
+    for path in LIBRARY:
+        tree = _tree(path)
+        exported = _exports(tree)
+        dead += [f"{path.stem}.{name}" for name in exported if name not in used]
+        dead += [
+            f"{path.stem}.{cls}.{name}"
+            for cls, name in _members(tree, exported)
+            if name not in attributes
+        ]
     assert not dead, f"exported but used by no library module, script or acceptance test: {dead}"
 
 
@@ -232,6 +258,8 @@ state = two_body.solve_zero_energy(
 )
 two_body.est_form_factor(state)(np.linspace(0.0, 200.0, 101))
 numerics.find_root(np.cos, 1.0, 2.0)
+channels.s2_lowest(-2.0)
+channels.two_plus_one_exponent(5.0, "fermions")
 born_oppenheimer.bonding_kappa(np.array([0.5, 2.0]), -1.0)
 hyperradial.solve_bound_states(hyperradial.HyperradialChannel(), (1e-3, 10.0))
 hyperradial.three_body_phase(hyperradial.HyperradialChannel())
@@ -246,10 +274,10 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 def test_solver_paths_load_no_scipy():
     """The CLI and every library module import, and the tail and EST form
-    factors, a root, a bonding orbital, a hyperradial spectrum and phase,
-    the tail effective ranges, a zero-range and a separable STM spectrum
-    and `efimov verify` solve, without loading scipy and, under -W error,
-    without a numpy warning."""
+    factors, a root, a real boson and a fermion channel exponent, a bonding
+    orbital, a hyperradial spectrum and phase, the tail effective ranges, a
+    zero-range and a separable STM spectrum and `efimov verify` solve,
+    without loading scipy and, under -W error, without a numpy warning."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(

@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 
 from efimov.channels import LAMBDA0
-from efimov.numerics import gauss_legendre, gauss_legendre_log
+from efimov.numerics import BracketingError, gauss_legendre, gauss_legendre_log
 from efimov.stm import (
     ResolutionWarning,
     SeparableKernel,
     StmKernel,
     TritonModel,
+    a_minus_ground,
     bound_levels,
     kappa_star_extrapolated,
+    narrow_resonance_a_star0,
     threshold_scattering_lengths,
 )
 from efimov.two_body import (
@@ -232,6 +234,60 @@ def test_threshold_lengths_make_the_zero_energy_kernel_singular():
     for a in threshold_scattering_lengths(300.0, n_max=3, n=400):
         kern = StmKernel(1.0 / a, 300.0, n=400, p_min_factor=1e-8)
         assert np.abs(np.linalg.eigvalsh(kern.matrix(0.0))).min() * abs(a) < 1e-10
+
+
+def _window_count(kern, E_lo, E_hi):
+    """Levels of ``kern`` in (E_lo, E_hi), from the inertia of M(E) at its ends."""
+    neg = [np.count_nonzero(np.linalg.eigvalsh(kern.matrix(E)) < 0) for E in (E_lo, E_hi)]
+    return int(neg[0] - neg[1])
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m):
+        calls.append(m.shape)
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def _vdw_family(inv_a):
+    return universal_tail_form_factor(6, inv_a)
+
+
+def test_a_minus_ground_is_where_the_level_count_switches(eigvalsh_calls):
+    # the trimer enters the window (-3, -1e-6) as |a| grows past |a_-|,
+    # i.e. as 1/a < 0 rises through 1/a_-
+    inv_am = 1.0 / a_minus_ground(_vdw_family, (-10.0, -11.7))
+    assert len(eigvalsh_calls) < 20
+    counts = [
+        _window_count(SeparableKernel(_vdw_family(x), x, n=200, n_ang=32), -3.0, -1e-6)
+        for x in (inv_am * (1 + 1e-9), inv_am * (1 - 1e-9))
+    ]
+    assert counts == [0, 1]
+
+
+def test_a_star0_is_where_the_level_count_switches(eigvalsh_calls):
+    # the trimer leaves the window below the dimer pole as 1/a > 0 rises
+    # through 1/a_*
+    inv_a_star = 1.0 / narrow_resonance_a_star0(1.0)
+    assert len(eigvalsh_calls) <= 32
+    counts = []
+    for x in (inv_a_star * (1 - 1e-9), inv_a_star * (1 + 1e-9)):
+        kern = StmKernel(x, 100.0, r_star=1.0, n=400, p_min_factor=1e-8)
+        Ed = kern._threshold()
+        counts.append(_window_count(kern, 1e4 * Ed, (1 + 1e-10) * Ed))
+    assert counts == [1, 0]
+
+
+def test_threshold_bracket_must_hold_one_crossing():
+    # a_-^(0) of the vdw family is -10.84: (-10.0, -10.5) holds no crossing
+    with pytest.raises(BracketingError):
+        a_minus_ground(_vdw_family, (-10.0, -10.5))
 
 
 def test_bound_levels_warns_on_unresolved_levels():

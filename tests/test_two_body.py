@@ -101,11 +101,6 @@ def test_poschl_teller_unitarity_at_integer_lambda():
     assert abs(st_.inv_a) < 1e-8
 
 
-def test_node_count_tracks_bound_states():
-    assert solve_zero_energy(_pt(0.5)).node_count == 0
-    assert solve_zero_energy(_pt(1.5)).node_count == 1
-
-
 def test_tuning_helpers():
     m = tune_to_scattering_length(_pt(1.2), "lambda", (0.8, 1.3))
     assert m.params["lambda"] == pytest.approx(1.0, abs=1e-6)
@@ -340,5 +335,5 @@ def test_hard_core_potentials():
 
 
 def test_zero_energy_state_properties():
-    st_ = ZeroEnergyState(0.0, 1.0, np.array([0.0]), np.array([1.0]), 0)
+    st_ = ZeroEnergyState(0.0, 1.0, np.array([0.0]), np.array([1.0]))
     assert math.isinf(st_.a)

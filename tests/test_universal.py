@@ -9,7 +9,6 @@ from efimov.channels import LAMBDA0, S0
 from efimov.universal import (
     A_MINUS_KAPPA,
     A_STAR_KAPPA,
-    PolarSpectrumPoint,
     delta,
     recombination_rate,
     threshold_constants,
@@ -41,9 +40,7 @@ def test_threshold_constants_close_to_exact():
 def test_unitarity_spectrum_geometric():
     ks = 0.7
     for n in range(4):
-        pt = trimer_point(n, 0.0, ks)
-        assert pt.kappa == pytest.approx(-ks / LAMBDA0**n, rel=1e-12)
-        assert pt.energy == pytest.approx(-(ks / LAMBDA0**n) ** 2, rel=1e-12)
+        assert trimer_point(n, 0.0, ks) == pytest.approx(-ks / LAMBDA0**n, rel=1e-12)
 
 
 def test_trimer_point_thresholds():
@@ -64,11 +61,11 @@ def test_trimer_point_thresholds():
     ks=st.floats(0.5, 2.0),
 )
 def test_discrete_scale_invariance(inv_a, n, ks):
-    pt = trimer_point(n, inv_a, ks)
-    assume(pt is not None)
+    kappa = trimer_point(n, inv_a, ks)
+    assume(kappa is not None)
     scaled = trimer_point(n + 1, inv_a / LAMBDA0, ks)
     assume(scaled is not None)
-    assert scaled.kappa == pytest.approx(pt.kappa / LAMBDA0, rel=1e-9)
+    assert scaled == pytest.approx(kappa / LAMBDA0, rel=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -77,19 +74,21 @@ def test_kappa_star_rescaling_covariance(inv_a, n):
     # kappa_star and (1/a, kappa) carry the same dimension: scaling all
     # three leaves the formula invariant
     s = 3.7
-    pt = trimer_point(n, inv_a, 1.0)
-    assume(pt is not None)
+    kappa = trimer_point(n, inv_a, 1.0)
+    assume(kappa is not None)
     scaled = trimer_point(n, s * inv_a, s)
     assume(scaled is not None)
-    assert scaled.kappa == pytest.approx(s * pt.kappa, rel=1e-9)
+    assert scaled == pytest.approx(s * kappa, rel=1e-9)
 
 
-def test_polar_point_invariants():
-    pt = PolarSpectrumPoint(-0.3, -0.4, 0)
-    assert pt.h == pytest.approx(0.5)
-    assert -math.pi < pt.xi < -math.pi / 2
-    with pytest.raises(ValueError):
-        PolarSpectrumPoint(0.1, 0.2, 0)
+@pytest.mark.parametrize("inv_a", [-0.5, -0.1, -1e-12, 1e-12, 0.3, 2.0])
+def test_trimer_point_lies_in_the_bound_sector(inv_a):
+    # every trimer is bound, kappa < 0, at a polar angle xi in [-pi, -pi/4]
+    for n in range(3):
+        kappa = trimer_point(n, inv_a, 1.0)
+        if kappa is not None:
+            assert kappa < 0
+            assert -math.pi <= math.atan2(kappa, inv_a) <= -math.pi / 4
 
 
 def test_recombination_peaks_are_geometric():
