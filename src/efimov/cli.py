@@ -333,7 +333,7 @@ def _verify_table():
     rows.append(("two_pair_ratio", math.exp(math.pi / ch.S0_TWO_PAIR), 1986.12, 1e-4))
     rows.append(
         ("fermion_critical_mass_ratio", ch.critical_mass_ratio("fermions", 1),
-         13.6069657, 1e-6)
+         13.6069656978994, 1e-12)
     )
     km, ks = threshold_constants()
     rows.append(("kappa_star_a_minus", km, -1.50763, 5e-3))

@@ -19,7 +19,6 @@ from efimov.channels import (
     two_plus_one_exponent,
 )
 from efimov.cli import _verify_table, main
-from efimov.numerics import BracketingError
 
 
 @pytest.fixture(scope="module")
@@ -113,8 +112,43 @@ def test_s2_lowest_limits():
 
 
 def test_fermion_critical_mass_ratio(exact):
-    # the ratio comes from the channel ODE, so it is checked at 1e-11
-    assert _rel_err(critical_mass_ratio("fermions", 1), exact["fermion_critical_mass_ratio"]) < 1e-11
+    assert _rel_err(critical_mass_ratio("fermions", 1), exact["fermion_critical_mass_ratio"]) < 1e-13
+
+
+def _critical_ratio_mpmath(ell):
+    """The mass ratio sin(gam)/(1 - sin(gam)) where the s = 0 condition
+    -y_l'(pi/2) + (2/sin 2gam) y_l(gam) vanishes, to 30 digits: y_0 = b
+    raised by the ladder y_l = y_{l-1}' - l cot(b) y_{l-1},
+    y_l' = (l^2/sin^2 b) y_{l-1} - l cot(b) y_{l-1}'."""
+
+    def regular(b):
+        y, dy = b, mpmath.mpf(1)
+        for l in range(1, ell + 1):
+            y, dy = dy - l * mpmath.cot(b) * y, l * l / mpmath.sin(b) ** 2 * y - l * mpmath.cot(b) * dy
+        return y, dy
+
+    with mpmath.workdps(30):
+        gam = mpmath.findroot(
+            lambda g: -regular(mpmath.pi / 2)[1] + 2 / mpmath.sin(2 * g) * regular(g)[0], 1.3
+        )
+        return mpmath.sin(gam) / (1 - mpmath.sin(gam))
+
+
+@pytest.mark.parametrize(
+    "statistics, ell, rounded",
+    [
+        # 15 digits; Kartavtsev & Malykh, JETP Lett. 86, 625 (2007) give
+        # 13.607, 38.63 and 75.99 for l = 1, 2, 3
+        ("fermions", 1, "13.6069656978994"),
+        ("bosons", 2, "38.6301583951411"),
+        ("fermions", 3, "75.9944943408462"),
+        ("bosons", 4, "125.764635718708"),
+    ],
+)
+def test_critical_mass_ratios_match_mpmath(statistics, ell, rounded):
+    exact = _critical_ratio_mpmath(ell)
+    assert _rel_err(float(rounded), exact) < 1e-14
+    assert _rel_err(critical_mass_ratio(statistics, ell), exact) < 1e-13
 
 
 def test_two_plus_one_fermions_across_critical():
@@ -125,22 +159,44 @@ def test_two_plus_one_fermions_across_critical():
 @pytest.mark.parametrize(
     "mass_ratio, s2, rel",
     [
-        (0.001, 3.99830458, 1e-8),  # root at s = 1.9996, just inside the bracket top 2
-        (13.606965, 1.3350e-7, 1e-4),  # root at s = 3.7e-4, 7e-7 below the critical ratio
+        (0.001, 3.99830458, 1e-8),  # root at s = 1.9996, just under the bracket top s^2 = 4
+        (13.606965, 1.335061524307e-7, 1e-8),  # 7e-7 below the critical ratio
     ],
 )
 def test_subcritical_fermion_root_near_the_bracket_ends(mass_ratio, s2, rel):
     assert two_plus_one_exponent(mass_ratio, "fermions") == pytest.approx(s2, rel=rel)
 
 
-def test_subcritical_fermion_root_below_the_bracket_floor_raises():
-    # 3.2e-11 below the critical ratio the real root is s = 7.5e-7
-    with pytest.raises(BracketingError):
-        two_plus_one_exponent(13.606965697867, "fermions")
+def _fermion_s2_mpmath(mass_ratio, guess):
+    """The l = 1 fermion channel root in s^2, to 30 digits, from the
+    condition -(1 - s^2) sin(s pi/2)/s + (2/sin 2gam)(cos(s gam)
+    - cot(gam) sin(s gam)/s), continued to s^2 < 0 through complex s."""
+    with mpmath.workdps(30):
+        m = mpmath.mpf(mass_ratio)
+        gam = mpmath.asin(m / (m + 1))
+
+        def f(s2):
+            s = mpmath.sqrt(mpmath.mpc(s2))
+            pair = mpmath.cos(s * gam) - mpmath.cot(gam) * mpmath.sin(s * gam) / s
+            return mpmath.re(-(1 - s2) * mpmath.sin(s * mpmath.pi / 2) / s + 2 / mpmath.sin(2 * gam) * pair)
+
+        return mpmath.findroot(f, mpmath.mpf(guess))
+
+
+def test_fermion_root_is_continuous_across_the_critical_ratio():
+    # the real root s^2 > 0 below the critical ratio 13.6069656978994 runs
+    # through 0 into the Efimov branch s^2 < 0, with no gap at the bracket ends
+    ratios = [13.606965, 13.60696569786, 13.606965697867, 13.6069656978994,
+              13.60696569791, 13.6069657, 13.607]
+    s2 = [two_plus_one_exponent(m, "fermions") for m in ratios]
+    assert s2 == sorted(s2, reverse=True)
+    assert s2[0] > 0 > s2[-1]
+    for m, got in zip(ratios, s2):
+        assert abs(got - float(_fermion_s2_mpmath(m, got))) < 1e-14, m
 
 
 @pytest.mark.parametrize(
-    "mass_ratio, code", [("0.001", 0), ("13.606965", 0), ("13.606965697867", 3)]
+    "mass_ratio, code", [("0.001", 0), ("13.606965", 0), ("13.606965697867", 0)]
 )
 def test_fermion_channels_exit_codes(tmp_path, mass_ratio, code):
     argv = ["channels", "--system", "fermions", "--mass-ratio", mass_ratio, "--unitarity"]

@@ -142,6 +142,7 @@ def test_invalid_values_exit_2(tmp_path, capsys):
         ["--boundary-value", "nan"],  # read by no hard wall, still no number
         ["--R0", "inf"],
         ["--s0", "inf"],
+        ["--s0", "64.5"],  # above the orders checked for K_{i s0}
     ):
         assert run(["hyperradial", *args]) == 2, args
         assert capsys.readouterr().out == "", args

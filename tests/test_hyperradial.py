@@ -32,6 +32,32 @@ def test_energies_ordered_and_nodes_count_up(wall_states):
     assert wall_states.node_counts() == list(range(len(E)))
 
 
+def _shot_nodes(channel, energy):
+    """Interior nodes of v = F/sqrt(R) shot outward from the boundary: the
+    linear propagator on 3000 nodes in x = ln R out to R = 20/kappa, where
+    the decaying tail is e^-40 of the growing one.  Only the classically
+    allowed region counts, since at a level the tail decays to rounding,
+    where its sign is noise."""
+    kappa = math.sqrt(-energy)
+    x = np.linspace(math.log(channel.R0), math.log(20.0 / kappa), 3000)
+    start = [0.0, 1.0] if channel.boundary == "hard_wall" else [1.0, channel.R0 * channel.boundary_value - 0.5]
+    v, _ = propagate(lambda t: channel.s_squared - energy * np.exp(2.0 * t), x, start)
+    allowed = channel.s_squared - energy * np.exp(2.0 * x) < 0
+    body = v[1:][allowed[1:]] if channel.boundary == "hard_wall" else v[allowed]
+    return int(np.count_nonzero(np.diff(np.sign(body[body != 0])) != 0))
+
+
+@pytest.mark.parametrize(
+    "boundary", [("hard_wall", 0.0), ("log_derivative", -3.0), ("log_derivative", 10.0)],
+    ids=["hard_wall", "log_derivative_-3", "log_derivative_10"],
+)
+def test_node_counts_match_propagated_shots(boundary):
+    ch = HyperradialChannel(R0=0.5, boundary=boundary[0], boundary_value=boundary[1])
+    states = solve_bound_states(ch, (1e-4, 10.0))
+    assert len(states.energies) >= 3
+    assert states.node_counts() == [_shot_nodes(ch, E) for E in states.energies]
+
+
 def test_kappas_negative_below_threshold(wall_states):
     kap = wall_states.kappas
     assert np.all(kap < 0)
@@ -73,7 +99,58 @@ def test_hard_wall_levels_match_bessel_zeros():
     states = solve_bound_states(HyperradialChannel(R0=1.0), (1e-20, 10.0))
     zeros = _bessel_k_zeros(1e-20, 10.0)
     assert len(zeros) == 14
-    assert -states.kappas == pytest.approx(zeros, rel=1e-9)
+    # abs=0: approx's default abs=1e-12 would hide every level below kappa ~ 1
+    assert -states.kappas == pytest.approx(zeros, rel=1e-12, abs=0)
+
+
+def _envelope(nu):
+    """The size sqrt(2 pi/(nu sinh pi nu)) of K_{i nu}(x) for x < nu."""
+    return math.sqrt(2 * math.pi / (nu * math.sinh(math.pi * nu)))
+
+
+@pytest.mark.parametrize(
+    "nu, kappa_min", [(4.0, 1e-6), (8.0, 1e-6), (16.0, 1e-6), (16.0, 1e-20)],
+    ids=["4", "8", "16", "16-kappa_min-1e-20"],
+)
+def test_large_order_hard_wall_levels_are_bessel_zeros(nu, kappa_min):
+    # the `hyperradial --s0` window at the default --kappa-max 10: every
+    # level is a zero of K_{i nu}(kappa R0) to 1e-12 of its envelope, and
+    # none is skipped.  For x << nu, K_{i nu}(x) is a multiple of
+    # sin(nu ln(x/2) - arg Gamma(1 + i nu)) (DLMF 10.45.7), so
+    # floor((arg Gamma(1 + i nu) - nu ln(x/2))/pi) zeros lie above x; those
+    # above x = 10 (none lies above x = nu) are counted by sign changes on
+    # a grid of 50 points.
+    states = solve_bound_states(HyperradialChannel(s_squared=-(nu**2)), (kappa_min, 10.0))
+    x = -states.kappas
+    with mpmath.workdps(30):
+        k = lambda t: mpmath.re(mpmath.besselk(1j * nu, t))
+        phase = mpmath.im(mpmath.loggamma(1 + 1j * nu)) - nu * mpmath.log(mpmath.mpf(kappa_min) / 2)
+        top = [k(t) for t in mpmath.linspace(10, nu, 50)] if nu > 10 else []
+        above = sum(a * b < 0 for a, b in zip(top, top[1:]))
+        assert len(x) == int(mpmath.floor(phase / mpmath.pi)) - above
+        err = max(abs(k(xi)) for xi in x) / _envelope(nu)
+    assert err <= 1e-12
+
+
+@pytest.mark.parametrize("value", [-3.0, 0.5, 10.0])
+def test_log_derivative_levels_match_mpmath(value):
+    # F'/F = value at R0 for F = sqrt(R) K_{i s0}(kappa R): at each level,
+    # x K'(x) + (1/2 - R0 value) K(x) = 0 at x = kappa R0
+    R0 = 1.0
+    states = solve_bound_states(
+        HyperradialChannel(R0=R0, boundary="log_derivative", boundary_value=value), (1e-20, 10.0)
+    )
+    c = 0.5 - R0 * value
+    with mpmath.workdps(30):
+        nu = mpmath.mpf(S0)
+
+        def condition(x):
+            k = lambda t: mpmath.re(mpmath.besselk(1j * nu, t))
+            return x * mpmath.diff(k, x) + c * k(x)
+
+        residual = [abs(condition(mpmath.mpf(x))) for x in -states.kappas]
+    assert len(residual) >= 14
+    assert max(residual) / ((S0 + abs(c)) * _envelope(S0)) < 1e-12
 
 
 def test_phase_of_hard_wall(wall_states):
@@ -170,3 +247,7 @@ def test_channel_validation():
         HyperradialChannel(boundary="open")
     with pytest.raises(ValueError):
         solve_bound_states(HyperradialChannel(), (0.5, 0.1))
+    # K_{i nu} is checked for 0 < nu <= 64; s^2 >= 0 has no Efimov levels
+    for s_squared in (0.0, 0.25, -(64.001**2)):
+        with pytest.raises(ValueError):
+            solve_bound_states(HyperradialChannel(s_squared=s_squared), (1e-3, 1.0))
