@@ -42,19 +42,38 @@ def _regular(ell: int, s2: float, b: float) -> tuple[float, float]:
     vanishes identically at s^2 = l^2, where Y_{l-1} is sin^l b, so the
     division only drops that trivial zero.  The first rung is written as
     [sin((1-s)b)/(1-s) - cos(b) Y_0] / ((1+s) sin b), which keeps its
-    digits at s^2 = 1; later rungs are only evaluated at s^2 = 0.  s is
-    complex for s^2 < 0 (sin -> sinh); the result is real.
+    digits at s^2 = 1; its two terms cancel to (1+s) b^3/3, so for
+    b max(1, |s|) < 0.1 it is summed as a series instead
+    (``_first_rung_series``).  Later rungs are only evaluated at s^2 = 0.
+    s is complex for s^2 < 0 (sin -> sinh); the result is real.
     """
     s = cmath.sqrt(s2)
     cot = 1.0 / math.tan(b)
     y, dy = b * _sinc(s * b), cmath.cos(s * b)
     for l in range(1, ell + 1):
-        if l == 1:
-            up = (b * _sinc((1.0 - s) * b) - math.cos(b) * y) / ((1.0 + s) * math.sin(b))
-        else:
+        if l > 1:
             up = (dy - l * cot * y) / (l * l - s2)
+        elif b * max(1.0, abs(s)) < 0.1:
+            up = _first_rung_series(s2, b) / math.sin(b)
+        else:
+            up = (b * _sinc((1.0 - s) * b) - math.cos(b) * y) / ((1.0 + s) * math.sin(b))
         y, dy = up, y - l * cot * up
     return y.real, dy.real
+
+
+def _first_rung_series(s2: float, b: float) -> float:
+    """Y_1(b) sin b = sum over m >= 1 of (-1)^(m+1) D_m b^(2m+1)/(2m+1)!,
+    with D_m = [(1+s)^(2m) - (1-s)^(2m)]/(2s), from the product-to-sum form
+    of cos(b) sin(sb).  D_m and U_m = [(1+s)^(2m) + (1-s)^(2m)]/2 are
+    polynomials in s^2: D_(m+1) = (1+s^2) D_m + 2 U_m and
+    U_(m+1) = (1+s^2) U_m + 2 s^2 D_m from D_0 = 0, U_0 = 1.  For
+    b max(1, |s|) < 0.1 the ninth term is under 1e-20 of the first."""
+    d, u, term, total = 0.0, 1.0, b, 0.0
+    for m in range(1, 9):
+        d, u = (1.0 + s2) * d + 2.0 * u, (1.0 + s2) * u + 2.0 * s2 * d
+        term *= -b * b / ((2 * m) * (2 * m + 1))
+        total -= d * term
+    return total
 
 
 def _condition(ell: int, s2: float, gam: float) -> float:

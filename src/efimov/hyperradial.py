@@ -74,17 +74,26 @@ class BoundStateSet:
 
     def node_counts(self) -> list[int]:
         """Interior nodes per level of F = sqrt(R) K_{i nu}(kappa R) in
-        R > R0: the sign changes of K on a grid from the wall up to
-        x = kappa R = nu, above which K has no zero.  The grid step is under
-        pi/(2 nu) in ln x, under the spacing of K's zeros
-        (``solve_bound_states``).  The wall node of a hard wall is skipped."""
+        R > R0: the sign changes of K in u = ln(kappa R) from the wall up
+        to x = kappa R = nu, above which K has no zero.  K is sampled once,
+        on one grid from the shallowest wall up to u = ln nu with a step
+        under pi/(2 nu), under half the spacing of K's zeros
+        (``solve_bound_states``).  Each level counts the grid nodes above
+        its wall, behind K at the wall itself; a hard wall is a zero of K,
+        so it takes instead the nodes more than half a step above it."""
         nu = math.sqrt(-self.channel.s_squared)
-        skip = int(self.channel.boundary == "hard_wall")
+        hard = self.channel.boundary == "hard_wall"
+        walls = np.log(-self.kappas * self.channel.R0)
+        top = math.log(nu)
+        u = _grid(nu, min(walls.min(initial=top), top), top)
+        k = np.array([_bessel_k(nu, x)[0] for x in u])
         out = []
-        for kappa in -self.kappas:
-            u = _grid(nu, math.log(kappa * self.channel.R0), math.log(nu))
-            k = np.array([_bessel_k(nu, x)[0] for x in u[skip:]])
-            out.append(int(np.count_nonzero(np.diff(np.sign(k[k != 0])) != 0)))
+        for wall in walls:
+            if hard:
+                signs = k[u > wall + 0.5 * (u[1] - u[0])]
+            else:
+                signs = np.append(_bessel_k(nu, wall)[0], k[u > wall])
+            out.append(int(np.count_nonzero(np.diff(np.sign(signs[signs != 0])) != 0)))
         return out
 
 

@@ -1,11 +1,13 @@
 """Shared numerical substrate: quadrature, root finding, level location
 and the linear propagator of y'' = q(x) y.
 
-Every level, threshold and channel root is a Brent zero (``find_root``)
-of a continuous function inside a bracket whose end signs are known before
-the search: ``locate_levels`` proves them from the steps of a monotone
-integer count, and the channel solvers from the limits of their
-conditions at the bracket ends.
+Every level, threshold and channel root lies inside a bracket whose end
+signs are known before the search.  ``count_brackets`` proves them from
+the steps of a monotone integer count, and the channel solvers from the
+limits of their conditions at the bracket ends.  ``locate_levels`` refines
+each count bracket to a Brent zero (``find_root``) of a continuous
+function; ``stm.bound_levels`` refines its own brackets by nonlinear
+inverse iteration on M(E) instead.
 
 All physics modules work in natural units hbar = m = 1, where m is the mass
 of the reference particle.  Everything here is a pure function of its inputs.
@@ -23,6 +25,7 @@ __all__ = [
     "BracketingError",
     "ConvergenceError",
     "find_root",
+    "count_brackets",
     "locate_levels",
     "gauss_legendre",
     "gauss_legendre_log",
@@ -124,16 +127,14 @@ def find_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     raise ConvergenceError(f"no convergence after {_MAXITER} iterations, value is {xcur}")
 
 
-def locate_levels(count, value, lo: float, hi: float, tol: float) -> list[float]:
-    """Every point in [lo, hi] where the monotone integer ``count`` steps
-    by one, in increasing order.
+def count_brackets(count, lo: float, hi: float, tol: float) -> list[tuple[float, float, int]]:
+    """Brackets (a, b, k), in increasing order, each holding exactly one
+    point of [lo, hi] where the monotone integer ``count`` steps by one,
+    with k = min(count(a), count(b)).
 
     The interval is bisected until each piece holds exactly one step, so
     no step is skipped; two steps closer than ``tol`` raise
-    ConvergenceError.  Each step on [a, b] is then refined by Brent's
-    method, to ``tol``, as the zero of the continuous ``value(x, k)`` with
-    k = min(count(a), count(b)): the caller's value must change sign
-    wherever its count steps.
+    ConvergenceError.
     """
     brackets = []
     stack = [(lo, count(lo), hi, count(hi))]
@@ -147,17 +148,37 @@ def locate_levels(count, value, lo: float, hi: float, tol: float) -> list[float]
             m = 0.5 * (a + b)
             cm = count(m)
             stack += [(m, cm, b, cb), (a, ca, m, cm)]  # lower half first
-    return [find_root(lambda x, k=k: value(x, k), a, b, tol=tol) for a, b, k in brackets]
+    return brackets
+
+
+def locate_levels(count, value, lo: float, hi: float, tol: float) -> list[float]:
+    """Every point in [lo, hi] where the monotone integer ``count`` steps
+    by one, in increasing order.
+
+    Each bracket (a, b, k) of ``count_brackets`` is refined by Brent's
+    method, to ``tol``, as the zero of the continuous ``value(x, k)``: the
+    caller's value must change sign wherever its count steps.
+    """
+    return [
+        find_root(lambda x, k=k: value(x, k), a, b, tol=tol)
+        for a, b, k in count_brackets(count, lo, hi, tol)
+    ]
 
 
 def _legendre_theta(n: int, theta):
     """P_n(cos theta) and dP_n/dtheta, by the recurrence for P_j - P_{j-1}
-    in u = 1 - cos theta, which resolves the nodes near x = 1 in theta."""
+    in u = 1 - cos theta, which resolves the nodes near x = 1 in theta.
+    The recurrence runs in place, in the operations and order of
+    d = (j d - (2j + 1) u p)/(j + 1)."""
     u = 2.0 * np.sin(0.5 * theta) ** 2
-    p, d = np.ones_like(theta), -u
+    p, d, t = np.ones_like(theta), -u, np.empty_like(theta)
     for j in range(1, n):
         p += d
-        d = (j * d - (2 * j + 1) * u * p) / (j + 1)
+        np.multiply(2 * j + 1, u, out=t)
+        t *= p
+        d *= j
+        d -= t
+        d /= j + 1
     p += d
     return p, n * (d - u * p) / np.sin(theta)
 

@@ -12,10 +12,14 @@ Each kernel's ``matrix(E)`` is real symmetric: it acts on p sqrt(w_p) F(p),
 so the quadrature weights enter its exchange term as sqrt(w_P w_Q).
 Each call assembles M(E) in place in the array it returns: besides it, a
 zero-range call allocates one n x n buffer (two with ``exact_domain``) and
-a separable call only row slabs.  ``bound_levels`` locates trimers by the
-inertia of M(E), whose number of negative eigenvalues drops by one at each
-level.  1/a enters M(0) on the diagonal alone, so the dissociation
-thresholds a_-^(n) are eigenvalues of M(0) at 1/a = 0.
+a separable call only row slabs.  ``slope(E, v)`` applies dM/dE to v in
+row blocks or slabs, without forming it, and ``matrix_and_slope(E, v)``
+returns both (a separable kernel's from one pass over its slabs).
+``bound_levels`` brackets trimers by the inertia of M(E), whose number of
+negative eigenvalues drops by one at each level, and refines each by
+nonlinear inverse iteration, one LU solve per step.  1/a enters M(0) on
+the diagonal alone, so the dissociation thresholds a_-^(n) are
+eigenvalues of M(0) at 1/a = 0.
 """
 from __future__ import annotations
 
@@ -30,6 +34,7 @@ from .channels import LAMBDA0
 from .numerics import (
     BracketingError,
     ConvergenceError,
+    count_brackets,
     find_root,
     gauss_legendre,
     gauss_legendre_log,
@@ -67,20 +72,105 @@ _TRITON_P_MAX = 40.0  # fm^-1, top of the nucleon momentum grid
 # relative gap kept between an energy window's top and a dimer pole: on the
 # pole M(E) is singular, and its count of negative eigenvalues jumps there
 _POLE_GAP = 1e-10
+# rows of dM/dE formed at a time by StmKernel.slope
+_ROWS = 64
+# tolerance of a level in ln(-E)
+_LEVEL_TOL = 1e-12
 
 
 class ResolutionWarning(UserWarning):
     """Adjacent levels closer than a few momentum-grid cells."""
 
 
-def _eigenvalue_zeros(spectrum, lo: float, hi: float) -> list[float]:
-    """Every x in [lo, hi] where an eigenvalue of the cached ascending
-    ``spectrum(x)`` crosses zero, to 1e-12: the steps of its count of
-    negative eigenvalues, each refined on the eigenvalue that crosses."""
-    return locate_levels(
-        lambda x: int(np.count_nonzero(spectrum(x) < 0)), lambda x, k: spectrum(x)[k],
-        lo, hi, tol=1e-12,
-    )
+def _refine(kernel, spectrum, a: float, b: float, k: int) -> float:
+    """The zero in the one-level bracket (a, b) of eigenvalue k of
+    M(-e^l), to 1e-12 in l = ln(-E), where ``spectrum(l)`` is the cached
+    ascending eigvalsh of M.
+
+    ``_inverse_iteration`` starts from the end with the smaller |lambda_k|
+    that it has not started from yet.  Each failed start costs one
+    bisection of (a, b) by the sign of lambda_k at its midpoint, which also
+    gives a new end to start from.
+    """
+    tried = set()
+    while b - a > _LEVEL_TOL:
+        fresh = [x for x in (a, b) if x not in tried]
+        if fresh:
+            x = min(fresh, key=lambda x: abs(spectrum(x)[k]))
+            tried.add(x)
+            level = _inverse_iteration(kernel, spectrum, k, x, a, b)
+            if level is not None:
+                return level
+        m = 0.5 * (a + b)
+        if (spectrum(m)[k] < 0) == (spectrum(a)[k] < 0):
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
+def _inverse_iteration(kernel, spectrum, k: int, x: float, a: float, b: float):
+    """The level in (a, b) by nonlinear inverse iteration (Ruhe, SIAM J.
+    Numer. Anal. 10, 674 (1973)) from the bracket end x, or None when a
+    step leaves (a, b) or fails to halve.
+
+    The eigenvector v at x comes from one solve of (M - lambda_k I) v = 1,
+    and the first step goes to the zero, inside (a, b), of the parabola
+    through lambda_k at both ends with the slope v . M' v at x, where
+    M' = dM/dl = E dM/dE.  Each later step builds M and M' v once and
+    solves M u = M' v; l moves by -(v . v)/(v . u) and v becomes u/|u|.
+    The first of these steps must be under half the bracket, and each
+    next one under half the previous.  The level is returned once the
+    error left after a step is under 1e-12: |step| for the first, and
+    |step| r/(1 - r) for later ones, r the ratio of the last two steps.
+    Only lambda_k crosses zero in (a, b), so the singular point the
+    iteration reaches is that level.
+    """
+    far = b if x == a else a
+    lam, lam_far = spectrum(x)[k], spectrum(far)[k]
+    if lam == 0.0:
+        return x
+    E = -math.exp(x)
+    m = kernel.matrix(E)
+    m.flat[:: len(m) + 1] -= lam
+    try:
+        v = np.linalg.solve(m, np.ones(len(m)))
+    except np.linalg.LinAlgError:
+        return None
+    del m  # one M at a time: the next is built only after this is freed
+    v /= np.linalg.norm(v)
+    g = E * (v @ kernel.slope(E, v))
+    # p(d) = lam + g d + c d^2 matches lambda_k at both ends, which have
+    # opposite signs, so one of its zeros lies between them
+    D = far - x
+    c = (lam_far - lam - g * D) / (D * D)
+    q = -0.5 * (g + math.copysign(math.sqrt(max(g * g - 4.0 * c * lam, 0.0)), g))
+    zeros = [z for z in (q / c if c else math.inf, lam / q if q else math.inf) if 0 < z / D < 1]
+    step = -(zeros[0] if zeros else 0.5 * D)
+    limit, err, prev = 0.5 * (b - a), abs(step), None
+    while True:
+        x -= step
+        if not a < x < b:
+            return None
+        if err < _LEVEL_TOL:
+            return x
+        E = -math.exp(x)
+        m, slope = kernel.matrix_and_slope(E, v)
+        try:
+            u = np.linalg.solve(m, slope)
+        except np.linalg.LinAlgError:
+            return x  # a singular M inside a one-level bracket is the level
+        del m
+        step = (v @ v) / (E * (v @ u))
+        if not abs(step) < limit:
+            return None
+        if prev is None:
+            err = abs(step)
+        else:
+            r = abs(step / prev)
+            err = abs(step) * r / (1.0 - r)
+        limit, prev = 0.5 * abs(step), step
+        v = u / np.linalg.norm(u)
 
 
 def bound_levels(kernel, E_window: tuple[float, float]) -> list[float]:
@@ -90,10 +180,13 @@ def bound_levels(kernel, E_window: tuple[float, float]) -> list[float]:
     The window ends 1e-10 (relative) below the kernel's lowest dimer
     pole, above which M(E) holds the discretised atom-dimer continuum.  The
     number of negative eigenvalues of the symmetric M(E) drops by one at
-    each level, so ``locate_levels`` bisects it in ln(-E) until each
-    bracket holds one level and refines the level, to 1e-12 in ln(-E), as
-    the zero of the eigenvalue of sorted index min(count) there; each
-    eigvalsh is made once and shared by both steps.  Adjacent levels whose
+    each level, so ``count_brackets`` bisects it in ln(-E), one cached
+    eigvalsh per point, until each bracket holds one level.  Each level is
+    then refined, to 1e-12 in ln(-E), as the zero of the eigenvalue of
+    sorted index min(count) there, by nonlinear inverse iteration
+    (``_refine``): a step builds M and M' v once and makes one LU solve,
+    and eigvalsh runs again only to bisect a bracket where a step failed.
+    Adjacent levels whose
     momenta sqrt(-E) lie under 3 cells of the kernel's log grid apart
     raise a ResolutionWarning, which names the caller of ``bound_levels``.
     """
@@ -104,7 +197,11 @@ def bound_levels(kernel, E_window: tuple[float, float]) -> list[float]:
     if not E_lo < E_hi:
         return []
     spectrum = functools.cache(lambda l: np.linalg.eigvalsh(kernel.matrix(-math.exp(l))))
-    roots = _eigenvalue_zeros(spectrum, math.log(-E_hi), math.log(-E_lo))
+    brackets = count_brackets(
+        lambda l: int(np.count_nonzero(spectrum(l) < 0)),
+        math.log(-E_hi), math.log(-E_lo), _LEVEL_TOL,
+    )
+    roots = [_refine(kernel, spectrum, *bracket) for bracket in brackets]
     # one cell of the log grid in ln p (its w/p sum to the grid's width in
     # ln p); a level's momentum sqrt(-E) sits at ln p = l/2
     rule = kernel.grid
@@ -196,6 +293,37 @@ class StmKernel:
             self.inv_a + self.r_star * (E - 0.75 * p**2) - np.sqrt(0.75 * p**2 - E)
         )
         return m
+
+    def slope(self, E: float, v: np.ndarray) -> np.ndarray:
+        """dM/dE @ v for a vector or a matrix v.  dM/dE has the exchange
+        (2/pi) sqrt(w_P w_Q) (1/den - 1/num), with num and den the arguments
+        of ``matrix``'s logarithm, and the diagonal
+        R* + 1/(2 sqrt((3/4)P^2 - E)).  It is applied in blocks of 64 rows,
+        so no n x n array is made."""
+        if E > 0:
+            raise ValueError("M(E) needs E <= 0")
+        rule = self.grid
+        p, sw = rule.nodes, np.sqrt(rule.weights)
+        p2 = p * p
+        out = np.empty(np.shape(v))
+        for r0 in range(0, self.n, _ROWS):
+            P = p[r0 : r0 + _ROWS, None]
+            PQ = P * p
+            den = P * P - PQ + p2 - E
+            if self.exact_domain:  # PQ c_hi, with c_hi of ``matrix``
+                lam2 = self.cutoff**2
+                h = np.minimum(lam2 - P * P - 0.25 * p2, lam2 - p2 - 0.25 * P * P)
+                PQ *= np.clip(h / PQ, -1.0, 1.0)
+            blk = 1.0 / den
+            blk -= 1.0 / (P * P + PQ + p2 - E)
+            blk *= (2 / np.pi) * sw[r0 : r0 + _ROWS, None] * sw
+            out[r0 : r0 + _ROWS] = blk @ v
+        out += ((self.r_star + 0.5 / np.sqrt(0.75 * p2 - E)) * np.transpose(v)).T
+        return out
+
+    def matrix_and_slope(self, E: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(M(E), dM/dE @ v)."""
+        return self.matrix(E), self.slope(E, v)
 
 
 def solve_trimers_narrow_resonance(
@@ -317,11 +445,35 @@ class SeparableKernel:
         return min([0.0, *(E for E in poles if E is not None)])
 
     def matrix(self, E: float) -> np.ndarray:
+        return self._assemble(E)[0]
+
+    def slope(self, E: float, v: np.ndarray) -> np.ndarray:
+        """dM/dE @ v for a vector or a matrix v.  dM/dE has the exchange
+        sums of the tables against 1/den^2 and the diagonal dI_a/dkappa^2.
+        Each slab's sums are applied to v at once, above the slab's
+        diagonal block and, by symmetry, below it."""
+        return self._assemble(E, v, with_matrix=False)[1]
+
+    def matrix_and_slope(self, E: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(M(E), dM/dE @ v) from one pass over the slabs: each slab's 1/den
+        is squared in place once M's sums are taken."""
+        return self._assemble(E, v)
+
+    def _assemble(self, E: float, v=None, with_matrix: bool = True):
+        """(M(E) or None, dM/dE @ v or None)."""
         self._build()
         t = self._tables
         n, nc, p = self.n, len(self.forms), t["p"]
-        K = np.empty((nc * n, nc * n))
-        block = K.reshape(nc, n, nc, n)  # block[a, :, b] is block (a, b) of K
+        W = _RECOUPLING[nc]
+        s = np.tile(p * np.sqrt(t["wp"] / (2 * np.pi**2)), nc)
+        kap2 = (0.75 * p**2 - E)[:, None]
+        K = slope = None
+        if with_matrix:
+            K = np.empty((nc * n, nc * n))
+            block = K.reshape(nc, n, nc, n)  # block[a, :, b] is block (a, b) of K
+        if v is not None:  # x = s v by channel; y gathers (dK/dE) x / s
+            x = (s * np.transpose(v)).T.reshape(nc, n, -1)
+            y = np.zeros_like(x)
         for i0, tabs in t["slabs"]:
             shape = tabs[0, 0].shape
             i1 = i0 + shape[0]
@@ -330,21 +482,32 @@ class SeparableKernel:
             inv_den += P**2 + Q**2
             inv_den -= E
             np.reciprocal(inv_den, out=inv_den)
-            for (a, b), tab in tabs.items():
-                np.einsum("ijk,ijk->ij", tab, inv_den, out=block[a, i0:i1, b, i0:])
-            # below the diagonal, block (a, b) is S_ba^T: row i takes its
-            # columns j < i from the upper triangle of block (b, a)
-            below = np.arange(i1) < np.arange(i0, i1)[:, None]
-            for a, b in tabs:
-                np.copyto(block[a, i0:i1, b, :i1], block[b, :i1, a, i0:i1].T, where=below)
-        block *= _RECOUPLING[nc][:, None, :, None]
-        s = np.tile(p * np.sqrt(t["wp"] / (2 * np.pi**2)), nc)
-        K *= s[:, None]
-        K *= s
-        D = np.repeat(self.inv_a, n) / (4 * np.pi)
-        kap2 = (0.75 * p**2 - E)[:, None]
-        K.flat[:: nc * n + 1] += D - np.concatenate([I(kap2) for I in t["dimer"]])
-        return K
+            if K is not None:
+                for (a, b), tab in tabs.items():
+                    np.einsum("ijk,ijk->ij", tab, inv_den, out=block[a, i0:i1, b, i0:])
+                # below the diagonal, block (a, b) is S_ba^T: row i takes its
+                # columns j < i from the upper triangle of block (b, a)
+                below = np.arange(i1) < np.arange(i0, i1)[:, None]
+                for a, b in tabs:
+                    np.copyto(block[a, i0:i1, b, :i1], block[b, :i1, a, i0:i1].T, where=below)
+            if v is not None:
+                inv_den *= inv_den
+                for (a, b), tab in tabs.items():
+                    g = np.einsum("ijk,ijk->ij", tab, inv_den)
+                    g *= W[a, b]
+                    y[a, i0:i1] += g @ x[b, i0:]
+                    y[b, i1:] += g[:, i1 - i0 :].T @ x[a, i0:i1]
+        if K is not None:
+            block *= W[:, None, :, None]
+            K *= s[:, None]
+            K *= s
+            D = np.repeat(self.inv_a, n) / (4 * np.pi)
+            K.flat[:: nc * n + 1] += D - np.concatenate([I(kap2) for I in t["dimer"]])
+        if v is not None:
+            slope = (s * y.reshape(nc * n, -1).T).T.reshape(np.shape(v))
+            dI = np.concatenate([I(kap2, slope=True) for I in t["dimer"]])
+            slope += (dI * np.transpose(v)).T
+        return K, slope
 
 
 def threshold_scattering_lengths(
@@ -368,8 +531,13 @@ def threshold_scattering_lengths(
 
 def _threshold(spectrum, lo: float, hi: float) -> float:
     """The one x in (lo, hi) at which a level crosses the top of its window,
-    where ``spectrum(x)`` is the cached eigvalsh of M at that top."""
-    roots = _eigenvalue_zeros(spectrum, lo, hi)
+    where ``spectrum(x)`` is the cached eigvalsh of M at that top: the step
+    of its count of negative eigenvalues, refined by Brent's method on the
+    eigenvalue that crosses, to 1e-12."""
+    roots = locate_levels(
+        lambda x: int(np.count_nonzero(spectrum(x) < 0)), lambda x, k: spectrum(x)[k],
+        lo, hi, tol=1e-12,
+    )
     if len(roots) != 1:
         raise BracketingError(f"{len(roots)} thresholds in 1/a in ({lo:g}, {hi:g}), need one")
     return roots[0]

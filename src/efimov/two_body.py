@@ -533,6 +533,8 @@ def dimer_integral(form: FormFactor, q_min: float):
     """The dimer integral of a separable channel as a function of kappa^2,
     I(kappa^2) = (1/(2 pi^2)) int phi(q)^2 kappa^2/(q^2 + kappa^2) dq over
     [q_min, 2.2 p_max] on a 3000-point log rule; phi is sampled once.
+    ``integral(kap2, slope=True)`` is dI/dkappa^2, the same integral with
+    q^2/(q^2 + kappa^2)^2 in place of kappa^2/(q^2 + kappa^2).
 
     kappa^2 is a scalar or an (n, 1) column, for which I is the length-n
     vector.  A column is summed in blocks of 64 rows through one
@@ -540,15 +542,22 @@ def dimer_integral(form: FormFactor, q_min: float):
     rule = gauss_legendre_log(3000, q_min, 2.2 * form.p_max)
     q2, wphi2 = rule.nodes**2, rule.weights * form(rule.nodes) ** 2
 
-    def integral(kap2):
+    def integral(kap2, slope=False):
         if np.ndim(kap2) == 0:
-            return (kap2 / (q2 + kap2)) @ wphi2 / (2 * np.pi**2)
+            f = q2 / (q2 + kap2) ** 2 if slope else kap2 / (q2 + kap2)
+            return f @ wphi2 / (2 * np.pi**2)
         out = np.empty(len(kap2))
         buf = np.empty((min(_DIMER_BLOCK, len(kap2)), q2.size))
         for r0 in range(0, len(kap2), _DIMER_BLOCK):
             k = kap2[r0 : r0 + _DIMER_BLOCK]
             blk = buf[: len(k)]
-            np.divide(k, np.add(q2, k, out=blk), out=blk)
+            np.add(q2, k, out=blk)
+            if slope:
+                np.reciprocal(blk, out=blk)
+                blk *= blk
+                blk *= q2
+            else:
+                np.divide(k, blk, out=blk)
             np.matmul(blk, wphi2, out=out[r0 : r0 + len(k)])
         out /= 2 * np.pi**2
         return out

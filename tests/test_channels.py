@@ -195,6 +195,14 @@ def test_fermion_root_is_continuous_across_the_critical_ratio():
         assert abs(got - float(_fermion_s2_mpmath(m, got))) < 1e-14, m
 
 
+@pytest.mark.parametrize("mass_ratio", [1e-3, 1e-4, 1e-5, 1e-6])
+def test_light_fermion_root_matches_mpmath(mass_ratio):
+    # the pair term's first rung cancels to b^2/3 at b = gam ~ mass_ratio,
+    # and is summed as a series there
+    got = two_plus_one_exponent(mass_ratio, "fermions")
+    assert _rel_err(got, _fermion_s2_mpmath(mass_ratio, got)) <= 1e-13
+
+
 @pytest.mark.parametrize(
     "mass_ratio, code", [("0.001", 0), ("13.606965", 0), ("13.606965697867", 0)]
 )

@@ -10,6 +10,7 @@ from efimov.numerics import (
     BracketingError,
     ConvergenceError,
     QuadratureRule,
+    count_brackets,
     find_root,
     gauss_legendre,
     gauss_legendre_log,
@@ -162,6 +163,9 @@ def test_locate_levels_returns_every_step_once(steps):
     steps = sorted(steps)
     assume(np.diff([0.0] + steps + [1.0]).min() > 1e-6)
     count = lambda x: int(np.searchsorted(steps, x))  # steps below x
+    brackets = count_brackets(count, 0.0, 1.0, tol=1e-12)
+    assert [k for _, _, k in brackets] == list(range(len(steps)))
+    assert all(a <= steps[k] < b for a, b, k in brackets)
     # the step between counts k and k + 1 is the zero of x - steps[k]
     roots = locate_levels(count, lambda x, k: x - steps[k], 0.0, 1.0, tol=1e-12)
     assert len(roots) == len(steps)

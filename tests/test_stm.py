@@ -18,6 +18,8 @@ from efimov.stm import (
     bound_levels,
     kappa_star_extrapolated,
     narrow_resonance_a_star0,
+    solve_triton,
+    solve_trimers_narrow_resonance,
     threshold_scattering_lengths,
 )
 from efimov.two_body import (
@@ -73,7 +75,7 @@ def _lorentzian(b, inv_a):
     return FormFactor(lambda q: 1.0 / (1.0 + q**2 / b**2), inv_a, 40.0)
 
 
-@pytest.mark.parametrize(
+_SMALL_KERNELS = pytest.mark.parametrize(
     "kern",
     [
         StmKernel(0.5, 50.0, n=40),
@@ -86,9 +88,28 @@ def _lorentzian(b, inv_a):
     ],
     ids=["zero_range", "exact_domain", "r_star", "boson", "nucleon"],
 )
+
+
+@_SMALL_KERNELS
 def test_kernel_matrix_is_symmetric(kern):
     m = kern.matrix(-0.3)
     np.testing.assert_allclose(m, m.T, rtol=0, atol=1e-15 * np.abs(m).max())
+
+
+@_SMALL_KERNELS
+def test_slope_is_the_energy_derivative_of_the_matrix(kern):
+    # dM/dE from the closed forms against a central difference of M(E),
+    # whose truncation error is 1e-8 of dM/dE at this step
+    E, h = -0.3, 1e-4
+    fd = (kern.matrix(E + h) - kern.matrix(E - h)) / (2 * h)
+    slope = kern.slope(E, np.eye(len(fd)))
+    np.testing.assert_allclose(slope, fd, rtol=0, atol=1e-7 * np.abs(fd).max())
+    # one vector: the same product, and matrix_and_slope repeats both calls
+    v = np.random.default_rng(1).standard_normal(len(fd))
+    m, sv = kern.matrix_and_slope(E, v)
+    assert np.array_equal(m, kern.matrix(E))
+    assert np.array_equal(sv, kern.slope(E, v))
+    np.testing.assert_allclose(sv, slope @ v, rtol=0, atol=1e-14 * np.abs(sv).max())
 
 
 def test_kernel_validation():
@@ -118,6 +139,46 @@ def test_level_count_steps_once_per_level():
     assert np.diff(counts).tolist() == [-1] * len(lev)
     for E in lev:
         assert _negative_eigenvalues(kern, E * 1.001) - _negative_eigenvalues(kern, E * 0.999) == 1
+
+
+def _zero_range(a=math.inf, cutoff=1000.0):
+    inv_a = 0.0 if math.isinf(a) else 1.0 / a
+    return lambda: bound_levels(StmKernel(inv_a, cutoff), (-1e7, -1e-3))
+
+
+def _separable(form, inv_a):
+    return lambda: bound_levels(SeparableKernel(form, inv_a), (-1e7, -1e-3))
+
+
+# The `efimov stm` and `efimov triton` spectra at their default windows,
+# from Brent's method on the eigenvalue that crosses zero in each count
+# bracket, to 1e-12 in ln(-E): an independent refinement of the same zeros.
+_BRENT_LEVELS = [
+    ("zero_range", _zero_range(),
+     [-31661.77623656322, -60.21306707233951, -0.11690406444397797]),
+    ("cutoff_x_lambda0^0.1", _zero_range(cutoff=1000.0 * LAMBDA0**0.1),
+     [-59117.893352630446, -112.4279841731251, -0.21827966828680206]),
+    ("cutoff_x_lambda0^0.17", _zero_range(cutoff=1000.0 * LAMBDA0**0.17),
+     [-91526.64050335364, -174.06160988434942, -0.33794175664060383]),
+    ("a=-3", _zero_range(-3.0), [-31542.87228562883, -54.85441971706256]),
+    ("a=2", _zero_range(2.0), [-31840.429124842678, -68.58435418810905, -0.6680271687049744]),
+    ("a=0.5", _zero_range(0.5), [-32378.523710665395, -96.04606019714912, -4.612469601226183]),
+    ("a=-50", _zero_range(-50.0),
+     [-31654.637532164616, -59.88650634337435, -0.10278363805432691]),
+    ("narrow_resonance", lambda: solve_trimers_narrow_resonance(0.0, 1.0, (-1e7, -1e-3)),
+     [-0.013855106596069646]),
+    ("vdw", _separable(universal_tail_form_factor(6, 0.0), 0.0), [-0.035415139400653085]),
+    ("step_a=2", _separable(step_form_factor(1.0, inv_a=0.5), 0.5),
+     [-1.3472937562692515, -0.9541220579346071]),
+    ("triton", lambda: list(solve_triton(TritonModel.fit()).trimers), [-9.760927898550557]),
+]
+
+
+@pytest.mark.parametrize(
+    "solve, ref", [c[1:] for c in _BRENT_LEVELS], ids=[c[0] for c in _BRENT_LEVELS]
+)
+def test_levels_match_the_brent_refinement(solve, ref):
+    assert solve() == pytest.approx(ref, rel=1e-11, abs=0)
 
 
 def test_bound_levels_frees_the_kernel_without_gc():
@@ -255,6 +316,23 @@ def eigvalsh_calls(monkeypatch):
     return calls
 
 
+def test_zero_range_levels_take_few_eigensolves(eigvalsh_calls, monkeypatch):
+    # one eigvalsh per point of the count bisection (five here, one a
+    # bisection after a failed start) and one M(E) per refinement step;
+    # Brent's method on the crossing eigenvalue takes 30 of each
+    builds = []
+    matrix = StmKernel.matrix
+
+    def counted(self, E):
+        builds.append(E)
+        return matrix(self, E)
+
+    monkeypatch.setattr(StmKernel, "matrix", counted)
+    assert len(bound_levels(StmKernel(0.0, 1000.0), (-1e7, -1e-3))) == 3
+    assert len(eigvalsh_calls) <= 6
+    assert len(builds) <= 20
+
+
 def _vdw_family(inv_a):
     return universal_tail_form_factor(6, inv_a)
 
@@ -291,11 +369,13 @@ def test_threshold_bracket_must_hold_one_crossing():
 
 
 def test_bound_levels_warns_on_unresolved_levels():
-    # the two step levels lie 1.9 cells of this grid apart
+    # the two step levels lie 1.9 cells of this grid apart; Brent's method
+    # on the crossing eigenvalue put them at the reference values
     kern = SeparableKernel(step_form_factor(1.0, inv_a=0.5), 0.5, n=140, n_ang=24)
     with pytest.warns(ResolutionWarning) as rec:
-        bound_levels(kern, (-3.0, -1e-7))
+        levels = bound_levels(kern, (-3.0, -1e-7))
     assert all(w.filename == __file__ for w in rec)
+    assert levels == pytest.approx([-1.347439595418413, -0.9543032892309105], rel=1e-11, abs=0)
 
 
 def test_kappa_star_extrapolated():
@@ -439,6 +519,18 @@ def test_dimer_integral_column_matches_scalar_calls(rows):
     np.testing.assert_allclose(
         integral(kap2[:, None]), [integral(k) for k in kap2], rtol=1e-14, atol=0
     )
+    np.testing.assert_allclose(
+        integral(kap2[:, None], slope=True), [integral(k, slope=True) for k in kap2],
+        rtol=1e-14, atol=0,
+    )
+
+
+def test_dimer_integral_slope_is_its_derivative():
+    integral = dimer_integral(_lorentzian(1.4, 0.2), 1e-6)
+    kap2 = np.geomspace(1e-4, 1e2, 7)[:, None]
+    h = 1e-5 * kap2
+    fd = (integral(kap2 + h) - integral(kap2 - h)) / (2 * h[:, 0])
+    np.testing.assert_allclose(integral(kap2, slope=True), fd, rtol=1e-8, atol=0)
 
 
 def test_dimer_integral_memory():
