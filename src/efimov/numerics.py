@@ -38,8 +38,9 @@ _GAUSS2 = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 # power: a hard-core tail's a is 1.5e-7 off at 0.12 rad and 1.4e-6 at 0.29.
 # A Yukawa 1/r origin puts 0.11 rad into the first step at strength 2/range.
 _MAX_PHASE = 0.12
+_EPS = float(np.finfo(float).eps)
 # Brent's relative tolerance and iteration cap, those of scipy's brentq
-_RTOL = 4 * float(np.finfo(float).eps)
+_RTOL = 4 * _EPS
 _MAXITER = 100
 
 
@@ -183,21 +184,49 @@ def _legendre_theta(n: int, theta):
     return p, n * (d - u * p) / np.sin(theta)
 
 
+# j_{0,k}, the first zeros of the Bessel function J_0; McMahon's expansion
+# gives the later ones to within 1.3e-14 relative (DLMF 10.21.19)
+_J0_ZEROS = (
+    2.404825557695773, 5.520078110286311, 8.653727912911013, 11.791534439014281,
+    14.930917708487787, 18.071063967910924, 21.21163662987926, 24.352471530749302,
+    27.493479132040253, 30.634606468431976,
+)
+
+
+def _bessel_j0_zeros(m: int) -> np.ndarray:
+    """The first m zeros j_{0,k} of J_0."""
+    b = (np.arange(len(_J0_ZEROS) + 1, m + 1) - 0.25) * np.pi
+    ib2 = 1.0 / (b * b)
+    mcmahon = b + (1 / 8 + ib2 * (-31 / 384 + ib2 * (3779 / 15360 - ib2 * 6277237 / 3440640))) / b
+    return np.concatenate([_J0_ZEROS[:m], mcmahon])
+
+
 @functools.lru_cache(maxsize=32)
 def _leggauss(n: int):
     """Gauss-Legendre reference rule on [-1, 1], read-only and cached.
 
-    Newton in theta (x = cos theta) from Tricomi's nodes, O(n^2) work; the
-    weight 2 / (dP_n/dtheta)^2 has no 1 - x^2 division, so end weights keep
-    full precision (Hale & Townsend, SIAM J. Sci. Comput. 35, A652 (2013)).
-    Three steps reach rounding (checked for n <= 300 and n = 500 ... 20000).
+    Newton in theta (x = cos theta), O(n^2) work per pass, from Olver's
+    Bessel-zero asymptotics theta_k ~ psi + (psi cot psi - 1)/(8 psi rho^2),
+    psi = j_{0,k}/rho, rho = n + 1/2 (Hale & Townsend, SIAM J. Sci. Comput.
+    35, A652 (2013)).  A step s leaves a node error of about (cot theta/2) s^2
+    and, in dP_n/dtheta moved to the stepped node, a relative error of about
+    n(n+1) s^2/2; the passes stop once n(n+1) s^2 is below the double epsilon
+    for every node.  dP_n/dtheta of that last pass is moved to the final theta
+    by one term of the Legendre equation P'' = -cot(theta) P' - n(n+1) P, and
+    the weight 2 / (dP_n/dtheta)^2 has no 1 - x^2 division, so end weights
+    keep full precision.  The passes made: three for n <= 2, two for
+    3 <= n <= 121 and one for every n >= 122 (checked up to 20000).
     """
-    k = np.arange(1, (n + 1) // 2 + 1)
-    theta = np.arccos((1 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2)))
-    for _ in range(3):
+    rho = n + 0.5
+    psi = _bessel_j0_zeros((n + 1) // 2) / rho
+    theta = psi + (psi / np.tan(psi) - 1.0) / (8.0 * rho * rho * psi)
+    while True:
         p, dp = _legendre_theta(n, theta)
-        theta -= p / dp
-    x, w = np.cos(theta), 2.0 / _legendre_theta(n, theta)[1] ** 2
+        step = p / dp
+        theta -= step
+        if n * (n + 1) * np.max(step * step) < _EPS:
+            break
+    x, w = np.cos(theta), 2.0 / (dp + step * (dp / np.tan(theta) + n * (n + 1) * p)) ** 2
     if n % 2:
         x[-1] = 0.0
     x, w = np.concatenate([-x, x[::-1][n % 2:]]), np.concatenate([w, w[::-1][n % 2:]])

@@ -38,7 +38,6 @@ from .numerics import (
     find_root,
     gauss_legendre,
     gauss_legendre_log,
-    locate_levels,
 )
 from .two_body import (
     FormFactor,
@@ -89,19 +88,22 @@ def _refine(kernel, spectrum, a: float, b: float, k: int) -> float:
 
     ``_inverse_iteration`` starts from the end with the smaller |lambda_k|
     that it has not started from yet.  Each failed start costs one
-    bisection of (a, b) by the sign of lambda_k at its midpoint, which also
-    gives a new end to start from.
+    bisection of (a, b) by the sign of lambda_k, which also gives a new end
+    to start from: at the start's last iterate inside (a, b) when that lies
+    in the middle half of (a, b), else at the midpoint.
     """
     tried = set()
     while b - a > _LEVEL_TOL:
+        m = 0.5 * (a + b)
         fresh = [x for x in (a, b) if x not in tried]
         if fresh:
             x = min(fresh, key=lambda x: abs(spectrum(x)[k]))
             tried.add(x)
-            level = _inverse_iteration(kernel, spectrum, k, x, a, b)
-            if level is not None:
+            level, converged = _inverse_iteration(kernel, spectrum, k, x, a, b)
+            if converged:
                 return level
-        m = 0.5 * (a + b)
+            if abs(level - m) <= 0.25 * (b - a):
+                m = level
         if (spectrum(m)[k] < 0) == (spectrum(a)[k] < 0):
             a = m
         else:
@@ -110,15 +112,16 @@ def _refine(kernel, spectrum, a: float, b: float, k: int) -> float:
 
 
 def _inverse_iteration(kernel, spectrum, k: int, x: float, a: float, b: float):
-    """The level in (a, b) by nonlinear inverse iteration (Ruhe, SIAM J.
-    Numer. Anal. 10, 674 (1973)) from the bracket end x, or None when a
-    step leaves (a, b) or fails to halve.
+    """(level, True) for the level in (a, b) by nonlinear inverse iteration
+    (Ruhe, SIAM J. Numer. Anal. 10, 674 (1973)) from the bracket end x, or
+    (the last iterate inside (a, b), False) when a step leaves (a, b) or
+    fails to halve.
 
-    The eigenvector v at x comes from one solve of (M - lambda_k I) v = 1,
-    and the first step goes to the zero, inside (a, b), of the parabola
-    through lambda_k at both ends with the slope v . M' v at x, where
-    M' = dM/dl = E dM/dE.  Each later step builds M and M' v once and
-    solves M u = M' v; l moves by -(v . v)/(v . u) and v becomes u/|u|.
+    The eigenvector v at x comes from ``_eigenvector``, and the first step
+    goes to the zero, inside (a, b), of the parabola through lambda_k at
+    both ends with the slope v . M' v at x, where M' = dM/dl = E dM/dE.
+    Each later step builds M and M' v once and solves M u = M' v; l moves
+    by -(v . v)/(v . u) and v becomes u/|u|.
     The first of these steps must be under half the bracket, and each
     next one under half the previous.  The level is returned once the
     error left after a step is under 1e-12: |step| for the first, and
@@ -129,16 +132,12 @@ def _inverse_iteration(kernel, spectrum, k: int, x: float, a: float, b: float):
     far = b if x == a else a
     lam, lam_far = spectrum(x)[k], spectrum(far)[k]
     if lam == 0.0:
-        return x
+        return x, True
     E = -math.exp(x)
-    m = kernel.matrix(E)
-    m.flat[:: len(m) + 1] -= lam
     try:
-        v = np.linalg.solve(m, np.ones(len(m)))
+        v = _eigenvector(kernel.matrix(E), lam)
     except np.linalg.LinAlgError:
-        return None
-    del m  # one M at a time: the next is built only after this is freed
-    v /= np.linalg.norm(v)
+        return x, False
     g = E * (v @ kernel.slope(E, v))
     # p(d) = lam + g d + c d^2 matches lambda_k at both ends, which have
     # opposite signs, so one of its zeros lies between them
@@ -149,21 +148,21 @@ def _inverse_iteration(kernel, spectrum, k: int, x: float, a: float, b: float):
     step = -(zeros[0] if zeros else 0.5 * D)
     limit, err, prev = 0.5 * (b - a), abs(step), None
     while True:
+        if not a < x - step < b:
+            return x, False
         x -= step
-        if not a < x < b:
-            return None
         if err < _LEVEL_TOL:
-            return x
+            return x, True
         E = -math.exp(x)
         m, slope = kernel.matrix_and_slope(E, v)
         try:
             u = np.linalg.solve(m, slope)
         except np.linalg.LinAlgError:
-            return x  # a singular M inside a one-level bracket is the level
+            return x, True  # a singular M inside a one-level bracket is the level
         del m
         step = (v @ v) / (E * (v @ u))
         if not abs(step) < limit:
-            return None
+            return x, False
         if prev is None:
             err = abs(step)
         else:
@@ -171,6 +170,14 @@ def _inverse_iteration(kernel, spectrum, k: int, x: float, a: float, b: float):
             err = abs(step) * r / (1.0 - r)
         limit, prev = 0.5 * abs(step), step
         v = u / np.linalg.norm(u)
+
+
+def _eigenvector(m: np.ndarray, lam: float) -> np.ndarray:
+    """The unit eigenvector of the symmetric m for its eigenvalue lam, from
+    one solve of (m - lam I) v = 1; m is overwritten."""
+    m.flat[:: len(m) + 1] -= lam
+    v = np.linalg.solve(m, np.ones(len(m)))
+    return v / np.linalg.norm(v)
 
 
 def bound_levels(kernel, E_window: tuple[float, float]) -> list[float]:
@@ -529,18 +536,15 @@ def threshold_scattering_lengths(
     return list(a_all[np.abs(a_all) * cutoff > 10.0][:n_max])
 
 
-def _threshold(spectrum, lo: float, hi: float) -> float:
-    """The one x in (lo, hi) at which a level crosses the top of its window,
-    where ``spectrum(x)`` is the cached eigvalsh of M at that top: the step
-    of its count of negative eigenvalues, refined by Brent's method on the
-    eigenvalue that crosses, to 1e-12."""
-    roots = locate_levels(
-        lambda x: int(np.count_nonzero(spectrum(x) < 0)), lambda x, k: spectrum(x)[k],
-        lo, hi, tol=1e-12,
-    )
-    if len(roots) != 1:
-        raise BracketingError(f"{len(roots)} thresholds in 1/a in ({lo:g}, {hi:g}), need one")
-    return roots[0]
+def _threshold_bracket(spectrum, lo: float, hi: float) -> tuple[float, float, int]:
+    """The count bracket (a, b, k) of the one x in (lo, hi) at which a
+    level crosses the top of its window, where ``spectrum(x)`` is the
+    cached eigvalsh of M at that top: the step of its count of negative
+    eigenvalues, at which eigenvalue k crosses zero."""
+    brackets = count_brackets(lambda x: int(np.count_nonzero(spectrum(x) < 0)), lo, hi, 1e-12)
+    if len(brackets) != 1:
+        raise BracketingError(f"{len(brackets)} thresholds in 1/a in ({lo:g}, {hi:g}), need one")
+    return brackets[0]
 
 
 def a_minus_ground(form_family, bracket: tuple[float, float]) -> float:
@@ -549,7 +553,7 @@ def a_minus_ground(form_family, bracket: tuple[float, float]) -> float:
 
     The kernel itself depends on a here, so a_- is located in 1/a between
     the two bracket scattering lengths (both < 0; |lo| without state,
-    |hi| with), as the zero, to 1e-12 in 1/a, of the eigenvalue of
+    |hi| with), as the Brent zero, to 1e-12 in 1/a, of the eigenvalue of
     M(-1e-6; 1/a) whose crossing adds the trimer to the window
     (-3, -1e-6).  A bracket holding no crossing, or more than one, raises
     BracketingError."""
@@ -562,7 +566,8 @@ def a_minus_ground(form_family, bracket: tuple[float, float]) -> float:
         kern = SeparableKernel(form_family(inv_a), inv_a, n=200, n_ang=32)
         return np.linalg.eigvalsh(kern.matrix(-1e-6))
 
-    return 1.0 / _threshold(spectrum, 1.0 / lo, 1.0 / hi)
+    a, b, k = _threshold_bracket(spectrum, 1.0 / lo, 1.0 / hi)
+    return 1.0 / find_root(lambda x: spectrum(x)[k], a, b, tol=1e-12)
 
 
 def narrow_resonance_a_star0(r_star: float) -> float:
@@ -570,19 +575,58 @@ def narrow_resonance_a_star0(r_star: float) -> float:
     meets the particle-dimer threshold (a > 0), in units set by R*.
 
     Located in 1/a over (1.8, 2.6)/R*, as the zero, to 1e-12 in 1/a, of
-    the eigenvalue of M(E; 1/a) whose crossing takes the trimer out of the
-    window below E = (1 + 1e-10) E_dimer(1/a).  No crossing, or more than
-    one, raises BracketingError."""
+    the eigenvalue lambda_k of M(E_t; 1/a), E_t = (1 + 1e-10) E_dimer(1/a),
+    whose crossing takes the trimer out of the window below E_t.  No
+    crossing, or more than one, raises BracketingError.
+
+    On the trimer's side, the lower end of the count bracket, lambda_k
+    falls as a parabola in 1/a whose minimum lies just past the crossing,
+    near the value lambda_k keeps on the dimer-pole modes at the upper end.
+    So each step from the lower end goes to the nearer zero of the parabola
+    through lambda_k with its slope there, 1 + (v . dM/dE v) dE_t/d(1/a)
+    (1/a enters M as 1/a times the identity), and with that minimum.  A
+    step that lands on the trimer's side and is under half the previous
+    one moves the lower end; otherwise Brent's method refines the bracket.
+    At R* = 1 the eigenvalue moves by 4.2e-6 per unit of 1/a there, and
+    eigvalsh puts it about 3e-15 off, so the count itself switches within
+    about 7e-10 of 1/a_*; the bracket picks one of those switches.
+    """
     if not r_star > 0:
         raise ValueError("r_star must be positive")
     cutoff = 100.0 / r_star
 
+    def top(inv_a):  # the kernel, E_t and dE_t/d(1/a), from 1/a = kappa + R* kappa^2
+        kern = StmKernel(inv_a, cutoff, r_star=r_star, n=400, p_min_factor=1e-8)
+        E_d = kern._threshold()
+        kappa = math.sqrt(-E_d)
+        return kern, (1 + _POLE_GAP) * E_d, -(1 + _POLE_GAP) * 2 * kappa / (1 + 2 * r_star * kappa)
+
     @functools.cache
     def spectrum(inv_a):
-        kern = StmKernel(inv_a, cutoff, r_star=r_star, n=400, p_min_factor=1e-8)
-        return np.linalg.eigvalsh(kern.matrix((1 + _POLE_GAP) * kern._threshold()))
+        kern, E, _ = top(inv_a)
+        return np.linalg.eigvalsh(kern.matrix(E))
 
-    return 1.0 / _threshold(spectrum, 1.8 / r_star, 2.6 / r_star)
+    a, b, k = _threshold_bracket(spectrum, 1.8 / r_star, 2.6 / r_star)
+    floor, limit = spectrum(b)[k], math.inf
+    while True:
+        lam = spectrum(a)[k]
+        kern, E, dE = top(a)
+        try:
+            v = _eigenvector(kern.matrix(E), lam)
+        except np.linalg.LinAlgError:
+            break
+        slope = 1.0 + dE * (v @ kern.slope(E, v))
+        # the zero of lam + slope d + q d^2, q = slope^2/(4 (lam - floor)),
+        # whose minimum is floor
+        step = -2.0 * (lam - floor) * (1.0 - math.sqrt(floor / (floor - lam))) / slope
+        if not (a < a + step < b and abs(step) < limit):
+            break
+        limit = 0.5 * abs(step)
+        if (spectrum(a + step)[k] < 0) != (lam < 0):
+            b = a + step
+            break
+        a += step
+    return 1.0 / find_root(lambda x: spectrum(x)[k], a, b, tol=1e-12)
 
 
 def kappa_star_extrapolated(energies, level: int = 0) -> float:

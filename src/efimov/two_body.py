@@ -462,28 +462,41 @@ _TAIL_GRIDS = {
 }
 
 
-@functools.cache
-def _tail_transforms(n: int):
-    """Spline of the sine transforms of the two deficits of the -C_n/r^n
-    zero-energy state, built once per n; it returns both rows, the
-    unitarity part 1 - phi(x) and the 1/a admixture
-    x - Gamma(1-nu) sqrt(x) J_{-nu}(2 x^{-(n-2)/2}), nu = 1/(n-2)."""
+def _tail_grid(n: int):
+    """The r grid of the -C_n/r^n deficits, the mask of its nodes inside the
+    inner cut, and c of the admixture's far tail."""
     if n not in _TAIL_GRIDS:
         raise ValueError(f"tail form factors implemented for n in {tuple(_TAIL_GRIDS)}")
     r0, joint, end, h_in, h_out, cut, far = _TAIL_GRIDS[n]
     r = np.concatenate([np.arange(r0, joint, h_in), np.arange(joint, end, h_out)])
-    nu = 1.0 / (n - 2.0)
+    return r, r < cut, far
+
+
+@functools.cache
+def _tail_unitarity(n: int):
+    """Spline of T_0, the sine transform of the unitarity deficit
+    1 - phi(x) of the -C_n/r^n zero-energy state, built once per n."""
+    r, inner, _ = _tail_grid(n)
     d0 = 1.0 - universal_tail_wavefunction(n, r)
-    d1 = r - math.gamma(1.0 - nu) * np.sqrt(r) * _bessel_j(-nu, 2.0 * r ** (-(n - 2.0) / 2.0))
-    inner = r < cut
     d0[inner] = 1.0
+    return _geom_spline(_P_TAB, np.r_[0.0, _sine_transform(r, d0, _P_TAB)])
+
+
+@functools.cache
+def _tail_admixture(n: int):
+    """Spline of T_1, the sine transform of the 1/a admixture
+    x - Gamma(1-nu) sqrt(x) J_{-nu}(2 x^{-(n-2)/2}), nu = 1/(n-2), of the
+    -C_n/r^n zero-energy state, built once per n."""
+    r, inner, far = _tail_grid(n)
+    nu = 1.0 / (n - 2.0)
+    d1 = r - math.gamma(1.0 - nu) * np.sqrt(r) * _bessel_j(-nu, 2.0 * r ** (-(n - 2.0) / 2.0))
     d1[inner] = r[inner]
-    t0, t1 = _sine_transform(r, np.array([d0, d1]), _P_TAB)
+    t1 = _sine_transform(r, d1, _P_TAB)
     if far:
         from scipy.special import sici  # the n = 4 admixture's far tail only
 
         t1 += far * _P_TAB * (0.5 * np.pi - sici(_P_TAB * r[-1])[0])
-    return _geom_spline(_P_TAB, np.pad([t0, t1], ((0, 0), (1, 0))))
+    return _geom_spline(_P_TAB, np.r_[0.0, t1])
 
 
 def universal_tail_form_factor(n: int, inv_a: float = 0.0) -> FormFactor:
@@ -493,15 +506,15 @@ def universal_tail_form_factor(n: int, inv_a: float = 0.0) -> FormFactor:
 
     phi_a(p) = 1 - T_0(p) + (1/a) T_1(p) is linear in 1/a: T_0 and T_1,
     the sine transforms of the unitarity deficit and of the 1/a admixture,
-    are computed once per n and reused across the scattering-length family.
+    are each computed once per n and reused across the scattering-length
+    family.  At 1/a = 0, T_1 is neither built nor evaluated.
     """
-    transforms = _tail_transforms(n)
-
-    def fn(p, _inv_a=float(inv_a)):
-        t0, t1 = transforms(p)
-        return 1.0 - t0 + _inv_a * t1
-
-    return FormFactor(fn, float(inv_a), _P_MAX)
+    inv_a = float(inv_a)
+    t0 = _tail_unitarity(n)
+    if inv_a == 0.0:
+        return FormFactor(lambda p: 1.0 - t0(p), inv_a, _P_MAX)
+    t1 = _tail_admixture(n)
+    return FormFactor(lambda p: 1.0 - t0(p) + inv_a * t1(p), inv_a, _P_MAX)
 
 
 class VirtualStateError(ValueError):

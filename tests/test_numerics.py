@@ -139,13 +139,16 @@ def _mp_legendre(n, x):
     return p0, p1
 
 
-@pytest.mark.parametrize("n", [5, 48, 400, 3000])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 48, 100, 260, 400, 3000, 10000])
 def test_gauss_legendre_matches_mpmath(n):
     from efimov.numerics import _leggauss
 
     x, w = _leggauss(n)
     assert w.sum() == pytest.approx(2.0, abs=1e-14)
-    for i in (0, 1, n // 2, n - 1):
+    # the four end nodes, started from the tabulated Bessel zeros, and the
+    # middle one; the nodes at the other end are their mirror images
+    for i in sorted({*range(min(4, n)), n // 2}):
+        assert (x[n - 1 - i], w[n - 1 - i]) == (-x[i], w[i])
         with mpmath.workdps(40):
             # Newton from the float node; findroot(legendre) stalls near the ends at n = 3000
             xm = mpmath.mpf(float(x[i]))
@@ -155,6 +158,35 @@ def test_gauss_legendre_matches_mpmath(n):
             wm = 2 * (1 - xm**2) / (n * _mp_legendre(n, xm)[0]) ** 2
             assert abs(x[i] - xm) < 1e-15
             assert abs(w[i] / wm - 1) < 1e-13
+
+
+@pytest.mark.parametrize("n, passes", [(1, 3), (2, 3), (7, 2), (121, 2), (122, 1), (3000, 1)])
+def test_gauss_legendre_newton_passes(monkeypatch, n, passes):
+    # one O(n^2) pass of the Legendre recurrence per Newton step: from the
+    # Bessel-zero start one pass reaches rounding for n >= 122, where a
+    # start from Tricomi's nodes took three steps and a weight pass
+    from efimov import numerics
+
+    calls = []
+    theta_pass = numerics._legendre_theta
+
+    def counted(n, theta):
+        calls.append(n)
+        return theta_pass(n, theta)
+
+    monkeypatch.setattr(numerics, "_legendre_theta", counted)
+    numerics._leggauss.__wrapped__(n)
+    assert len(calls) == passes
+
+
+def test_bessel_zeros_match_mpmath():
+    from efimov.numerics import _J0_ZEROS, _bessel_j0_zeros
+
+    exact = [float(mpmath.besseljzero(0, k)) for k in range(1, 41)]
+    # the tabulated zeros to one ulp, McMahon's expansion beyond them
+    assert all(abs(z - e) <= np.spacing(e) for z, e in zip(_J0_ZEROS, exact))
+    assert _bessel_j0_zeros(40) == pytest.approx(exact, rel=1.3e-14, abs=0)
+    assert _bessel_j0_zeros(3).tolist() == list(_J0_ZEROS[:3])
 
 
 @settings(max_examples=60, deadline=None)

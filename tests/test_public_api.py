@@ -253,6 +253,7 @@ from efimov import born_oppenheimer, channels, hyperradial, numerics, stm, two_b
 
 form = two_body.universal_tail_form_factor(6, 0.3)  # J_nu down to x = 1e-6, z = 2e12
 assert np.all(np.isfinite(form(np.linspace(0.0, 200.0, 101))))
+two_body.universal_tail_form_factor(4, 0.0)(np.linspace(0.0, 200.0, 101))  # no n = 4 far tail
 state = two_body.solve_zero_energy(
     two_body.TwoBodyModel("poschl_teller", {"lambda": 1.3, "range": 1.0})
 )
@@ -273,11 +274,12 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 
 def test_solver_paths_load_no_scipy():
-    """The CLI and every library module import, and the tail and EST form
-    factors, a root, a real boson and a fermion channel exponent, a bonding
-    orbital, a hyperradial spectrum and phase, the tail effective ranges, a
-    zero-range and a separable STM spectrum and `efimov verify` solve,
-    without loading scipy and, under -W error, without a numpy warning."""
+    """The CLI and every library module import, and the tail form factors
+    (n = 4 at unitarity among them), the EST form factor, a root, a real
+    boson and a fermion channel exponent, a bonding orbital, a hyperradial
+    spectrum and phase, the tail effective ranges, a zero-range and a
+    separable STM spectrum and `efimov verify` solve, without loading scipy
+    and, under -W error, without a numpy warning."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(

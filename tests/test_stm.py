@@ -333,6 +333,22 @@ def test_zero_range_levels_take_few_eigensolves(eigvalsh_calls, monkeypatch):
     assert len(builds) <= 20
 
 
+def test_narrow_resonance_levels_take_few_eigensolves(eigvalsh_calls, monkeypatch):
+    # one level at two cutoffs; a failed start bisects its bracket at the
+    # start's last iterate inside it, where the midpoint took 10 and 38
+    builds = []
+    matrix = StmKernel.matrix
+
+    def counted(self, E):
+        builds.append(E)
+        return matrix(self, E)
+
+    monkeypatch.setattr(StmKernel, "matrix", counted)
+    assert len(solve_trimers_narrow_resonance(0.0, 1.0, (-1e7, -1e-3))) == 1
+    assert len(eigvalsh_calls) <= 8
+    assert len(builds) <= 34
+
+
 def _vdw_family(inv_a):
     return universal_tail_form_factor(6, inv_a)
 
@@ -353,7 +369,7 @@ def test_a_star0_is_where_the_level_count_switches(eigvalsh_calls):
     # the trimer leaves the window below the dimer pole as 1/a > 0 rises
     # through 1/a_*
     inv_a_star = 1.0 / narrow_resonance_a_star0(1.0)
-    assert len(eigvalsh_calls) <= 32
+    assert len(eigvalsh_calls) <= 13
     counts = []
     for x in (inv_a_star * (1 - 1e-9), inv_a_star * (1 + 1e-9)):
         kern = StmKernel(x, 100.0, r_star=1.0, n=400, p_min_factor=1e-8)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -182,6 +183,40 @@ def test_power4_admixture_matches_closed_form():
     assert admixture == pytest.approx([transform(q) for q in p], rel=0, abs=1e-5)
 
 
+def test_tail_profile_at_unitarity_builds_no_admixture(monkeypatch):
+    two_body._tail_unitarity(6)  # T_0, whose 1 - phi(x) takes J_{1/4}
+    orders = []
+    bessel_j = two_body._bessel_j
+
+    def counted(nu, z):
+        orders.append(nu)
+        return bessel_j(nu, z)
+
+    monkeypatch.setattr(two_body, "_bessel_j", counted)
+    admixture = functools.cache(two_body._tail_admixture.__wrapped__)
+    monkeypatch.setattr(two_body, "_tail_admixture", admixture)
+    p = np.geomspace(1e-4, 200.0, 50)
+    universal_tail_form_factor(6, 0.0)(p)
+    assert orders == [] and admixture.cache_info().currsize == 0
+    universal_tail_form_factor(6, 0.3)(p)
+    assert orders == [-0.25] and admixture.cache_info().currsize == 1
+
+
+def test_tail_profile_is_the_two_row_transform():
+    # T_0 and T_1 in one two-row sine transform and one two-row spline
+    r, inner, _ = two_body._tail_grid(6)
+    d0 = 1.0 - universal_tail_wavefunction(6, r)
+    d1 = r - math.gamma(0.75) * np.sqrt(r) * _bessel_j(-0.25, 2.0 * r ** (-4.0 / 2.0))
+    d0[inner], d1[inner] = 1.0, r[inner]
+    rows = _sine_transform(r, np.array([d0, d1]), two_body._P_TAB)
+    both = two_body._geom_spline(two_body._P_TAB, np.pad(rows, ((0, 0), (1, 0))))
+    p = np.concatenate([[0.0], np.geomspace(1e-6, 400.0, 3000)])
+    t0, t1 = both(p)
+    for inv_a in (0.0, 0.3, -1.0 / 10.84):
+        ref = 1.0 - t0 + inv_a * t1
+        assert universal_tail_form_factor(6, inv_a)(p) == pytest.approx(ref, rel=0, abs=1e-15)
+
+
 @pytest.mark.parametrize("layout", ["vdw", "est", "jittered"])
 def test_sine_transform_matches_direct_trapezoid(layout):
     if layout == "vdw":  # two uniform runs, both profiles in one pass
@@ -202,8 +237,9 @@ def test_sine_transform_matches_direct_trapezoid(layout):
 
 
 def _built_tables(monkeypatch):
-    """(p_tab, y) of every spline the two form-factor builders make: the
-    n = 6 tail transforms and the EST profile of a Poschl-Teller state."""
+    """(p_tab, y) of every spline the form-factor builders make: the n = 6
+    tail transforms T_0 and T_1 and the EST profile of a Poschl-Teller
+    state."""
     tables = []
 
     def record(p_tab, y):
@@ -212,9 +248,10 @@ def _built_tables(monkeypatch):
 
     spline = two_body._geom_spline
     monkeypatch.setattr(two_body, "_geom_spline", record)
-    tail = two_body._tail_transforms.__wrapped__(6)  # bypass the cache
+    t0 = two_body._tail_unitarity.__wrapped__(6)  # bypass the caches
+    t1 = two_body._tail_admixture.__wrapped__(6)
     est = est_form_factor(solve_zero_energy(_pt(1.3)), p_max=40.0)
-    return [(tables[0], lambda p: tail(p)), (tables[1], lambda p: est(p)[None])]
+    return [(table, lambda p, f=f: f(p)[None]) for table, f in zip(tables, (t0, t1, est))]
 
 
 def test_spline_matches_scipy_cubic_spline(monkeypatch):
