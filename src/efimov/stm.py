@@ -10,11 +10,10 @@ the spectator kinetic term is (3/4)P^2 and dimers sit at -kappa^2.
 
 Each kernel's ``matrix(E)`` is real symmetric: it acts on p sqrt(w_p) F(p),
 so the quadrature weights enter its exchange term as sqrt(w_P w_Q).
-Each call assembles M(E) in place in the array it returns: besides it, a
-zero-range call allocates one n x n buffer (two with ``exact_domain``) and
-a separable call only row slabs.  ``slope(E, v)`` applies dM/dE to v in
-row blocks or slabs, without forming it, and ``matrix_and_slope(E, v)``
-returns both (a separable kernel's from one pass over its slabs).
+Each kernel assembles M(E) in the array it returns, in one pass over row
+blocks (zero-range) or slabs (separable), with no other array of M's size;
+``slope(E, v)`` applies dM/dE to v in such a pass, without forming it, and
+``matrix_and_slope(E, v)`` returns both from one.
 ``bound_levels`` brackets trimers by the inertia of M(E), whose number of
 negative eigenvalues drops by one at each level, and refines each by
 nonlinear inverse iteration, one LU solve per step.  1/a enters M(0) on
@@ -71,7 +70,7 @@ _TRITON_P_MAX = 40.0  # fm^-1, top of the nucleon momentum grid
 # relative gap kept between an energy window's top and a dimer pole: on the
 # pole M(E) is singular, and its count of negative eigenvalues jumps there
 _POLE_GAP = 1e-10
-# rows of dM/dE formed at a time by StmKernel.slope
+# rows per block of a StmKernel pass, which holds its result and 3 such blocks
 _ROWS = 64
 # tolerance of a level in ln(-E)
 _LEVEL_TOL = 1e-12
@@ -135,10 +134,10 @@ def _inverse_iteration(kernel, spectrum, k: int, x: float, a: float, b: float):
         return x, True
     E = -math.exp(x)
     try:
-        v = _eigenvector(kernel.matrix(E), lam)
+        v, dlam_dE = _eigenvector(kernel, E, lam)
     except np.linalg.LinAlgError:
         return x, False
-    g = E * (v @ kernel.slope(E, v))
+    g = E * dlam_dE
     # p(d) = lam + g d + c d^2 matches lambda_k at both ends, which have
     # opposite signs, so one of its zeros lies between them
     D = far - x
@@ -172,12 +171,14 @@ def _inverse_iteration(kernel, spectrum, k: int, x: float, a: float, b: float):
         v = u / np.linalg.norm(u)
 
 
-def _eigenvector(m: np.ndarray, lam: float) -> np.ndarray:
-    """The unit eigenvector of the symmetric m for its eigenvalue lam, from
-    one solve of (m - lam I) v = 1; m is overwritten."""
+def _eigenvector(kernel, E: float, lam: float) -> tuple[np.ndarray, float]:
+    """(v, d lam/dE = v . dM/dE v) for the unit eigenvector v of the
+    symmetric M(E) for its eigenvalue lam, from one solve of (M - lam I) v = 1."""
+    m = kernel.matrix(E)
     m.flat[:: len(m) + 1] -= lam
     v = np.linalg.solve(m, np.ones(len(m)))
-    return v / np.linalg.norm(v)
+    v /= np.linalg.norm(v)
+    return v, v @ kernel.slope(E, v)
 
 
 def bound_levels(kernel, E_window: tuple[float, float]) -> list[float]:
@@ -228,14 +229,16 @@ class StmKernel:
 
     The s-wave projected exchange integral is analytic; in the symmetric
     form of ``matrix(E)``, E <= 0, it reads
-    K(P,Q) = (2/pi) sqrt(w_P w_Q) ln[(P^2+PQ+Q^2-E)/(P^2-PQ+Q^2-E)],
-    and the diagonal is the inverse two-body T at the shifted energy,
-    1/a + R*(E - (3/4)P^2) - sqrt((3/4)P^2 - E).
+    K(P,Q) = (2/pi) sqrt(w_P w_Q) ln(num/den), num = P^2+PQ+Q^2-E,
+    den = P^2-PQ+Q^2-E, and the diagonal is the inverse two-body T at the
+    shifted energy, 1/a + R*(E - (3/4)P^2) - sqrt((3/4)P^2 - E).
 
     The cutoff is the three-body parameter: levels depend on it only
     through cutoff * e^{n pi/|s0|}.  ``exact_domain`` keeps both exchange
     momenta |Q+P/2|, |P+Q/2| below the cutoff instead of the plain
-    Q < cutoff domain; the difference is a cutoff-scale effect only.
+    Q < cutoff domain, a cutoff-scale effect only: num becomes
+    P^2 + Q^2 + PQ c_hi - E, with the angular upper limit c_hi clipped to
+    [-1, 1] from min(h_PQ, h_QP), h_PQ = (cutoff^2 - P^2 - Q^2/4)/(PQ).
     """
 
     inv_a: float
@@ -263,74 +266,66 @@ class StmKernel:
         return dimer_energy(self.inv_a, -2.0 * self.r_star)
 
     def matrix(self, E: float) -> np.ndarray:
+        return self._assemble(E)[0]
+
+    def slope(self, E: float, v: np.ndarray) -> np.ndarray:
+        """dM/dE @ v for a vector or a matrix v, without forming dM/dE: its
+        exchange is (2/pi) sqrt(w_P w_Q) (1/den - 1/num), its diagonal
+        R* + 1/(2 sqrt((3/4)P^2 - E))."""
+        return self._assemble(E, v, with_matrix=False)[1]
+
+    def matrix_and_slope(self, E: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(M(E), dM/dE @ v) from one pass over the row blocks."""
+        return self._assemble(E, v)
+
+    def _assemble(self, E: float, v=None, with_matrix: bool = True):
+        """(M(E) or None, dM/dE @ v or None), _ROWS rows at a time.  M keeps
+        the formulas' operation order, bit for bit: (P^2 + PQ c_hi) + Q^2 or
+        (2/pi) sqrt(w_P) sqrt(w_Q) would move it by rounding."""
         if E > 0:
             raise ValueError("M(E) needs E <= 0")
         rule = self.grid
         p, wp = rule.nodes, rule.weights
-        p2 = p * p
-        # m holds num, then num/den, then the result; den is the only other
-        # n x n buffer (exact_domain needs one more).  Each entry takes the
-        # operations of the broadcast expression of the formulas above in
-        # the same order, so it matches that expression bit for bit.
-        m, den = np.multiply.outer(p, p), np.empty((self.n, self.n))  # m = PQ
-        if self.exact_domain:
-            # angular upper limit keeping both shifted momenta below cutoff:
-            # c_hi = min(h, h^T) clipped to [-1, 1], with
-            # h = (cutoff^2 - P^2 - Q^2/4)/(PQ); num = P^2 + Q^2 + PQ c_hi - E
-            c_hi = np.subtract.outer(self.cutoff**2 - p2, 0.25 * p * p, out=den)
-            c_hi /= m
-            tmp = c_hi.T.copy()
-            np.minimum(c_hi, tmp, out=c_hi)
-            np.clip(c_hi, -1.0, 1.0, out=c_hi)
-            m *= c_hi
-            np.add(np.add.outer(p2, p2, out=tmp), m, out=m)
-        else:  # num = P^2 + PQ + Q^2 - E
-            np.add(p2[:, None], m, out=m)
-            m += p2
-        m -= E
-        # den = P^2 - PQ + Q^2 - E
-        np.subtract(p2[:, None], np.multiply.outer(p, p, out=den), out=den)
-        den += p2
-        den -= E
-        m /= den
-        np.log(m, out=m)
-        m *= 2 / np.pi
-        m *= np.sqrt(np.multiply.outer(wp, wp, out=den), out=den)
-        m.flat[:: self.n + 1] += (
-            self.inv_a + self.r_star * (E - 0.75 * p**2) - np.sqrt(0.75 * p**2 - E)
-        )
-        return m
-
-    def slope(self, E: float, v: np.ndarray) -> np.ndarray:
-        """dM/dE @ v for a vector or a matrix v.  dM/dE has the exchange
-        (2/pi) sqrt(w_P w_Q) (1/den - 1/num), with num and den the arguments
-        of ``matrix``'s logarithm, and the diagonal
-        R* + 1/(2 sqrt((3/4)P^2 - E)).  It is applied in blocks of 64 rows,
-        so no n x n array is made."""
-        if E > 0:
-            raise ValueError("M(E) needs E <= 0")
-        rule = self.grid
-        p, sw = rule.nodes, np.sqrt(rule.weights)
-        p2 = p * p
-        out = np.empty(np.shape(v))
+        p2, sw = p * p, np.sqrt(wp)
+        kap = np.sqrt(0.75 * p2 - E)
+        K = np.empty((self.n, self.n)) if with_matrix else None
+        slope = None if v is None else np.empty(np.shape(v))
+        if self.exact_domain:  # h_PQ = (top_P - quarter_Q)/(PQ)
+            top, quarter = self.cutoff**2 - p2, 0.25 * p * p
+        buf = np.empty((3, min(_ROWS, self.n), self.n))
         for r0 in range(0, self.n, _ROWS):
-            P = p[r0 : r0 + _ROWS, None]
-            PQ = P * p
-            den = P * P - PQ + p2 - E
-            if self.exact_domain:  # PQ c_hi, with c_hi of ``matrix``
-                lam2 = self.cutoff**2
-                h = np.minimum(lam2 - P * P - 0.25 * p2, lam2 - p2 - 0.25 * P * P)
-                PQ *= np.clip(h / PQ, -1.0, 1.0)
-            blk = 1.0 / den
-            blk -= 1.0 / (P * P + PQ + p2 - E)
-            blk *= (2 / np.pi) * sw[r0 : r0 + _ROWS, None] * sw
-            out[r0 : r0 + _ROWS] = blk @ v
-        out += ((self.r_star + 0.5 / np.sqrt(0.75 * p2 - E)) * np.transpose(v)).T
-        return out
-
-    def matrix_and_slope(self, E: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(M(E), dM/dE @ v)."""
-        return self.matrix(E), self.slope(E, v)
+            rows = slice(r0, r0 + _ROWS)
+            P, P2 = p[rows, None], p2[rows, None]
+            PQ, den, num = buf[:, : len(P)]
+            np.subtract(P2, np.multiply(P, p, out=PQ), out=den)
+            den += p2
+            den -= E
+            if self.exact_domain:  # c_hi, held in num; PQ becomes PQ c_hi
+                c_hi = np.subtract(top[rows, None], quarter, out=num)
+                np.minimum(c_hi, top - quarter[rows, None], out=c_hi)
+                c_hi /= PQ
+                PQ *= np.clip(c_hi, -1.0, 1.0, out=c_hi)
+                np.add(P2, p2, out=num)
+                num += PQ
+            else:
+                np.add(P2, PQ, out=num)
+                num += p2
+            num -= E
+            if K is not None:  # PQ's block is free now and takes the weights
+                m = np.divide(num, den, out=K[rows])
+                np.log(m, out=m)
+                m *= 2 / np.pi
+                m *= np.sqrt(np.multiply(wp[rows, None], wp, out=PQ), out=PQ)
+            if v is not None:  # 1/den - 1/num, in place of den and num
+                blk = np.reciprocal(den, out=den)
+                blk -= np.reciprocal(num, out=num)
+                blk *= np.multiply((2 / np.pi) * sw[rows, None], sw, out=PQ)
+                slope[rows] = blk @ v
+        if K is not None:
+            K.flat[:: self.n + 1] += self.inv_a + self.r_star * (E - 0.75 * p2) - kap
+        if v is not None:
+            slope += ((self.r_star + 0.5 / kap) * np.transpose(v)).T
+        return K, slope
 
 
 def solve_trimers_narrow_resonance(
@@ -556,7 +551,9 @@ def a_minus_ground(form_family, bracket: tuple[float, float]) -> float:
     |hi| with), as the Brent zero, to 1e-12 in 1/a, of the eigenvalue of
     M(-1e-6; 1/a) whose crossing adds the trimer to the window
     (-3, -1e-6).  A bracket holding no crossing, or more than one, raises
-    BracketingError."""
+    BracketingError.  That tolerance is the accuracy: for the vdW family
+    eigvalsh resolves 1/a_- to about 5e-16 (the eigenvalue's slope in 1/a
+    is 0.085 there, and eigvalsh puts it about 4e-17 off)."""
     lo, hi = bracket
     if not (lo < 0 and hi < 0 and abs(lo) < abs(hi)):
         raise ValueError("bracket must be (a_without, a_with), both negative")
@@ -574,10 +571,11 @@ def narrow_resonance_a_star0(r_star: float) -> float:
     """a_*^(0): scattering length where the ground narrow-resonance trimer
     meets the particle-dimer threshold (a > 0), in units set by R*.
 
-    Located in 1/a over (1.8, 2.6)/R*, as the zero, to 1e-12 in 1/a, of
-    the eigenvalue lambda_k of M(E_t; 1/a), E_t = (1 + 1e-10) E_dimer(1/a),
-    whose crossing takes the trimer out of the window below E_t.  No
-    crossing, or more than one, raises BracketingError.
+    Located in 1/a over (1.8, 2.6)/R*, as the zero of the eigenvalue
+    lambda_k of M(E_t; 1/a), E_t = (1 + 1e-10) E_dimer(1/a), whose crossing
+    takes the trimer out of the window below E_t: the final bracket is
+    1e-12 wide, but eigvalsh resolves the zero only to about 7e-10 in 1/a
+    at R* = 1 (below).  No crossing, or more than one, raises BracketingError.
 
     On the trimer's side, the lower end of the count bracket, lambda_k
     falls as a parabola in 1/a whose minimum lies just past the crossing,
@@ -589,7 +587,8 @@ def narrow_resonance_a_star0(r_star: float) -> float:
     one moves the lower end; otherwise Brent's method refines the bracket.
     At R* = 1 the eigenvalue moves by 4.2e-6 per unit of 1/a there, and
     eigvalsh puts it about 3e-15 off, so the count itself switches within
-    about 7e-10 of 1/a_*; the bracket picks one of those switches.
+    about 7e-10 of 1/a_*; the bracket picks one of those switches.  With
+    M's rows and columns permuted, eigvalsh moves it by up to 1.3e-8.
     """
     if not r_star > 0:
         raise ValueError("r_star must be positive")
@@ -612,10 +611,10 @@ def narrow_resonance_a_star0(r_star: float) -> float:
         lam = spectrum(a)[k]
         kern, E, dE = top(a)
         try:
-            v = _eigenvector(kern.matrix(E), lam)
+            _, dlam_dE = _eigenvector(kern, E, lam)
         except np.linalg.LinAlgError:
             break
-        slope = 1.0 + dE * (v @ kern.slope(E, v))
+        slope = 1.0 + dE * dlam_dE
         # the zero of lam + slope d + q d^2, q = slope^2/(4 (lam - floor)),
         # whose minimum is floor
         step = -2.0 * (lam - floor) * (1.0 - math.sqrt(floor / (floor - lam))) / slope

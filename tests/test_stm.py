@@ -44,16 +44,19 @@ def _zero_range_reference(kern, E):
     return np.diag(D) + K, p * np.sqrt(w)
 
 
-def test_zero_range_kernel_matches_analytic_form():
-    kern = StmKernel(inv_a=0.5, cutoff=50.0, r_star=0.3, n=40)
+# the kernel is built in blocks of 64 rows: 130 leaves a ragged last block
+@pytest.mark.parametrize("n", [40, 130])
+def test_zero_range_kernel_matches_analytic_form(n):
+    kern = StmKernel(inv_a=0.5, cutoff=50.0, r_star=0.3, n=n)
     ref, s = _zero_range_reference(kern, -2.7)
     assert np.allclose(kern.matrix(-2.7), s[:, None] * ref / s, rtol=1e-12, atol=1e-12)
 
 
-def test_exact_domain_kernel_matches_broadcast_form():
+@pytest.mark.parametrize("n", [40, 130])
+def test_exact_domain_kernel_matches_broadcast_form(n):
     # the angular upper limit c_hi keeps |Q + P/2| and |P + Q/2| below the
-    # cutoff; the kernel builds it in place from one half and its transpose
-    kern = StmKernel(inv_a=0.5, cutoff=50.0, n=40, exact_domain=True)
+    # cutoff; the kernel builds it block by block from both orders of P, Q
+    kern = StmKernel(inv_a=0.5, cutoff=50.0, n=n, exact_domain=True)
     rule, E, lam2 = kern.grid, -2.7, 50.0**2
     p, w = rule.nodes, rule.weights
     P, Q = p[:, None], p[None, :]
@@ -316,34 +319,34 @@ def eigvalsh_calls(monkeypatch):
     return calls
 
 
-def test_zero_range_levels_take_few_eigensolves(eigvalsh_calls, monkeypatch):
+@pytest.fixture
+def builds(monkeypatch):
+    """The energies of every StmKernel pass that builds M(E), through
+    ``matrix`` or ``matrix_and_slope``."""
+    calls = []
+    assemble = StmKernel._assemble
+
+    def counted(self, E, v=None, with_matrix=True):
+        if with_matrix:
+            calls.append(E)
+        return assemble(self, E, v, with_matrix)
+
+    monkeypatch.setattr(StmKernel, "_assemble", counted)
+    return calls
+
+
+def test_zero_range_levels_take_few_eigensolves(eigvalsh_calls, builds):
     # one eigvalsh per point of the count bisection (five here, one a
     # bisection after a failed start) and one M(E) per refinement step;
     # Brent's method on the crossing eigenvalue takes 30 of each
-    builds = []
-    matrix = StmKernel.matrix
-
-    def counted(self, E):
-        builds.append(E)
-        return matrix(self, E)
-
-    monkeypatch.setattr(StmKernel, "matrix", counted)
     assert len(bound_levels(StmKernel(0.0, 1000.0), (-1e7, -1e-3))) == 3
     assert len(eigvalsh_calls) <= 6
     assert len(builds) <= 20
 
 
-def test_narrow_resonance_levels_take_few_eigensolves(eigvalsh_calls, monkeypatch):
+def test_narrow_resonance_levels_take_few_eigensolves(eigvalsh_calls, builds):
     # one level at two cutoffs; a failed start bisects its bracket at the
     # start's last iterate inside it, where the midpoint took 10 and 38
-    builds = []
-    matrix = StmKernel.matrix
-
-    def counted(self, E):
-        builds.append(E)
-        return matrix(self, E)
-
-    monkeypatch.setattr(StmKernel, "matrix", counted)
     assert len(solve_trimers_narrow_resonance(0.0, 1.0, (-1e7, -1e-3))) == 1
     assert len(eigvalsh_calls) <= 8
     assert len(builds) <= 34
@@ -496,17 +499,19 @@ def _traced_peak(fn):
 @pytest.mark.parametrize(
     "kern, bound",
     [
-        (StmKernel(0.5, 300.0, n=400), 2.5),
-        (StmKernel(0.5, 300.0, r_star=0.3, n=400), 2.5),
-        (StmKernel(0.5, 300.0, n=400, exact_domain=True), 3.5),
+        (StmKernel(0.5, 300.0, n=400), 2.0),
+        (StmKernel(0.5, 300.0, r_star=0.3, n=400), 2.0),
+        (StmKernel(0.5, 300.0, n=400, exact_domain=True), 2.5),
     ],
     ids=["zero_range", "r_star", "exact_domain"],
 )
 def test_zero_range_kernel_memory(kern, bound):
-    # bound in n x n arrays of doubles: M(E) is built in its result plus
-    # one n x n buffer, and exact_domain needs one more for c_hi's transpose
-    _, peak = _traced_peak(lambda: kern.matrix(-0.3))
-    assert peak <= bound * kern.n**2 * 8
+    # bound in n x n arrays of doubles: a call holds its result plus a few
+    # blocks of 64 rows, so any second n x n array breaks the bound
+    v = np.ones(kern.n)
+    for call in (lambda: kern.matrix(-0.3), lambda: kern.matrix_and_slope(-0.3, v)):
+        _, peak = _traced_peak(call)
+        assert peak <= bound * kern.n**2 * 8
 
 
 @pytest.mark.parametrize("nc, n", [(2, 300), (1, 260)])
