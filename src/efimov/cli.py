@@ -324,7 +324,7 @@ def _verify_table():
     from . import born_oppenheimer as bo
     from . import channels as ch
     from .stm import StmKernel, bound_levels, threshold_scattering_lengths
-    from .two_body import half_effective_range_tail
+    from .two_body import TwoBodyModel, half_effective_range_tail, solve_zero_energy
     from .universal import threshold_constants
 
     rows = []
@@ -342,6 +342,9 @@ def _verify_table():
     rows.append(("bo_critical_L1", bo.BO_CRITICAL_L1, 13.990296, 1e-4))
     rows.append(("half_re_over_l4", half_effective_range_tail(4), 2 * math.pi / 3, 1e-12))
     rows.append(("half_re_over_l6", half_effective_range_tail(6), 1.3947328267375, 1e-12))
+    # the ODE layer against the closed-form r_e of a sech^2 well
+    pt = solve_zero_energy(TwoBodyModel("poschl_teller", {"lambda": 1.3, "range": 1.0}))
+    rows.append(("poschl_teller_r_e", pt.r_e, 1.44550663144349, 1e-10))
     lev = bound_levels(StmKernel(0.0, 1000.0), (-1e7, -1e-3))
     rows.append(("zero_range_energy_ratio", lev[1] / lev[2], 515.035, 1e-2))
     am = threshold_scattering_lengths(1000.0)

@@ -45,6 +45,7 @@ from .two_body import (
     dimer_energy,
     dimer_integral,
     est_form_factor,
+    poschl_teller_low_energy,
     separable_dimer_energy,
     solve_zero_energy,
 )
@@ -642,6 +643,9 @@ def kappa_star_extrapolated(energies, level: int = 0) -> float:
 # two-channel triton model
 
 
+_SECH2_PEAK = 1.7459139618078205  # lambda of the local maximum of a sech^2 well's r_e/a
+
+
 def _sech2_state(lam: float, b: float) -> ZeroEnergyState:
     """Zero-energy state of V = -lambda(lambda+1)/b^2 sech^2(r/b)."""
     return solve_zero_energy(TwoBodyModel("poschl_teller", {"lambda": lam, "range": b}))
@@ -669,20 +673,38 @@ class TritonModel:
     @classmethod
     def fit(cls, a_t=5.4112, r_et=1.7436, a_s=-23.7148, r_es=2.750, hbar2_over_m=41.46):
         """Fit (lambda, b) of V = -lambda(lambda+1)/b^2 sech^2(r/b) per
-        channel: lambda sets the shape ratio r_e/a, then b sets the scale."""
+        channel: lambda sets the shape ratio r_e/a, then b sets the scale.
 
-        @functools.cache
-        def unit_well(lam):  # 1/a and the shape ratio r_e/a of the b = 1 well
-            st = _sech2_state(lam, 1.0)
-            return st.inv_a, st.r_e * st.inv_a
+        (1/a, r_e) of the well are in closed form (``poschl_teller_low_energy``,
+        from the exact phase shift of Flugge, Practical Quantum Mechanics,
+        Problem 39): a/b = gamma_E + psi(1 + lambda) - (pi/2) tan(pi lambda/2),
+        and r_e/b from the k^3 term.  So the search over lambda solves no
+        ODE; each fitted well is propagated once, for the zero-energy state
+        its form factor is built from.
+
+        Each channel is sought on its whole branch but for 1e-6 at an end.
+        The singlet (a < 0, no bound state) is on lambda in (0, 1), where
+        r_e/a rises monotonically from -inf to 0.  On the triplet's branch
+        (a > 0, one bound state), lambda in (1, 2.5229), r_e/a rises from 0
+        to 0.43431 at lambda = 1.74591, dips to 0.43280 at 1.87722 and then
+        rises without bound; a ratio up to 0.43431 is taken on the first
+        rise, so the fit is unique, and a larger one on (1.74591, 2.5].
+        """
+
+        def shape(lam):  # r_e/a of the b = 1 well
+            inv_a, r_e = poschl_teller_low_energy(lam)
+            return r_e * inv_a
 
         def well(a, re, lo, hi):
-            lam = find_root(lambda l: unit_well(l)[1] - re / a, lo, hi, tol=1e-12)
-            return _sech2_state(lam, a * unit_well(lam)[0])  # b such that a comes out exactly
+            lam = find_root(lambda l: shape(l) - re / a, lo, hi, tol=1e-12)
+            inv_a, _ = poschl_teller_low_energy(lam)
+            return _sech2_state(lam, a * inv_a)  # b such that a comes out exactly
 
+        peak = shape(_SECH2_PEAK)
+        triplet = (1.0 + 1e-6, _SECH2_PEAK) if r_et / a_t <= peak else (_SECH2_PEAK, 2.5)
         model = cls(
             a_t, r_et, a_s, r_es, hbar2_over_m,
-            well(a_t, r_et, 1.05, 1.9), well(a_s, r_es, 0.3, 0.999),
+            well(a_t, r_et, *triplet), well(a_s, r_es, 1e-6, 1.0 - 1e-6),
         )
         if model.fit_residual > 1e-3:
             raise ConvergenceError(f"channel fit residual {model.fit_residual:.1e} exceeds 0.1%")

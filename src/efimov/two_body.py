@@ -26,6 +26,7 @@ __all__ = [
     "tune_to_scattering_length",
     "universal_tail_wavefunction",
     "half_effective_range_tail",
+    "poschl_teller_low_energy",
     "est_form_factor",
     "step_form_factor",
     "universal_tail_form_factor",
@@ -297,6 +298,72 @@ def half_effective_range_tail(n: float) -> float:
     return g(1.0 + nu) ** 2 * g(1.0 - nu) * g(1.0 + 4.0 * nu) / (
         g(1.0 + 2.0 * nu) ** 2 * g(1.0 + 3.0 * nu)
     )
+
+
+_ZETA3 = 1.2020569031595942
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)  # B_2 .. B_14
+# the recurrences carry x up to here before the 7-term asymptotic series:
+# at x = 10 the first omitted term of psi'', 121/x^18, is still 1e-14 of it
+_PSI_ASYMPTOTIC = 16
+
+
+def _harmonic(x: float) -> float:
+    """H_x = gamma_E + psi(1 + x) for real x > -1, to rounding even near
+    x = 0, where gamma_E + psi(1 + x) would cancel.
+
+    H_x = sum_{j=1..16} x/(j (j + x)) + psi(17 + x) - psi(17) (DLMF 5.5.2),
+    the difference taken from the asymptotic series ln z - 1/(2z)
+    - sum_k B_2k/(2k z^2k), k = 1..7 (DLMF 5.11.2), term by term, each
+    term written as x times a factor."""
+    y = float(_PSI_ASYMPTOTIC + 1)
+    u = math.log1p(x / y)  # ln((y + x)/y)
+    terms = [x / (j * (j + x)) for j in range(1, _PSI_ASYMPTOTIC + 1)]
+    terms += [u, x / (2.0 * y * (y + x))]
+    terms += [
+        -b / (2 * k * y ** (2 * k)) * math.expm1(-2 * k * u) for k, b in enumerate(_BERNOULLI, 1)
+    ]
+    return math.fsum(terms)
+
+
+def _tetragamma(x: float) -> float:
+    """psi''(x) for real x > 0: psi''(x) = psi''(x + 1) - 2/x^3 up to
+    x >= 16, then -1/x^2 - 1/x^3 - sum_k (2k + 1) B_2k/x^(2k+2), k = 1..7,
+    the series of psi differentiated twice."""
+    terms = []
+    while x < _PSI_ASYMPTOTIC:
+        terms.append(-2.0 / x**3)
+        x += 1.0
+    y = 1.0 / (x * x)
+    terms += [-(2 * k + 1) * b * y ** (k + 1) for k, b in enumerate(_BERNOULLI, 1)]
+    return math.fsum([-y, -y / x, *terms])
+
+
+def poschl_teller_low_energy(lam: float) -> tuple[float, float]:
+    """(1/a, r_e) of the range-1 well V = -lam (lam + 1) sech^2 r, lam > 0,
+    in closed form; for range b, 1/a scales as 1/b and r_e as b.
+
+    Flugge (Practical Quantum Mechanics, Problem 39) gives its exact s-wave
+    phase shift, delta(k) = -k ln 2 + Im[ln Gamma(1 + ik)
+    - ln Gamma(1 + (lam + ik)/2) - ln Gamma((1 - lam + ik)/2)].  Its
+    expansion delta = c1 k + c3 k^3 gives a = -c1 and
+    r_e = -2 c3/c1^2 - 2 c1/3.  With A = gamma_E + psi(1 + lam) (the
+    harmonic number H_lam),
+    C = zeta(3)/3 + [psi''(1 + lam/2) + psi''((1 + lam)/2)]/48 and
+    t = tan(pi lam/2):
+        a = A - (pi/2) t,
+        r_e = [2A^3 - 3 pi A^2 t + (3/2) pi^2 A t^2 + (pi^3/4) t - 6C] / (3 a^2),
+    after the reflection formula of psi'' cancels the t^3 terms.  It is
+    evaluated in s = 1/t = tan(pi (1 - lam)/2), multiplied through, so
+    nothing cancels or overflows at the unitary point lam = 1 (a = inf,
+    r_e = 2).  lam = 2 gives a = 3/2 and r_e = 2/3.
+    """
+    s = math.tan(0.5 * math.pi * (1.0 - lam))
+    A = _harmonic(lam)
+    C = _ZETA3 / 3.0 + (_tetragamma(1.0 + 0.5 * lam) + _tetragamma(0.5 * (1.0 + lam))) / 48.0
+    pi = math.pi
+    a_s = A * s - 0.5 * pi  # a s
+    num = (2.0 * A**3 - 6.0 * C) * s * s - (3.0 * pi * A * A - 0.25 * pi**3) * s + 1.5 * pi * pi * A
+    return s / a_s, num / (3.0 * a_s * a_s)  # num = 3 a^2 s^2 r_e
 
 
 @dataclass(frozen=True)

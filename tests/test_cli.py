@@ -279,6 +279,20 @@ def test_triton_defaults_are_the_model_fit_defaults():
     assert {k: study[k] for k in fit} == fit
 
 
+def test_triton_fits_a_triplet_with_a_large_shape_ratio(tmp_path):
+    # r_e/a = 0.462 is a sech^2 well with lambda = 2.1, one bound state
+    assert run(["triton", "--r-et", "2.5", "--output", str(tmp_path / "t.csv")]) == 0
+    triplet = TritonModel.fit(r_et=2.5).triplet
+    assert triplet.inv_a * 5.4112 == pytest.approx(1.0, abs=1e-9)
+    assert triplet.r_e == pytest.approx(2.5, rel=1e-9)
+
+
+def test_triton_bound_singlet_exits_3(capsys):
+    # a > 0 is outside the singlet branch (a < 0, no bound state)
+    assert run(["triton", "--a-s", "23"]) == 3
+    assert "no sign change" in capsys.readouterr().err
+
+
 def test_bo_subcommand(tmp_path):
     out = tmp_path / "bo.csv"
     rc = run(

@@ -269,6 +269,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert efimov.cli.main(["verify"]) == 0
 stm.bound_levels(stm.StmKernel(0.0, 100.0, n=120), (-3e4, -1e-2))
 stm.bound_levels(stm.SeparableKernel(form, 0.3, n=140, n_ang=24), (-3.0, -1e-7))
+stm.TritonModel.fit()
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
@@ -278,8 +279,8 @@ def test_solver_paths_load_no_scipy():
     (n = 4 at unitarity among them), the EST form factor, a root, a real
     boson and a fermion channel exponent, a bonding orbital, a hyperradial
     spectrum and phase, the tail effective ranges, a zero-range and a
-    separable STM spectrum and `efimov verify` solve, without loading scipy
-    and, under -W error, without a numpy warning."""
+    separable STM spectrum, the triton model fit and `efimov verify` solve,
+    without loading scipy and, under -W error, without a numpy warning."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(

@@ -14,6 +14,7 @@ from efimov.stm import (
     SeparableKernel,
     StmKernel,
     TritonModel,
+    _SECH2_PEAK,
     a_minus_ground,
     bound_levels,
     kappa_star_extrapolated,
@@ -25,6 +26,7 @@ from efimov.stm import (
 from efimov.two_body import (
     FormFactor,
     dimer_integral,
+    poschl_teller_low_energy,
     separable_dimer_energy,
     step_form_factor,
     universal_tail_form_factor,
@@ -182,6 +184,41 @@ _BRENT_LEVELS = [
 )
 def test_levels_match_the_brent_refinement(solve, ref):
     assert solve() == pytest.approx(ref, rel=1e-11, abs=0)
+
+
+@pytest.fixture
+def zero_energy_solves(monkeypatch):
+    """The lambda of every well TritonModel propagates."""
+    import efimov.stm as stm_module
+
+    calls = []
+    solve = stm_module.solve_zero_energy
+
+    def counted(model):
+        calls.append(model.params["lambda"])
+        return solve(model)
+
+    monkeypatch.setattr(stm_module, "solve_zero_energy", counted)
+    return calls
+
+
+def test_triton_fit_makes_two_zero_energy_solves(zero_energy_solves):
+    # (a, r_e) of every trial well are in closed form: only the two fitted
+    # wells are propagated, where a search on the ODE made 26 solves
+    TritonModel.fit()
+    assert len(zero_energy_solves) == 2
+
+
+def test_triton_fit_takes_the_first_rise_of_the_triplet_shape(zero_energy_solves):
+    # on the triplet branch r_e/a = 0.4335 is reached three times, at lambda
+    # below the peak (0.43431 at 1.74591), on the dip after it and on the
+    # final rise; the fit takes the first, and reproduces (a, r_e) there.
+    # The split point _SECH2_PEAK is the peak.
+    model = TritonModel.fit(r_et=0.4335 * 5.4112)
+    assert 1.0 < zero_energy_solves[0] < 1.7459
+    assert model.fit_residual < 1e-9
+    shape = [math.prod(poschl_teller_low_energy(_SECH2_PEAK + d)) for d in (-1e-4, 0.0, 1e-4)]
+    assert shape[1] > max(shape[0], shape[2])
 
 
 def test_bound_levels_frees_the_kernel_without_gc():

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicSpline
-from scipy.special import digamma, jv
+from scipy.special import jv
 
 from efimov import two_body
-from efimov.numerics import propagate
 
 from efimov.stm import StmKernel
 from efimov.two_body import (
@@ -25,6 +24,7 @@ from efimov.two_body import (
     dimer_energy,
     est_form_factor,
     half_effective_range_tail,
+    poschl_teller_low_energy,
     separable_dimer_energy,
     solve_zero_energy,
     step_form_factor,
@@ -46,20 +46,67 @@ def test_square_well_matches_analytic():
     assert st_.a == pytest.approx(a_exact, rel=1e-10)
 
 
-@pytest.mark.parametrize("lam", [0.5, 0.9, 1.3, 1.7])
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.9, 1.3, 1.7, 1.9])
 def test_poschl_teller_matches_closed_form(lam):
-    # from the P_lam, Q_lam(tanh r/b) solution:
-    # a/b = gamma_E + psi(lam + 1) - (pi/2) tan(pi lam/2)
     st_ = solve_zero_energy(_pt(lam))
-    a_exact = np.euler_gamma + digamma(lam + 1.0) - 0.5 * math.pi * math.tan(0.5 * math.pi * lam)
-    assert st_.a == pytest.approx(a_exact, rel=1e-11)
-    if lam == 1.3:
-        # r_e against the same integral on 8 times as many nodes
-        r = np.linspace(0.0, 40.0, 160001)
-        u, du = propagate(_pt(lam).potential, r, (0.0, 1.0))
-        alpha = u[-1] - du[-1] * r[-1]
-        r_e = 2.0 * simpson((1.0 + r * du[-1] / alpha) ** 2 - (u / alpha) ** 2, x=r)
-        assert st_.r_e == pytest.approx(r_e, rel=1e-10)
+    inv_a, r_e = poschl_teller_low_energy(lam)
+    assert st_.a * inv_a == pytest.approx(1.0, rel=1e-12)
+    # at lam = 0.3 (a = -0.39) phi grows to 100 by r_max = 40, and the
+    # rounding of the propagated phi leaves r_e 2e-10 off
+    assert st_.r_e == pytest.approx(r_e, rel=3e-10 if lam == 0.3 else 1e-10)
+
+
+def test_harmonic_and_tetragamma_match_mpmath():
+    # H_{x-1} = gamma_E + psi(x) and psi''(x) for x in [0.5, 12]; H is
+    # relative to rounding even through its zero at x = 1, where
+    # gamma_E + psi(x) cancels
+    with mpmath.workdps(30):
+        for x in [*np.linspace(0.5, 12.0, 461), 1.0 + 1e-12, 1.0 - 1e-9, 1.001]:
+            x = float(x)
+            assert two_body._harmonic(x - 1.0) == pytest.approx(
+                float(mpmath.harmonic(x - 1.0)), rel=1e-14, abs=0
+            ), x
+            assert two_body._tetragamma(x) == pytest.approx(
+                float(mpmath.polygamma(2, x)), rel=1e-14, abs=0
+            ), x
+
+
+def _poschl_teller_phase_shift_expansion(lam):
+    """(1/a, r_e/a) of the range-1 sech^2 well from the Taylor coefficients
+    c1, c3 of its exact phase shift (Flugge, Problem 39) at 30 digits:
+    a = -c1, r_e = -2 c3/c1^2 - 2 c1/3.  ln Gamma((1 - lam + ik)/2) is
+    taken as ln Gamma((3 - lam + ik)/2) - ln((1 - lam + ik)/2), whose
+    imaginary part is atan(k/(1 - lam)) modulo pi, so every term is
+    analytic at k = 0 for lam < 3."""
+    with mpmath.workdps(30):
+        lam = mpmath.mpf(lam)
+
+        def delta(k):
+            return (
+                -k * mpmath.log(2)
+                + mpmath.im(mpmath.loggamma(1 + 1j * k))
+                - mpmath.im(mpmath.loggamma(1 + (lam + 1j * k) / 2))
+                - mpmath.im(mpmath.loggamma((3 - lam + 1j * k) / 2))
+                + mpmath.atan(k / (1 - lam))
+            )
+
+        _, c1, _, c3 = mpmath.taylor(delta, 0, 3)
+        return float(-1 / c1), float((2 * c3 / c1**2 + 2 * c1 / 3) / c1)
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.3, 0.95, 1 - 1e-9, 1 + 1e-9, 1.3, 2.0, 2.5])
+def test_poschl_teller_low_energy_matches_the_phase_shift(lam):
+    inv_a, r_e = poschl_teller_low_energy(lam)
+    ref_inv_a, ref_shape = _poschl_teller_phase_shift_expansion(lam)
+    assert inv_a == pytest.approx(ref_inv_a, rel=1e-13)
+    assert r_e * inv_a == pytest.approx(ref_shape, rel=1e-13)
+
+
+def test_poschl_teller_low_energy_exact_points():
+    inv_a, r_e = poschl_teller_low_energy(2.0)
+    assert abs(1.0 / inv_a - 1.5) < 1e-15 and abs(r_e - 2.0 / 3.0) < 1e-15
+    inv_a, r_e = poschl_teller_low_energy(1.0)  # unitarity: a = inf, r_e = 2
+    assert inv_a == 0.0 and r_e == pytest.approx(2.0, rel=1e-15)
 
 
 def _tail_scattering_length(n, cn, core, r):
