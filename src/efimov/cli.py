@@ -135,6 +135,24 @@ def _parse_a(text) -> float:
     return a
 
 
+_RULES = {
+    "finite": math.isfinite,
+    "finite and nonzero": lambda x: math.isfinite(x) and x != 0,
+    "finite and positive": lambda x: math.isfinite(x) and x > 0,
+    "at least 1": lambda x: x >= 1,
+}
+
+
+def _check(args, rule, *options):
+    """ConfigError unless every value of these numeric options is ``rule``;
+    an option left unset passes."""
+    for opt in options:
+        value = getattr(args, opt[2:].replace("-", "_"))
+        for x in value if isinstance(value, list) else [value]:
+            if x is not None and not _RULES[rule](x):
+                raise ConfigError(f"{opt} must be {rule}, got {x!r}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -142,6 +160,8 @@ def _parse_a(text) -> float:
 def cmd_universal(args):
     from .universal import delta, threshold_constants, trimer_point, universal_relations
 
+    _check(args, "finite", "--inv-a-min", "--inv-a-max")
+    _check(args, "at least 1", "--points", "--levels")
     inv_a = np.linspace(args.inv_a_min, args.inv_a_max, args.points)
     rows = []
     for ia in inv_a:
@@ -176,6 +196,8 @@ def cmd_universal(args):
 def cmd_channels(args):
     from . import channels as ch
 
+    _check(args, "finite", "--rho")
+    _check(args, "finite and positive", "--mass-ratio")
     rows = [
         ("s0", ch.S0),
         ("lambda0", ch.LAMBDA0),
@@ -257,6 +279,8 @@ def cmd_stm(args):
 def cmd_triton(args):
     from .stm import TritonModel, solve_triton
 
+    _check(args, "finite and nonzero", "--a-t", "--a-s")
+    _check(args, "finite and positive", "--r-et", "--r-es", "--hbar2-over-m")
     model = TritonModel.fit(
         a_t=args.a_t, r_et=args.r_et, a_s=args.a_s, r_es=args.r_es,
         hbar2_over_m=args.hbar2_over_m,
@@ -276,6 +300,8 @@ def cmd_bo(args):
     from .born_oppenheimer import bonding_kappa, effective_potential, s0_estimate
 
     a = _parse_a(args.a)
+    _check(args, "finite and positive", "--mass-ratio", "--R-min", "--R-max")
+    _check(args, "at least 1", "--points")
     R = np.geomspace(args.R_min, args.R_max, args.points)
     rows = []
     for r in R:

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import LAMBDA0
 from .numerics import (
     BracketingError,
     ConvergenceError,
@@ -58,14 +57,16 @@ __all__ = [
     "threshold_scattering_lengths",
     "a_minus_ground",
     "narrow_resonance_a_star0",
-    "kappa_star_extrapolated",
     "TritonModel",
     "TritonResult",
     "solve_triton",
     "ResolutionWarning",
 ]
 
-_DEF_N = 400
+# zero-range grid (scripts/grid_convergence.py): n = 150 is the smallest to hold
+# every level within 1e-13 of 2n and every a_-^(k) as near n = 2000 as n = 500 does;
+# n = 100 misses by 1e-11, so 50 more nodes are the margin
+_DEF_N = 200
 _DEF_NANG = 48
 _TRITON_P_MAX = 40.0  # fm^-1, top of the nucleon momentum grid
 # relative gap kept between an energy window's top and a dimer pole: on the
@@ -240,16 +241,19 @@ class StmKernel:
     Q < cutoff domain, a cutoff-scale effect only: num becomes
     P^2 + Q^2 + PQ c_hi - E, with the angular upper limit c_hi clipped to
     [-1, 1] from min(h_PQ, h_QP), h_PQ = (cutoff^2 - P^2 - Q^2/4)/(PQ).
+    ``n`` defaults to _DEF_N nodes, and to 400 with ``exact_domain``.
     """
 
     inv_a: float
     cutoff: float
     r_star: float = 0.0
-    n: int = _DEF_N
+    n: int | None = None
     p_min_factor: float = 1e-5
     exact_domain: bool = False
 
     def __post_init__(self):
+        if self.n is None:  # the kink of a clipped c_hi converges only as n^-2.5
+            object.__setattr__(self, "n", 400 if self.exact_domain else _DEF_N)
         if not self.cutoff > 0:
             raise ValueError("cutoff must be positive")
         if self.r_star < 0:
@@ -336,7 +340,7 @@ def solve_trimers_narrow_resonance(
     energy-dependent narrow-resonance T-matrix, deepest first.
 
     R* regulates the short-distance physics, so results must be cutoff
-    independent: the levels are solved at cutoff 100/R* (500 nodes),
+    independent: the levels are solved at cutoff 100/R* (_DEF_N nodes),
     re-solved at twice the cutoff, and a >1% drift raises ConvergenceError.
     """
     if not r_star > 0:
@@ -344,7 +348,7 @@ def solve_trimers_narrow_resonance(
     cutoff = 100.0 / r_star
 
     def solve(lam):
-        return bound_levels(StmKernel(inv_a, lam, r_star, n=500, p_min_factor=1e-8), E_window)
+        return bound_levels(StmKernel(inv_a, lam, r_star, p_min_factor=1e-8), E_window)
 
     roots = solve(cutoff)
     for E, E2 in zip(roots, solve(2.0 * cutoff)):
@@ -514,7 +518,7 @@ class SeparableKernel:
 
 
 def threshold_scattering_lengths(
-    cutoff: float, n_max: int = 4, r_star: float = 0.0, n: int = 500
+    cutoff: float, n_max: int = 4, r_star: float = 0.0, n: int = _DEF_N
 ) -> list[float]:
     """Dissociation scattering lengths a_-^(n) < 0 where trimer n meets the
     three-body threshold, smallest |a_-| (deepest level) first, for the
@@ -627,16 +631,6 @@ def narrow_resonance_a_star0(r_star: float) -> float:
             break
         a += step
     return 1.0 / find_root(lambda x: spectrum(x)[k], a, b, tol=1e-12)
-
-
-def kappa_star_extrapolated(energies, level: int = 0) -> float:
-    """kappa*^(level) * lambda0^level: the three-body parameter read off one
-    level of a finite-range spectrum, mapped to the reference level by the
-    discrete scaling; energies ordered deepest first."""
-    E = energies[level]
-    if not E < 0:
-        raise ValueError("energies must be negative")
-    return math.sqrt(-E) * LAMBDA0**level
 
 
 # ---------------------------------------------------------------------------

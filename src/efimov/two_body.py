@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "ZeroEnergyState",
     "FormFactor",
     "solve_zero_energy",
-    "tune_to_scattering_length",
     "universal_tail_wavefunction",
     "half_effective_range_tail",
     "poschl_teller_low_energy",
@@ -183,27 +182,6 @@ def _simpson(y, x):
             + y[2::2] * (2.0 - h0divh1)
         )
     )
-
-
-def tune_to_scattering_length(
-    model: TwoBodyModel,
-    param: str,
-    bracket: tuple[float, float],
-    inv_a_target: float = 0.0,
-) -> TwoBodyModel:
-    """Adjust one potential parameter so the model has the target 1/a.
-
-    1D root-find on 1/a(param); the bracket must straddle the target
-    without crossing a resonance pole of a itself (1/a is continuous there,
-    so only the target bracket matters).
-    """
-
-    def f(x):
-        m = replace(model, params={**model.params, param: x})
-        return solve_zero_energy(m).inv_a - inv_a_target
-
-    x_star = find_root(f, *bracket, tol=1e-13)
-    return replace(model, params={**model.params, param: x_star})
 
 
 def universal_tail_wavefunction(n: float, x):

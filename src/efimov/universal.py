@@ -18,19 +18,16 @@ __all__ = [
     "A_MINUS_KAPPA",
     "A_PLUS_KAPPA",
     "A_STAR_KAPPA",
-    "RECOMBINATION_C",
     "delta",
     "trimer_point",
     "threshold_constants",
     "universal_relations",
-    "recombination_rate",
 ]
 
 # exact universal relation constants (zero-range theory)
 A_MINUS_KAPPA = -1.50763
 A_PLUS_KAPPA = 0.32
 A_STAR_KAPPA = 0.0707645086901
-RECOMBINATION_C = 4590.0
 
 _XI_LO, _XI_HI = -np.pi, -np.pi / 4
 
@@ -120,20 +117,3 @@ def universal_relations(kappa_star: float) -> tuple[float, float, float]:
         A_PLUS_KAPPA / kappa_star,
         A_STAR_KAPPA / kappa_star,
     )
-
-
-def recombination_rate(a: float, a_minus: float, eta: float):
-    """Three-body recombination loss coefficient L3 for a < 0.
-
-    L3 = C sinh(2 eta) / (sin^2[s0 ln(a/a_minus)] + sinh^2 eta) * hbar a^4/m,
-    in natural units hbar = m = 1.
-    Returns inf (divergence flag) at the eta = 0 resonance peaks.
-    """
-    if not (a < 0 and a_minus < 0):
-        raise ValueError("recombination formula applies to a < 0")
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
-    denom = math.sin(S0 * math.log(a / a_minus)) ** 2 + math.sinh(eta) ** 2
-    if denom == 0.0:
-        return math.inf
-    return RECOMBINATION_C * math.sinh(2.0 * eta) / denom * a**4

@@ -24,7 +24,6 @@ from efimov.stm import (
     TritonModel,
     a_minus_ground,
     bound_levels,
-    kappa_star_extrapolated,
     narrow_resonance_a_star0,
     solve_triton,
     solve_triton_unitarity,
@@ -38,10 +37,13 @@ from efimov.two_body import (
     separable_dimer_energy,
     solve_zero_energy,
     step_form_factor,
-    tune_to_scattering_length,
     universal_tail_form_factor,
 )
 from efimov.universal import delta, threshold_constants
+
+from test_stm import kappa_star_extrapolated
+from test_two_body import tune_to_scattering_length
+from test_universal import recombination_rate
 
 # ---------------------------------------------------------------------------
 # shared expensive solves
@@ -303,8 +305,6 @@ def test_criterion_09c_stm_grid_doubling(zero_range_levels):
 
 
 def test_criterion_09d_recombination_maxima_geometric():
-    from efimov.universal import recombination_rate
-
     a_minus, eta = -1.0, 0.05
     la = np.linspace(math.log(1.05), math.log(1.05) + 2.0 * math.pi / S0, 60000)
     a = a_minus * np.exp(la)

@@ -133,6 +133,15 @@ def test_invalid_values_exit_2(tmp_path, capsys):
     assert run(["stm", "--model", "step", "--cutoff", "5", "--output", out]) == 2
     assert run(["stm", "--model", "narrow-resonance", "--exact-domain", "--output", out]) == 2
     assert run(["stm", "--r-star", "2", "--output", out]) == 2
+    # a degenerate number is refused where it is parsed, before any solve
+    for argv in (
+        ["triton", "--a-t", "0"], ["triton", "--a-t", "nan"], ["triton", "--a-s", "inf"],
+        ["triton", "--r-et", "0"], ["triton", "--r-es", "-1"], ["triton", "--hbar2-over-m", "0"],
+        ["channels", "--rho", "nan"], ["channels", "--system", "fermions", "--mass-ratio", "nan"],
+        ["universal", "--inv-a-min", "nan"], ["universal", "--points", "0"],
+        ["universal", "--levels", "-1"], ["bo", "--points", "0"], ["bo", "--mass-ratio", "nan"],
+    ):
+        assert run([*argv, "--output", out]) == 2, argv
     # a hyperradial channel or phase that cannot be formed is refused before
     # any level is printed to stdout
     capsys.readouterr()

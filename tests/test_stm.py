@@ -3,6 +3,7 @@ import gc
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from efimov.stm import (
     _SECH2_PEAK,
     a_minus_ground,
     bound_levels,
-    kappa_star_extrapolated,
     narrow_resonance_a_star0,
     solve_triton,
     solve_trimers_narrow_resonance,
@@ -184,6 +184,29 @@ _BRENT_LEVELS = [
 )
 def test_levels_match_the_brent_refinement(solve, ref):
     assert solve() == pytest.approx(ref, rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize(
+    "kern",
+    [
+        StmKernel(0.0, 1000.0),
+        StmKernel(0.5, 1000.0),
+        StmKernel(-1.0 / 3.0, 1000.0),
+        StmKernel(0.0, 100.0, r_star=1.0, p_min_factor=1e-8),  # narrow resonance
+    ],
+    ids=["a=inf", "a=2", "a=-3", "narrow_resonance"],
+)
+def test_default_grid_holds_the_levels_of_a_doubled_grid(kern):
+    # the zero-range grid converges spectrally, so the default n holds every
+    # level of the stm spectra to rounding
+    levels = bound_levels(kern, (-1e7, -1e-3))
+    doubled = bound_levels(replace(kern, n=2 * kern.n), (-1e7, -1e-3))
+    assert levels == pytest.approx(doubled, rel=1e-13, abs=0)
+
+
+def test_default_grid_holds_the_dissociation_lengths():
+    am = threshold_scattering_lengths(1000.0, n_max=3)
+    assert am == pytest.approx(threshold_scattering_lengths(1000.0, n_max=3, n=1000), rel=5e-12)
 
 
 @pytest.fixture
@@ -432,6 +455,16 @@ def test_bound_levels_warns_on_unresolved_levels():
         levels = bound_levels(kern, (-3.0, -1e-7))
     assert all(w.filename == __file__ for w in rec)
     assert levels == pytest.approx([-1.347439595418413, -0.9543032892309105], rel=1e-11, abs=0)
+
+
+def kappa_star_extrapolated(energies, level: int = 0) -> float:
+    """kappa*^(level) * lambda0^level: the three-body parameter read off one
+    level of a finite-range spectrum, mapped to the reference level by the
+    discrete scaling; energies ordered deepest first."""
+    E = energies[level]
+    if not E < 0:
+        raise ValueError("energies must be negative")
+    return math.sqrt(-E) * LAMBDA0**level
 
 
 def test_kappa_star_extrapolated():

@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import jv
 
 from efimov import two_body
+from efimov.numerics import find_root
 
 from efimov.stm import StmKernel
 from efimov.two_body import (
@@ -28,7 +30,6 @@ from efimov.two_body import (
     separable_dimer_energy,
     solve_zero_energy,
     step_form_factor,
-    tune_to_scattering_length,
     universal_tail_form_factor,
     universal_tail_wavefunction,
 )
@@ -147,6 +148,27 @@ def test_poschl_teller_unitarity_at_integer_lambda():
     # lambda = 1 sech^2 well holds a zero-energy bound state: 1/a = 0
     st_ = solve_zero_energy(_pt(1.0))
     assert abs(st_.inv_a) < 1e-8
+
+
+def tune_to_scattering_length(
+    model: TwoBodyModel,
+    param: str,
+    bracket: tuple[float, float],
+    inv_a_target: float = 0.0,
+) -> TwoBodyModel:
+    """Adjust one potential parameter so the model has the target 1/a.
+
+    1D root-find on 1/a(param); the bracket must straddle the target
+    without crossing a resonance pole of a itself (1/a is continuous there,
+    so only the target bracket matters).
+    """
+
+    def f(x):
+        m = replace(model, params={**model.params, param: x})
+        return solve_zero_energy(m).inv_a - inv_a_target
+
+    x_star = find_root(f, *bracket, tol=1e-13)
+    return replace(model, params={**model.params, param: x_star})
 
 
 def test_tuning_helpers():

