@@ -333,7 +333,12 @@ def cmd_twobody(args):
             raise ConfigError(f"--param needs key=value, got {item!r}")
         key, val = item.split("=", 1)
         params[key] = float(val)
+        if not math.isfinite(params[key]):
+            raise ConfigError(f"--param {key} must be finite, got {val!r}")
     model = TwoBodyModel(args.potential, params)
+    scale = model.length_scale  # complex for a negative c6 or cn
+    if isinstance(scale, complex) or not scale > 0:
+        raise ConfigError(f"{args.potential} needs a positive length scale, got {scale!r}")
     state = solve_zero_energy(model)
     rows = [("a", 1.0 / state.inv_a if state.inv_a else math.inf), ("r_e", state.r_e)]
     if state.inv_a > 0:

@@ -69,6 +69,7 @@ __all__ = [
 _DEF_N = 200
 _DEF_NANG = 48
 _TRITON_P_MAX = 40.0  # fm^-1, top of the nucleon momentum grid
+_TRITON_GRID = (160, 24)  # n, n_ang of the nucleon kernels (scripts/triton_convergence.py)
 # relative gap kept between an energy window's top and a dimer pole: on the
 # pole M(E) is singular, and its count of negative eigenvalues jumps there
 _POLE_GAP = 1e-10
@@ -754,14 +755,14 @@ def solve_triton(model: TritonModel) -> TritonResult:
     """Bound states of the coupled triplet/singlet spectator equations.
 
     Energies in MeV; the trimer search runs over ``model.trimer_window``,
-    on n = 300 momenta in (1e-4, 40) fm^-1 and 48 angular nodes (grid
-    convergence: README, "Triton ground state").
+    on _TRITON_GRID's n = 160 momenta in (1e-4, 40) fm^-1 and 24 angular
+    nodes (grid convergence: README, "Triton ground state").
     The deuteron itself is quoted from the effective-range pole of the
     triplet T-matrix (the separable form factor's own pole is reported
     alongside as a model diagnostic).
     """
     h2m = model.hbar2_over_m
-    kern = model.kernel(model.inv_a, 300, _DEF_NANG, 1e-4)
+    kern = model.kernel(model.inv_a, *_TRITON_GRID, 1e-4)
     roots = bound_levels(kern, model.trimer_window)
     ff_t = kern.forms[0]
     Ed_sep = separable_dimer_energy(ff_t, ff_t.inv_a, 1e-8 * ff_t.p_max)
@@ -776,4 +777,4 @@ def solve_triton_unitarity(model: TritonModel) -> list[float]:
     """Two-channel spectrum in (-0.5, -1e-9) fm^-2 with both inverse
     scattering lengths set to zero (natural units, fm^-2); exposes the
     boson-like scaling ratio."""
-    return bound_levels(model.kernel((0.0, 0.0), 240, 32, 1e-6), (-0.5, -1e-9))
+    return bound_levels(model.kernel((0.0, 0.0), *_TRITON_GRID, 1e-6), (-0.5, -1e-9))

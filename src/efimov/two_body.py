@@ -384,6 +384,7 @@ def _sine_transform(r, delta, p):
 
 
 _SPLINE_CHUNK = 32768  # points per pass of a spline evaluation: its buffers stay in cache
+_FORM_KNOTS = 3200  # est_form_factor's knots: spline error 1.3e-11 on the triton wells
 
 
 def _geom_spline(p_tab, y):
@@ -464,9 +465,9 @@ def _geom_spline(p_tab, y):
 def est_form_factor(state: ZeroEnergyState, p_max: float = 60.0) -> FormFactor:
     """Rank-one separable profile reproducing a zero-energy state exactly.
 
-    phi(p) = 1 - p int (phibar - phi) sin(pr) dr, tabulated at 800 momenta
-    up to 2.2 p_max; the input state must have converged linear asymptotics
-    so that the integrand vanishes beyond the sampled range.
+    phi(p) = 1 - p int (phibar - phi) sin(pr) dr, tabulated at _FORM_KNOTS
+    momenta up to 2.2 p_max; the input state must have converged linear
+    asymptotics so that the integrand vanishes beyond the sampled range.
     """
     if state.fit_residual > 1e-5:
         raise ConvergenceError("zero-energy state asymptotics not converged")
@@ -478,7 +479,7 @@ def est_form_factor(state: ZeroEnergyState, p_max: float = 60.0) -> FormFactor:
         rg = np.arange(r[0], r[-1], 0.4 / q_top)
         delta = np.interp(rg, r, delta)
         r = rg
-    p_tab = np.geomspace(1e-4, q_top, 800)
+    p_tab = np.geomspace(1e-4, q_top, _FORM_KNOTS)
     transform = _sine_transform(r, delta, p_tab)
     return FormFactor(_geom_spline(p_tab, np.r_[1.0, 1.0 - transform]), state.inv_a, p_max)
 

@@ -140,6 +140,10 @@ def test_invalid_values_exit_2(tmp_path, capsys):
         ["channels", "--rho", "nan"], ["channels", "--system", "fermions", "--mass-ratio", "nan"],
         ["universal", "--inv-a-min", "nan"], ["universal", "--points", "0"],
         ["universal", "--levels", "-1"], ["bo", "--points", "0"], ["bo", "--mass-ratio", "nan"],
+        # a potential parameter that is no number, or a length scale <= 0
+        *(["twobody", "--param", "lambda=1.3", "--param", "range=1", "--param", kv]
+          for kv in ("lambda=nan", "range=inf", "range=0", "range=-1")),
+        ["twobody", "--potential", "vdw_hard_core", "--param", "c6=-1", "--param", "core=0.5"],
     ):
         assert run([*argv, "--output", out]) == 2, argv
     # a hyperradial channel or phase that cannot be formed is refused before

@@ -16,15 +16,18 @@ from efimov.stm import (
     StmKernel,
     TritonModel,
     _SECH2_PEAK,
+    _TRITON_GRID,
     a_minus_ground,
     bound_levels,
     narrow_resonance_a_star0,
     solve_triton,
+    solve_triton_unitarity,
     solve_trimers_narrow_resonance,
     threshold_scattering_lengths,
 )
 from efimov.two_body import (
     FormFactor,
+    _sine_transform,
     dimer_integral,
     poschl_teller_low_energy,
     separable_dimer_energy,
@@ -175,7 +178,7 @@ _BRENT_LEVELS = [
     ("vdw", _separable(universal_tail_form_factor(6, 0.0), 0.0), [-0.035415139400653085]),
     ("step_a=2", _separable(step_form_factor(1.0, inv_a=0.5), 0.5),
      [-1.3472937562692515, -0.9541220579346071]),
-    ("triton", lambda: list(solve_triton(TritonModel.fit()).trimers), [-9.760927898550557]),
+    ("triton", lambda: list(solve_triton(TritonModel.fit()).trimers), [-9.76092789275208]),
 ]
 
 
@@ -202,6 +205,31 @@ def test_default_grid_holds_the_levels_of_a_doubled_grid(kern):
     levels = bound_levels(kern, (-1e7, -1e-3))
     doubled = bound_levels(replace(kern, n=2 * kern.n), (-1e7, -1e-3))
     assert levels == pytest.approx(doubled, rel=1e-13, abs=0)
+
+
+def test_triton_default_grid_holds_the_levels_of_a_doubled_grid():
+    # with the form factors smooth to 1e-11 the nucleon kernel converges
+    # spectrally too: (160, 24) holds the ground state to 7.5e-15 and the
+    # unitarity levels to 3.8e-14 of the doubled grid
+    model = TritonModel.fit()
+    n, n_ang = 2 * _TRITON_GRID[0], 2 * _TRITON_GRID[1]
+    doubled = bound_levels(model.kernel(model.inv_a, n, n_ang, 1e-4), model.trimer_window)
+    trimers = solve_triton(model).trimers
+    assert trimers == pytest.approx([model.hbar2_over_m * E for E in doubled], rel=1e-12, abs=0)
+    doubled = bound_levels(model.kernel((0.0, 0.0), n, n_ang, 1e-6), (-0.5, -1e-9))
+    assert solve_triton_unitarity(model) == pytest.approx(doubled, rel=1e-12, abs=0)
+
+
+def test_triton_form_factors_match_the_direct_transform_between_knots():
+    # the spline error of est_form_factor falls as h^4: 3200 knots miss by
+    # 1.3e-11, where 800 knots missed by 3.3e-9 and left the nucleon levels
+    # scattered by about 1e-11 from grid to grid
+    model = TritonModel.fit()
+    forms = model.form_factors()
+    p = np.geomspace(1e-4, 2.2 * forms[0].p_max, 1501)[1:-1]
+    for form, st in zip(forms, (model.triplet, model.singlet)):
+        direct = 1.0 - _sine_transform(st.r, 1.0 - st.r * st.inv_a - st.phi, p)
+        assert np.max(np.abs(form(p) - direct)) < 2e-11
 
 
 def test_default_grid_holds_the_dissociation_lengths():
