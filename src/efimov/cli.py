@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verify failures, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -48,16 +49,24 @@ def write_csv(path, header, rows):
             f.write(text)
 
 
-def write_manifest(path, subcommand, inputs, outputs):
-    doc = {
-        "subcommand": subcommand,
-        "inputs": inputs,
-        "outputs": outputs,
-        "version": __version__,
-    }
+def _write_json(path, doc):
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _write_outputs(args, header, rows, more_outputs=()):
+    """The subcommand's CSV table, then, with --manifest, a record of the
+    subcommand, its options, its output paths and the library version."""
+    write_csv(args.output, header, rows)
+    if args.manifest:
+        inputs = {k: v for k, v in vars(args).items() if k not in ("func", "config", "manifest")}
+        _write_json(args.manifest, {
+            "subcommand": args.subcommand,
+            "inputs": inputs,
+            "outputs": [args.output, *more_outputs],
+            "version": __version__,
+        })
 
 
 def read_config(path) -> dict:
@@ -100,7 +109,7 @@ def _apply_config(parser, args):
             raise ConfigError(f"unknown config key {key!r}")
         try:
             defaults[key] = _option_value(options[key], val)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"config key {key!r}: bad value {val!r}") from exc
     subparser.set_defaults(**defaults)
 
@@ -135,22 +144,29 @@ def _parse_a(text) -> float:
     return a
 
 
-_RULES = {
-    "finite": math.isfinite,
-    "finite and nonzero": lambda x: math.isfinite(x) and x != 0,
-    "finite and positive": lambda x: math.isfinite(x) and x > 0,
-    "at least 1": lambda x: x >= 1,
-}
+def _domain(rule, test, kind=float):
+    """An argparse type that takes ``kind(text)`` only if it passes
+    ``test``: an option's domain, checked where its value is parsed, from
+    the command line or from --config alike."""
+
+    def parse(text):
+        try:
+            x = kind(text)
+            if test(x):
+                return x
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+
+    return parse
 
 
-def _check(args, rule, *options):
-    """ConfigError unless every value of these numeric options is ``rule``;
-    an option left unset passes."""
-    for opt in options:
-        value = getattr(args, opt[2:].replace("-", "_"))
-        for x in value if isinstance(value, list) else [value]:
-            if x is not None and not _RULES[rule](x):
-                raise ConfigError(f"{opt} must be {rule}, got {x!r}")
+_FINITE = _domain("finite", math.isfinite)
+_POSITIVE = _domain("finite and positive", lambda x: math.isfinite(x) and x > 0)
+_NONZERO = _domain("finite and nonzero", lambda x: math.isfinite(x) and x != 0)
+_COUNT = _domain("an integer of at least 1", lambda n: n >= 1, int)
+_ANGULAR_MOMENTUM = _domain("an integer of at least 0", lambda n: n >= 0, int)
+_POSITIVE_OR_INF = _domain("positive, or inf", lambda x: x > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +176,6 @@ def _check(args, rule, *options):
 def cmd_universal(args):
     from .universal import delta, threshold_constants, trimer_point, universal_relations
 
-    _check(args, "finite", "--inv-a-min", "--inv-a-max")
-    _check(args, "at least 1", "--points", "--levels")
     inv_a = np.linspace(args.inv_a_min, args.inv_a_max, args.points)
     rows = []
     for ia in inv_a:
@@ -169,35 +183,26 @@ def cmd_universal(args):
             kappa = trimer_point(n, float(ia), args.kappa_star)
             if kappa is not None:
                 rows.append((float(ia), n, kappa))
-    write_csv(args.output, ["inv_a", "level", "kappa"], rows)
-    outputs = [args.output]
+    more_outputs = []
     if args.constants:
         km, ks = threshold_constants()
         am, ap, ast = universal_relations(args.kappa_star)
-        with open(args.constants, "w", encoding="utf-8", newline="\n") as f:
-            json.dump(
-                {
-                    "delta_at_minus_pi": float(delta(-math.pi)),
-                    "kappa_star_a_minus_from_delta": km,
-                    "kappa_star_a_star_from_delta": ks,
-                    "a_minus": am,
-                    "a_plus": ap,
-                    "a_star": ast,
-                },
-                f, indent=2, sort_keys=True,
-            )
-            f.write("\n")
-        outputs.append(args.constants)
-    if args.manifest:
-        write_manifest(args.manifest, "universal", vars_of(args), outputs)
+        _write_json(args.constants, {
+            "delta_at_minus_pi": float(delta(-math.pi)),
+            "kappa_star_a_minus_from_delta": km,
+            "kappa_star_a_star_from_delta": ks,
+            "a_minus": am,
+            "a_plus": ap,
+            "a_star": ast,
+        })
+        more_outputs.append(args.constants)
+    _write_outputs(args, ["inv_a", "level", "kappa"], rows, more_outputs)
     return 0
 
 
 def cmd_channels(args):
     from . import channels as ch
 
-    _check(args, "finite", "--rho")
-    _check(args, "finite and positive", "--mass-ratio")
     rows = [
         ("s0", ch.S0),
         ("lambda0", ch.LAMBDA0),
@@ -211,9 +216,7 @@ def cmd_channels(args):
     if not args.unitarity:
         for rho in args.rho:
             rows.append((f"s2_lowest@{rho:g}", ch.s2_lowest(float(rho))))
-    write_csv(args.output, ["quantity", "value"], rows)
-    if args.manifest:
-        write_manifest(args.manifest, "channels", vars_of(args), [args.output])
+    _write_outputs(args, ["quantity", "value"], rows)
     return 0
 
 
@@ -221,8 +224,6 @@ def cmd_hyperradial(args):
     from .channels import S0
     from .hyperradial import HyperradialChannel, solve_bound_states, three_body_phase
 
-    if args.s0 is not None and not args.s0 > 0:
-        raise ConfigError("--s0 must be positive")
     chan = HyperradialChannel(
         s_squared=-(S0**2) if args.s0 is None else -(args.s0**2),
         R0=args.R0,
@@ -234,10 +235,8 @@ def cmd_hyperradial(args):
     rows = []
     for lvl, E in enumerate(states.energies):
         rows.append((lvl, E, -math.sqrt(-E) if E < 0 else 0.0, E * args.hbar2_over_m))
-    write_csv(args.output, ["level", "energy", "kappa", "energy_scaled"], rows)
+    _write_outputs(args, ["level", "energy", "kappa", "energy_scaled"], rows)
     print(f"three_body_phase={phase:.12g}")
-    if args.manifest:
-        write_manifest(args.manifest, "hyperradial", vars_of(args), [args.output])
     return 0
 
 
@@ -270,17 +269,13 @@ def cmd_stm(args):
     for i, E in enumerate(lev):
         ratio = lev[i - 1] / E if i else float("nan")
         rows.append((i, E, E * args.hbar2_over_m, ratio))
-    write_csv(args.output, ["level", "energy", "energy_scaled", "ratio_to_previous"], rows)
-    if args.manifest:
-        write_manifest(args.manifest, "stm", vars_of(args), [args.output])
+    _write_outputs(args, ["level", "energy", "energy_scaled", "ratio_to_previous"], rows)
     return 0
 
 
 def cmd_triton(args):
     from .stm import TritonModel, solve_triton
 
-    _check(args, "finite and nonzero", "--a-t", "--a-s")
-    _check(args, "finite and positive", "--r-et", "--r-es", "--hbar2-over-m")
     model = TritonModel.fit(
         a_t=args.a_t, r_et=args.r_et, a_s=args.a_s, r_es=args.r_es,
         hbar2_over_m=args.hbar2_over_m,
@@ -290,9 +285,7 @@ def cmd_triton(args):
     rows.append(("deuteron_separable_pole", res.deuteron_separable))
     for i, E in enumerate(res.trimers):
         rows.append((f"trimer_{i}", E))
-    write_csv(args.output, ["quantity", "energy_scaled"], rows)
-    if args.manifest:
-        write_manifest(args.manifest, "triton", vars_of(args), [args.output])
+    _write_outputs(args, ["quantity", "energy_scaled"], rows)
     return 0
 
 
@@ -300,8 +293,6 @@ def cmd_bo(args):
     from .born_oppenheimer import bonding_kappa, effective_potential, s0_estimate
 
     a = _parse_a(args.a)
-    _check(args, "finite and positive", "--mass-ratio", "--R-min", "--R-max")
-    _check(args, "at least 1", "--points")
     R = np.geomspace(args.R_min, args.R_max, args.points)
     rows = []
     for r in R:
@@ -316,11 +307,9 @@ def cmd_bo(args):
                 effective_potential(float(r), a, args.L, args.mass_ratio),
             )
         )
-    write_csv(args.output, ["R", "kappa", "epsilon", "V_eff"], rows)
+    _write_outputs(args, ["R", "kappa", "epsilon", "V_eff"], rows)
     s0 = s0_estimate(args.mass_ratio, args.L)
     print(f"s0_estimate={s0:.12g}")
-    if args.manifest:
-        write_manifest(args.manifest, "bo", vars_of(args), [args.output])
     return 0
 
 
@@ -344,9 +333,7 @@ def cmd_twobody(args):
     if state.inv_a > 0:
         Ed = dimer_energy(state.inv_a, state.r_e)
         rows.append(("dimer_effective_range", Ed * args.hbar2_over_m))
-    write_csv(args.output, ["quantity", "value"], rows)
-    if args.manifest:
-        write_manifest(args.manifest, "twobody", vars_of(args), [args.output])
+    _write_outputs(args, ["quantity", "value"], rows)
     return 0
 
 
@@ -397,15 +384,12 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
-def vars_of(args) -> dict:
-    skip = {"func", "config", "manifest"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
-
-
 def build_parser():
-    p = argparse.ArgumentParser(prog="efimov", description=__doc__)
+    # a bad value raises ArgumentError, for main to report with exit 2
+    p = argparse.ArgumentParser(prog="efimov", description=__doc__, exit_on_error=False)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="subcommand", required=True)
+    add_parser = functools.partial(sub.add_parser, exit_on_error=False)
 
     def common(sp):
         sp.add_argument("--config", help="key=value configuration file")
@@ -414,76 +398,77 @@ def build_parser():
 
     def energy_unit(sp, default=1.0):
         sp.add_argument(
-            "--hbar2-over-m", dest="hbar2_over_m", type=float, default=default,
+            "--hbar2-over-m", dest="hbar2_over_m", type=_POSITIVE, default=default,
             help="energy*length^2 unit constant (e.g. 41.46 MeV fm^2)",
         )
 
-    sp = sub.add_parser("universal", help="universal trimer curves")
+    sp = add_parser("universal", help="universal trimer curves")
     common(sp)
-    sp.add_argument("--kappa-star", dest="kappa_star", type=float, default=1.0)
-    sp.add_argument("--inv-a-min", dest="inv_a_min", type=float, default=-0.6)
-    sp.add_argument("--inv-a-max", dest="inv_a_max", type=float, default=10.0)
-    sp.add_argument("--points", type=int, default=101)
-    sp.add_argument("--levels", type=int, default=3)
+    sp.add_argument("--kappa-star", dest="kappa_star", type=_POSITIVE, default=1.0)
+    sp.add_argument("--inv-a-min", dest="inv_a_min", type=_FINITE, default=-0.6)
+    sp.add_argument("--inv-a-max", dest="inv_a_max", type=_FINITE, default=10.0)
+    sp.add_argument("--points", type=_COUNT, default=101)
+    sp.add_argument("--levels", type=_COUNT, default=3)
     sp.add_argument("--constants", help="JSON constants-table path")
     sp.set_defaults(func=cmd_universal)
 
-    sp = sub.add_parser("channels", help="hyperangular channel exponents")
+    sp = add_parser("channels", help="hyperangular channel exponents")
     common(sp)
     sp.add_argument("--system", default="bosons")
     sp.add_argument("--unitarity", action="store_true")
-    sp.add_argument("--rho", type=float, nargs="*", default=[])
-    sp.add_argument("--mass-ratio", dest="mass_ratio", type=float)
-    sp.add_argument("--ell", type=int)
+    sp.add_argument("--rho", type=_FINITE, nargs="*", default=[])
+    sp.add_argument("--mass-ratio", dest="mass_ratio", type=_POSITIVE)
+    sp.add_argument("--ell", type=_ANGULAR_MOMENTUM)
     sp.set_defaults(func=cmd_channels)
 
-    sp = sub.add_parser("hyperradial", help="hyperradial bound states and phase")
+    sp = add_parser("hyperradial", help="hyperradial bound states and phase")
     common(sp)
     energy_unit(sp)
-    sp.add_argument("--R0", type=float, default=1.0)
-    sp.add_argument("--s0", type=float, help="fixed |s0| (default: boson value)")
+    sp.add_argument("--R0", type=_POSITIVE, default=1.0)
+    sp.add_argument("--s0", type=_POSITIVE, help="fixed |s0| (default: boson value)")
     sp.add_argument("--boundary", default="hard_wall",
                     choices=["hard_wall", "log_derivative"])
-    sp.add_argument("--boundary-value", dest="boundary_value", type=float, default=0.0)
-    sp.add_argument("--kappa-min", dest="kappa_min", type=float, default=1e-6)
-    sp.add_argument("--kappa-max", dest="kappa_max", type=float, default=10.0)
-    sp.add_argument("--reference-scale", dest="reference_scale", type=float, default=1.0)
+    sp.add_argument("--boundary-value", dest="boundary_value", type=_FINITE, default=0.0)
+    sp.add_argument("--kappa-min", dest="kappa_min", type=_POSITIVE, default=1e-6)
+    sp.add_argument("--kappa-max", dest="kappa_max", type=_POSITIVE_OR_INF, default=10.0,
+                    help="inf: no upper bound")
+    sp.add_argument("--reference-scale", dest="reference_scale", type=_POSITIVE, default=1.0)
     sp.set_defaults(func=cmd_hyperradial)
 
-    sp = sub.add_parser("stm", help="momentum-space trimer spectra")
+    sp = add_parser("stm", help="momentum-space trimer spectra")
     common(sp)
     energy_unit(sp)
     sp.add_argument("--model", default="zero-range",
                     choices=["zero-range", "narrow-resonance", "vdw", "step",
                              "power4", "power6"])
     sp.add_argument("--a", default="inf")
-    sp.add_argument("--cutoff", type=float, default=_Unset(1000.0))
-    sp.add_argument("--r-star", dest="r_star", type=float, default=_Unset(1.0))
-    sp.add_argument("--E-min", dest="E_min", type=float, default=-1e7)
-    sp.add_argument("--E-max", dest="E_max", type=float, default=-1e-3)
+    sp.add_argument("--cutoff", type=_POSITIVE, default=_Unset(1000.0))
+    sp.add_argument("--r-star", dest="r_star", type=_POSITIVE, default=_Unset(1.0))
+    sp.add_argument("--E-min", dest="E_min", type=_FINITE, default=-1e7)
+    sp.add_argument("--E-max", dest="E_max", type=_FINITE, default=-1e-3)
     sp.add_argument("--exact-domain", dest="exact_domain", action="store_true")
     sp.set_defaults(func=cmd_stm)
 
-    sp = sub.add_parser("triton", help="two-channel nucleon model")
+    sp = add_parser("triton", help="two-channel nucleon model")
     common(sp)
     energy_unit(sp, 41.46)
-    sp.add_argument("--a-t", dest="a_t", type=float, default=5.4112)
-    sp.add_argument("--r-et", dest="r_et", type=float, default=1.7436)
-    sp.add_argument("--a-s", dest="a_s", type=float, default=-23.7148)
-    sp.add_argument("--r-es", dest="r_es", type=float, default=2.750)
+    sp.add_argument("--a-t", dest="a_t", type=_NONZERO, default=5.4112)
+    sp.add_argument("--r-et", dest="r_et", type=_POSITIVE, default=1.7436)
+    sp.add_argument("--a-s", dest="a_s", type=_NONZERO, default=-23.7148)
+    sp.add_argument("--r-es", dest="r_es", type=_POSITIVE, default=2.750)
     sp.set_defaults(func=cmd_triton)
 
-    sp = sub.add_parser("bo", help="heavy-heavy-light adiabatic curves")
+    sp = add_parser("bo", help="heavy-heavy-light adiabatic curves")
     common(sp)
     sp.add_argument("--a", default="1.0")
-    sp.add_argument("--mass-ratio", dest="mass_ratio", type=float, default=20.0)
-    sp.add_argument("--L", type=int, default=0)
-    sp.add_argument("--R-min", dest="R_min", type=float, default=1e-3)
-    sp.add_argument("--R-max", dest="R_max", type=float, default=10.0)
-    sp.add_argument("--points", type=int, default=200)
+    sp.add_argument("--mass-ratio", dest="mass_ratio", type=_POSITIVE, default=20.0)
+    sp.add_argument("--L", type=_ANGULAR_MOMENTUM, default=0)
+    sp.add_argument("--R-min", dest="R_min", type=_POSITIVE, default=1e-3)
+    sp.add_argument("--R-max", dest="R_max", type=_POSITIVE, default=10.0)
+    sp.add_argument("--points", type=_COUNT, default=200)
     sp.set_defaults(func=cmd_bo)
 
-    sp = sub.add_parser("twobody", help="two-body scattering observables")
+    sp = add_parser("twobody", help="two-body scattering observables")
     common(sp)
     energy_unit(sp)
     sp.add_argument("--potential", default="poschl_teller")
@@ -491,7 +476,7 @@ def build_parser():
                     help="potential parameter key=value (repeatable)")
     sp.set_defaults(func=cmd_twobody)
 
-    sp = sub.add_parser("verify", help="regression table of reference constants")
+    sp = add_parser("verify", help="regression table of reference constants")
     sp.set_defaults(func=cmd_verify)
     return p
 
@@ -508,7 +493,7 @@ def main(argv=None) -> int:
         # before ValueError: BracketingError subclasses it
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except (argparse.ArgumentError, ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

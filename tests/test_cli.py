@@ -110,8 +110,14 @@ def test_config_errors_exit_2(tmp_path):
     scalar = tmp_path / "scalar.cfg"
     scalar.write_text('param = "lambda=1.3"\n', encoding="utf-8")
     assert run(["twobody", "--config", str(scalar), "--param", "range=1.0"]) == 2
+    # an output path that cannot be written
+    for opt in ("--output", "--manifest", "--constants"):
+        assert run(["universal", "--points", "2", opt, str(tmp_path / "no" / "x")]) == 2, opt
     with pytest.raises(ConfigError):
         read_config(str(bad))
+
+
+BAD_NUMBERS = ("nan", "inf", "-inf", "0", "-1")
 
 
 def test_invalid_values_exit_2(tmp_path, capsys):
@@ -144,8 +150,25 @@ def test_invalid_values_exit_2(tmp_path, capsys):
         *(["twobody", "--param", "lambda=1.3", "--param", "range=1", "--param", kv]
           for kv in ("lambda=nan", "range=inf", "range=0", "range=-1")),
         ["twobody", "--potential", "vdw_hard_core", "--param", "c6=-1", "--param", "core=0.5"],
+        # the energy unit, on every subcommand that reports energies
+        *([*cmd, "--hbar2-over-m", v] for v in BAD_NUMBERS for cmd in (
+            ["stm"], ["hyperradial"], ["twobody", "--param", "lambda=1.3", "--param", "range=1"],
+        )),
+        # a malformed number returns 2, as from --config, and does not exit
+        ["stm", "--cutoff", "abc"], ["universal", "--points", "many"],
     ):
         assert run([*argv, "--output", out]) == 2, argv
+    # refused where it is parsed, with the option named, not by the model
+    # (an infinite kappa_star ran, and printed -inf)
+    capsys.readouterr()
+    for opt, argv in (
+        ("--kappa-star", ["universal", "--kappa-star", "inf"]),
+        ("--E-min", ["stm", "--E-min=-inf"]),
+        ("--cutoff", ["stm", "--cutoff", "inf"]),
+        ("--kappa-min", ["hyperradial", "--kappa-min", "nan"]),
+    ):
+        assert run([*argv, "--output", out]) == 2, argv
+        assert f"argument {opt}: must be" in capsys.readouterr().err, argv
     # a hyperradial channel or phase that cannot be formed is refused before
     # any level is printed to stdout
     capsys.readouterr()
@@ -159,6 +182,16 @@ def test_invalid_values_exit_2(tmp_path, capsys):
     ):
         assert run(["hyperradial", *args]) == 2, args
         assert capsys.readouterr().out == "", args
+
+
+def test_kappa_max_inf_is_no_upper_bound(tmp_path):
+    # a hard wall at R0 = 1 binds nothing deeper than kappa = 10
+    csv = []
+    for argv in ([], ["--kappa-max", "inf"]):
+        out = tmp_path / f"h{len(csv)}.csv"
+        assert run(["hyperradial", *argv, "--output", str(out)]) == 0
+        csv.append(out.read_text())
+    assert csv[0] == csv[1] and len(csv[0].splitlines()) > 1
 
 
 @pytest.mark.parametrize("error", [ConvergenceError, BracketingError], ids=lambda e: e.__name__)
@@ -274,6 +307,74 @@ def test_every_option_is_read():
             and action.dest not in ("help", "config", "output", "manifest")
         ]
     assert not unread
+
+
+def _numeric_options():
+    """(subcommand, action) of every option that takes a number: one with a
+    type or a numeric default, and the scattering length --a."""
+    (sub,) = (a for a in build_parser()._actions if a.dest == "subcommand")
+    for name, sp in sub.choices.items():
+        for action in sp._actions:
+            default = action.default
+            numeric = isinstance(default, (int, float)) and not isinstance(default, bool)
+            if action.type is not None or numeric or action.dest == "a":
+                yield name, action
+
+
+def test_numeric_options_declare_their_domain():
+    # a bare float or int type accepts nan, inf, 0 and -1 alike; --a is
+    # read by _parse_a, and the manifest keeps its text
+    bare = [
+        f"{name} {action.option_strings[0]}" for name, action in _numeric_options()
+        if action.dest != "a" and action.type in (None, float, int)
+    ]
+    assert not bare
+
+
+# options that make the subcommand read the probed one
+_PROBE_CONTEXT = {
+    ("channels", "--mass-ratio"): ["--system", "fermions"],
+    ("channels", "--ell"): ["--system", "fermions", "--mass-ratio", "5"],
+    ("stm", "--r-star"): ["--model", "narrow-resonance"],
+    ("twobody", "--hbar2-over-m"): ["--param", "lambda=1.3", "--param", "range=1"],
+}
+
+
+def test_every_numeric_option_exits_0_2_or_3(tmp_path, capsys):
+    # each degenerate number is refused (2), fails in the solver (3), or
+    # runs to a table with no nan or inf in it
+    out = tmp_path / "x.csv"
+    cases = [(name, a.option_strings[0]) for name, a in _numeric_options()]
+    assert len(cases) >= 33
+    wrong = []
+    for name, opt in cases:
+        for value in BAD_NUMBERS:
+            argv = [name, *_PROBE_CONTEXT.get((name, opt), []), f"{opt}={value}"]
+            out.unlink(missing_ok=True)
+            try:
+                code = run([*argv, "--output", str(out)])
+            except (Exception, SystemExit) as exc:
+                wrong.append(f"{argv}: {exc!r}")
+                continue
+            if code not in (0, 2, 3):
+                wrong.append(f"{argv}: exit {code}")
+            elif code == 0:
+                _, *rows = out.read_text().splitlines()
+                if name == "stm" and rows:  # the first level has no ratio_to_previous
+                    rows[0] = rows[0].rsplit(",", 1)[0]
+                cells = [c.lower().lstrip("+-") for row in rows for c in row.split(",")]
+                if "nan" in cells or "inf" in cells:
+                    wrong.append(f"{argv}: {rows}")
+    capsys.readouterr()
+    assert not wrong
+
+
+def test_help_and_version_exit_0(capsys):
+    for argv in (["--version"], ["--help"], ["stm", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0, argv
+    assert __version__ in capsys.readouterr().out
 
 
 def test_triton_defaults_are_the_model_fit_defaults():
