@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 verify failures, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -28,9 +27,23 @@ class ConfigError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise ConfigError, for ``main`` to
+    return 2 with, instead of exiting: a value that fails its option's type,
+    an unknown option and a missing subcommand alike."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 class _Unset(float):
     """An option's default value, told apart by type from the same value
     given explicitly."""
+
+
+class _UnsetName(str):
+    """As _Unset, for an option that takes a name."""
 
 
 def _fmt(x) -> str:
@@ -210,6 +223,14 @@ def cmd_channels(args):
         ("lambda0_two_pair", math.exp(math.pi / ch.S0_TWO_PAIR)),
         ("rho_star", ch.RHO_STAR),
     ]
+    for opt, unread, needs in (
+        ("--rho", args.unitarity and args.rho, "without --unitarity"),
+        ("--system", args.mass_ratio is None and not isinstance(args.system, _UnsetName),
+         "with --mass-ratio"),
+        ("--ell", args.mass_ratio is None and args.ell is not None, "with --mass-ratio"),
+    ):
+        if unread:
+            raise ConfigError(f"{opt} applies only {needs}")
     if args.mass_ratio is not None:
         s2 = ch.two_plus_one_exponent(args.mass_ratio, statistics=args.system, ell=args.ell)
         rows.append(("s_squared_2plus1", s2))
@@ -385,11 +406,9 @@ def cmd_verify(args):
 
 
 def build_parser():
-    # a bad value raises ArgumentError, for main to report with exit 2
-    p = argparse.ArgumentParser(prog="efimov", description=__doc__, exit_on_error=False)
+    p = _Parser(prog="efimov", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="subcommand", required=True)
-    add_parser = functools.partial(sub.add_parser, exit_on_error=False)
 
     def common(sp):
         sp.add_argument("--config", help="key=value configuration file")
@@ -402,7 +421,7 @@ def build_parser():
             help="energy*length^2 unit constant (e.g. 41.46 MeV fm^2)",
         )
 
-    sp = add_parser("universal", help="universal trimer curves")
+    sp = sub.add_parser("universal", help="universal trimer curves")
     common(sp)
     sp.add_argument("--kappa-star", dest="kappa_star", type=_POSITIVE, default=1.0)
     sp.add_argument("--inv-a-min", dest="inv_a_min", type=_FINITE, default=-0.6)
@@ -412,16 +431,16 @@ def build_parser():
     sp.add_argument("--constants", help="JSON constants-table path")
     sp.set_defaults(func=cmd_universal)
 
-    sp = add_parser("channels", help="hyperangular channel exponents")
+    sp = sub.add_parser("channels", help="hyperangular channel exponents")
     common(sp)
-    sp.add_argument("--system", default="bosons")
+    sp.add_argument("--system", default=_UnsetName("bosons"))
     sp.add_argument("--unitarity", action="store_true")
     sp.add_argument("--rho", type=_FINITE, nargs="*", default=[])
     sp.add_argument("--mass-ratio", dest="mass_ratio", type=_POSITIVE)
     sp.add_argument("--ell", type=_ANGULAR_MOMENTUM)
     sp.set_defaults(func=cmd_channels)
 
-    sp = add_parser("hyperradial", help="hyperradial bound states and phase")
+    sp = sub.add_parser("hyperradial", help="hyperradial bound states and phase")
     common(sp)
     energy_unit(sp)
     sp.add_argument("--R0", type=_POSITIVE, default=1.0)
@@ -435,7 +454,7 @@ def build_parser():
     sp.add_argument("--reference-scale", dest="reference_scale", type=_POSITIVE, default=1.0)
     sp.set_defaults(func=cmd_hyperradial)
 
-    sp = add_parser("stm", help="momentum-space trimer spectra")
+    sp = sub.add_parser("stm", help="momentum-space trimer spectra")
     common(sp)
     energy_unit(sp)
     sp.add_argument("--model", default="zero-range",
@@ -449,7 +468,7 @@ def build_parser():
     sp.add_argument("--exact-domain", dest="exact_domain", action="store_true")
     sp.set_defaults(func=cmd_stm)
 
-    sp = add_parser("triton", help="two-channel nucleon model")
+    sp = sub.add_parser("triton", help="two-channel nucleon model")
     common(sp)
     energy_unit(sp, 41.46)
     sp.add_argument("--a-t", dest="a_t", type=_NONZERO, default=5.4112)
@@ -458,7 +477,7 @@ def build_parser():
     sp.add_argument("--r-es", dest="r_es", type=_POSITIVE, default=2.750)
     sp.set_defaults(func=cmd_triton)
 
-    sp = add_parser("bo", help="heavy-heavy-light adiabatic curves")
+    sp = sub.add_parser("bo", help="heavy-heavy-light adiabatic curves")
     common(sp)
     sp.add_argument("--a", default="1.0")
     sp.add_argument("--mass-ratio", dest="mass_ratio", type=_POSITIVE, default=20.0)
@@ -468,7 +487,7 @@ def build_parser():
     sp.add_argument("--points", type=_COUNT, default=200)
     sp.set_defaults(func=cmd_bo)
 
-    sp = add_parser("twobody", help="two-body scattering observables")
+    sp = sub.add_parser("twobody", help="two-body scattering observables")
     common(sp)
     energy_unit(sp)
     sp.add_argument("--potential", default="poschl_teller")
@@ -476,7 +495,7 @@ def build_parser():
                     help="potential parameter key=value (repeatable)")
     sp.set_defaults(func=cmd_twobody)
 
-    sp = add_parser("verify", help="regression table of reference constants")
+    sp = sub.add_parser("verify", help="regression table of reference constants")
     sp.set_defaults(func=cmd_verify)
     return p
 
@@ -493,7 +512,7 @@ def main(argv=None) -> int:
         # before ValueError: BracketingError subclasses it
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    except (argparse.ArgumentError, ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,11 @@ so the quadrature weights enter its exchange term as sqrt(w_P w_Q).
 Each kernel assembles M(E) in the array it returns, in one pass over row
 blocks (zero-range) or slabs (separable), with no other array of M's size;
 ``slope(E, v)`` applies dM/dE to v in such a pass, without forming it, and
-``matrix_and_slope(E, v)`` returns both from one.
+``matrix_and_slope(E, v)`` returns both from one.  The separable kernel
+keeps no angular table: it keeps 28 Chebyshev moments of its angular sums
+per momentum pair, built once, and each pass sums their series in the one
+ratio rho(E) of the pair, which is at most 2 - sqrt(3) for E <= 0, so 28
+terms reach double rounding.
 ``bound_levels`` brackets trimers by the inertia of M(E), whose number of
 negative eigenvalues drops by one at each level, and refines each by
 nonlinear inverse iteration, one LU solve per step.  1/a enters M(0) on
@@ -42,7 +46,7 @@ from .two_body import (
     TwoBodyModel,
     ZeroEnergyState,
     dimer_energy,
-    dimer_integral,
+    dimer_integrals,
     est_form_factor,
     poschl_teller_low_energy,
     separable_dimer_energy,
@@ -362,6 +366,10 @@ def solve_trimers_narrow_resonance(
 # identical bosons, and the nucleon triplet/singlet pair
 _RECOUPLING = {1: np.array([[1.0]]), 2: np.array([[0.25, 0.75], [0.75, 0.25]])}
 _SLAB = 8
+# terms kept of the Chebyshev series of 1/(a + b c): for E <= 0, b/a <= 1/2,
+# so its ratio |rho| <= 2 - sqrt(3), and (2 - sqrt(3))^28 < 2^-53
+_TERMS = 28
+_CELLS = 8192  # entries of one Horner sweep: its arrays stay in cache
 
 
 @dataclass(frozen=True)
@@ -377,15 +385,24 @@ class SeparableKernel:
     S_ab = int dc phi_a(q1) phi_b(q2)/(P^2+Q^2+PQc-E),
     q1 = |Q + P/2|, q2 = |P + Q/2|.  The recoupling weights W are [[1]] for
     bosons and [[1/4, 3/4], [3/4, 1/4]] for the nucleon triplet/singlet
-    pair.  I_a is ``two_body.dimer_integral`` from q_min.
+    pair.  I_a is ``two_body.dimer_integrals`` from q_min.
 
-    The angular sum S_ab = sum_c w_c phi_a(q1) phi_b(q2)/den has
-    S_ba = S_ab^T (den is symmetric in P, Q; q1, q2 swap), so the tables of
-    each ordered pair (a, b) are kept for Q >= P only, in row slabs.
-    ``matrix`` assembles M(E) in place in one (nc n)^2 array: it sums each
-    slab against one reused slab of 1/den straight into the upper triangle
-    of block (a, b), copies the lower triangle from block (b, a), and
-    applies W and the weights in place.
+    The angular sum runs over n_ang Gauss nodes c_k, and E enters it only
+    through 1/(a + b c_k), a = P^2+Q^2-E, b = PQ.  With s = sqrt(a^2 - b^2)
+    and rho = -b/(a + s), 1/(a + b c) = (1/s)[1 + 2 sum_{l>=1} rho^l T_l(c)]
+    (the generating function of the Chebyshev polynomials T_l), so
+    S_ab = (1/s) sum_l eps_l rho^l m_l, eps_0 = 1, eps_l = 2, with the
+    energy-independent moments m_l = sum_k w_k phi_a(q1) phi_b(q2) T_l(c_k).
+    For E <= 0, |rho| <= 2 - sqrt(3), so _TERMS = 28 terms reach double
+    rounding whatever n_ang is: each pass is a Horner sweep in rho, and
+    dS/dE = (s H1 + a H0)/s^3, H0 = sum_l eps_l rho^l m_l, H1 its
+    rho dH0/drho.  The moments are built once, one matrix product per row
+    slab, with eps_l, W_ab and the weights P Q sqrt(w_P w_Q)/(2 pi^2)
+    folded in, so the sweep gives K's entries.  S_ba = S_ab^T (a and b are
+    symmetric in P, Q; q1, q2 swap), so each ordered channel pair (a, b)
+    keeps its moments for Q >= P only, in row slabs; ``matrix`` copies each
+    slab into the upper triangle of block (a, b) and fills the lower
+    triangle from block (b, a).
     """
 
     form: FormFactor | tuple
@@ -414,30 +431,48 @@ class SeparableKernel:
         if self._tables:
             return
         rule = self.grid
-        p, n, n_ang = rule.nodes, self.n, self.n_ang
-        ang = gauss_legendre(n_ang, -1.0, 1.0)
-        # one packed table per ordered channel pair (a, b), in row slabs
-        # [i0, i0 + _SLAB) that keep the columns j >= i0 only
-        pairs = [(a, b) for a in range(len(self.forms)) for b in range(len(self.forms))]
-        starts = range(0, n, _SLAB)
-        shapes = [(min(_SLAB, n - i0), n - i0, n_ang) for i0 in starts]
-        packed = {ab: np.empty(sum(map(math.prod, shapes))) for ab in pairs}
-        slabs, off = [], 0
-        for i0, shape in zip(starts, shapes):
-            P, Q = p[i0 : i0 + shape[0], None, None], p[None, i0:, None]
-            q = np.sqrt([Q * Q + 0.25 * P * P + P * Q * ang.nodes,  # q1, q2
-                         P * P + 0.25 * Q * Q + Q * P * ang.nodes])
-            phi = [f(q) for f in self.forms]
-            tabs = {ab: packed[ab][off : off + math.prod(shape)].reshape(shape) for ab in pairs}
-            for (a, b), tab in tabs.items():
-                np.multiply(ang.weights, phi[a][0], out=tab)
-                tab *= phi[b][1]
-            slabs.append((i0, tabs))
-            off += math.prod(shape)
-        self._tables.update(
-            p=p, wp=rule.weights, c=ang.nodes, slabs=slabs, buf=np.empty(_SLAB * n * n_ang),
-            dimer=[dimer_integral(f, self.q_min) for f in self.forms],
-        )
+        p, n, nc = rule.nodes, self.n, len(self.forms)
+        ang = gauss_legendre(self.n_ang, -1.0, 1.0)
+        # (n_ang, _TERMS) columns w_k eps_l T_l(c_k)
+        cheb = np.polynomial.chebyshev.chebvander(ang.nodes, _TERMS - 1)
+        cheb[:, 1:] *= 2.0
+        cheb *= ang.weights[:, None]
+        weight = p * np.sqrt(rule.weights / (2 * np.pi**2))
+        W = _RECOUPLING[nc]
+        # row slabs [i0, i0 + _SLAB) that keep the columns j >= i0 only,
+        # grouped into sweeps of at least _CELLS entries
+        sweeps = [[]]
+        for i0 in range(0, n, _SLAB):
+            if sum(math.prod(shape) for _, shape in sweeps[-1]) >= _CELLS:
+                sweeps.append([])
+            sweeps[-1].append((i0, (min(_SLAB, n - i0), n - i0)))
+        chunks = []
+        for sweep in sweeps:
+            offsets = np.cumsum([0, *(math.prod(shape) for _, shape in sweep)])
+            # the moments of each ordered channel pair (a, b), and P^2 + Q^2, PQ
+            moments = np.empty((_TERMS, nc * nc, offsets[-1]))
+            pq2, pq = np.empty(offsets[-1]), np.empty(offsets[-1])
+            slabs = []
+            for (i0, shape), off, end in zip(sweep, offsets, offsets[1:]):
+                cells = slice(off, end)
+                P, Q = p[i0 : i0 + shape[0], None], p[None, i0:]
+                PQ = np.multiply(P, Q, out=pq[cells].reshape(shape))
+                np.add(P * P, Q * Q, out=pq2[cells].reshape(shape))
+                # q1 = |Q + P/2|, q2 = |P + Q/2| at each angle
+                q = np.empty((2, *shape, self.n_ang))
+                np.multiply(PQ[..., None], ang.nodes, out=q[0])
+                q[1] = q[0]
+                q[0] += (Q * Q + 0.25 * P * P)[..., None]
+                q[1] += (P * P + 0.25 * Q * Q)[..., None]
+                np.sqrt(q, out=q)
+                phi = [f(q) for f in self.forms]
+                scale = (weight[i0 : i0 + shape[0], None] * weight[i0:]).ravel()
+                for ab, (a, b) in enumerate(np.ndindex(nc, nc)):
+                    m = np.multiply(phi[a][0], phi[b][1]).reshape(-1, self.n_ang) @ cheb
+                    np.multiply(m.T, W[a, b] * scale, out=moments[:, ab, cells])
+                slabs.append((i0, shape, cells))
+            chunks.append((slabs, moments, pq2, pq))
+        self._tables.update(p=p, chunks=chunks, dimer=dimer_integrals(self.forms, self.q_min))
 
     @property
     def grid(self):
@@ -457,64 +492,71 @@ class SeparableKernel:
 
     def slope(self, E: float, v: np.ndarray) -> np.ndarray:
         """dM/dE @ v for a vector or a matrix v.  dM/dE has the exchange
-        sums of the tables against 1/den^2 and the diagonal dI_a/dkappa^2.
-        Each slab's sums are applied to v at once, above the slab's
-        diagonal block and, by symmetry, below it."""
+        entries (s H1 + a H0)/s^3 and the diagonal dI_a/dkappa^2.  Each
+        slab's entries are applied to v at once, above the slab's diagonal
+        block and, by symmetry, below it."""
         return self._assemble(E, v, with_matrix=False)[1]
 
     def matrix_and_slope(self, E: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(M(E), dM/dE @ v) from one pass over the slabs: each slab's 1/den
-        is squared in place once M's sums are taken."""
+        """(M(E), dM/dE @ v) from one Horner sweep, which carries H0 and
+        its derivative in rho together."""
         return self._assemble(E, v)
 
     def _assemble(self, E: float, v=None, with_matrix: bool = True):
-        """(M(E) or None, dM/dE @ v or None)."""
+        """(M(E) or None, dM/dE @ v or None), one Horner sweep over a few
+        slabs, of at least _CELLS entries, at a time."""
+        if E > 0:
+            raise ValueError("M(E) needs E <= 0")
         self._build()
         t = self._tables
-        n, nc, p = self.n, len(self.forms), t["p"]
-        W = _RECOUPLING[nc]
-        s = np.tile(p * np.sqrt(t["wp"] / (2 * np.pi**2)), nc)
-        kap2 = (0.75 * p**2 - E)[:, None]
+        n, nc = self.n, len(self.forms)
+        I, dI = t["dimer"]((0.75 * t["p"] ** 2 - E)[:, None], slope=v is not None)
         K = slope = None
         if with_matrix:
             K = np.empty((nc * n, nc * n))
             block = K.reshape(nc, n, nc, n)  # block[a, :, b] is block (a, b) of K
-        if v is not None:  # x = s v by channel; y gathers (dK/dE) x / s
-            x = (s * np.transpose(v)).T.reshape(nc, n, -1)
-            y = np.zeros_like(x)
-        for i0, tabs in t["slabs"]:
-            shape = tabs[0, 0].shape
-            i1 = i0 + shape[0]
-            P, Q = p[i0:i1, None, None], p[None, i0:, None]
-            inv_den = np.multiply(P * Q, t["c"], out=t["buf"][: math.prod(shape)].reshape(shape))
-            inv_den += P**2 + Q**2
-            inv_den -= E
-            np.reciprocal(inv_den, out=inv_den)
-            if K is not None:
-                for (a, b), tab in tabs.items():
-                    np.einsum("ijk,ijk->ij", tab, inv_den, out=block[a, i0:i1, b, i0:])
-                # below the diagonal, block (a, b) is S_ba^T: row i takes its
-                # columns j < i from the upper triangle of block (b, a)
-                below = np.arange(i1) < np.arange(i0, i1)[:, None]
-                for a, b in tabs:
-                    np.copyto(block[a, i0:i1, b, :i1], block[b, :i1, a, i0:i1].T, where=below)
-            if v is not None:
-                inv_den *= inv_den
-                for (a, b), tab in tabs.items():
-                    g = np.einsum("ijk,ijk->ij", tab, inv_den)
-                    g *= W[a, b]
-                    y[a, i0:i1] += g @ x[b, i0:]
-                    y[b, i1:] += g[:, i1 - i0 :].T @ x[a, i0:i1]
-        if K is not None:
-            block *= W[:, None, :, None]
-            K *= s[:, None]
-            K *= s
-            D = np.repeat(self.inv_a, n) / (4 * np.pi)
-            K.flat[:: nc * n + 1] += D - np.concatenate([I(kap2) for I in t["dimer"]])
         if v is not None:
-            slope = (s * y.reshape(nc * n, -1).T).T.reshape(np.shape(v))
-            dI = np.concatenate([I(kap2, slope=True) for I in t["dimer"]])
-            slope += (dI * np.transpose(v)).T
+            x = np.reshape(v, (nc, n, -1))
+            y = np.zeros(x.shape)
+        for slabs, moments, pq2, pq in t["chunks"]:
+            apq = pq2 - E  # a = P^2+Q^2-E, b = PQ
+            s = np.sqrt((apq - pq) * (apq + pq))
+            rho = np.negative(pq)
+            rho /= apq + s
+            # Horner in rho: h0 = sum_l rho^l m_l and, for the slope, its
+            # derivative d = dh0/drho, one step behind
+            h0 = moments[-1].copy()
+            d = None if v is None else np.zeros_like(h0)
+            for m in moments[-2::-1]:
+                if d is not None:
+                    d *= rho
+                    d += h0
+                h0 *= rho
+                h0 += m
+            h0 /= s  # K's entries H0/s
+            if d is not None:  # dK/dE = (s rho d + a H0)/s^3
+                d *= rho / s**2
+                d += apq / s**2 * h0
+            for i0, shape, cells in slabs:
+                i1 = i0 + shape[0]
+                if K is not None:
+                    for ab, (a, b) in enumerate(np.ndindex(nc, nc)):
+                        block[a, i0:i1, b, i0:] = h0[ab, cells].reshape(shape)
+                    # below the diagonal, block (a, b) is S_ba^T: row i takes
+                    # its columns j < i from the upper triangle of block (b, a)
+                    below = np.arange(i1) < np.arange(i0, i1)[:, None]
+                    for a, b in np.ndindex(nc, nc):
+                        np.copyto(block[a, i0:i1, b, :i1], block[b, :i1, a, i0:i1].T, where=below)
+                if d is not None:
+                    for ab, (a, b) in enumerate(np.ndindex(nc, nc)):
+                        g = d[ab, cells].reshape(shape)
+                        y[a, i0:i1] += g @ x[b, i0:]
+                        y[b, i1:] += g[:, i1 - i0 :].T @ x[a, i0:i1]
+        if K is not None:
+            K.flat[:: nc * n + 1] += np.repeat(self.inv_a, n) / (4 * np.pi) - I.ravel()
+        if v is not None:
+            slope = y.reshape(np.shape(v))
+            slope += (dI.ravel() * np.transpose(v)).T
         return K, slope
 
 
@@ -654,7 +696,8 @@ class TritonModel:
     Built by ``TritonModel.fit``.  Lengths in fm; ``hbar2_over_m`` converts
     natural energies (fm^-2) to MeV.  The fitted wells are kept as their
     zero-energy states, from which the form factors are built and the
-    achieved (a, r_e) residual is read.
+    achieved (a, r_e) residual is read.  ``dataclasses.replace(model)`` is
+    the same model without the form factors it has built.
     """
 
     a_t: float
@@ -664,6 +707,7 @@ class TritonModel:
     hbar2_over_m: float
     triplet: ZeroEnergyState = field(repr=False, compare=False)
     singlet: ZeroEnergyState = field(repr=False, compare=False)
+    _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def fit(cls, a_t=5.4112, r_et=1.7436, a_s=-23.7148, r_es=2.750, hbar2_over_m=41.46):
@@ -716,7 +760,13 @@ class TritonModel:
         )
 
     def form_factors(self, p_max: float = _TRITON_P_MAX) -> tuple[FormFactor, FormFactor]:
-        return tuple(est_form_factor(st, p_max=p_max) for st in (self.triplet, self.singlet))
+        """The (triplet, singlet) form factors valid up to p_max, built once
+        per model and p_max."""
+        if p_max not in self._forms:
+            self._forms[p_max] = tuple(
+                est_form_factor(st, p_max=p_max) for st in (self.triplet, self.singlet)
+            )
+        return self._forms[p_max]
 
     def kernel(self, inv_a, n, n_ang, p_min, p_max=_TRITON_P_MAX) -> SeparableKernel:
         """Two-channel kernel at the (triplet, singlet) inverse scattering

@@ -30,7 +30,7 @@ __all__ = [
     "step_form_factor",
     "universal_tail_form_factor",
     "dimer_energy",
-    "dimer_integral",
+    "dimer_integrals",
     "separable_dimer_energy",
     "VirtualStateError",
 ]
@@ -586,55 +586,66 @@ def dimer_energy(inv_a: float, r_e: float = 0.0) -> float:
 
 
 _DIMER_BLOCK = 64  # rows of a kappa^2 column evaluated at a time
+_DIMER_NODES = 3000
 
 
-def dimer_integral(form: FormFactor, q_min: float):
-    """The dimer integral of a separable channel as a function of kappa^2,
-    I(kappa^2) = (1/(2 pi^2)) int phi(q)^2 kappa^2/(q^2 + kappa^2) dq over
-    [q_min, 2.2 p_max] on a 3000-point log rule; phi is sampled once.
-    ``integral(kap2, slope=True)`` is dI/dkappa^2, the same integral with
-    q^2/(q^2 + kappa^2)^2 in place of kappa^2/(q^2 + kappa^2).
+def dimer_integrals(forms: tuple, q_min: float):
+    """The dimer integrals of separable channels, one FormFactor each, as
+    functions of kappa^2: I_a(kappa^2) = (1/(2 pi^2)) int phi_a(q)^2
+    kappa^2/(q^2 + kappa^2) dq over [q_min, 2.2 p_max] on a 3000-point log
+    rule, and dI_a/dkappa^2, the same integral with q^2/(q^2 + kappa^2)^2
+    in place of kappa^2/(q^2 + kappa^2); each phi_a is sampled once.
 
-    kappa^2 is a scalar or an (n, 1) column, for which I is the length-n
-    vector.  A column is summed in blocks of 64 rows through one
-    64 x 3000 buffer per call, so no n x 3000 array is formed."""
-    rule = gauss_legendre_log(3000, q_min, 2.2 * form.p_max)
-    q2, wphi2 = rule.nodes**2, rule.weights * form(rule.nodes) ** 2
+    ``integrals(kap2, slope=False)`` takes n values of kappa^2, as an
+    (n, 1) column or one scalar, and returns (I, dI/dkappa^2 or None),
+    each of shape (channels, n).  Both come from one pass over blocks of 64
+    rows of r = 1/(q^2 + kappa^2), through one 64 x 3000 buffer, so no
+    n x 3000 array is formed: I = kappa^2 (r @ w phi^2) and
+    dI/dkappa^2 = r^2 @ (w q^2 phi^2).  Channels with the same p_max share
+    a rule, and with it the pass."""
+    rules = {}
+    for c, form in enumerate(forms):
+        rules.setdefault(form.p_max, []).append(c)
+    passes = []
+    for p_max, chans in rules.items():
+        rule = gauss_legendre_log(_DIMER_NODES, q_min, 2.2 * p_max)
+        q2 = rule.nodes**2
+        wphi2 = np.stack([rule.weights * forms[c](rule.nodes) ** 2 for c in chans], axis=1)
+        passes.append((chans, q2, wphi2, q2[:, None] * wphi2))
 
-    def integral(kap2, slope=False):
-        if np.ndim(kap2) == 0:
-            f = q2 / (q2 + kap2) ** 2 if slope else kap2 / (q2 + kap2)
-            return f @ wphi2 / (2 * np.pi**2)
-        out = np.empty(len(kap2))
-        buf = np.empty((min(_DIMER_BLOCK, len(kap2)), q2.size))
-        for r0 in range(0, len(kap2), _DIMER_BLOCK):
-            k = kap2[r0 : r0 + _DIMER_BLOCK]
-            blk = buf[: len(k)]
-            np.add(q2, k, out=blk)
-            if slope:
-                np.reciprocal(blk, out=blk)
-                blk *= blk
-                blk *= q2
-            else:
-                np.divide(k, blk, out=blk)
-            np.matmul(blk, wphi2, out=out[r0 : r0 + len(k)])
-        out /= 2 * np.pi**2
-        return out
+    def integrals(kap2, slope=False):
+        kap2 = np.reshape(kap2, (-1, 1))
+        I = np.empty((len(forms), len(kap2)))
+        dI = np.empty_like(I) if slope else None
+        buf = np.empty((min(_DIMER_BLOCK, len(kap2)), _DIMER_NODES))
+        for chans, q2, wphi2, q2wphi2 in passes:
+            for r0 in range(0, len(kap2), _DIMER_BLOCK):
+                rows = slice(r0, r0 + _DIMER_BLOCK)
+                r = np.add(q2, kap2[rows], out=buf[: len(kap2[rows])])
+                np.reciprocal(r, out=r)
+                I[chans, rows] = (r @ wphi2).T
+                if slope:
+                    r *= r
+                    dI[chans, rows] = (r @ q2wphi2).T
+        I *= kap2.T / (2 * np.pi**2)
+        if slope:
+            dI /= 2 * np.pi**2
+        return I, dI
 
-    return integral
+    return integrals
 
 
 def separable_dimer_energy(form: FormFactor, inv_a: float, q_min: float) -> float:
     """Dimer pole E = -kappa^2 of a separable channel: the root of
-    1/(4 pi a) = I(kappa^2), with I the ``dimer_integral`` from q_min, for
+    1/(4 pi a) = I(kappa^2), with I the ``dimer_integrals`` from q_min, for
     kappa in (1e-10, 1) p_max.  None without a dimer (1/a <= 0) or when the
     pole lies beyond the profile's validity window."""
     if inv_a <= 0:
         return None
-    integral = dimer_integral(form, q_min)
+    integrals = dimer_integrals((form,), q_min)
 
     def gap(kap):
-        return inv_a / (4 * np.pi) - integral(kap**2)
+        return inv_a / (4 * np.pi) - integrals(kap**2)[0].item()
 
     if gap(form.p_max) >= 0:
         return None

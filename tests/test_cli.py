@@ -1,9 +1,11 @@
 import ast
+import collections
 import inspect
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from efimov import __version__
@@ -139,6 +141,10 @@ def test_invalid_values_exit_2(tmp_path, capsys):
     assert run(["stm", "--model", "step", "--cutoff", "5", "--output", out]) == 2
     assert run(["stm", "--model", "narrow-resonance", "--exact-domain", "--output", out]) == 2
     assert run(["stm", "--r-star", "2", "--output", out]) == 2
+    # as are channels options that the other options leave unread
+    assert run(["channels", "--unitarity", "--rho", "0.5", "--output", out]) == 2
+    assert run(["channels", "--ell", "7", "--output", out]) == 2
+    assert run(["channels", "--system", "fermions", "--output", out]) == 2
     # a degenerate number is refused where it is parsed, before any solve
     for argv in (
         ["triton", "--a-t", "0"], ["triton", "--a-t", "nan"], ["triton", "--a-s", "inf"],
@@ -375,6 +381,39 @@ def test_help_and_version_exit_0(capsys):
             run(argv)
         assert exc.value.code == 0, argv
     assert __version__ in capsys.readouterr().out
+
+
+def test_unknown_option_and_missing_subcommand_return_2(capsys):
+    # returned by main, not raised as SystemExit, as for any other bad option
+    for argv, message in (
+        (["channels", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: subcommand"),
+    ):
+        assert run(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize(
+    "argv, counts", [(["stm", "--model", "vdw"], (10, 2, 7)), (["triton"], (8, 2, 5))],
+    ids=["vdw", "triton"],
+)
+def test_default_solve_counts(monkeypatch, tmp_path, argv, counts):
+    # (kernel passes, eigvalsh calls, LU solves) of a default solve: counts
+    # do not depend on the machine, so a changed count is a changed algorithm
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(SeparableKernel, "_assemble", counted("pass", SeparableKernel._assemble))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    assert run([*argv, "--output", str(tmp_path / "x.csv")]) == 0
+    assert (calls["pass"], calls["eigvalsh"], calls["solve"]) == counts
 
 
 def test_triton_defaults_are_the_model_fit_defaults():

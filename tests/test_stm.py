@@ -16,6 +16,7 @@ from efimov.stm import (
     StmKernel,
     TritonModel,
     _SECH2_PEAK,
+    _TERMS,
     _TRITON_GRID,
     a_minus_ground,
     bound_levels,
@@ -28,7 +29,7 @@ from efimov.stm import (
 from efimov.two_body import (
     FormFactor,
     _sine_transform,
-    dimer_integral,
+    dimer_integrals,
     poschl_teller_low_energy,
     separable_dimer_energy,
     step_form_factor,
@@ -127,6 +128,12 @@ def test_kernel_validation():
         StmKernel(0.0, 10.0, r_star=-1.0)
     with pytest.raises(ValueError):
         StmKernel(0.0, 10.0).matrix(0.5)
+    # above E = 0 the moments' series has no real ratio: refused, not nan
+    kern = SeparableKernel(_lorentzian(1.4, 0.2), 0.2, n=8, n_ang=4)
+    for call in (kern.matrix, lambda E: kern.slope(E, np.ones(8)),
+                 lambda E: kern.matrix_and_slope(E, np.ones(8))):
+        with pytest.raises(ValueError):
+            call(0.5)
 
 
 def _negative_eigenvalues(kern, E):
@@ -518,11 +525,14 @@ def test_separable_ground_state_scale(step_ground):
     assert 0.1 < kappa < 0.4
 
 
-def _direct_sum(n, n_ang, p_min, p_max, E):
+def _direct_sum(n, n_ang, p_min, p_max, E, slope=False):
     """Exchange sum K(fa, fb) and dimer integral I(f), summed directly on
     the full (P, Q, c) grid: 4 pi times the kernel's block (a, b) is
     delta_ab diag(1/a_a - I(f_a)) + 2 W_ab K(f_a, f_b), with the dimer
-    integral from 1e-4 p_min."""
+    integral from 1e-4 p_min.  With ``slope``, K and I are their energy
+    derivatives, dK/dE and dI/dkappa^2: 1/den^2 in place of 1/den, and
+    q^2/(q^2+kap^2)^2 in place of kap^2/(q^2+kap^2), so that 4 pi dM/dE is
+    delta_ab diag(I(f_a)) + 2 W_ab K(f_a, f_b)."""
     rule = gauss_legendre_log(n, p_min, p_max)
     p, wp = rule.nodes, rule.weights
     ang = gauss_legendre(n_ang, -1.0, 1.0)
@@ -533,11 +543,16 @@ def _direct_sum(n, n_ang, p_min, p_max, E):
     dim = gauss_legendre_log(3000, 1e-4 * p_min, 2.2 * p_max)
     kap2 = (0.75 * p**2 - E)[:, None]
 
+    q2d = dim.nodes**2
+    if slope:
+        den = den * den
+
     def K(fa, fb):
         return (wp * p**2 / np.pi) * np.sum(ang.weights * fa(q1) * fb(q2) / den, axis=2)
 
     def I(f):
-        return (2 / np.pi) * (f(dim.nodes) ** 2 * kap2 / (dim.nodes**2 + kap2)) @ dim.weights
+        g = q2d / (q2d + kap2) ** 2 if slope else kap2 / (q2d + kap2)
+        return (2 / np.pi) * (f(dim.nodes) ** 2 * g) @ dim.weights
 
     return K, I
 
@@ -578,6 +593,31 @@ def test_nucleon_kernel_matches_two_channel_block(n):
     )
 
 
+# E = 0 is the series' worst case, |rho| = 2 - sqrt(3) on the diagonal;
+# 12 angular nodes are fewer than its 28 terms, 48 more; n = 41 leaves a
+# ragged last slab
+@pytest.mark.parametrize("E", [0.0, -1e-3, -1e7])
+@pytest.mark.parametrize("n_ang", [12, 48])
+@pytest.mark.parametrize("nc", [1, 2])
+def test_moment_series_matches_direct_sum(nc, n_ang, E):
+    forms = (_lorentzian(1.4, 0.2), _lorentzian(1.1, -0.04))[:nc]
+    inv_a, n, p_min = (0.2, -0.04)[:nc], 41, 1e-4
+    kern = SeparableKernel(forms, inv_a, n=n, n_ang=n_ang, p_min=p_min, q_min=1e-4 * p_min)
+    W2 = 2 * np.array([[1.0]]) if nc == 1 else np.array([[0.5, 1.5], [1.5, 0.5]])
+    s = np.tile(kern.grid.nodes * np.sqrt(kern.grid.weights), nc)
+    m, dm = kern.matrix_and_slope(E, np.eye(nc * n))
+    for got, slope in ((m, False), (dm, True)):
+        K, I = _direct_sum(n, n_ang, p_min, 40.0, E, slope)
+        ref = np.block([
+            [(a == b) * np.diag(I(fa) if slope else ia - I(fa)) + W2[a, b] * K(fa, fb)
+             for b, fb in enumerate(forms)]
+            for a, (fa, ia) in enumerate(zip(forms, inv_a))
+        ])
+        np.testing.assert_allclose(
+            4 * np.pi * got, s[:, None] * ref / s, rtol=1e-13, atol=0, err_msg=f"slope={slope}"
+        )
+
+
 def _traced_peak(fn):
     """Bytes still allocated after a first call of ``fn``, and the peak a
     second call allocates on top of them (its result included)."""
@@ -614,47 +654,52 @@ def test_zero_range_kernel_memory(kern, bound):
 
 @pytest.mark.parametrize("nc, n", [(2, 300), (1, 260)])
 def test_separable_kernel_memory(nc, n):
-    # F is one full n x n x n_ang table.  The kernel keeps nc^2 tables on
-    # the upper triangle (F/2 each, plus the slabs' diagonal blocks), and a
-    # call after the first allocates no table-sized array: it assembles
-    # M(E) in its (nc n)^2 result, and its peak is that result and the
-    # dimer integral's row-block buffer, which is why small grids cannot
-    # test this
+    # F is one full n x n x n_ang table, and T one n x n x _TERMS table of
+    # moments.  The kernel keeps nc^2 moment tables on the upper triangle
+    # (T/2 each, and 3 % more for the slabs' diagonal blocks at these n) and
+    # P^2 + Q^2, PQ there (F/48 together), and a call after the first
+    # allocates no table-sized array: it assembles M(E) in its (nc n)^2
+    # result, and its peak is that result, the dimer integral's row-block
+    # buffer and one Horner sweep, which is why small grids cannot test this
     n_ang = 48
-    F = n * n * n_ang * 8
+    F, T = n * n * n_ang * 8, n * n * _TERMS * 8
     forms = (_lorentzian(1.4, 0.2), _lorentzian(1.1, -0.04))[:nc]
     kern = SeparableKernel(forms, (0.2, -0.04)[:nc], n=n, n_ang=n_ang)
     held, peak = _traced_peak(lambda: kern.matrix(-0.3))
-    assert held <= (nc**2 / 2 + 0.25) * F
+    assert held <= nc**2 * 0.53 * T + 0.05 * F
     assert peak <= 0.2 * F
 
 
 # the column is summed in blocks of 64 rows: 130 leaves a ragged last block
 @pytest.mark.parametrize("rows", [64, 130])
 def test_dimer_integral_column_matches_scalar_calls(rows):
-    integral = dimer_integral(_lorentzian(1.4, 0.2), 1e-6)
+    # the first two channels share a rule and its pass, the third has its own
+    forms = (
+        _lorentzian(1.4, 0.2), _lorentzian(1.1, -0.04), replace(_lorentzian(0.9, 0.1), p_max=20.0)
+    )
+    integrals = dimer_integrals(forms, 1e-6)
     kap2 = np.geomspace(1e-8, 1e3, rows)
-    # not bit for bit: a column sums each row in a blocked matrix product
-    np.testing.assert_allclose(
-        integral(kap2[:, None]), [integral(k) for k in kap2], rtol=1e-14, atol=0
-    )
-    np.testing.assert_allclose(
-        integral(kap2[:, None], slope=True), [integral(k, slope=True) for k in kap2],
-        rtol=1e-14, atol=0,
-    )
+    I, dI = integrals(kap2[:, None], slope=True)
+    for c, form in enumerate(forms):
+        scalar = dimer_integrals((form,), 1e-6)
+        # not bit for bit: a column sums each row in a blocked matrix product
+        np.testing.assert_allclose(I[c], [scalar(k)[0].item() for k in kap2], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(
+            dI[c], [scalar(k, slope=True)[1].item() for k in kap2], rtol=1e-14, atol=0,
+        )
 
 
 def test_dimer_integral_slope_is_its_derivative():
-    integral = dimer_integral(_lorentzian(1.4, 0.2), 1e-6)
+    integrals = dimer_integrals((_lorentzian(1.4, 0.2),), 1e-6)
     kap2 = np.geomspace(1e-4, 1e2, 7)[:, None]
     h = 1e-5 * kap2
-    fd = (integral(kap2 + h) - integral(kap2 - h)) / (2 * h[:, 0])
-    np.testing.assert_allclose(integral(kap2, slope=True), fd, rtol=1e-8, atol=0)
+    fd = (integrals(kap2 + h)[0] - integrals(kap2 - h)[0]) / (2 * h[:, 0])
+    np.testing.assert_allclose(integrals(kap2, slope=True)[1], fd, rtol=1e-8, atol=0)
 
 
 def test_dimer_integral_memory():
     # a 600-row column at once would take two 600 x 3000 arrays (28.8 MB)
-    integral = dimer_integral(_lorentzian(1.4, 0.2), 1e-6)
+    integrals = dimer_integrals((_lorentzian(1.4, 0.2),), 1e-6)
     kap2 = np.geomspace(1e-8, 1e3, 600)[:, None]
-    _, peak = _traced_peak(lambda: integral(kap2))
+    _, peak = _traced_peak(lambda: integrals(kap2, slope=True))
     assert peak < 4e6
