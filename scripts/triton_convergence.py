@@ -16,7 +16,7 @@ doubled; and the same for the unitarity levels of
 ``solve_triton_unitarity``, whose grid starts at p_min/100 (1e-6 by
 default), with the number of those levels.  The first row is the grid of ``solve_triton``, and every row's
 kernel comes from the same ``TritonModel.kernel`` call.  The whole run takes
-about 23 s on 2 cores and peaks near 140 MB of resident memory, at the
+about 17 s on 2 cores and peaks near 135 MB of resident memory, at the
 doubled grid of the last row.
 """
 import math

@@ -9,6 +9,10 @@ each count bracket to a Brent zero (``find_root``) of a continuous
 function; ``stm.bound_levels`` refines its own brackets by nonlinear
 inverse iteration on M(E) instead.
 
+The Gauss-Legendre rules take O(n) work: Newton steps from Bessel-zero
+asymptotics, on P_n from Stieltjes' asymptotic series at all but the few
+nodes nearest the ends (``_leggauss``, ``_legendre_theta``).
+
 All physics modules work in natural units hbar = m = 1, where m is the mass
 of the reference particle.  Everything here is a pure function of its inputs.
 """
@@ -39,6 +43,7 @@ _GAUSS2 = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 # A Yukawa 1/r origin puts 0.11 rad into the first step at strength 2/range.
 _MAX_PHASE = 0.12
 _EPS = float(np.finfo(float).eps)
+_SQRT_HALF = math.sqrt(0.5)
 # Brent's relative tolerance and iteration cap, those of scipy's brentq
 _RTOL = 4 * _EPS
 _MAXITER = 100
@@ -167,21 +172,63 @@ def locate_levels(count, value, lo: float, hi: float, tol: float) -> list[float]
 
 
 def _legendre_theta(n: int, theta):
-    """P_n(cos theta) and dP_n/dtheta, by the recurrence for P_j - P_{j-1}
-    in u = 1 - cos theta, which resolves the nodes near x = 1 in theta.
-    The recurrence runs in place, in the operations and order of
-    d = (j d - (2j + 1) u p)/(j + 1)."""
-    u = 2.0 * np.sin(0.5 * theta) ** 2
-    p, d, t = np.ones_like(theta), -u, np.empty_like(theta)
-    for j in range(1, n):
-        p += d
-        np.multiply(2 * j + 1, u, out=t)
-        t *= p
-        d *= j
-        d -= t
-        d /= j + 1
-    p += d
-    return p, n * (d - u * p) / np.sin(theta)
+    """P_n(cos theta) and dP_n/dtheta for theta in (0, pi/2]: O(1) work per
+    node where 2n sin theta >= 40, O(n) at the nodes nearer x = 1 (six for
+    every n >= 40: 6 of the 1500 of n = 3000).
+
+    The bulk takes Stieltjes' series (Szego, Orthogonal Polynomials, 8.21.11;
+    Hale & Townsend, SIAM J. Sci. Comput. 35, A652 (2013), eq. 3.2),
+    P_n(cos theta) = C_n sum_m h_m cos(alpha_m)/(2 sin theta)^(m + 1/2),
+    alpha_m = (n + m + 1/2) theta - (m + 1/2) pi/2,
+    h_m = prod_{j<=m} (j - 1/2)^2/(j (n + j + 1/2)).  The remainder after m
+    terms is below twice the first omitted one, so the sum stops at the
+    first h_m/(2 sin theta)^m < eps/8 of the node nearest the switch: 22
+    terms at n = 3000.  alpha_m steps by theta - pi/2, a rotation of
+    (cos alpha, sin alpha).  The other nodes take the Fourier series
+    P_n(cos theta) = sum_k a_k a_{n-k} cos((n - 2k) theta),
+    a_k = (2k - 1)!!/(2k)!!, whose terms are all positive.
+    """
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    p, dp = np.empty_like(theta), np.empty_like(theta)
+    bulk = 2 * n * sin_t >= 40.0
+    if np.any(bulk):
+        st, ct = sin_t[bulk], cos_t[bulk]
+        inv_s = 0.5 / st  # 1/(2 sin theta)
+        phase = (n + 0.5) * theta[bulk]
+        c = (np.cos(phase) + np.sin(phase)) * _SQRT_HALF  # cos, sin of alpha_0
+        s = (np.sin(phase) - np.cos(phase)) * _SQRT_HALF
+        env = np.sqrt(inv_s)  # 1/(2 sin theta)^(m + 1/2)
+        pb = env * c
+        db = -env * ((n + 0.5) * s + c * ct * inv_s)
+        m, hm, top = 0, 1.0, float(np.max(inv_s))
+        while True:
+            m += 1
+            hm *= (m - 0.5) ** 2 / (m * (n + m + 0.5))
+            if hm * top**m < _EPS / 8:
+                break
+            c, s = c * st + s * ct, s * st - c * ct
+            env *= inv_s
+            pb += hm * env * c
+            db -= hm * env * ((n + m + 0.5) * s + (2 * m + 1) * c * ct * inv_s)
+        cn = _legendre_norm(n)
+        p[bulk], dp[bulk] = cn * pb, cn * db
+    ends = ~bulk
+    if np.any(ends):
+        k = np.arange(n + 1)
+        a = np.cumprod(np.r_[1.0, 1.0 - 0.5 / k[1:]])  # a_k
+        coef, freq = a * a[::-1], n - 2 * k
+        arg = np.multiply.outer(theta[ends], freq)
+        p[ends] = np.cos(arg) @ coef
+        dp[ends] = -(np.sin(arg) @ (freq * coef))
+    return p, dp
+
+
+def _legendre_norm(n: int) -> float:
+    """C_n = (4/pi) prod_{j=1..n} j/(j + 1/2) = sqrt(4/pi) Gamma(n+1)/Gamma(n+3/2),
+    from the exactly summed logarithms of the factors, to 2e-16 at
+    n = 10000: from lgamma it would be 3e-12 off at n = 3000."""
+    j = np.arange(1, n + 1)
+    return 4.0 / math.pi * math.exp(math.fsum(np.log1p(-1.0 / (2 * j + 1))))
 
 
 # j_{0,k}, the first zeros of the Bessel function J_0; McMahon's expansion
@@ -205,17 +252,18 @@ def _bessel_j0_zeros(m: int) -> np.ndarray:
 def _leggauss(n: int):
     """Gauss-Legendre reference rule on [-1, 1], read-only and cached.
 
-    Newton in theta (x = cos theta), O(n^2) work per pass, from Olver's
-    Bessel-zero asymptotics theta_k ~ psi + (psi cot psi - 1)/(8 psi rho^2),
-    psi = j_{0,k}/rho, rho = n + 1/2 (Hale & Townsend, SIAM J. Sci. Comput.
-    35, A652 (2013)).  A step s leaves a node error of about (cot theta/2) s^2
+    Newton in theta (x = cos theta), O(n) work per pass (``_legendre_theta``),
+    from Olver's Bessel-zero asymptotics
+    theta_k ~ psi + (psi cot psi - 1)/(8 psi rho^2), psi = j_{0,k}/rho,
+    rho = n + 1/2 (Hale & Townsend, SIAM J. Sci. Comput. 35, A652 (2013)).  A step s leaves a node error of about (cot theta/2) s^2
     and, in dP_n/dtheta moved to the stepped node, a relative error of about
     n(n+1) s^2/2; the passes stop once n(n+1) s^2 is below the double epsilon
     for every node.  dP_n/dtheta of that last pass is moved to the final theta
     by one term of the Legendre equation P'' = -cot(theta) P' - n(n+1) P, and
     the weight 2 / (dP_n/dtheta)^2 has no 1 - x^2 division, so end weights
     keep full precision.  The passes made: three for n <= 2, two for
-    3 <= n <= 121 and one for every n >= 122 (checked up to 20000).
+    3 <= n <= 121 and one for every n >= 122 (checked up to 20000).  n = 3000
+    takes about 3 ms.
     """
     rho = n + 0.5
     psi = _bessel_j0_zeros((n + 1) // 2) / rho

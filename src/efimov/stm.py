@@ -622,8 +622,11 @@ def narrow_resonance_a_star0(r_star: float) -> float:
     Located in 1/a over (1.8, 2.6)/R*, as the zero of the eigenvalue
     lambda_k of M(E_t; 1/a), E_t = (1 + 1e-10) E_dimer(1/a), whose crossing
     takes the trimer out of the window below E_t: the final bracket is
-    1e-12 wide, but eigvalsh resolves the zero only to about 7e-10 in 1/a
-    at R* = 1 (below).  No crossing, or more than one, raises BracketingError.
+    2e-10/R* wide, as eigvalsh resolves the zero only to about 7e-10 in 1/a
+    at R* = 1 (below).  A narrower bracket follows eigvalsh's rounding: at
+    1e-12, one-ulp changes of the Gauss-Legendre weights took 11 to 20
+    eigensolves, and 8 to 11 at 2e-10.  No crossing, or more than one,
+    raises BracketingError.
 
     On the trimer's side, the lower end of the count bracket, lambda_k
     falls as a parabola in 1/a whose minimum lies just past the crossing,
@@ -673,7 +676,7 @@ def narrow_resonance_a_star0(r_star: float) -> float:
             b = a + step
             break
         a += step
-    return 1.0 / find_root(lambda x: spectrum(x)[k], a, b, tol=1e-12)
+    return 1.0 / find_root(lambda x: spectrum(x)[k], a, b, tol=2e-10 / r_star)
 
 
 # ---------------------------------------------------------------------------

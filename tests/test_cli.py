@@ -1,5 +1,6 @@
 import ast
 import collections
+import functools
 import inspect
 import json
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from efimov import __version__
+from efimov import __version__, numerics, two_body
 from efimov.cli import ConfigError, _fmt, build_parser, main, read_config
 from efimov.numerics import BracketingError, ConvergenceError
 from efimov.stm import SeparableKernel, StmKernel, TritonModel, bound_levels
@@ -394,12 +395,19 @@ def test_unknown_option_and_missing_subcommand_return_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, counts", [(["stm", "--model", "vdw"], (10, 2, 7)), (["triton"], (8, 2, 5))],
+    "argv, counts, transforms, legendre",
+    [
+        (["stm", "--model", "vdw"], (10, 2, 7), [(30000, 200000)], {3000: 1, 260: 1, 48: 2}),
+        (["triton"], (8, 2, 5), [(40500,), (40500,)], {3000: 1, 160: 1, 24: 2}),
+    ],
     ids=["vdw", "triton"],
 )
-def test_default_solve_counts(monkeypatch, tmp_path, argv, counts):
-    # (kernel passes, eigvalsh calls, LU solves) of a default solve: counts
-    # do not depend on the machine, so a changed count is a changed algorithm
+def test_default_solve_counts(monkeypatch, tmp_path, argv, counts, transforms, legendre):
+    # (kernel passes, eigvalsh calls, LU solves) of a default solve, the FFT
+    # lengths of each sine transform (one per uniform run of 64 nodes or
+    # more, each transformed twice), and the Newton passes of each
+    # Gauss-Legendre rule: counts do not depend on the machine, so a
+    # changed count is a changed algorithm
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -412,8 +420,36 @@ def test_default_solve_counts(monkeypatch, tmp_path, argv, counts):
     monkeypatch.setattr(SeparableKernel, "_assemble", counted("pass", SeparableKernel._assemble))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    # fresh caches, so the counts do not depend on the tests run before
+    monkeypatch.setattr(numerics, "_leggauss", functools.lru_cache(numerics._leggauss.__wrapped__))
+    monkeypatch.setattr(
+        two_body, "_tail_unitarity", functools.cache(two_body._tail_unitarity.__wrapped__)
+    )
+    passes, ffts, lengths = collections.Counter(), [], []
+    theta_pass, rfft, transform = numerics._legendre_theta, np.fft.rfft, two_body._sine_transform
+
+    def legendre_pass(n, theta):
+        passes[n] += 1
+        return theta_pass(n, theta)
+
+    def fft(a, *args, **kwargs):
+        ffts.append(len(a))
+        return rfft(a, *args, **kwargs)
+
+    def sine_transform(r, delta, p):
+        first = len(ffts)
+        out = transform(r, delta, p)
+        lengths.append(tuple(ffts[first::2]))
+        assert ffts[first::2] == ffts[first + 1 :: 2]
+        return out
+
+    monkeypatch.setattr(numerics, "_legendre_theta", legendre_pass)
+    monkeypatch.setattr(np.fft, "rfft", fft)
+    monkeypatch.setattr(two_body, "_sine_transform", sine_transform)
     assert run([*argv, "--output", str(tmp_path / "x.csv")]) == 0
     assert (calls["pass"], calls["eigvalsh"], calls["solve"]) == counts
+    assert lengths == transforms
+    assert passes == legendre
 
 
 def test_triton_defaults_are_the_model_fit_defaults():

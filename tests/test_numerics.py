@@ -145,9 +145,12 @@ def test_gauss_legendre_matches_mpmath(n):
 
     x, w = _leggauss(n)
     assert w.sum() == pytest.approx(2.0, abs=1e-14)
-    # the four end nodes, started from the tabulated Bessel zeros, and the
-    # middle one; the nodes at the other end are their mirror images
-    for i in sorted({*range(min(4, n)), n // 2}):
+    # the eight end nodes: the first four started from the tabulated Bessel
+    # zeros, and those on both sides of the evaluator's switch from the
+    # Fourier series to Stieltjes' (2n sin theta = 40, between the sixth
+    # and seventh node for large n); and the middle one.  The nodes at the
+    # other end are their mirror images
+    for i in sorted({*range(min(8, n)), n // 2}):
         assert (x[n - 1 - i], w[n - 1 - i]) == (-x[i], w[i])
         with mpmath.workdps(40):
             # Newton from the float node; findroot(legendre) stalls near the ends at n = 3000
@@ -162,7 +165,7 @@ def test_gauss_legendre_matches_mpmath(n):
 
 @pytest.mark.parametrize("n, passes", [(1, 3), (2, 3), (7, 2), (121, 2), (122, 1), (3000, 1)])
 def test_gauss_legendre_newton_passes(monkeypatch, n, passes):
-    # one O(n^2) pass of the Legendre recurrence per Newton step: from the
+    # one O(n) pass of the Legendre evaluator per Newton step: from the
     # Bessel-zero start one pass reaches rounding for n >= 122, where a
     # start from Tricomi's nodes took three steps and a weight pass
     from efimov import numerics

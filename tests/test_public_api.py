@@ -267,6 +267,7 @@ hyperradial.three_body_phase(hyperradial.HyperradialChannel())
 two_body.half_effective_range_tail(4), two_body.half_effective_range_tail(6)
 with contextlib.redirect_stdout(io.StringIO()):
     assert efimov.cli.main(["verify"]) == 0
+    assert efimov.cli.main(["stm", "--model", "power4", "--a", "3"]) == 0  # the n = 4 far tail
 stm.bound_levels(stm.StmKernel(0.0, 100.0, n=120), (-3e4, -1e-2))
 stm.bound_levels(stm.SeparableKernel(form, 0.3, n=140, n_ang=24), (-3.0, -1e-7))
 stm.TritonModel.fit()
@@ -279,8 +280,10 @@ def test_solver_paths_load_no_scipy():
     (n = 4 at unitarity among them), the EST form factor, a root, a real
     boson and a fermion channel exponent, a bonding orbital, a hyperradial
     spectrum and phase, the tail effective ranges, a zero-range and a
-    separable STM spectrum, the triton model fit and `efimov verify` solve,
-    without loading scipy and, under -W error, without a numpy warning."""
+    separable STM spectrum, the triton model fit, `efimov verify` and
+    `efimov stm --model power4 --a 3` (the n = 4 admixture's far tail, the
+    last path that took scipy's sine integral) solve, without loading scipy
+    and, under -W error, without a numpy warning."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(

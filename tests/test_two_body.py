@@ -300,9 +300,92 @@ def test_sine_transform_matches_direct_trapezoid(layout):
     p = np.array([1e-4, 0.3, 4.7, 31.0, 100.0, 176.0])
     got = _sine_transform(r, delta, p)
     assert got.shape == delta.shape[:-1] + p.shape
+    # the trapezoid sum at the largest p in 40 digits, from the same float
+    # nodes and weights
+    q = mpmath.mpf(float(p[-1]))
+    with mpmath.workdps(40):
+        sines = [mpmath.sin(q * mpmath.mpf(float(x))) for x in r]
     for row, d in zip(np.atleast_2d(got), np.atleast_2d(delta)):
         direct = [q * np.trapezoid(d * np.sin(q * r), r) for q in p]
         assert row == pytest.approx(direct, rel=0, abs=1e-12)
+        w = np.convolve(np.diff(r), [0.5, 0.5]) * d
+        with mpmath.workdps(40):
+            exact = float(q * mpmath.fsum(float(a) * b for a, b in zip(w, sines)))
+        assert abs(row[-1] - exact) < 1e-13
+
+
+def _exact_sum(r, delta, p):
+    """p sum_j w_j delta_j sin(p r_j) in 40 digits, trapezoid weights w_j
+    rounded as _sine_transform rounds them."""
+    w = np.convolve(np.diff(r), [0.5, 0.5]) * delta
+    with mpmath.workdps(40):
+        nodes = [mpmath.mpf(float(x)) for x in r]
+        return np.array([
+            float(q * mpmath.fsum(float(a) * mpmath.sin(q * x) for a, x in zip(w, nodes)))
+            for q in map(mpmath.mpf, p.tolist())
+        ])
+
+
+def test_sine_transform_runs_of_every_length_up_to_64():
+    # runs of 1 to 64 nodes, each with its own step: runs under 64 nodes
+    # are summed directly, a 64-node run by the FFT
+    lengths = list(range(1, 65))
+    steps = 0.01 * (1.0 + 0.37 * np.sin(np.arange(64)))
+    r = np.cumsum(np.concatenate([np.full(n, h) for n, h in zip(lengths, steps)]))
+    delta = np.exp(-0.05 * r) * np.cos(r)
+    p = np.array([0.0, 1e-3, 2.5, 40.0, 176.0])
+    direct = [q * np.trapezoid(delta * np.sin(q * r), r) for q in p]
+    assert _sine_transform(r, delta, p) == pytest.approx(direct, rel=0, abs=1e-12)
+    # one uniform run on either side of the switch, against the exact sum
+    for n in (2, 63, 64, 65, 200):
+        rn = 0.5 + 0.013 * np.arange(n)
+        dn = 1.0 / (1.0 + rn * rn)
+        assert _sine_transform(rn, dn, p) == pytest.approx(_exact_sum(rn, dn, p), rel=0, abs=1e-13)
+
+
+def test_sine_transform_aliases_as_the_trapezoid_sum():
+    # p h past pi (up to 6.5 pi here): the sum is periodic in p h, and the
+    # FFT must return the same alias as the direct sum
+    r = 0.2 + 0.1 * np.arange(400)
+    delta = np.exp(-r / 8.0)
+    p = np.array([31.5, 40.0, 62.83, 99.0, 204.2])
+    assert np.all(p * 0.1 > np.pi)
+    assert _sine_transform(r, delta, p) == pytest.approx(_exact_sum(r, delta, p), rel=0, abs=1e-12)
+
+
+def test_sine_transform_at_p_zero_is_zero():
+    r, _, _ = two_body._tail_grid(6)
+    assert np.all(_sine_transform(r, np.ones_like(r), np.zeros(3)) == 0.0)
+
+
+def test_sine_transform_rows_are_independent():
+    # a two-row call equals two one-row calls bit for bit, so the tail
+    # profiles built one row at a time are the rows of one two-row call
+    r, inner, _ = two_body._tail_grid(6)
+    d0 = 1.0 - universal_tail_wavefunction(6, r)
+    d0[inner] = 1.0
+    d1 = np.exp(-r) * r
+    both = _sine_transform(r, np.array([d0, d1]), two_body._P_TAB)
+    assert np.array_equal(both[0], _sine_transform(r, d0, two_body._P_TAB))
+    assert np.array_equal(both[1], _sine_transform(r, d1, two_body._P_TAB))
+
+
+def test_sine_integral_tail_matches_scipy_and_mpmath():
+    # pi/2 - Si(x) at every x = p r_end of the n = 4 admixture's far tail,
+    # and across the switch from the power series to the continued fraction
+    from scipy.special import sici
+
+    r, _, far = two_body._tail_grid(4)
+    assert far
+    x = np.concatenate([two_body._P_TAB * r[-1], np.linspace(0.9, 1.1, 21), [1.926447660317]])
+    got = two_body._sine_integral_tail(x)
+    # scipy's Si carries pi/2's rounding into the difference
+    assert got == pytest.approx(0.5 * np.pi - sici(x)[0], rel=0, abs=1e-15)
+    with mpmath.workdps(40):
+        exact = np.array([float(mpmath.pi / 2 - mpmath.si(mpmath.mpf(float(v)))) for v in x])
+    # against the envelope max(|value|, 1/x): at the zeros of the
+    # oscillating tail no relative bound can hold
+    assert np.all(np.abs(got - exact) <= 1e-15 * np.maximum(np.abs(exact), 1.0 / x))
 
 
 def _built_tables(monkeypatch):
