@@ -262,7 +262,9 @@ def cmd_hyperradial(args):
 
 
 def cmd_stm(args):
-    from .stm import SeparableKernel, StmKernel, bound_levels, solve_trimers_narrow_resonance
+    from .stm import (
+        _STEP_GRID, SeparableKernel, StmKernel, bound_levels, solve_trimers_narrow_resonance,
+    )
     from .two_body import step_form_factor, universal_tail_form_factor
 
     a = _parse_a(args.a)
@@ -270,7 +272,6 @@ def cmd_stm(args):
     window = (args.E_min, args.E_max)
     for opt, given, model in (
         ("--cutoff", not isinstance(args.cutoff, _Unset), "zero-range"),
-        ("--exact-domain", args.exact_domain, "zero-range"),
         ("--r-star", not isinstance(args.r_star, _Unset), "narrow-resonance"),
     ):
         if given and args.model != model:
@@ -279,9 +280,9 @@ def cmd_stm(args):
         lev = solve_trimers_narrow_resonance(inv_a, args.r_star, window)
     else:
         if args.model == "zero-range":
-            kern = StmKernel(inv_a, args.cutoff, exact_domain=args.exact_domain)
+            kern = StmKernel(inv_a, args.cutoff)
         elif args.model == "step":
-            kern = SeparableKernel(step_form_factor(1.0, inv_a=inv_a), inv_a)
+            kern = SeparableKernel(step_form_factor(1.0, inv_a=inv_a), inv_a, *_STEP_GRID)
         else:  # vdw is the n = 6 tail
             form = universal_tail_form_factor(4 if args.model == "power4" else 6, inv_a)
             kern = SeparableKernel(form, inv_a)
@@ -385,9 +386,9 @@ def _verify_table():
     pt = solve_zero_energy(TwoBodyModel("poschl_teller", {"lambda": 1.3, "range": 1.0}))
     rows.append(("poschl_teller_r_e", pt.r_e, 1.44550663144349, 1e-10))
     lev = bound_levels(StmKernel(0.0, 1000.0), (-1e7, -1e-3))
-    rows.append(("zero_range_energy_ratio", lev[1] / lev[2], 515.035, 1e-2))
+    rows.append(("zero_range_energy_ratio", lev[1] / lev[2], ch.LAMBDA0**2, 1e-3))
     am = threshold_scattering_lengths(1000.0)
-    rows.append(("a_minus_ratio", am[2] / am[1], 22.694, 5e-3))
+    rows.append(("a_minus_ratio", am[2] / am[1], ch.LAMBDA0, 1e-3))
     return rows
 
 
@@ -465,7 +466,6 @@ def build_parser():
     sp.add_argument("--r-star", dest="r_star", type=_POSITIVE, default=_Unset(1.0))
     sp.add_argument("--E-min", dest="E_min", type=_FINITE, default=-1e7)
     sp.add_argument("--E-max", dest="E_max", type=_FINITE, default=-1e-3)
-    sp.add_argument("--exact-domain", dest="exact_domain", action="store_true")
     sp.set_defaults(func=cmd_stm)
 
     sp = sub.add_parser("triton", help="two-channel nucleon model")

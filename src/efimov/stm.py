@@ -74,6 +74,7 @@ _DEF_N = 200
 _DEF_NANG = 48
 _TRITON_P_MAX = 40.0  # fm^-1, top of the nucleon momentum grid
 _TRITON_GRID = (160, 24)  # n, n_ang of the nucleon kernels (scripts/triton_convergence.py)
+_STEP_GRID = (300, 64)  # n, n_ang of `stm --model step`, whose levels it holds to 1.2e-13
 # relative gap kept between an energy window's top and a dimer pole: on the
 # pole M(E) is singular, and its count of negative eigenvalues jumps there
 _POLE_GAP = 1e-10
@@ -241,24 +242,16 @@ class StmKernel:
     shifted energy, 1/a + R*(E - (3/4)P^2) - sqrt((3/4)P^2 - E).
 
     The cutoff is the three-body parameter: levels depend on it only
-    through cutoff * e^{n pi/|s0|}.  ``exact_domain`` keeps both exchange
-    momenta |Q+P/2|, |P+Q/2| below the cutoff instead of the plain
-    Q < cutoff domain, a cutoff-scale effect only: num becomes
-    P^2 + Q^2 + PQ c_hi - E, with the angular upper limit c_hi clipped to
-    [-1, 1] from min(h_PQ, h_QP), h_PQ = (cutoff^2 - P^2 - Q^2/4)/(PQ).
-    ``n`` defaults to _DEF_N nodes, and to 400 with ``exact_domain``.
+    through cutoff * e^{n pi/|s0|}.
     """
 
     inv_a: float
     cutoff: float
     r_star: float = 0.0
-    n: int | None = None
+    n: int = _DEF_N
     p_min_factor: float = 1e-5
-    exact_domain: bool = False
 
     def __post_init__(self):
-        if self.n is None:  # the kink of a clipped c_hi converges only as n^-2.5
-            object.__setattr__(self, "n", 400 if self.exact_domain else _DEF_N)
         if not self.cutoff > 0:
             raise ValueError("cutoff must be positive")
         if self.r_star < 0:
@@ -290,7 +283,7 @@ class StmKernel:
 
     def _assemble(self, E: float, v=None, with_matrix: bool = True):
         """(M(E) or None, dM/dE @ v or None), _ROWS rows at a time.  M keeps
-        the formulas' operation order, bit for bit: (P^2 + PQ c_hi) + Q^2 or
+        the formulas' operation order, bit for bit: (P^2 + Q^2) + PQ or
         (2/pi) sqrt(w_P) sqrt(w_Q) would move it by rounding."""
         if E > 0:
             raise ValueError("M(E) needs E <= 0")
@@ -300,8 +293,6 @@ class StmKernel:
         kap = np.sqrt(0.75 * p2 - E)
         K = np.empty((self.n, self.n)) if with_matrix else None
         slope = None if v is None else np.empty(np.shape(v))
-        if self.exact_domain:  # h_PQ = (top_P - quarter_Q)/(PQ)
-            top, quarter = self.cutoff**2 - p2, 0.25 * p * p
         buf = np.empty((3, min(_ROWS, self.n), self.n))
         for r0 in range(0, self.n, _ROWS):
             rows = slice(r0, r0 + _ROWS)
@@ -310,16 +301,8 @@ class StmKernel:
             np.subtract(P2, np.multiply(P, p, out=PQ), out=den)
             den += p2
             den -= E
-            if self.exact_domain:  # c_hi, held in num; PQ becomes PQ c_hi
-                c_hi = np.subtract(top[rows, None], quarter, out=num)
-                np.minimum(c_hi, top - quarter[rows, None], out=c_hi)
-                c_hi /= PQ
-                PQ *= np.clip(c_hi, -1.0, 1.0, out=c_hi)
-                np.add(P2, p2, out=num)
-                num += PQ
-            else:
-                np.add(P2, PQ, out=num)
-                num += p2
+            np.add(P2, PQ, out=num)
+            num += p2
             num -= E
             if K is not None:  # PQ's block is free now and takes the weights
                 m = np.divide(num, den, out=K[rows])

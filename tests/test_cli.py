@@ -140,6 +140,7 @@ def test_invalid_values_exit_2(tmp_path, capsys):
     assert run(["hyperradial", "--s0", "0", "--output", out]) == 2
     # options of one stm model are refused with another, not ignored
     assert run(["stm", "--model", "step", "--cutoff", "5", "--output", out]) == 2
+    # an option that no stm model has is unknown
     assert run(["stm", "--model", "narrow-resonance", "--exact-domain", "--output", out]) == 2
     assert run(["stm", "--r-star", "2", "--output", out]) == 2
     # as are channels options that the other options leave unread
@@ -262,7 +263,7 @@ def test_power6_is_the_vdw_model(tmp_path, a):
     [
         (["--cutoff", "100"], lambda: StmKernel(0.0, 100.0)),
         (["--model", "step", "--a", "2"],
-         lambda: SeparableKernel(step_form_factor(1.0, inv_a=0.5), 0.5)),
+         lambda: SeparableKernel(step_form_factor(1.0, inv_a=0.5), 0.5, n=300, n_ang=64)),
         (["--model", "vdw", "--a", "3"],
          lambda: SeparableKernel(universal_tail_form_factor(6, 1 / 3), 1 / 3)),
     ],
@@ -283,17 +284,19 @@ def test_narrow_resonance_level_below_the_dimer(tmp_path):
     assert [float(row.split(",")[1]) for row in rows] == [-1.72181790188e-01]
 
 
-def test_exact_domain_moves_only_the_three_body_parameter(tmp_path):
-    # the exact exchange domain is a cutoff-scale change: it shifts every
-    # shallow level by the same factor, as a changed three-body parameter
-    plain, exact = (
-        [float(row.split(",")[1]) for row in _stm_csv(tmp_path, *flag).splitlines()[1:]]
-        for flag in ((), ("--exact-domain",))
-    )
-    assert len(plain) == len(exact) >= 3
-    r1, r2 = exact[1] / plain[1], exact[2] / plain[2]
-    assert r1 == pytest.approx(r2, rel=1e-4)
-    assert abs(r2 - 1.0) > 0.1
+@pytest.mark.parametrize("a", ["inf", "2"])
+def test_step_levels_are_grid_converged(tmp_path, a):
+    # the step profile cos(pb) oscillates up to p_max = 100; the default
+    # grid of `stm --model step` holds its levels within 1e-12 of a finer
+    # grid, which is itself 1.4e-15 off (780, 144).  The shared
+    # SeparableKernel default (260, 48) is 6.1e-7 off at a = 2
+    inv_a = 1 / float(a)
+    rows = _stm_csv(tmp_path, "--model", "step", "--a", a).splitlines()[1:]
+    form = step_form_factor(1.0, inv_a=inv_a)
+    ref = bound_levels(SeparableKernel(form, inv_a, n=400, n_ang=96), (-1e7, -1e-3))
+    assert len(rows) == len(ref) >= 1
+    for row, E in zip(rows, ref):
+        assert float(row.split(",")[1]) == pytest.approx(E, rel=1e-12, abs=0)
 
 
 def test_every_option_is_read():
