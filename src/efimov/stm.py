@@ -11,13 +11,15 @@ the spectator kinetic term is (3/4)P^2 and dimers sit at -kappa^2.
 Each kernel's ``matrix(E)`` is real symmetric: it acts on p sqrt(w_p) F(p),
 so the quadrature weights enter its exchange term as sqrt(w_P w_Q).
 Each kernel assembles M(E) in the array it returns, in one pass over row
-blocks (zero-range) or slabs (separable), with no other array of M's size;
-``slope(E, v)`` applies dM/dE to v in such a pass, without forming it, and
-``matrix_and_slope(E, v)`` returns both from one.  The separable kernel
-keeps no angular table: it keeps 28 Chebyshev moments of its angular sums
-per momentum pair, built once, and each pass sums their series in the one
-ratio rho(E) of the pair, which is at most 2 - sqrt(3) for E <= 0, so 28
-terms reach double rounding.
+blocks (zero-range) or chunks of momentum pairs (separable), with no other
+array of M's size; ``slope(E, v)`` applies dM/dE to v in such a pass,
+without forming it, and ``matrix_and_slope(E, v)`` returns both from one.
+The separable kernel keeps no angular table: it keeps Chebyshev moments of
+its angular sums, built once, and each pass sums their series in the one
+ratio rho(E) of each momentum pair.  For E <= 0, |rho(E)| is at most the
+pair's rho_0 = |rho(0)|, so the pair keeps the L = ceil(53 ln 2/(-ln rho_0))
+terms after which the series is under double rounding: 28 on the diagonal,
+where rho_0 = 2 - sqrt(3), and about 11 on average on the default grids.
 ``bound_levels`` brackets trimers by the inertia of M(E), whose number of
 negative eigenvalues drops by one at each level, and refines each by
 nonlinear inverse iteration, one LU solve per step.  1/a enters M(0) on
@@ -348,11 +350,15 @@ def solve_trimers_narrow_resonance(
 # exchange weights W_ab of the spin-isospin recoupling, by channel count:
 # identical bosons, and the nucleon triplet/singlet pair
 _RECOUPLING = {1: np.array([[1.0]]), 2: np.array([[0.25, 0.75], [0.75, 0.25]])}
-_SLAB = 8
-# terms kept of the Chebyshev series of 1/(a + b c): for E <= 0, b/a <= 1/2,
-# so its ratio |rho| <= 2 - sqrt(3), and (2 - sqrt(3))^28 < 2^-53
+# terms kept of the Chebyshev series of 1/(a + b c) on the diagonal, the most any
+# pair keeps: for E <= 0, b/a <= 1/2, so its ratio |rho| <= 2 - sqrt(3), and
+# (2 - sqrt(3))^28 < 2^-53
 _TERMS = 28
-_CELLS = 8192  # entries of one Horner sweep: its arrays stay in cache
+# momentum pairs per piece of the moment build, which holds phi at n_ang angles
+# for each, and per chunk of a pass, which holds a few values for each; a pass
+# in 2048-pair chunks took 1.5 times as long (triton grid, 2-core Xeon)
+_PIECE = 2048
+_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -376,16 +382,24 @@ class SeparableKernel:
     (the generating function of the Chebyshev polynomials T_l), so
     S_ab = (1/s) sum_l eps_l rho^l m_l, eps_0 = 1, eps_l = 2, with the
     energy-independent moments m_l = sum_k w_k phi_a(q1) phi_b(q2) T_l(c_k).
-    For E <= 0, |rho| <= 2 - sqrt(3), so _TERMS = 28 terms reach double
-    rounding whatever n_ang is: each pass is a Horner sweep in rho, and
-    dS/dE = (s H1 + a H0)/s^3, H0 = sum_l eps_l rho^l m_l, H1 its
-    rho dH0/drho.  The moments are built once, one matrix product per row
-    slab, with eps_l, W_ab and the weights P Q sqrt(w_P w_Q)/(2 pi^2)
-    folded in, so the sweep gives K's entries.  S_ba = S_ab^T (a and b are
-    symmetric in P, Q; q1, q2 swap), so each ordered channel pair (a, b)
-    keeps its moments for Q >= P only, in row slabs; ``matrix`` copies each
-    slab into the upper triangle of block (a, b) and fills the lower
-    triangle from block (b, a).
+    |rho| falls as -E grows, so for E <= 0 it is at most its E = 0 value
+    rho_0 = PQ/(P^2+Q^2 + sqrt((P^2+Q^2)^2 - P^2 Q^2)), and the pair (P, Q)
+    keeps the L = ceil(53 ln 2/(-ln rho_0)) terms after which rho_0^L <= 2^-53:
+    the series is cut at double rounding whatever E and n_ang are.  On the
+    diagonal rho_0 = 2 - sqrt(3) and L = _TERMS = 28; away from it L falls,
+    to about 11 on average on the default grids.  dS/dE = (s H1 + a H0)/s^3,
+    H0 = sum_l eps_l rho^l m_l, H1 its rho dH0/drho.
+
+    S_ba = S_ab^T (a and b are symmetric in P, Q; q1, q2 swap), so each
+    ordered channel pair (a, b) keeps its moments for the pairs Q >= P only,
+    built once with eps_l, W_ab and the weights P Q sqrt(w_P w_Q)/(2 pi^2)
+    folded in, so the series gives K's entries.  The pairs are sorted by L,
+    largest first and the diagonal first among them, so term l is kept by
+    a prefix of the pairs, and each channel pair's moments are one flat
+    array of those prefixes, term after term.  A pass runs Horner in rho
+    from l = 27 down over each term's prefix, in chunks of _CHUNK pairs: a
+    pair whose top term is l starts from 0 rho + m_l = m_l.  It scatters
+    each chunk into the entries (a P, b Q) of M and, transposed, (b Q, a P).
     """
 
     form: FormFactor | tuple
@@ -414,7 +428,7 @@ class SeparableKernel:
         if self._tables:
             return
         rule = self.grid
-        p, n, nc = rule.nodes, self.n, len(self.forms)
+        p, nc = rule.nodes, len(self.forms)
         ang = gauss_legendre(self.n_ang, -1.0, 1.0)
         # (n_ang, _TERMS) columns w_k eps_l T_l(c_k)
         cheb = np.polynomial.chebyshev.chebvander(ang.nodes, _TERMS - 1)
@@ -422,40 +436,40 @@ class SeparableKernel:
         cheb *= ang.weights[:, None]
         weight = p * np.sqrt(rule.weights / (2 * np.pi**2))
         W = _RECOUPLING[nc]
-        # row slabs [i0, i0 + _SLAB) that keep the columns j >= i0 only,
-        # grouped into sweeps of at least _CELLS entries
-        sweeps = [[]]
-        for i0 in range(0, n, _SLAB):
-            if sum(math.prod(shape) for _, shape in sweeps[-1]) >= _CELLS:
-                sweeps.append([])
-            sweeps[-1].append((i0, (min(_SLAB, n - i0), n - i0)))
-        chunks = []
-        for sweep in sweeps:
-            offsets = np.cumsum([0, *(math.prod(shape) for _, shape in sweep)])
-            # the moments of each ordered channel pair (a, b), and P^2 + Q^2, PQ
-            moments = np.empty((_TERMS, nc * nc, offsets[-1]))
-            pq2, pq = np.empty(offsets[-1]), np.empty(offsets[-1])
-            slabs = []
-            for (i0, shape), off, end in zip(sweep, offsets, offsets[1:]):
-                cells = slice(off, end)
-                P, Q = p[i0 : i0 + shape[0], None], p[None, i0:]
-                PQ = np.multiply(P, Q, out=pq[cells].reshape(shape))
-                np.add(P * P, Q * Q, out=pq2[cells].reshape(shape))
-                # q1 = |Q + P/2|, q2 = |P + Q/2| at each angle
-                q = np.empty((2, *shape, self.n_ang))
-                np.multiply(PQ[..., None], ang.nodes, out=q[0])
-                q[1] = q[0]
-                q[0] += (Q * Q + 0.25 * P * P)[..., None]
-                q[1] += (P * P + 0.25 * Q * Q)[..., None]
-                np.sqrt(q, out=q)
-                phi = [f(q) for f in self.forms]
-                scale = (weight[i0 : i0 + shape[0], None] * weight[i0:]).ravel()
-                for ab, (a, b) in enumerate(np.ndindex(nc, nc)):
-                    m = np.multiply(phi[a][0], phi[b][1]).reshape(-1, self.n_ang) @ cheb
-                    np.multiply(m.T, W[a, b] * scale, out=moments[:, ab, cells])
-                slabs.append((i0, shape, cells))
-            chunks.append((slabs, moments, pq2, pq))
-        self._tables.update(p=p, chunks=chunks, dimer=dimer_integrals(self.forms, self.q_min))
+        # the pairs P = p_i <= Q = p_j, their P^2 + Q^2 and PQ, and the terms
+        # each keeps at rho_0, the |rho| of E = 0
+        i, j = np.triu_indices(self.n)
+        pq, pq2 = p[i] * p[j], p[i] * p[i] + p[j] * p[j]
+        rho0 = pq / (pq2 + np.sqrt((pq2 - pq) * (pq2 + pq)))
+        terms = np.ceil(53 * math.log(2) / -np.log(rho0))
+        order = np.lexsort((j - i, -terms))
+        i, j, pq, pq2, terms = (x[order] for x in (i, j, pq, pq2, terms))
+        # term l is kept by the first count[l] pairs, at start[l] of the moments
+        count = np.searchsorted(-terms, -np.arange(_TERMS))
+        start = np.concatenate(([0], np.cumsum(count)))
+        moments = np.empty((nc * nc, start[-1]))
+        for c0 in range(0, len(pq), _PIECE):
+            c = slice(c0, c0 + _PIECE)
+            P, Q = p[i[c]], p[j[c]]
+            # q1 = |Q + P/2|, q2 = |P + Q/2| at each angle
+            q = np.empty((2, len(P), self.n_ang))
+            np.multiply(pq[c, None], ang.nodes, out=q[0])
+            q[1] = q[0]
+            q[0] += (Q * Q + 0.25 * P * P)[:, None]
+            q[1] += (P * P + 0.25 * Q * Q)[:, None]
+            np.sqrt(q, out=q)
+            phi = [f(q) for f in self.forms]
+            scale = weight[i[c]] * weight[j[c]]
+            kept = np.clip(count - c0, 0, len(P))
+            for ab, (a, b) in enumerate(np.ndindex(nc, nc)):
+                m = (np.multiply(phi[a][0], phi[b][1]) @ cheb).T
+                m *= W[a, b] * scale
+                for l, k in enumerate(kept):
+                    moments[ab, start[l] + c0 : start[l] + c0 + k] = m[l, :k]
+        self._tables.update(
+            p=p, i=i, j=j, pq=pq, pq2=pq2, count=count, start=start, moments=moments,
+            dimer=dimer_integrals(self.forms, self.q_min),
+        )
 
     @property
     def grid(self):
@@ -476,67 +490,71 @@ class SeparableKernel:
     def slope(self, E: float, v: np.ndarray) -> np.ndarray:
         """dM/dE @ v for a vector or a matrix v.  dM/dE has the exchange
         entries (s H1 + a H0)/s^3 and the diagonal dI_a/dkappa^2.  Each
-        slab's entries are applied to v at once, above the slab's diagonal
-        block and, by symmetry, below it."""
+        chunk's entries are applied to v at once, at (a P, b Q) and, off
+        the diagonal, at (b Q, a P)."""
         return self._assemble(E, v, with_matrix=False)[1]
 
     def matrix_and_slope(self, E: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(M(E), dM/dE @ v) from one Horner sweep, which carries H0 and
+        """(M(E), dM/dE @ v) from one Horner pass, which carries H0 and
         its derivative in rho together."""
         return self._assemble(E, v)
 
     def _assemble(self, E: float, v=None, with_matrix: bool = True):
-        """(M(E) or None, dM/dE @ v or None), one Horner sweep over a few
-        slabs, of at least _CELLS entries, at a time."""
+        """(M(E) or None, dM/dE @ v or None), one Horner pass over _CHUNK
+        momentum pairs at a time."""
         if E > 0:
             raise ValueError("M(E) needs E <= 0")
         self._build()
         t = self._tables
         n, nc = self.n, len(self.forms)
+        N = nc * n
         I, dI = t["dimer"]((0.75 * t["p"] ** 2 - E)[:, None], slope=v is not None)
+        # row and column offsets n a, n b of block (a, b), one per ordered channel pair
+        A, B = n * np.indices((nc, nc)).reshape(2, -1, 1)
         K = slope = None
         if with_matrix:
-            K = np.empty((nc * n, nc * n))
-            block = K.reshape(nc, n, nc, n)  # block[a, :, b] is block (a, b) of K
+            K = np.empty((N, N))
+            flat = K.reshape(-1)
         if v is not None:
-            x = np.reshape(v, (nc, n, -1))
+            x = np.reshape(v, (N, -1))
             y = np.zeros(x.shape)
-        for slabs, moments, pq2, pq in t["chunks"]:
-            apq = pq2 - E  # a = P^2+Q^2-E, b = PQ
+        count, start, moments = t["count"], t["start"], t["moments"]
+        for c0 in range(0, len(t["pq"]), _CHUNK):
+            c = slice(c0, c0 + _CHUNK)
+            apq, pq = t["pq2"][c] - E, t["pq"][c]  # a = P^2+Q^2-E, b = PQ
             s = np.sqrt((apq - pq) * (apq + pq))
             rho = np.negative(pq)
             rho /= apq + s
-            # Horner in rho: h0 = sum_l rho^l m_l and, for the slope, its
-            # derivative d = dh0/drho, one step behind
-            h0 = moments[-1].copy()
+            # Horner in rho over each term's prefix: h0 = sum_l rho^l m_l and,
+            # for the slope, its derivative d = dh0/drho, one step behind
+            h0 = np.zeros((nc * nc, len(pq)))
             d = None if v is None else np.zeros_like(h0)
-            for m in moments[-2::-1]:
+            for l in range(_TERMS - 1, -1, -1):
+                k = min(count[l] - c0, len(pq))
+                if k <= 0:
+                    continue
+                h, r = h0[:, :k], rho[:k]
                 if d is not None:
-                    d *= rho
-                    d += h0
-                h0 *= rho
-                h0 += m
+                    d[:, :k] *= r
+                    d[:, :k] += h
+                h *= r
+                h += moments[:, start[l] + c0 : start[l] + c0 + k]
             h0 /= s  # K's entries H0/s
+            rows, cols = A + t["i"][c], B + t["j"][c]  # entry (a P, b Q) of each pair
+            if K is not None:
+                flat[rows * N + cols] = h0
+                flat[cols * N + rows] = h0
             if d is not None:  # dK/dE = (s rho d + a H0)/s^3
                 d *= rho / s**2
                 d += apq / s**2 * h0
-            for i0, shape, cells in slabs:
-                i1 = i0 + shape[0]
-                if K is not None:
-                    for ab, (a, b) in enumerate(np.ndindex(nc, nc)):
-                        block[a, i0:i1, b, i0:] = h0[ab, cells].reshape(shape)
-                    # below the diagonal, block (a, b) is S_ba^T: row i takes
-                    # its columns j < i from the upper triangle of block (b, a)
-                    below = np.arange(i1) < np.arange(i0, i1)[:, None]
-                    for a, b in np.ndindex(nc, nc):
-                        np.copyto(block[a, i0:i1, b, :i1], block[b, :i1, a, i0:i1].T, where=below)
-                if d is not None:
-                    for ab, (a, b) in enumerate(np.ndindex(nc, nc)):
-                        g = d[ab, cells].reshape(shape)
-                        y[a, i0:i1] += g @ x[b, i0:]
-                        y[b, i1:] += g[:, i1 - i0 :].T @ x[a, i0:i1]
+                # the diagonal's n pairs, first in the order, are applied once
+                below = slice(max(n - c0, 0), None)
+                for column, out in zip(x.T, y.T):
+                    out += np.bincount(rows.ravel(), (d * column[cols]).ravel(), N)
+                    low = d[:, below] * column[rows[:, below]]
+                    out += np.bincount(cols[:, below].ravel(), low.ravel(), N)
         if K is not None:
-            K.flat[:: nc * n + 1] += np.repeat(self.inv_a, n) / (4 * np.pi) - I.ravel()
+            K.flat[:: N + 1] += np.repeat(self.inv_a, n) / (4 * np.pi) - I.ravel()
         if v is not None:
             slope = y.reshape(np.shape(v))
             slope += (dI.ravel() * np.transpose(v)).T

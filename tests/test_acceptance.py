@@ -19,6 +19,7 @@ from efimov.born_oppenheimer import BO_CRITICAL_L1, OMEGA
 from efimov.hyperradial import HyperradialChannel, solve_bound_states
 from efimov.numerics import gauss_legendre_log
 from efimov.stm import (
+    _STEP_GRID,
     SeparableKernel,
     StmKernel,
     TritonModel,
@@ -71,14 +72,15 @@ def narrow_thresholds():
 
 @pytest.fixture(scope="module")
 def separable_classes():
-    def levels(form):
-        return bound_levels(SeparableKernel(form, form.inv_a), (-3.0, -1e-7))
+    # each family on the grid of its `stm --model`: the step has its own
+    def levels(form, grid=()):
+        return bound_levels(SeparableKernel(form, form.inv_a, *grid), (-3.0, -1e-7))
 
     out = {}
     out["power4"] = levels(universal_tail_form_factor(4))
     # the van der Waals profile is the n = 6 tail, in units of l_vdW
     out["vdw"] = out["power6"] = levels(universal_tail_form_factor(6))
-    out["step"] = levels(step_form_factor(1.0))
+    out["step"] = levels(step_form_factor(1.0), _STEP_GRID)
     return out
 
 

@@ -455,6 +455,31 @@ def test_default_solve_counts(monkeypatch, tmp_path, argv, counts, transforms, l
     assert passes == legendre
 
 
+@pytest.mark.parametrize(
+    "argv, pairs, moments, full",
+    [(["stm", "--model", "vdw"], 33930, 365118, 1948), (["triton"], 12880, 139171, 781)],
+    ids=["vdw", "triton"],
+)
+def test_default_kernel_moment_counts(monkeypatch, tmp_path, argv, pairs, moments, full):
+    # (momentum pairs P <= Q, moments kept per ordered channel pair, pairs
+    # keeping all 28 terms) of the kernel a default solve builds: each pair
+    # keeps the terms its |rho| at E = 0 needs, 10.8 on average here, and
+    # the n diagonal pairs, first in the kernel's order, keep 28.  Counts do
+    # not depend on the machine, so a changed count is a changed cut
+    tables, build = {}, SeparableKernel._build
+
+    def recorded(kern):
+        build(kern)
+        tables[id(kern._tables)] = kern._tables
+
+    monkeypatch.setattr(SeparableKernel, "_build", recorded)
+    assert run([*argv, "--output", str(tmp_path / "x.csv")]) == 0
+    (t,) = tables.values()
+    n = len(t["p"])
+    assert (len(t["pq"]), t["moments"].shape[1], t["count"][-1]) == (pairs, moments, full)
+    assert np.array_equal(t["i"][:n], t["j"][:n]) and full >= n
+
+
 def test_triton_defaults_are_the_model_fit_defaults():
     # the triton options of the CLI and of scripts/triton_study.py default
     # to the inputs of TritonModel.fit
