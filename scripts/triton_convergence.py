@@ -12,9 +12,10 @@ rows.  The second solves the ground
 state on each grid of the README table ("Triton ground state"): n momentum
 nodes on a log grid from p_min to p_max (fm^-1) and n_ang angular nodes, at
 the default K, with its relative shift from the same row with n and n_ang
-doubled; and the same for the unitarity levels of
-``solve_triton_unitarity``, whose grid starts at p_min/100 (1e-6 by
-default), with the number of those levels.  The first row is the grid of ``solve_triton``, and every row's
+doubled, printed to 2 significant digits since it lies near rounding; and
+the same for the unitarity levels of ``solve_triton_unitarity``, whose
+grid starts at p_min/100 (1e-6 by default), with the number of those
+levels.  The first row is the grid of ``solve_triton``, and every row's
 kernel comes from the same ``TritonModel.kernel`` call.  The whole run takes
 about 16 s on 2 cores.  At the end it prints its peak resident memory
 (``ru_maxrss``) to stderr: 96 MB on a 2-core Linux host, reached on the
@@ -85,7 +86,7 @@ def main():
         u = unitarity(model, n, n_ang, p_max, 1e-2 * p_min)
         u2 = unitarity(model, 2 * n, 2 * n_ang, p_max, 1e-2 * p_min)
         shift = max(abs(x / y - 1.0) for x, y in zip(u, u2)) if len(u) == len(u2) else math.inf
-        rows.append((n, n_ang, p_max, p_min, b, abs(b / b2 - 1.0), len(u), shift))
+        rows.append((n, n_ang, p_max, p_min, b, f"{abs(b / b2 - 1.0):.1e}", len(u), f"{shift:.1e}"))
     header = ["n", "n_ang", "p_max", "p_min", "binding_MeV", "shift_vs_2x",
               "unitarity_levels", "unitarity_shift_vs_2x"]
     write_csv("-", header, rows)

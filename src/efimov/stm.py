@@ -42,6 +42,7 @@ from .numerics import (
     find_root,
     gauss_legendre,
     gauss_legendre_log,
+    locate_levels,
 )
 from .two_body import (
     FormFactor,
@@ -62,7 +63,6 @@ __all__ = [
     "solve_trimers_narrow_resonance",
     "threshold_scattering_lengths",
     "a_minus_ground",
-    "narrow_resonance_a_star0",
     "TritonModel",
     "TritonResult",
     "solve_triton",
@@ -580,29 +580,19 @@ def threshold_scattering_lengths(
     return list(a_all[np.abs(a_all) * cutoff > 10.0][:n_max])
 
 
-def _threshold_bracket(spectrum, lo: float, hi: float) -> tuple[float, float, int]:
-    """The count bracket (a, b, k) of the one x in (lo, hi) at which a
-    level crosses the top of its window, where ``spectrum(x)`` is the
-    cached eigvalsh of M at that top: the step of its count of negative
-    eigenvalues, at which eigenvalue k crosses zero."""
-    brackets = count_brackets(lambda x: int(np.count_nonzero(spectrum(x) < 0)), lo, hi, 1e-12)
-    if len(brackets) != 1:
-        raise BracketingError(f"{len(brackets)} thresholds in 1/a in ({lo:g}, {hi:g}), need one")
-    return brackets[0]
-
-
 def a_minus_ground(form_family, bracket: tuple[float, float]) -> float:
     """Ground-level dissociation length a_-^(0) for an a-dependent
     form-factor family (callable 1/a -> FormFactor).
 
     The kernel itself depends on a here, so a_- is located in 1/a between
     the two bracket scattering lengths (both < 0; |lo| without state,
-    |hi| with), as the Brent zero, to 1e-12 in 1/a, of the eigenvalue of
-    M(-1e-6; 1/a) whose crossing adds the trimer to the window
-    (-3, -1e-6).  A bracket holding no crossing, or more than one, raises
-    BracketingError.  That tolerance is the accuracy: for the vdW family
-    eigvalsh resolves 1/a_- to about 5e-16 (the eigenvalue's slope in 1/a
-    is 0.085 there, and eigvalsh puts it about 4e-17 off)."""
+    |hi| with) by ``locate_levels``: the step of the count of negative
+    eigenvalues of M(-1e-6; 1/a), at which a trimer enters the window
+    (-3, -1e-6), refined to 1e-12 in 1/a as the Brent zero of the
+    eigenvalue that crosses.  A bracket holding no crossing, or more than
+    one, raises BracketingError.  That tolerance is the accuracy: for the
+    vdW family eigvalsh resolves 1/a_- to about 5e-16 (the eigenvalue's
+    slope in 1/a is 0.085 there, and eigvalsh puts it about 4e-17 off)."""
     lo, hi = bracket
     if not (lo < 0 and hi < 0 and abs(lo) < abs(hi)):
         raise ValueError("bracket must be (a_without, a_with), both negative")
@@ -612,72 +602,13 @@ def a_minus_ground(form_family, bracket: tuple[float, float]) -> float:
         kern = SeparableKernel(form_family(inv_a), inv_a, n=200, n_ang=32)
         return np.linalg.eigvalsh(kern.matrix(-1e-6))
 
-    a, b, k = _threshold_bracket(spectrum, 1.0 / lo, 1.0 / hi)
-    return 1.0 / find_root(lambda x: spectrum(x)[k], a, b, tol=1e-12)
-
-
-def narrow_resonance_a_star0(r_star: float) -> float:
-    """a_*^(0): scattering length where the ground narrow-resonance trimer
-    meets the particle-dimer threshold (a > 0), in units set by R*.
-
-    Located in 1/a over (1.8, 2.6)/R*, as the zero of the eigenvalue
-    lambda_k of M(E_t; 1/a), E_t = (1 + 1e-10) E_dimer(1/a), whose crossing
-    takes the trimer out of the window below E_t: the final bracket is
-    2e-10/R* wide, as eigvalsh resolves the zero only to about 7e-10 in 1/a
-    at R* = 1 (below).  A narrower bracket follows eigvalsh's rounding: at
-    1e-12, one-ulp changes of the Gauss-Legendre weights took 11 to 20
-    eigensolves, and 8 to 11 at 2e-10.  No crossing, or more than one,
-    raises BracketingError.
-
-    On the trimer's side, the lower end of the count bracket, lambda_k
-    falls as a parabola in 1/a whose minimum lies just past the crossing,
-    near the value lambda_k keeps on the dimer-pole modes at the upper end.
-    So each step from the lower end goes to the nearer zero of the parabola
-    through lambda_k with its slope there, 1 + (v . dM/dE v) dE_t/d(1/a)
-    (1/a enters M as 1/a times the identity), and with that minimum.  A
-    step that lands on the trimer's side and is under half the previous
-    one moves the lower end; otherwise Brent's method refines the bracket.
-    At R* = 1 the eigenvalue moves by 4.2e-6 per unit of 1/a there, and
-    eigvalsh puts it about 3e-15 off, so the count itself switches within
-    about 7e-10 of 1/a_*; the bracket picks one of those switches.  With
-    M's rows and columns permuted, eigvalsh moves it by up to 1.3e-8.
-    """
-    if not r_star > 0:
-        raise ValueError("r_star must be positive")
-    cutoff = 100.0 / r_star
-
-    def top(inv_a):  # the kernel, E_t and dE_t/d(1/a), from 1/a = kappa + R* kappa^2
-        kern = StmKernel(inv_a, cutoff, r_star=r_star, n=400, p_min_factor=1e-8)
-        E_d = kern._threshold()
-        kappa = math.sqrt(-E_d)
-        return kern, (1 + _POLE_GAP) * E_d, -(1 + _POLE_GAP) * 2 * kappa / (1 + 2 * r_star * kappa)
-
-    @functools.cache
-    def spectrum(inv_a):
-        kern, E, _ = top(inv_a)
-        return np.linalg.eigvalsh(kern.matrix(E))
-
-    a, b, k = _threshold_bracket(spectrum, 1.8 / r_star, 2.6 / r_star)
-    floor, limit = spectrum(b)[k], math.inf
-    while True:
-        lam = spectrum(a)[k]
-        kern, E, dE = top(a)
-        try:
-            _, dlam_dE = _eigenvector(kern, E, lam)
-        except np.linalg.LinAlgError:
-            break
-        slope = 1.0 + dE * dlam_dE
-        # the zero of lam + slope d + q d^2, q = slope^2/(4 (lam - floor)),
-        # whose minimum is floor
-        step = -2.0 * (lam - floor) * (1.0 - math.sqrt(floor / (floor - lam))) / slope
-        if not (a < a + step < b and abs(step) < limit):
-            break
-        limit = 0.5 * abs(step)
-        if (spectrum(a + step)[k] < 0) != (lam < 0):
-            b = a + step
-            break
-        a += step
-    return 1.0 / find_root(lambda x: spectrum(x)[k], a, b, tol=2e-10 / r_star)
+    roots = locate_levels(
+        lambda x: int(np.count_nonzero(spectrum(x) < 0)), lambda x, k: spectrum(x)[k],
+        1.0 / lo, 1.0 / hi, tol=1e-12,
+    )
+    if len(roots) != 1:
+        raise BracketingError(f"{len(roots)} thresholds in 1/a in ({1 / lo:g}, {1 / hi:g}), need one")
+    return 1.0 / roots[0]
 
 
 # ---------------------------------------------------------------------------

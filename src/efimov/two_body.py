@@ -424,9 +424,7 @@ def _fft_length(n: int) -> int:
 
 
 def _sine_transform(r, delta, p):
-    """p * int delta(r) sin(pr) dr by the trapezoid rule on r, per momentum p
-    and per row of delta.  Each row is summed alone, so its result does not
-    depend on the other rows.
+    """p * int delta(r) sin(pr) dr by the trapezoid rule on r, per momentum p.
 
     A uniform run of N nodes lies on the line r_c + jh, j = -N/2 .. N/2,
     r_c its middle node, but for offsets d_j of a few ulp.  To first order
@@ -447,9 +445,9 @@ def _sine_transform(r, delta, p):
     the sum by 1e-11.  Runs under 64 nodes are summed directly.
     """
     dr = np.diff(r)
-    f = np.atleast_2d(delta) * np.convolve(dr, [0.5, 0.5])
+    f = delta * np.convolve(dr, [0.5, 0.5])
     cuts = np.flatnonzero(np.abs(np.diff(dr)) > 8 * np.finfo(float).eps * np.abs(r[2:])) + 2
-    out = np.zeros((len(f), p.size))
+    out = np.zeros(p.size)
     short = []
     offsets = np.arange(1 - _HALF_WIDTH, _HALF_WIDTH + 1)
     for s, e in zip(np.r_[0, cuts], np.r_[cuts, r.size]):
@@ -485,30 +483,26 @@ def _sine_transform(r, delta, p):
         sin_c, cos_c = np.sin(c_hi), np.cos(c_hi)
         sin_c, cos_c = sin_c + cos_c * c_lo, cos_c - sin_c * c_lo
         buf, spec = np.zeros(m), np.empty(m // 2 + 1, dtype=complex)
-        for row, fr in zip(out, f):
-            c = fr[s:e] * deconvolve
-            g = []
-            for cd in (c, c * d):  # G_0, then G_1
-                buf[: n - half], buf[m - half :] = cd[half:], cd[:half]
-                gl, gu = np.einsum("kl,bkl->bk", np.fft.rfft(buf, out=spec).take(grid), kernels)
-                g.append(gl.conj() + gu)
-            row += sin_c * g[0].real + cos_c * g[0].imag
-            row += p * (cos_c * g[1].real - sin_c * g[1].imag)
+        c = f[s:e] * deconvolve
+        g = []
+        for cd in (c, c * d):  # G_0, then G_1
+            buf[: n - half], buf[m - half :] = cd[half:], cd[:half]
+            gl, gu = np.einsum("kl,bkl->bk", np.fft.rfft(buf, out=spec).take(grid), kernels)
+            g.append(gl.conj() + gu)
+        out += sin_c * g[0].real + cos_c * g[0].imag
+        out += p * (cos_c * g[1].real - sin_c * g[1].imag)
     if short:
         k = np.concatenate(short)
-        sines = np.sin(np.multiply.outer(r[k], p))
-        for row, fr in zip(out, f):
-            row += fr[k] @ sines
-    return (p * out).reshape(np.shape(delta)[:-1] + p.shape)
+        out += f[k] @ np.sin(np.multiply.outer(r[k], p))
+    return p * out
 
 
 _FORM_KNOTS = 3200  # est_form_factor's knots: spline error 1.3e-11 on the triton wells
 
 
 def _geom_spline(p_tab, y):
-    """Not-a-knot cubic spline through (0, y[..., 0]) and (p_tab, y[..., 1:])
-    on geometric knots p_tab; returns p -> the spline at min(p, p_tab[-1]),
-    of shape y.shape[:-1] + p.shape.
+    """Not-a-knot cubic spline through (0, y[0]) and (p_tab, y[1:]) on
+    geometric knots p_tab; returns p -> the spline at min(p, p_tab[-1]).
 
     The knot slopes solve scipy CubicSpline's tridiagonal system by
     elimination without pivoting (Thomas), in the order of LAPACK's gtsv.
@@ -522,10 +516,10 @@ def _geom_spline(p_tab, y):
     slope = np.diff(y) / dx
     d, e = x[2] - x[0], x[-1] - x[-3]
     rhs = np.concatenate([
-        ((dx[0] + 2 * d) * dx[1] * slope[..., :1] + dx[0] ** 2 * slope[..., 1:2]) / d,
-        3 * (dx[1:] * slope[..., :-1] + dx[:-1] * slope[..., 1:]),
-        (dx[-1] ** 2 * slope[..., -2:-1] + (2 * e + dx[-1]) * dx[-2] * slope[..., -1:]) / e,
-    ], axis=-1)
+        ((dx[0] + 2 * d) * dx[1] * slope[:1] + dx[0] ** 2 * slope[1:2]) / d,
+        3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+        (dx[-1] ** 2 * slope[-2:-1] + (2 * e + dx[-1]) * dx[-2] * slope[-1:]) / e,
+    ])
     lower = np.r_[dx[1:], e].tolist()  # row i + 1, column i
     diag = np.r_[dx[1], 2 * (dx[:-1] + dx[1:]), dx[-2]].tolist()
     upper = np.r_[d, dx[:-1]].tolist()  # row i, column i + 1
@@ -533,21 +527,17 @@ def _geom_spline(p_tab, y):
     for i in range(len(lower)):
         fact.append(lower[i] / diag[i])
         diag[i + 1] -= fact[i] * upper[i]
-    knot_slopes = []
-    for b in np.atleast_2d(rhs).tolist():
-        for i, f in enumerate(fact):
-            b[i + 1] -= f * b[i]
-        b[-1] /= diag[-1]
-        for i in range(len(b) - 2, -1, -1):
-            b[i] = (b[i] - upper[i] * b[i + 1]) / diag[i]
-        knot_slopes.append(b)
-    sl = np.reshape(knot_slopes, np.shape(y))
-    t = (sl[..., :-1] + sl[..., 1:] - 2 * slope) / dx
-    coef = [t / dx, (slope - sl[..., :-1]) / dx - t, sl[..., :-1], np.asarray(y)[..., :-1]]
-    # the last interval once more, for p = p_tab[-1] whose index rounds up;
-    # one list of the four coefficient rows per row of y
-    coef = [np.concatenate([c, c[..., -1:]], axis=-1).reshape(-1, x.size) for c in coef]
-    rows = list(zip(*coef))
+    b = rhs.tolist()
+    for i, f in enumerate(fact):
+        b[i + 1] -= f * b[i]
+    b[-1] /= diag[-1]
+    for i in range(len(b) - 2, -1, -1):
+        b[i] = (b[i] - upper[i] * b[i + 1]) / diag[i]
+    sl = np.array(b)
+    t = (sl[:-1] + sl[1:] - 2 * slope) / dx
+    coef = [t / dx, (slope - sl[:-1]) / dx - t, sl[:-1], y[:-1]]
+    # the last interval once more, for p = p_tab[-1] whose index rounds up
+    c0, c1, c2, c3 = (np.concatenate([c, c[-1:]]) for c in coef)
     base = np.r_[x[:-1], x[-2]]
     top, inv_log_ratio = x[-1], (len(p_tab) - 1) / math.log(x[-1] / x[1])
     shift = 1.0 - math.log(x[1]) * inv_log_ratio
@@ -555,7 +545,7 @@ def _geom_spline(p_tab, y):
 
     def spline(p):
         flat = np.reshape(p, -1)
-        out = np.empty((len(rows), flat.size))
+        out = np.empty(flat.size)
         n = min(max(flat.size, 1), _CHUNK)
         s, u, k = np.empty(n), np.empty(n), np.empty(n, dtype=np.intp)
         for a in range(0, flat.size, n):
@@ -568,14 +558,13 @@ def _geom_spline(p_tab, y):
             um += shift
             km[...] = um  # truncation is the floor: um >= 0.5
             sm -= base.take(km, out=um, mode="clip")  # every index is in range
-            for row, c in zip(out, rows):
-                o = c[0].take(km, out=row[a : a + m], mode="clip")
+            o = c0.take(km, out=out[a : a + m], mode="clip")
+            o *= sm
+            for cj in (c1, c2):
+                o += cj.take(km, out=um, mode="clip")
                 o *= sm
-                for cj in c[1:3]:
-                    o += cj.take(km, out=um, mode="clip")
-                    o *= sm
-                o += c[3].take(km, out=um, mode="clip")
-        return out.reshape(np.shape(y)[:-1] + np.shape(p))
+            o += c3.take(km, out=um, mode="clip")
+        return out.reshape(np.shape(p))
 
     return spline
 
@@ -592,7 +581,8 @@ def est_form_factor(state: ZeroEnergyState, p_max: float = 60.0) -> FormFactor:
     r = state.r
     delta = (1.0 - r * state.inv_a) - state.phi
     q_top = 2.2 * p_max
-    # resolve the sine oscillation: need enough r samples per period at q_top
+    # resolve the sine oscillation: need enough r samples per period at q_top.
+    # The wide triplet well of `triton --r-et 2.5` (r step 0.0077 fm) needs it
     if (r[1] - r[0]) * q_top > 0.5:
         rg = np.arange(r[0], r[-1], 0.4 / q_top)
         delta = np.interp(rg, r, delta)

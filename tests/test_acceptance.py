@@ -25,7 +25,6 @@ from efimov.stm import (
     TritonModel,
     a_minus_ground,
     bound_levels,
-    narrow_resonance_a_star0,
     solve_triton,
     solve_triton_unitarity,
     solve_trimers_narrow_resonance,
@@ -173,7 +172,25 @@ def test_criterion_04c_ground_dissociation_length(narrow_thresholds):
 
 
 def test_criterion_04d_ground_dimer_crossing():
-    assert narrow_resonance_a_star0(1.0) == pytest.approx(0.458398, rel=2e-2)
+    # a_*^(0) R*, where the ground narrow-resonance trimer meets the
+    # particle-dimer threshold: the count of negative eigenvalues of M just
+    # below the dimer pole steps as the trimer leaves, so 1/a R* is bisected
+    # on it over (1.8, 2.6) to a bracket 1e-4 wide, whose trimer end is read
+    def count(inv_a):
+        kern = StmKernel(inv_a, 100.0, r_star=1.0, n=400, p_min_factor=1e-8)
+        m = kern.matrix((1 + 1e-10) * kern._threshold())
+        return int(np.count_nonzero(np.linalg.eigvalsh(m) < 0))
+
+    lo, hi = 1.8, 2.6
+    with_trimer = count(lo)
+    assert count(hi) == with_trimer + 1
+    while hi - lo > 1e-4:
+        mid = 0.5 * (lo + hi)
+        if count(mid) == with_trimer:
+            lo = mid
+        else:
+            hi = mid
+    assert 1.0 / lo == pytest.approx(0.458398, rel=2e-2)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Every name a library module exports in ``__all__``, and every public
 method, property and dataclass field of an exported class, must be used
 somewhere other than its own definition: by the library (the CLI
-included), by a script, or by an acceptance criterion.  A helper that only
-its own unit test calls is dead weight.  No library module may import a
+included), by a script, or by the benchmark.  A helper that only tests
+call is dead weight; ``TEST_ONLY`` lists the few kept until a ROADMAP item
+settles them.  No library module may import a
 name it does not use.  Every defaulted parameter or dataclass field of the
 public API must be set by some call: one that nothing sets is a constant.
 
@@ -13,6 +14,7 @@ the CLI run without it: importing scipy costs more than most solves.
 """
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +23,15 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "efimov").glob("*.py"))
-USERS = LIBRARY + sorted((ROOT / "scripts").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+USERS = LIBRARY + sorted(
+    path for top in ("scripts", "bench") for path in (ROOT / top).glob("*.py")
+    if not path.name.startswith("test_")
+)
+# exports that only tests use, each kept until the ROADMAP item named settles it
+TEST_ONLY = {
+    "stm.a_minus_ground": "item 15",
+    "hyperradial.BoundStateSet.node_counts": "item 14",
+}
 CALLERS = sorted(
     path for top in ("src", "scripts", "tests", "bench") for path in (ROOT / top).rglob("*.py")
 )
@@ -99,7 +109,20 @@ def test_every_export_is_used():
             for cls, name in _members(tree, exported)
             if name not in attributes
         ]
-    assert not dead, f"exported but used by no library module, script or acceptance test: {dead}"
+    stale = sorted(set(TEST_ONLY) - set(dead))
+    assert not stale, f"used now, so no longer TEST_ONLY: {stale}"
+    dead = [name for name in dead if name not in TEST_ONLY]
+    assert not dead, f"exported but used by no library module, script or bench: {dead}"
+
+
+def test_test_only_exports_are_roadmap_items():
+    # each TEST_ONLY export is named in the ROADMAP item that settles it
+    roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    items = dict(re.findall(r"(?ms)^(\d+)\. \*\*(.*?)(?=^\d+\. \*\*|\Z)", roadmap))
+    for export, item in TEST_ONLY.items():
+        number = item.removeprefix("item ")
+        assert number in items, f"{export}: ROADMAP has no {item}"
+        assert export.rsplit(".", 1)[-1] in items[number], f"{export}: not named in ROADMAP {item}"
 
 
 @pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.stem)

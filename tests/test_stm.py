@@ -20,7 +20,6 @@ from efimov.stm import (
     _TRITON_GRID,
     a_minus_ground,
     bound_levels,
-    narrow_resonance_a_star0,
     solve_triton,
     solve_triton_unitarity,
     solve_trimers_narrow_resonance,
@@ -459,20 +458,41 @@ def test_a_minus_ground_is_where_the_level_count_switches(eigvalsh_calls):
     assert counts == [0, 1]
 
 
-def test_a_star0_is_where_the_level_count_switches(eigvalsh_calls):
-    # the trimer leaves the window below the dimer pole as 1/a > 0 rises
-    # through 1/a_*
-    inv_a_star = 1.0 / narrow_resonance_a_star0(1.0)
-    assert len(eigvalsh_calls) <= 13
+def test_a_minus_ground_takes_six_eigensolves(eigvalsh_calls):
+    # locate_levels counts at the bracket's two ends and bisects once on the
+    # count; Brent's zero of the crossing eigenvalue reuses the cached spectra
+    # and adds three; a_-^(0) R_vdW = -10.84 (criterion 05b)
+    assert a_minus_ground(_vdw_family, (-10.0, -11.7)) == pytest.approx(-10.842758695393515, rel=1e-12)
+    assert len(eigvalsh_calls) <= 6
+
+
+def test_a_star0_is_where_the_level_count_switches():
+    # criterion 04d bisects 1/a R* > 0 on the count of negative eigenvalues
+    # of M just below the dimer pole; the level that count loses at the
+    # bracket's end is the trimer leaving the window (1e4 E_d, E_d)
+    def kernel(x):
+        return StmKernel(x, 100.0, r_star=1.0, n=400, p_min_factor=1e-8)
+
+    def pole_count(x):
+        kern = kernel(x)
+        return int(np.count_nonzero(np.linalg.eigvalsh(kern.matrix((1 + 1e-10) * kern._threshold())) < 0))
+
+    lo, hi = 1.8, 2.6
+    with_trimer = pole_count(lo)
+    while hi - lo > 1e-4:
+        mid = 0.5 * (lo + hi)
+        if pole_count(mid) == with_trimer:
+            lo = mid
+        else:
+            hi = mid
     counts = []
-    for x in (inv_a_star * (1 - 1e-9), inv_a_star * (1 + 1e-9)):
-        kern = StmKernel(x, 100.0, r_star=1.0, n=400, p_min_factor=1e-8)
-        Ed = kern._threshold()
-        counts.append(_window_count(kern, 1e4 * Ed, (1 + 1e-10) * Ed))
+    for x in (lo, hi):
+        Ed = kernel(x)._threshold()
+        counts.append(_window_count(kernel(x), 1e4 * Ed, (1 + 1e-10) * Ed))
     assert counts == [1, 0]
 
 
-def test_threshold_bracket_must_hold_one_crossing():
+def test_a_minus_ground_bracket_must_hold_one_crossing():
     # a_-^(0) of the vdw family is -10.84: (-10.0, -10.5) holds no crossing
     with pytest.raises(BracketingError):
         a_minus_ground(_vdw_family, (-10.0, -10.5))

@@ -272,15 +272,16 @@ def test_tail_profile_at_unitarity_builds_no_admixture(monkeypatch):
 
 
 def test_tail_profile_is_the_two_row_transform():
-    # T_0 and T_1 in one two-row sine transform and one two-row spline
+    # 1 - T_0 + (1/a) T_1, from the sine transform and spline of each deficit
     r, inner, _ = two_body._tail_grid(6)
     d0 = 1.0 - universal_tail_wavefunction(6, r)
     d1 = r - math.gamma(0.75) * np.sqrt(r) * _bessel_j(-0.25, 2.0 * r ** (-4.0 / 2.0))
     d0[inner], d1[inner] = 1.0, r[inner]
-    rows = _sine_transform(r, np.array([d0, d1]), two_body._P_TAB)
-    both = two_body._geom_spline(two_body._P_TAB, np.pad(rows, ((0, 0), (1, 0))))
     p = np.concatenate([[0.0], np.geomspace(1e-6, 400.0, 3000)])
-    t0, t1 = both(p)
+    t0, t1 = (
+        two_body._geom_spline(two_body._P_TAB, np.r_[0.0, _sine_transform(r, d, two_body._P_TAB)])(p)
+        for d in (d0, d1)
+    )
     for inv_a in (0.0, 0.3, -1.0 / 10.84):
         ref = 1.0 - t0 + inv_a * t1
         assert universal_tail_form_factor(6, inv_a)(p) == pytest.approx(ref, rel=0, abs=1e-15)
@@ -288,7 +289,7 @@ def test_tail_profile_is_the_two_row_transform():
 
 @pytest.mark.parametrize("layout", ["vdw", "est", "jittered"])
 def test_sine_transform_matches_direct_trapezoid(layout):
-    if layout == "vdw":  # two uniform runs, both profiles in one pass
+    if layout == "vdw":  # two uniform runs, and two profiles on them
         r = np.concatenate([np.arange(1e-6, 0.3, 2e-5), np.arange(0.3, 80.0, 8e-4)])
         delta = np.array([np.exp(-r) * np.cos(3.0 * r), r * np.exp(-0.5 * r)])
     elif layout == "est":  # one linspace, as a zero-energy state samples it
@@ -298,14 +299,15 @@ def test_sine_transform_matches_direct_trapezoid(layout):
         r = np.linspace(0.01, 30.0, 2000) + 1e-7 * np.sin(7.0 * np.arange(2000))
         delta = np.exp(-r)
     p = np.array([1e-4, 0.3, 4.7, 31.0, 100.0, 176.0])
-    got = _sine_transform(r, delta, p)
-    assert got.shape == delta.shape[:-1] + p.shape
+    rows = np.atleast_2d(delta)
+    got = [_sine_transform(r, d, p) for d in rows]
+    assert all(row.shape == p.shape for row in got)
     # the trapezoid sum at the largest p in 40 digits, from the same float
     # nodes and weights
     q = mpmath.mpf(float(p[-1]))
     with mpmath.workdps(40):
         sines = [mpmath.sin(q * mpmath.mpf(float(x))) for x in r]
-    for row, d in zip(np.atleast_2d(got), np.atleast_2d(delta)):
+    for row, d in zip(got, rows):
         direct = [q * np.trapezoid(d * np.sin(q * r), r) for q in p]
         assert row == pytest.approx(direct, rel=0, abs=1e-12)
         w = np.convolve(np.diff(r), [0.5, 0.5]) * d
@@ -358,18 +360,6 @@ def test_sine_transform_at_p_zero_is_zero():
     assert np.all(_sine_transform(r, np.ones_like(r), np.zeros(3)) == 0.0)
 
 
-def test_sine_transform_rows_are_independent():
-    # a two-row call equals two one-row calls bit for bit, so the tail
-    # profiles built one row at a time are the rows of one two-row call
-    r, inner, _ = two_body._tail_grid(6)
-    d0 = 1.0 - universal_tail_wavefunction(6, r)
-    d0[inner] = 1.0
-    d1 = np.exp(-r) * r
-    both = _sine_transform(r, np.array([d0, d1]), two_body._P_TAB)
-    assert np.array_equal(both[0], _sine_transform(r, d0, two_body._P_TAB))
-    assert np.array_equal(both[1], _sine_transform(r, d1, two_body._P_TAB))
-
-
 def test_sine_integral_tail_matches_scipy_and_mpmath():
     # pi/2 - Si(x) at every x = p r_end of the n = 4 admixture's far tail,
     # and across the switch from the power series to the continued fraction
@@ -395,7 +385,7 @@ def _built_tables(monkeypatch):
     tables = []
 
     def record(p_tab, y):
-        tables.append((p_tab, np.atleast_2d(y)))
+        tables.append((p_tab, y))
         return spline(p_tab, y)
 
     spline = two_body._geom_spline
@@ -403,7 +393,7 @@ def _built_tables(monkeypatch):
     t0 = two_body._tail_unitarity.__wrapped__(6)  # bypass the caches
     t1 = two_body._tail_admixture.__wrapped__(6)
     est = est_form_factor(solve_zero_energy(_pt(1.3)), p_max=40.0)
-    return [(table, lambda p, f=f: f(p)[None]) for table, f in zip(tables, (t0, t1, est))]
+    return list(zip(tables, (t0, t1, est)))
 
 
 def test_spline_matches_scipy_cubic_spline(monkeypatch):
@@ -416,9 +406,9 @@ def test_spline_matches_scipy_cubic_spline(monkeypatch):
             np.geomspace(1e-6, p_tab[-1], 5000),
             [p_tab[-1], 1.5 * p_tab[-1], 1e9],  # the clamp
         ])
-        ref = [CubicSpline(knots, row)(np.minimum(p, p_tab[-1])) for row in y]
-        assert evaluate(p) == pytest.approx(np.array(ref), rel=0, abs=1e-15)
-        assert evaluate(np.array(0.0)) == pytest.approx(y[:, 0], rel=0, abs=0)
+        ref = CubicSpline(knots, y)(np.minimum(p, p_tab[-1]))
+        assert evaluate(p) == pytest.approx(ref, rel=0, abs=1e-15)
+        assert evaluate(np.array(0.0)) == pytest.approx(y[0], rel=0, abs=0)
 
 
 def test_simpson_is_scipy_simpson_bit_for_bit():
