@@ -18,7 +18,7 @@ grid starts at p_min/100 (1e-6 by default), with the number of those
 levels.  The first row is the grid of ``solve_triton``, and every row's
 kernel comes from the same ``TritonModel.kernel`` call.  The whole run takes
 about 16 s on 2 cores.  At the end it prints its peak resident memory
-(``ru_maxrss``) to stderr: 96 MB on a 2-core Linux host, reached on the
+(``ru_maxrss``) to stderr: 94 MB on a 2-core Linux host, reached on the
 doubled grid (400, 64) of the first (200, 32) row.
 """
 import math

@@ -44,6 +44,7 @@ from .numerics import (
     gauss_legendre_log,
     locate_levels,
 )
+from .two_body import _CHUNK as _FORM_POINTS
 from .two_body import (
     FormFactor,
     TwoBodyModel,
@@ -274,8 +275,8 @@ class StmKernel:
         return self._assemble(E)[0]
 
     def slope(self, E: float, v: np.ndarray) -> np.ndarray:
-        """dM/dE @ v for a vector or a matrix v, without forming dM/dE: its
-        exchange is (2/pi) sqrt(w_P w_Q) (1/den - 1/num), its diagonal
+        """dM/dE @ v for a vector v, without forming dM/dE: its exchange
+        is (2/pi) sqrt(w_P w_Q) (1/den - 1/num), its diagonal
         R* + 1/(2 sqrt((3/4)P^2 - E))."""
         return self._assemble(E, v, with_matrix=False)[1]
 
@@ -294,7 +295,7 @@ class StmKernel:
         p2, sw = p * p, np.sqrt(wp)
         kap = np.sqrt(0.75 * p2 - E)
         K = np.empty((self.n, self.n)) if with_matrix else None
-        slope = None if v is None else np.empty(np.shape(v))
+        slope = None if v is None else np.empty(self.n)
         buf = np.empty((3, min(_ROWS, self.n), self.n))
         for r0 in range(0, self.n, _ROWS):
             rows = slice(r0, r0 + _ROWS)
@@ -319,7 +320,7 @@ class StmKernel:
         if K is not None:
             K.flat[:: self.n + 1] += self.inv_a + self.r_star * (E - 0.75 * p2) - kap
         if v is not None:
-            slope += ((self.r_star + 0.5 / kap) * np.transpose(v)).T
+            slope += (self.r_star + 0.5 / kap) * v
         return K, slope
 
 
@@ -354,9 +355,10 @@ _RECOUPLING = {1: np.array([[1.0]]), 2: np.array([[0.25, 0.75], [0.75, 0.25]])}
 # pair keeps: for E <= 0, b/a <= 1/2, so its ratio |rho| <= 2 - sqrt(3), and
 # (2 - sqrt(3))^28 < 2^-53
 _TERMS = 28
-# momentum pairs per piece of the moment build, which holds phi at n_ang angles
-# for each, and per chunk of a pass, which holds a few values for each; a pass
-# in 2048-pair chunks took 1.5 times as long (triton grid, 2-core Xeon)
+# momentum pairs per piece of the moment build, which holds phi(q1) phi(q2) at
+# n_ang angles for each, and per chunk of a pass, which holds a few values for
+# each; a pass in 2048-pair chunks took 1.5 times as long (triton grid, 2-core
+# Xeon)
 _PIECE = 2048
 _CHUNK = 8192
 
@@ -400,6 +402,13 @@ class SeparableKernel:
     from l = 27 down over each term's prefix, in chunks of _CHUNK pairs: a
     pair whose top term is l starts from 0 rho + m_l = m_l.  It scatters
     each chunk into the entries (a P, b Q) of M and, transposed, (b Q, a P).
+
+    The moments are built in pieces of _PIECE pairs, each one matrix product
+    of the piece's phi_a(q1) phi_b(q2), per channel pair, with the columns
+    w_k eps_l T_l(c_k).  Those products fill one reused (nc^2, _PIECE, n_ang)
+    array, sub-block by sub-block: q1, q2 and each phi are evaluated on
+    about _FORM_POINTS points at a time, one pass of the profile spline, so
+    the build forms no array of a piece's q or phi.
     """
 
     form: FormFactor | tuple
@@ -430,8 +439,14 @@ class SeparableKernel:
         rule = self.grid
         p, nc = rule.nodes, len(self.forms)
         ang = gauss_legendre(self.n_ang, -1.0, 1.0)
-        # (n_ang, _TERMS) columns w_k eps_l T_l(c_k)
-        cheb = np.polynomial.chebyshev.chebvander(ang.nodes, _TERMS - 1)
+        # (n_ang, _TERMS) columns w_k eps_l T_l(c_k), the transpose of rows
+        # filled by the recurrence T_l(c) = 2c T_{l-1}(c) - T_{l-2}(c)
+        nodes, cheb = ang.nodes, np.empty((_TERMS, self.n_ang))
+        cheb[0], cheb[1] = 1.0, nodes
+        for l in range(2, _TERMS):
+            np.multiply(cheb[l - 1], 2 * nodes, out=cheb[l])
+            cheb[l] -= cheb[l - 2]
+        cheb = cheb.T
         cheb[:, 1:] *= 2.0
         cheb *= ang.weights[:, None]
         weight = p * np.sqrt(rule.weights / (2 * np.pi**2))
@@ -448,21 +463,29 @@ class SeparableKernel:
         count = np.searchsorted(-terms, -np.arange(_TERMS))
         start = np.concatenate(([0], np.cumsum(count)))
         moments = np.empty((nc * nc, start[-1]))
+        # phi(q1) phi(q2) of each channel pair over a piece, filled by sub-blocks
+        prod = np.empty((nc * nc, min(_PIECE, len(pq)), self.n_ang))
+        sub = max(_FORM_POINTS // (2 * self.n_ang), 1)
         for c0 in range(0, len(pq), _PIECE):
             c = slice(c0, c0 + _PIECE)
-            P, Q = p[i[c]], p[j[c]]
-            # q1 = |Q + P/2|, q2 = |P + Q/2| at each angle
-            q = np.empty((2, len(P), self.n_ang))
-            np.multiply(pq[c, None], ang.nodes, out=q[0])
-            q[1] = q[0]
-            q[0] += (Q * Q + 0.25 * P * P)[:, None]
-            q[1] += (P * P + 0.25 * Q * Q)[:, None]
-            np.sqrt(q, out=q)
-            phi = [f(q) for f in self.forms]
+            size = min(_PIECE, len(pq) - c0)
+            for s0 in range(0, size, sub):
+                s = slice(c0 + s0, c0 + min(s0 + sub, size))
+                P, Q = p[i[s]], p[j[s]]
+                # q1 = |Q + P/2|, q2 = |P + Q/2| at each angle
+                q = np.empty((2, len(P), self.n_ang))
+                np.multiply(pq[s, None], nodes, out=q[0])
+                q[1] = q[0]
+                q[0] += (Q * Q + 0.25 * P * P)[:, None]
+                q[1] += (P * P + 0.25 * Q * Q)[:, None]
+                np.sqrt(q, out=q)
+                phi = [f(q) for f in self.forms]
+                for ab, (a, b) in enumerate(np.ndindex(nc, nc)):
+                    np.multiply(phi[a][0], phi[b][1], out=prod[ab, s0 : s0 + len(P)])
             scale = weight[i[c]] * weight[j[c]]
-            kept = np.clip(count - c0, 0, len(P))
+            kept = np.clip(count - c0, 0, size)
             for ab, (a, b) in enumerate(np.ndindex(nc, nc)):
-                m = (np.multiply(phi[a][0], phi[b][1]) @ cheb).T
+                m = (prod[ab, :size] @ cheb).T
                 m *= W[a, b] * scale
                 for l, k in enumerate(kept):
                     moments[ab, start[l] + c0 : start[l] + c0 + k] = m[l, :k]
@@ -488,10 +511,10 @@ class SeparableKernel:
         return self._assemble(E)[0]
 
     def slope(self, E: float, v: np.ndarray) -> np.ndarray:
-        """dM/dE @ v for a vector or a matrix v.  dM/dE has the exchange
-        entries (s H1 + a H0)/s^3 and the diagonal dI_a/dkappa^2.  Each
-        chunk's entries are applied to v at once, at (a P, b Q) and, off
-        the diagonal, at (b Q, a P)."""
+        """dM/dE @ v for a vector v.  dM/dE has the exchange entries
+        (s H1 + a H0)/s^3 and the diagonal dI_a/dkappa^2.  Each chunk's
+        entries are applied to v at once, at (a P, b Q) and, off the
+        diagonal, at (b Q, a P)."""
         return self._assemble(E, v, with_matrix=False)[1]
 
     def matrix_and_slope(self, E: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -516,8 +539,7 @@ class SeparableKernel:
             K = np.empty((N, N))
             flat = K.reshape(-1)
         if v is not None:
-            x = np.reshape(v, (N, -1))
-            y = np.zeros(x.shape)
+            slope = np.zeros(N)
         count, start, moments = t["count"], t["start"], t["moments"]
         for c0 in range(0, len(t["pq"]), _CHUNK):
             c = slice(c0, c0 + _CHUNK)
@@ -549,15 +571,13 @@ class SeparableKernel:
                 d += apq / s**2 * h0
                 # the diagonal's n pairs, first in the order, are applied once
                 below = slice(max(n - c0, 0), None)
-                for column, out in zip(x.T, y.T):
-                    out += np.bincount(rows.ravel(), (d * column[cols]).ravel(), N)
-                    low = d[:, below] * column[rows[:, below]]
-                    out += np.bincount(cols[:, below].ravel(), low.ravel(), N)
+                slope += np.bincount(rows.ravel(), (d * v[cols]).ravel(), N)
+                low = d[:, below] * v[rows[:, below]]
+                slope += np.bincount(cols[:, below].ravel(), low.ravel(), N)
         if K is not None:
             K.flat[:: N + 1] += np.repeat(self.inv_a, n) / (4 * np.pi) - I.ravel()
         if v is not None:
-            slope = y.reshape(np.shape(v))
-            slope += (dI.ravel() * np.transpose(v)).T
+            slope += dI.ravel() * v
         return K, slope
 
 

@@ -208,22 +208,29 @@ def _bessel_j(nu: float, z):
     (z/2)^nu = sum_k (nu + 2k) Gamma(nu + k)/k! J_{nu+2k}(z); for z >= 25
     Hankel's expansion, summed until its terms fall below 1e-17, long
     before its smallest term (at k ~ 2z, of size ~ e^{-2z}).
+
+    The series runs over blocks of _CHUNK nodes of z, each until its own
+    terms fall below 1e-19, so a block of small z stops after a few terms
+    and the series' temporaries are a block in size.
     """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
+    out = np.empty(z.shape)  # C order: its flat view below is not a copy
     low, high = z <= 5.0, z >= 25.0
     mid = ~(low | high)
 
-    x = z[low]  # power series
-    q = -0.25 * x * x
-    term = np.full_like(x, 1.0 / math.gamma(nu + 1.0))
-    total, ratio = term.copy(), np.empty_like(x)
-    k = 0
-    while np.max(np.abs(term), initial=0.0) > 1e-19:
-        k += 1
-        term *= np.divide(q, k * (nu + k), out=ratio)
-        total += term
-    out[low] = total * (0.5 * x) ** nu
+    z_flat, low_flat, out_flat = z.reshape(-1), low.reshape(-1), out.reshape(-1)
+    for a in range(0, z_flat.size, _CHUNK):  # power series
+        block = slice(a, a + _CHUNK)
+        x = z_flat[block][low_flat[block]]
+        q = -0.25 * x * x
+        term = np.full_like(x, 1.0 / math.gamma(nu + 1.0))
+        total, ratio = term.copy(), np.empty_like(x)
+        k = 0
+        while np.max(np.abs(term), initial=0.0) > 1e-19:
+            k += 1
+            term *= np.divide(q, k * (nu + k), out=ratio)
+            total += term
+        out_flat[block][low_flat[block]] = total * (0.5 * x) ** nu
 
     x = z[mid]  # Miller
     top = 60
@@ -385,27 +392,32 @@ def _two_product(a, b):
     return hi, ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2
 
 
-def _run_offsets(x, half):
-    """(h, d): the step h = (x_end - x_0)/(N - 1) of a uniform run and the
-    offsets d_j = x_j - x_half - (j - half) h of its nodes from that line,
-    exact but for one rounding: x_j - x_half by Knuth's two-sum, and
-    (j - half) h by Dekker's product, which splits h alone: j - half,
-    below 2^26 for any run that fits in memory, times either half of h is
-    exact.  It runs in blocks of _CHUNK nodes through a few buffers."""
-    h = (x[-1] - x[0]) / (x.size - 1)
+def _times_run_offsets(c, x, half, h):
+    """Multiplies c, in place, by the offsets d_j = x_j - x_half - (j - half) h
+    of a uniform run's nodes x_j from the line of step
+    h = (x_end - x_0)/(N - 1) through x_half.  Each d_j is exact but for one
+    rounding: x_j - x_half by Knuth's two-sum, and (j - half) h by Dekker's
+    product, which splits h alone: j - half, below 2^26 for any run that
+    fits in memory, times either half of h is exact.  It runs in blocks of
+    _CHUNK nodes through five buffers, each operation in place, so no offset
+    array of the run's size is formed."""
     h1 = _SPLIT * h - (_SPLIT * h - h)
     h2, center = h - h1, x[half]
-    d = np.empty_like(x)
     for a in range(0, x.size, _CHUNK):
         xs = x[a : a + _CHUNK]
         j = np.arange(a - half, a - half + xs.size, dtype=float)
         hi = j * h
-        lo = j * h1 - hi + j * h2  # hi + lo = j h
+        lo = j * h1
+        lo -= hi
+        lo += np.multiply(j, h2, out=j)  # hi + lo = j h; j is spent
         diff = xs - center
         back = diff - xs
-        err = (xs - (diff - back)) - (center + back)  # diff + err = x_j - x_half
-        d[a : a + xs.size] = (diff - hi) + (err - lo)
-    return h, d
+        err = np.subtract(xs, np.subtract(diff, back, out=j), out=j)
+        err -= np.add(center, back, out=back)  # diff + err = x_j - x_half
+        diff -= hi
+        err -= lo
+        diff += err  # d_j = (diff - hi) + (err - lo)
+        c[a : a + xs.size] *= diff
 
 
 def _fft_length(n: int) -> int:
@@ -443,10 +455,22 @@ def _sine_transform(r, delta, p):
     would shift a run's phases coherently, by up to p r ulp(1), and near
     an alias w = 2 pi k, where the run's terms stop oscillating, that moved
     the sum by 1e-11.  Runs under 64 nodes are summed directly.
+
+    Beside r, delta and the weighted profile f, a run holds one coefficient
+    array, the FFT's buffer and its spectrum: the deconvolution, times f in
+    place for G_0, then times the offsets d, block by block, for G_1.  The
+    step test that cuts r into runs works in place, and r's steps are freed
+    once f is formed.
     """
     dr = np.diff(r)
-    f = delta * np.convolve(dr, [0.5, 0.5])
-    cuts = np.flatnonzero(np.abs(np.diff(dr)) > 8 * np.finfo(float).eps * np.abs(r[2:])) + 2
+    jump = np.diff(dr)
+    bound = np.abs(r[2:])
+    bound *= 8 * np.finfo(float).eps
+    cuts = np.flatnonzero(np.abs(jump, out=jump) > bound) + 2
+    del jump, bound
+    f = np.convolve(dr, [0.5, 0.5])
+    del dr
+    f *= delta
     out = np.zeros(p.size)
     short = []
     offsets = np.arange(1 - _HALF_WIDTH, _HALF_WIDTH + 1)
@@ -455,11 +479,16 @@ def _sine_transform(r, delta, p):
         if n < _DIRECT_RUN:
             short.append(np.arange(s, e))
             continue
-        h, d = _run_offsets(r[s:e], half)
+        h = (r[e - 1] - r[s]) / (n - 1)
         m = _fft_length(_OVERSAMPLING * n)
         tau = math.pi * _HALF_WIDTH / (m * (m - 0.5 * n))
         j = np.arange(-half, n - half)
-        deconvolve = np.exp(tau * j * j) * (math.sqrt(math.pi / tau) / m)
+        c = tau * j
+        c *= j
+        del j
+        np.exp(c, out=c)
+        c *= math.sqrt(math.pi / tau) / m  # the deconvolution
+        c *= f[s:e]
         # the grid coordinate t = p h m/(2 pi) as t_hi + t_lo, through
         # k = h m/(2 pi) = k_hi + k_lo, a double-double division
         x_hi, x_lo = _two_product(h, float(m))
@@ -483,10 +512,11 @@ def _sine_transform(r, delta, p):
         sin_c, cos_c = np.sin(c_hi), np.cos(c_hi)
         sin_c, cos_c = sin_c + cos_c * c_lo, cos_c - sin_c * c_lo
         buf, spec = np.zeros(m), np.empty(m // 2 + 1, dtype=complex)
-        c = f[s:e] * deconvolve
         g = []
-        for cd in (c, c * d):  # G_0, then G_1
-            buf[: n - half], buf[m - half :] = cd[half:], cd[:half]
+        for term in range(2):  # G_0, then G_1
+            if term:
+                _times_run_offsets(c, r[s:e], half, h)
+            buf[: n - half], buf[m - half :] = c[half:], c[:half]
             gl, gu = np.einsum("kl,bkl->bk", np.fft.rfft(buf, out=spec).take(grid), kernels)
             g.append(gl.conj() + gu)
         out += sin_c * g[0].real + cos_c * g[0].imag

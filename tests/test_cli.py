@@ -4,7 +4,6 @@ import functools
 import inspect
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -481,19 +480,10 @@ def test_default_kernel_moment_counts(monkeypatch, tmp_path, argv, pairs, moment
 
 
 def test_triton_defaults_are_the_model_fit_defaults():
-    # the triton options of the CLI and of scripts/triton_study.py default
-    # to the inputs of TritonModel.fit
+    # the triton options of the CLI default to the inputs of TritonModel.fit
     fit = {k: p.default for k, p in inspect.signature(TritonModel.fit).parameters.items()}
     (sub,) = (a for a in build_parser()._actions if a.dest == "subcommand")
     assert {k: sub.choices["triton"].get_default(k) for k in fit} == fit
-    script = Path(__file__).resolve().parents[1] / "scripts" / "triton_study.py"
-    study = {
-        node.args[0].value.lstrip("-").replace("-", "_"): ast.literal_eval(kw.value)
-        for node in ast.walk(ast.parse(script.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
-        for kw in node.keywords if kw.arg == "default"
-    }
-    assert {k: study[k] for k in fit} == fit
 
 
 def test_triton_fits_a_triplet_with_a_large_shape_ratio(tmp_path):

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -271,6 +272,23 @@ def test_tail_profile_at_unitarity_builds_no_admixture(monkeypatch):
     assert orders == [-0.25] and admixture.cache_info().currsize == 1
 
 
+def test_tail_profile_memory():
+    # T_0 of n = 6 on its N = 114,625 nodes.  At its peak the build holds r,
+    # the deficit and the weighted profile (N doubles each), the last run's
+    # coefficients (0.87 N), FFT buffer and spectrum (1.74 N each), its
+    # gridding tables and a few blocks of the offsets: 10.65 N measured,
+    # under a bound of 12 N.  With the offsets, the deconvolution and f d
+    # each an array of the run's size, the build took 13.8 N
+    two_body._tail_unitarity(6)  # the first FFT's imports are not the build's
+    tracemalloc.start()
+    try:
+        two_body._tail_unitarity.__wrapped__(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * two_body._tail_grid(6)[0].size * 8
+
+
 def test_tail_profile_is_the_two_row_transform():
     # 1 - T_0 + (1/a) T_1, from the sine transform and spline of each deficit
     r, inner, _ = two_body._tail_grid(6)
@@ -430,6 +448,13 @@ def test_bessel_j_matches_scipy_and_mpmath(nu):
     exact = np.array([float(mpmath.besselj(nu, z_)) for z_ in pts])
     got = _bessel_j(nu, np.array(pts))
     assert np.all(np.abs(got - exact) <= 2e-15 * np.maximum(1.0, np.abs(exact)))
+    # the n = 6 tail grid's z = 2 x^-2 below the Hankel regime: its 99,209
+    # series nodes span four blocks of the series loop, each of which stops
+    # on its own terms
+    z = 2.0 * two_body._tail_grid(6)[0] ** -2.0
+    z = z[z < 25.0]
+    ref = jv(nu, z)
+    assert np.all(np.abs(_bessel_j(nu, z) - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_est_form_factor_reproduces_source_observables():
