@@ -363,8 +363,10 @@ def _verify_table():
     """(name, computed, reference, relative tolerance) regression rows."""
     from . import born_oppenheimer as bo
     from . import channels as ch
-    from .stm import StmKernel, bound_levels, threshold_scattering_lengths
-    from .two_body import TwoBodyModel, half_effective_range_tail, solve_zero_energy
+    from .stm import StmKernel, bound_levels, dissociation_lengths, threshold_scattering_lengths
+    from .two_body import (
+        TwoBodyModel, half_effective_range_tail, solve_zero_energy, universal_tail_form_factor,
+    )
     from .universal import threshold_constants
 
     rows = []
@@ -389,6 +391,8 @@ def _verify_table():
     rows.append(("zero_range_energy_ratio", lev[1] / lev[2], ch.LAMBDA0**2, 1e-3))
     am = threshold_scattering_lengths(1000.0)
     rows.append(("a_minus_ratio", am[2] / am[1], ch.LAMBDA0, 1e-3))
+    vdw = dissociation_lengths(lambda inv_a: universal_tail_form_factor(6, inv_a))
+    rows.append(("vdw_a_minus_ground", vdw[0], -10.86, 3e-2))
     return rows
 
 

@@ -22,9 +22,9 @@ terms after which the series is under double rounding: 28 on the diagonal,
 where rho_0 = 2 - sqrt(3), and about 11 on average on the default grids.
 ``bound_levels`` brackets trimers by the inertia of M(E), whose number of
 negative eigenvalues drops by one at each level, and refines each by
-nonlinear inverse iteration, one LU solve per step.  1/a enters M(0) on
-the diagonal alone, so the dissociation thresholds a_-^(n) are
-eigenvalues of M(0) at 1/a = 0.
+nonlinear inverse iteration, one LU solve per step.  M(0) is linear in 1/a
+for the zero-range kernel and quadratic for the tail form factors, so the
+dissociation lengths a_-^(n) are eigenvalues of M(0) or of its companion.
 """
 from __future__ import annotations
 
@@ -36,13 +36,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (
-    BracketingError,
     ConvergenceError,
     count_brackets,
     find_root,
     gauss_legendre,
     gauss_legendre_log,
-    locate_levels,
 )
 from .two_body import _CHUNK as _FORM_POINTS
 from .two_body import (
@@ -63,7 +61,7 @@ __all__ = [
     "bound_levels",
     "solve_trimers_narrow_resonance",
     "threshold_scattering_lengths",
-    "a_minus_ground",
+    "dissociation_lengths",
     "TritonModel",
     "TritonResult",
     "solve_triton",
@@ -600,35 +598,36 @@ def threshold_scattering_lengths(
     return list(a_all[np.abs(a_all) * cutoff > 10.0][:n_max])
 
 
-def a_minus_ground(form_family, bracket: tuple[float, float]) -> float:
-    """Ground-level dissociation length a_-^(0) for an a-dependent
-    form-factor family (callable 1/a -> FormFactor).
+def dissociation_lengths(family) -> list[float]:
+    """The dissociation lengths a_-^(k) < 0 of a form-factor family
+    (callable 1/a -> FormFactor), nearest zero first, on the default
+    ``SeparableKernel`` grid.
 
-    The kernel itself depends on a here, so a_- is located in 1/a between
-    the two bracket scattering lengths (both < 0; |lo| without state,
-    |hi| with) by ``locate_levels``: the step of the count of negative
-    eigenvalues of M(-1e-6; 1/a), at which a trimer enters the window
-    (-3, -1e-6), refined to 1e-12 in 1/a as the Brent zero of the
-    eigenvalue that crosses.  A bracket holding no crossing, or more than
-    one, raises BracketingError.  That tolerance is the accuracy: for the
-    vdW family eigvalsh resolves 1/a_- to about 5e-16 (the eigenvalue's
-    slope in 1/a is 0.085 there, and eigvalsh puts it about 4e-17 off)."""
-    lo, hi = bracket
-    if not (lo < 0 and hi < 0 and abs(lo) < abs(hi)):
-        raise ValueError("bracket must be (a_without, a_with), both negative")
+    The tail families' phi is linear in x = 1/a, so M(0; x) = M0 + x M1 +
+    x^2 M2 exactly, from the kernels at x = 0 and +-1.  A level meets E = 0
+    where det(a^2 M0 + a M1 + M2) = 0, at the real eigenvalues a of the
+    companion matrix [[0, I], -M0^-1 [M2, M1]] (Tisseur & Meerbergen, SIAM
+    Rev. 43, 235 (2001)); those with 10/p_max < |a| < 0.1/p_min are kept.
+    The count of negative eigenvalues of M(0; x) steps down by one towards
+    larger |a| at an a_-^(k), where a trimer appears, and up where a level
+    leaves.  A step other than +-1, or steps that do not sum to the count
+    change over the window (a lost root), raise ConvergenceError.
+    """
+    kerns = [SeparableKernel(family(x), x) for x in (0.0, 1.0, -1.0)]
+    m0, mp, mm = (k.matrix(0.0) for k in kerns)
+    m1, m2 = 0.5 * (mp - mm), 0.5 * (mp + mm) - m0
+    n, p_min, p_max = len(m0), kerns[0].p_min, kerns[0].p_max
+    lower = -np.linalg.solve(m0, np.hstack([m2, m1]))
+    y = np.linalg.eigvals(np.block([[np.zeros((n, n)), np.eye(n)], [lower]]))
+    a = np.sort(y.real[(y.imag == 0) & (-0.1 / p_min < y.real) & (y.real < -10 / p_max)])[::-1]
 
-    @functools.cache
-    def spectrum(inv_a):
-        kern = SeparableKernel(form_family(inv_a), inv_a, n=200, n_ang=32)
-        return np.linalg.eigvalsh(kern.matrix(-1e-6))
+    def count(x):
+        return int(np.count_nonzero(np.linalg.eigvalsh(m0 + x * (m1 + x * m2)) < 0))
 
-    roots = locate_levels(
-        lambda x: int(np.count_nonzero(spectrum(x) < 0)), lambda x, k: spectrum(x)[k],
-        1.0 / lo, 1.0 / hi, tol=1e-12,
-    )
-    if len(roots) != 1:
-        raise BracketingError(f"{len(roots)} thresholds in 1/a in ({1 / lo:g}, {1 / hi:g}), need one")
-    return 1.0 / roots[0]
+    steps = [count((1 - 1e-9) / r) - count((1 + 1e-9) / r) for r in a]
+    if any(abs(s) != 1 for s in steps) or sum(steps) != count(-10 * p_min) - count(-0.1 * p_max):
+        raise ConvergenceError(f"count steps {steps} at a = {a} miss a root in the window")
+    return [float(r) for r, s in zip(a, steps) if s < 0]
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +683,10 @@ class TritonModel:
         rises without bound; a ratio up to 0.43431 is taken on the first
         rise, so the fit is unique, and a larger one on (1.74591, 2.5].
         """
+        if not a_t > 0:
+            raise ValueError(f"the triplet channel needs a_t > 0 (a bound deuteron), got {a_t:g}")
+        if not a_s < 0:
+            raise ValueError(f"the singlet channel needs a_s < 0 (no bound state), got {a_s:g}")
 
         def shape(lam):  # r_e/a of the b = 1 well
             inv_a, r_e = poschl_teller_low_energy(lam)

@@ -23,8 +23,8 @@ from efimov.stm import (
     SeparableKernel,
     StmKernel,
     TritonModel,
-    a_minus_ground,
     bound_levels,
+    dissociation_lengths,
     solve_triton,
     solve_triton_unitarity,
     solve_trimers_narrow_resonance,
@@ -203,7 +203,7 @@ def test_criterion_05a_vdw_three_body_parameter(separable_classes):
 
 
 def test_criterion_05b_vdw_ground_dissociation_length():
-    am = a_minus_ground(lambda inv_a: universal_tail_form_factor(6, inv_a), (-10.0, -11.7))
+    am = dissociation_lengths(lambda inv_a: universal_tail_form_factor(6, inv_a))[0]
     assert am == pytest.approx(-10.86, rel=3e-2)
 
 

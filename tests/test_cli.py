@@ -494,10 +494,18 @@ def test_triton_fits_a_triplet_with_a_large_shape_ratio(tmp_path):
     assert triplet.r_e == pytest.approx(2.5, rel=1e-9)
 
 
-def test_triton_bound_singlet_exits_3(capsys):
-    # a > 0 is outside the singlet branch (a < 0, no bound state)
-    assert run(["triton", "--a-s", "23"]) == 3
-    assert "no sign change" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv, channel",
+    [(["--a-t", "-5"], "triplet channel needs a_t > 0"),
+     (["--a-s", "5"], "singlet channel needs a_s < 0")],
+    ids=["unbound_triplet", "bound_singlet"],
+)
+def test_triton_length_of_the_wrong_sign_exits_2(capsys, argv, channel):
+    # the triplet branch binds the deuteron (a_t > 0), the singlet binds
+    # nothing (a_s < 0): any other sign is a configuration error, not a
+    # solver failure
+    assert run(["triton", *argv]) == 2
+    assert channel in capsys.readouterr().err
 
 
 def test_bo_subcommand(tmp_path):

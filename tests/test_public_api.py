@@ -29,7 +29,6 @@ USERS = LIBRARY + sorted(
 )
 # exports that only tests use, each kept until the ROADMAP item named settles it
 TEST_ONLY = {
-    "stm.a_minus_ground": "item 15",
     "hyperradial.BoundStateSet.node_counts": "item 14",
 }
 CALLERS = sorted(

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import gc
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from efimov.channels import LAMBDA0
-from efimov.numerics import BracketingError, gauss_legendre, gauss_legendre_log
+from efimov.numerics import ConvergenceError, gauss_legendre, gauss_legendre_log
 from efimov.stm import (
     ResolutionWarning,
     SeparableKernel,
@@ -18,8 +19,8 @@ from efimov.stm import (
     _SECH2_PEAK,
     _TERMS,
     _TRITON_GRID,
-    a_minus_ground,
     bound_levels,
+    dissociation_lengths,
     solve_triton,
     solve_triton_unitarity,
     solve_trimers_narrow_resonance,
@@ -390,10 +391,13 @@ def test_threshold_lengths_make_the_zero_energy_kernel_singular():
         assert np.abs(np.linalg.eigvalsh(kern.matrix(0.0))).min() * abs(a) < 1e-10
 
 
+def _negatives(m):
+    return int(np.count_nonzero(np.linalg.eigvalsh(m) < 0))
+
+
 def _window_count(kern, E_lo, E_hi):
     """Levels of ``kern`` in (E_lo, E_hi), from the inertia of M(E) at its ends."""
-    neg = [np.count_nonzero(np.linalg.eigvalsh(kern.matrix(E)) < 0) for E in (E_lo, E_hi)]
-    return int(neg[0] - neg[1])
+    return _negatives(kern.matrix(E_lo)) - _negatives(kern.matrix(E_hi))
 
 
 @pytest.fixture
@@ -446,24 +450,115 @@ def _vdw_family(inv_a):
     return universal_tail_form_factor(6, inv_a)
 
 
-def test_a_minus_ground_is_where_the_level_count_switches(eigvalsh_calls):
-    # the trimer enters the window (-3, -1e-6) as |a| grows past |a_-|,
-    # i.e. as 1/a < 0 rises through 1/a_-
-    inv_am = 1.0 / a_minus_ground(_vdw_family, (-10.0, -11.7))
-    assert len(eigvalsh_calls) < 20
-    counts = [
-        _window_count(SeparableKernel(_vdw_family(x), x, n=200, n_ang=32), -3.0, -1e-6)
-        for x in (inv_am * (1 + 1e-9), inv_am * (1 - 1e-9))
-    ]
-    assert counts == [0, 1]
+def _power4_family(inv_a):
+    return universal_tail_form_factor(4, inv_a)
 
 
-def test_a_minus_ground_takes_six_eigensolves(eigvalsh_calls):
-    # locate_levels counts at the bracket's two ends and bisects once on the
-    # count; Brent's zero of the crossing eigenvalue reuses the cached spectra
-    # and adds three; a_-^(0) R_vdW = -10.84 (criterion 05b)
-    assert a_minus_ground(_vdw_family, (-10.0, -11.7)) == pytest.approx(-10.842758695393515, rel=1e-12)
-    assert len(eigvalsh_calls) <= 6
+_TAIL_FAMILIES = pytest.mark.parametrize(
+    "family", [_vdw_family, _power4_family], ids=["vdw", "power4"]
+)
+
+
+@functools.cache
+def _polynomial(family):
+    """(M0, M1, M2) of M(0; x) = M0 + x M1 + x^2 M2 on the default grid,
+    from the kernels at x = 0 and +-1."""
+    m0, mp, mm = (SeparableKernel(family(x), x).matrix(0.0) for x in (0.0, 1.0, -1.0))
+    return m0, 0.5 * (mp - mm), 0.5 * (mp + mm) - m0
+
+
+@functools.cache
+def _lengths(family):
+    return dissociation_lengths(family)
+
+
+def _count_step(polynomial, a):
+    """How many more negative eigenvalues M(0; x) has just on the small-|a|
+    side of the root a than on its large-|a| side: 1 at an a_-^(k), where a
+    trimer appears as |a| grows, and -1 where a level leaves."""
+    m0, m1, m2 = polynomial
+    large, small = (_negatives(m0 + x * (m1 + x * m2)) for x in ((1 - 1e-9) / a, (1 + 1e-9) / a))
+    return small - large
+
+
+@_TAIL_FAMILIES
+def test_tail_kernel_is_quadratic_in_inverse_length(family):
+    # phi = 1 - T_0 + x T_1 is linear in x = 1/a, so every entry of M(0) is
+    # quadratic in x, and three kernels give the kernel at any x
+    x = float(np.random.default_rng(7).uniform(-1.0, 1.0))
+    m0, m1, m2 = _polynomial(family)
+    direct = SeparableKernel(family(x), x).matrix(0.0)
+    assert np.max(np.abs(m0 + x * (m1 + x * m2) - direct)) <= 1e-14 * np.max(np.abs(direct))
+
+
+def test_dissociation_lengths_are_where_the_level_count_steps():
+    # directly built kernels, not the polynomial: as |a| grows through each
+    # a_-^(k), M(0) loses a negative eigenvalue, the trimer that appears
+    for a in _lengths(_vdw_family):
+        small, large = (
+            _negatives(SeparableKernel(_vdw_family(x), x).matrix(0.0))
+            for x in ((1 + 1e-9) / a, (1 - 1e-9) / a)
+        )
+        assert small - large == 1, (a, small, large)
+
+
+def test_vdw_dissociation_lengths():
+    # a_-^(0) R_vdW = -10.84 (criterion 05b); the crossing at a = -1.2337,
+    # where a level leaves as |a| grows, is no dissociation length
+    lengths = _lengths(_vdw_family)
+    assert lengths[0] == pytest.approx(-10.841721328175622, rel=1e-12)
+    assert lengths[1] == pytest.approx(-191.69831, rel=1e-7)
+    assert len(lengths) == 2
+    assert _count_step(_polynomial(_vdw_family), -1.2337007309) == -1
+
+
+def test_dissociation_lengths_take_one_companion_eigensolve(monkeypatch, eigvalsh_calls):
+    # three M(0) builds and one eigvals give every root; each of the three
+    # roots in the window (-1.2337 among them) takes two eigvalsh for its
+    # count step, and the window's two ends one each
+    builds, eigvals_calls = [], []
+    assemble, eigvals = SeparableKernel._assemble, np.linalg.eigvals
+
+    def counted_assemble(self, E, v=None, with_matrix=True):
+        builds.append(E)
+        return assemble(self, E, v, with_matrix)
+
+    def counted_eigvals(m):
+        eigvals_calls.append(m.shape)
+        return eigvals(m)
+
+    monkeypatch.setattr(SeparableKernel, "_assemble", counted_assemble)
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    assert len(dissociation_lengths(_vdw_family)) == 2
+    assert (len(builds), len(eigvals_calls), len(eigvalsh_calls)) == (3, 1, 3 * 2 + 2)
+
+
+@_TAIL_FAMILIES
+def test_companion_loses_no_root_against_scipy(monkeypatch, family):
+    # QZ on the pencil A z = a B z of the same linearization, A = [[0, I],
+    # [-M2, -M1]], B = [[I, 0], [0, M0]], inverts no M0: each of its real
+    # roots in the window is a returned a_-^(k), to 1e-10, or a level leaving
+    eig = pytest.importorskip("scipy.linalg").eig
+    m0, m1, m2 = poly = _polynomial(family)
+    I, Z = np.eye(len(m0)), np.zeros_like(m0)
+    y = eig(np.block([[Z, I], [-m2, -m1]]), np.block([[I, Z], [Z, m0]]), right=False)
+    kern = SeparableKernel(family(0.0), 0.0)
+    real = y.real[(np.abs(y.imag) <= 1e-8 * np.abs(y.real)) & (y.real < 0)]
+    real = real[(np.abs(real) > 10 / kern.p_max) & (np.abs(real) < 0.1 / kern.p_min)]
+    lengths = _lengths(family)
+    matched = [min(real, key=lambda r: abs(r - a)) for a in lengths]
+    assert lengths == pytest.approx(matched, rel=1e-10)
+    assert all(_count_step(poly, r) == -1 for r in real if r not in matched)
+    # a root that the eigensolve loses unbalances the window's count
+    eigvals = np.linalg.eigvals
+
+    def losing_a0(m):
+        y = eigvals(m)
+        return y[np.abs(y - lengths[0]) > 1e-6]
+
+    monkeypatch.setattr(np.linalg, "eigvals", losing_a0)
+    with pytest.raises(ConvergenceError, match="miss a root"):
+        dissociation_lengths(family)
 
 
 def test_a_star0_is_where_the_level_count_switches():
@@ -490,12 +585,6 @@ def test_a_star0_is_where_the_level_count_switches():
         Ed = kernel(x)._threshold()
         counts.append(_window_count(kernel(x), 1e4 * Ed, (1 + 1e-10) * Ed))
     assert counts == [1, 0]
-
-
-def test_a_minus_ground_bracket_must_hold_one_crossing():
-    # a_-^(0) of the vdw family is -10.84: (-10.0, -10.5) holds no crossing
-    with pytest.raises(BracketingError):
-        a_minus_ground(_vdw_family, (-10.0, -10.5))
 
 
 def test_bound_levels_warns_on_unresolved_levels():
