@@ -13,10 +13,11 @@ state on each grid of the README table ("Triton ground state"): n momentum
 nodes on a log grid from p_min to p_max (fm^-1) and n_ang angular nodes, at
 the default K, with its relative shift from the same row with n and n_ang
 doubled, printed to 2 significant digits since it lies near rounding; and
-the same for the unitarity levels of ``solve_triton_unitarity``, whose
-grid starts at p_min/100 (1e-6 by default), with the number of those
-levels.  The first row is the grid of ``solve_triton``, and every row's
-kernel comes from the same ``TritonModel.kernel`` call.  The whole run takes
+the same for the unitarity levels, both channels at 1/a = 0 in
+(-0.5, -1e-9) fm^-2, whose grid starts at p_min/100 (1e-6 by default),
+with the number of those levels.  The first row is the grid of
+``solve_triton``, and every row's kernel comes from the same
+``TritonModel.kernel`` call.  The whole run takes
 about 16 s on 2 cores.  At the end it prints its peak resident memory
 (``ru_maxrss``) to stderr: 94 MB on a 2-core Linux host, reached on the
 doubled grid (400, 64) of the first (200, 32) row.
@@ -50,7 +51,7 @@ def binding(model, n, n_ang, p_max=_TRITON_P_MAX, p_min=1e-4):
 
 
 def unitarity(model, n, n_ang, p_max, p_min):
-    """The levels of ``solve_triton_unitarity`` on this grid."""
+    """The levels with both channels at 1/a = 0 on this grid."""
     return bound_levels(model.kernel((0.0, 0.0), n, n_ang, p_min, p_max), (-0.5, -1e-9))
 
 

@@ -39,7 +39,8 @@ def main():
     }
     rows = []
     for name, (form, scale, (n, n_ang)) in families.items():
-        kern = SeparableKernel(form, form.inv_a, n=args.n or n, n_ang=args.n_ang or n_ang)
+        # each at unitarity, 1/a = 0, where kappa*^(0) is defined
+        kern = SeparableKernel(form, 0.0, n=args.n or n, n_ang=args.n_ang or n_ang)
         lev = bound_levels(kern, (-3.0, -1e-7))
         kappa0 = math.sqrt(-lev[0])
         rows.append((name, kappa0, kappa0 * scale, len(lev)))

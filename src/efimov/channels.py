@@ -148,7 +148,7 @@ def s2_lowest(R_over_a: float) -> float:
     rho = float(R_over_a)
     if rho > 35.0:
         # sigma = rho + O(e^{-pi rho/3}): the channel merges with the dimer
-        return -(rho**2)
+        return -(rho * rho)  # rho**2 raises OverflowError past 1.3e154
     return _root_s2(functools.partial(_boson_condition, rho=rho))
 
 

@@ -282,7 +282,7 @@ def cmd_stm(args):
         if args.model == "zero-range":
             kern = StmKernel(inv_a, args.cutoff)
         elif args.model == "step":
-            kern = SeparableKernel(step_form_factor(1.0, inv_a=inv_a), inv_a, *_STEP_GRID)
+            kern = SeparableKernel(step_form_factor(1.0), inv_a, *_STEP_GRID)
         else:  # vdw is the n = 6 tail
             form = universal_tail_form_factor(4 if args.model == "power4" else 6, inv_a)
             kern = SeparableKernel(form, inv_a)
@@ -336,7 +336,7 @@ def cmd_bo(args):
 
 
 def cmd_twobody(args):
-    from .two_body import TwoBodyModel, dimer_energy, solve_zero_energy
+    from .two_body import TwoBodyModel, VirtualStateError, dimer_energy, solve_zero_energy
 
     params = {}
     for item in args.param:
@@ -351,9 +351,12 @@ def cmd_twobody(args):
     if isinstance(scale, complex) or not scale > 0:
         raise ConfigError(f"{args.potential} needs a positive length scale, got {scale!r}")
     state = solve_zero_energy(model)
-    rows = [("a", 1.0 / state.inv_a if state.inv_a else math.inf), ("r_e", state.r_e)]
-    if state.inv_a > 0:
+    rows = [("a", state.a), ("r_e", state.r_e)]
+    try:
         Ed = dimer_energy(state.inv_a, state.r_e)
+    except VirtualStateError:  # 1 - 2 r_e/a < 0: the pole is a virtual state
+        Ed = None
+    if Ed is not None:  # None for 1/a <= 0
         rows.append(("dimer_effective_range", Ed * args.hbar2_over_m))
     _write_outputs(args, ["quantity", "value"], rows)
     return 0

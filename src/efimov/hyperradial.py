@@ -61,40 +61,11 @@ class BoundStateSet:
     """Bound levels of one hyperradial channel, deepest first; when the
     window holds every deeper level, level k has k interior nodes."""
 
-    channel: HyperradialChannel
     energies: tuple
 
     def __post_init__(self):
         if list(self.energies) != sorted(self.energies):
             raise ValueError("energies must be ordered deepest first")
-
-    @property
-    def kappas(self) -> np.ndarray:
-        return -np.sqrt(-np.asarray(self.energies))
-
-    def node_counts(self) -> list[int]:
-        """Interior nodes per level of F = sqrt(R) K_{i nu}(kappa R) in
-        R > R0: the sign changes of K in u = ln(kappa R) from the wall up
-        to x = kappa R = nu, above which K has no zero.  K is sampled once,
-        on one grid from the shallowest wall up to u = ln nu with a step
-        under pi/(2 nu), under half the spacing of K's zeros
-        (``solve_bound_states``).  Each level counts the grid nodes above
-        its wall, behind K at the wall itself; a hard wall is a zero of K,
-        so it takes instead the nodes more than half a step above it."""
-        nu = math.sqrt(-self.channel.s_squared)
-        hard = self.channel.boundary == "hard_wall"
-        walls = np.log(-self.kappas * self.channel.R0)
-        top = math.log(nu)
-        u = _grid(nu, min(walls.min(initial=top), top), top)
-        k = np.array([_bessel_k(nu, x)[0] for x in u])
-        out = []
-        for wall in walls:
-            if hard:
-                signs = k[u > wall + 0.5 * (u[1] - u[0])]
-            else:
-                signs = np.append(_bessel_k(nu, wall)[0], k[u > wall])
-            out.append(int(np.count_nonzero(np.diff(np.sign(signs[signs != 0])) != 0)))
-        return out
 
 
 def _grid(nu: float, lo: float, hi: float) -> np.ndarray:
@@ -160,7 +131,7 @@ def solve_bound_states(
     top = math.log(math.hypot(nu, max(c, 0.0)))
     lo, hi = math.log(k_lo), min(math.log(k_hi), top - ln_r0)
     if not lo < hi:
-        return BoundStateSet(channel, ())
+        return BoundStateSet(())
     k = functools.cache(functools.partial(_bessel_k, nu))
     u = _grid(nu, lo + ln_r0, top)
     theta = np.array([math.atan2(xk / nu, kk) for kk, xk in map(k, u)])
@@ -182,7 +153,7 @@ def solve_bound_states(
 
     roots = locate_levels(count, value, lo, hi, tol=1e-14)
     # deepest (largest kappa) first
-    return BoundStateSet(channel, tuple(-math.exp(2.0 * t) for t in reversed(roots)))
+    return BoundStateSet(tuple(-math.exp(2.0 * t) for t in reversed(roots)))
 
 
 def three_body_phase(ch: HyperradialChannel, reference_scale: float = 1.0) -> float:

@@ -366,9 +366,10 @@ class SeparableKernel:
     """Rank-one separable STM kernel with numerically projected s wave.
 
     ``form`` and ``inv_a`` give one form factor phi_a and one inverse
-    scattering length per spin-isospin channel; a bare FormFactor and a
-    float are the one-channel (identical-boson) case.  Block (a, b) of the
-    symmetric M(E) is delta_ab diag[1/(4 pi a_a) - I_a(P)] + W_ab K_ab with
+    scattering length per spin-isospin channel, all form factors with one
+    p_max; a bare FormFactor and a float are the one-channel
+    (identical-boson) case.  Block (a, b) of the symmetric M(E) is
+    delta_ab diag[1/(4 pi a_a) - I_a(P)] + W_ab K_ab with
     I_a(P) = (1/(2 pi^2)) int dq phi_a(q)^2 kap^2/(q^2+kap^2), kap^2 = 3P^2/4 - E,
     K_ab(P,Q) = (1/(2 pi^2)) P Q sqrt(w_P w_Q) S_ab(P,Q),
     S_ab = int dc phi_a(q1) phi_b(q2)/(P^2+Q^2+PQc-E),
@@ -415,11 +416,13 @@ class SeparableKernel:
     n_ang: int = _DEF_NANG
     p_min: float = None
     q_min: float = 1e-6
-    _tables: dict = field(default_factory=dict, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.forms) not in _RECOUPLING or np.size(self.inv_a) != len(self.forms):
             raise ValueError("need 1 or 2 channels, each with one form factor and 1/a")
+        if len({f.p_max for f in self.forms}) != 1:
+            raise ValueError("the channels' form factors need one p_max")
         if self.p_min is None:
             object.__setattr__(self, "p_min", 2.5e-6 * self.p_max)
 
@@ -429,7 +432,7 @@ class SeparableKernel:
 
     @property
     def p_max(self) -> float:
-        return max(f.p_max for f in self.forms)
+        return self.forms[0].p_max
 
     def _build(self):
         if self._tables:
@@ -773,16 +776,9 @@ def solve_triton(model: TritonModel) -> TritonResult:
     kern = model.kernel(model.inv_a, *_TRITON_GRID, 1e-4)
     roots = bound_levels(kern, model.trimer_window)
     ff_t = kern.forms[0]
-    Ed_sep = separable_dimer_energy(ff_t, ff_t.inv_a, 1e-8 * ff_t.p_max)
+    Ed_sep = separable_dimer_energy(ff_t, model.inv_a[0], 1e-8 * ff_t.p_max)
     return TritonResult(
         deuteron=model.deuteron_energy,
         deuteron_separable=-h2m * Ed_sep,
         trimers=tuple(h2m * E for E in roots),
     )
-
-
-def solve_triton_unitarity(model: TritonModel) -> list[float]:
-    """Two-channel spectrum in (-0.5, -1e-9) fm^-2 with both inverse
-    scattering lengths set to zero (natural units, fm^-2); exposes the
-    boson-like scaling ratio."""
-    return bound_levels(model.kernel((0.0, 0.0), *_TRITON_GRID, 1e-6), (-0.5, -1e-9))

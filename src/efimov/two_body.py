@@ -360,7 +360,6 @@ class FormFactor:
     """
 
     fn: object
-    inv_a: float
     p_max: float
 
     def __call__(self, p):
@@ -619,10 +618,10 @@ def est_form_factor(state: ZeroEnergyState, p_max: float = 60.0) -> FormFactor:
         r = rg
     p_tab = np.geomspace(1e-4, q_top, _FORM_KNOTS)
     transform = _sine_transform(r, delta, p_tab)
-    return FormFactor(_geom_spline(p_tab, np.r_[1.0, 1.0 - transform]), state.inv_a, p_max)
+    return FormFactor(_geom_spline(p_tab, np.r_[1.0, 1.0 - transform]), p_max)
 
 
-def step_form_factor(half_re: float = 1.0, inv_a: float = 0.0, p_max: float = 100.0) -> FormFactor:
+def step_form_factor(half_re: float = 1.0, p_max: float = 100.0) -> FormFactor:
     """Separable profile of the step-function wave function: phi(p) = cos(p b)
     with step position b = r_e/2 (deep-potential limit class)."""
     b = float(half_re)
@@ -630,7 +629,7 @@ def step_form_factor(half_re: float = 1.0, inv_a: float = 0.0, p_max: float = 10
     def fn(p):
         return np.cos(p * b)
 
-    return FormFactor(fn, inv_a, p_max)
+    return FormFactor(fn, p_max)
 
 
 _P_MAX = 80.0  # validity window of the tabulated tail profiles, 1/l_n units
@@ -728,9 +727,9 @@ def universal_tail_form_factor(n: int, inv_a: float = 0.0) -> FormFactor:
     inv_a = float(inv_a)
     t0 = _tail_unitarity(n)
     if inv_a == 0.0:
-        return FormFactor(lambda p: 1.0 - t0(p), inv_a, _P_MAX)
+        return FormFactor(lambda p: 1.0 - t0(p), _P_MAX)
     t1 = _tail_admixture(n)
-    return FormFactor(lambda p: 1.0 - t0(p) + inv_a * t1(p), inv_a, _P_MAX)
+    return FormFactor(lambda p: 1.0 - t0(p) + inv_a * t1(p), _P_MAX)
 
 
 class VirtualStateError(ValueError):
@@ -752,7 +751,7 @@ def dimer_energy(inv_a: float, r_e: float = 0.0) -> float:
         raise VirtualStateError("1 - 2 r_e/a < 0: no real pole")
     # (1 - sqrt(disc))/r_e rationalized: no cancellation as r_e -> 0
     kap = 2.0 * inv_a / (1.0 + math.sqrt(disc))
-    return -(kap**2)
+    return -(kap * kap)  # kap**2 raises OverflowError past 1.3e154
 
 
 _DIMER_BLOCK = 64  # rows of a kappa^2 column evaluated at a time
@@ -760,43 +759,37 @@ _DIMER_NODES = 3000
 
 
 def dimer_integrals(forms: tuple, q_min: float):
-    """The dimer integrals of separable channels, one FormFactor each, as
-    functions of kappa^2: I_a(kappa^2) = (1/(2 pi^2)) int phi_a(q)^2
-    kappa^2/(q^2 + kappa^2) dq over [q_min, 2.2 p_max] on a 3000-point log
-    rule, and dI_a/dkappa^2, the same integral with q^2/(q^2 + kappa^2)^2
-    in place of kappa^2/(q^2 + kappa^2); each phi_a is sampled once.
+    """The dimer integrals of separable channels, one FormFactor each, all
+    with the p_max of the first, as functions of kappa^2:
+    I_a(kappa^2) = (1/(2 pi^2)) int phi_a(q)^2 kappa^2/(q^2 + kappa^2) dq
+    over [q_min, 2.2 p_max] on one 3000-point log rule, and dI_a/dkappa^2,
+    the same integral with q^2/(q^2 + kappa^2)^2 in place of
+    kappa^2/(q^2 + kappa^2); each phi_a is sampled once.
 
     ``integrals(kap2, slope=False)`` takes n values of kappa^2, as an
     (n, 1) column or one scalar, and returns (I, dI/dkappa^2 or None),
     each of shape (channels, n).  Both come from one pass over blocks of 64
     rows of r = 1/(q^2 + kappa^2), through one 64 x 3000 buffer, so no
     n x 3000 array is formed: I = kappa^2 (r @ w phi^2) and
-    dI/dkappa^2 = r^2 @ (w q^2 phi^2).  Channels with the same p_max share
-    a rule, and with it the pass."""
-    rules = {}
-    for c, form in enumerate(forms):
-        rules.setdefault(form.p_max, []).append(c)
-    passes = []
-    for p_max, chans in rules.items():
-        rule = gauss_legendre_log(_DIMER_NODES, q_min, 2.2 * p_max)
-        q2 = rule.nodes**2
-        wphi2 = np.stack([rule.weights * forms[c](rule.nodes) ** 2 for c in chans], axis=1)
-        passes.append((chans, q2, wphi2, q2[:, None] * wphi2))
+    dI/dkappa^2 = r^2 @ (w q^2 phi^2)."""
+    rule = gauss_legendre_log(_DIMER_NODES, q_min, 2.2 * forms[0].p_max)
+    q2 = rule.nodes**2
+    wphi2 = np.stack([rule.weights * form(rule.nodes) ** 2 for form in forms], axis=1)
+    q2wphi2 = q2[:, None] * wphi2
 
     def integrals(kap2, slope=False):
         kap2 = np.reshape(kap2, (-1, 1))
         I = np.empty((len(forms), len(kap2)))
         dI = np.empty_like(I) if slope else None
         buf = np.empty((min(_DIMER_BLOCK, len(kap2)), _DIMER_NODES))
-        for chans, q2, wphi2, q2wphi2 in passes:
-            for r0 in range(0, len(kap2), _DIMER_BLOCK):
-                rows = slice(r0, r0 + _DIMER_BLOCK)
-                r = np.add(q2, kap2[rows], out=buf[: len(kap2[rows])])
-                np.reciprocal(r, out=r)
-                I[chans, rows] = (r @ wphi2).T
-                if slope:
-                    r *= r
-                    dI[chans, rows] = (r @ q2wphi2).T
+        for r0 in range(0, len(kap2), _DIMER_BLOCK):
+            rows = slice(r0, r0 + _DIMER_BLOCK)
+            r = np.add(q2, kap2[rows], out=buf[: len(kap2[rows])])
+            np.reciprocal(r, out=r)
+            I[:, rows] = (r @ wphi2).T
+            if slope:
+                r *= r
+                dI[:, rows] = (r @ q2wphi2).T
         I *= kap2.T / (2 * np.pi**2)
         if slope:
             dI /= 2 * np.pi**2

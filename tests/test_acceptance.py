@@ -20,13 +20,13 @@ from efimov.hyperradial import HyperradialChannel, solve_bound_states
 from efimov.numerics import gauss_legendre_log
 from efimov.stm import (
     _STEP_GRID,
+    _TRITON_GRID,
     SeparableKernel,
     StmKernel,
     TritonModel,
     bound_levels,
     dissociation_lengths,
     solve_triton,
-    solve_triton_unitarity,
     solve_trimers_narrow_resonance,
     threshold_scattering_lengths,
 )
@@ -41,6 +41,7 @@ from efimov.two_body import (
 )
 from efimov.universal import delta, threshold_constants
 
+from test_hyperradial import shot_nodes
 from test_stm import kappa_star_extrapolated
 from test_two_body import tune_to_scattering_length
 from test_universal import recombination_rate
@@ -71,9 +72,10 @@ def narrow_thresholds():
 
 @pytest.fixture(scope="module")
 def separable_classes():
-    # each family on the grid of its `stm --model`: the step has its own
+    # each family at unitarity on the grid of its `stm --model`: the step
+    # has its own
     def levels(form, grid=()):
-        return bound_levels(SeparableKernel(form, form.inv_a, *grid), (-3.0, -1e-7))
+        return bound_levels(SeparableKernel(form, 0.0, *grid), (-3.0, -1e-7))
 
     out = {}
     out["power4"] = levels(universal_tail_form_factor(4))
@@ -241,7 +243,7 @@ def test_criterion_06b_triton_binding_window(triton_result):
 
 
 def test_criterion_06c_unitarity_level_ratio(triton_model):
-    lev = solve_triton_unitarity(triton_model)
+    lev = bound_levels(triton_model.kernel((0.0, 0.0), *_TRITON_GRID, 1e-6), (-0.5, -1e-9))
     assert len(lev) >= 3
     ratio = math.sqrt(lev[1] / lev[2])
     assert ratio == pytest.approx(22.7, rel=1e-2)
@@ -253,9 +255,10 @@ def test_criterion_06d_channels_reproduce_effective_range(triton_model):
     # r_e = (4/pi) int_0^inf (1 - phi^2)/q^2 dq - 4 c/a
     p0, q_lo = 1e-3, 1e-6
     forms = triton_model.form_factors()
+    states = (triton_model.triplet, triton_model.singlet)
     inputs = ((triton_model.a_t, triton_model.r_et), (triton_model.a_s, triton_model.r_es))
-    for form, (a, r_e) in zip(forms, inputs):
-        assert form.inv_a * a == pytest.approx(1.0, rel=1e-5)
+    for form, st, (a, r_e) in zip(forms, states, inputs):
+        assert st.inv_a * a == pytest.approx(1.0, rel=1e-5)
         c = (1.0 - float(form(p0))) / p0**2
         rule = gauss_legendre_log(2000, q_lo, form.p_max)
         q = rule.nodes
@@ -290,7 +293,8 @@ def test_criterion_08_effective_range_tails():
 
 
 def test_criterion_09a_hyperradial_discrete_scale_invariance():
-    ref = solve_bound_states(HyperradialChannel(R0=1.0), (1e-4, 1.0))
+    ref_channel = HyperradialChannel(R0=1.0)
+    ref = solve_bound_states(ref_channel, (1e-4, 1.0))
     scl = solve_bound_states(
         HyperradialChannel(R0=LAMBDA0), (1e-4 / LAMBDA0, 1.0 / LAMBDA0)
     )
@@ -298,7 +302,7 @@ def test_criterion_09a_hyperradial_discrete_scale_invariance():
     E_scl = np.asarray(scl.energies) * LAMBDA0**2
     m = min(E_ref.size, E_scl.size)
     assert E_scl[:m] == pytest.approx(E_ref[:m], rel=1e-8)
-    assert ref.node_counts() == list(range(E_ref.size))
+    assert [shot_nodes(ref_channel, E) for E in E_ref] == list(range(E_ref.size))
 
 
 def test_criterion_09b_est_reproduces_two_body_input():
@@ -312,7 +316,7 @@ def test_criterion_09b_est_reproduces_two_body_input():
     )
     st = solve_zero_energy(m)
     form = est_form_factor(st, p_max=80.0)
-    E_sep = separable_dimer_energy(form, form.inv_a, 1e-8 * form.p_max)
+    E_sep = separable_dimer_energy(form, st.inv_a, 1e-8 * form.p_max)
     E_er = dimer_energy(st.inv_a, st.r_e)
     assert E_sep == pytest.approx(E_er, rel=5e-3)
 
@@ -340,8 +344,9 @@ def test_criterion_09e_node_ordering(zero_range_levels):
     # all bound-state sets order deepest-first with strictly growing spacing
     lev = np.asarray(zero_range_levels)
     assert np.all(np.diff(lev) > 0)
-    states = solve_bound_states(HyperradialChannel(R0=0.5), (1e-3, 2.0))
-    assert states.node_counts() == sorted(states.node_counts())
+    channel = HyperradialChannel(R0=0.5)
+    states = solve_bound_states(channel, (1e-3, 2.0))
+    assert [shot_nodes(channel, E) for E in states.energies] == list(range(len(states.energies)))
 
 
 def test_criterion_09f_two_channel_boson_reduction(triton_model):

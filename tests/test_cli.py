@@ -262,7 +262,7 @@ def test_power6_is_the_vdw_model(tmp_path, a):
     [
         (["--cutoff", "100"], lambda: StmKernel(0.0, 100.0)),
         (["--model", "step", "--a", "2"],
-         lambda: SeparableKernel(step_form_factor(1.0, inv_a=0.5), 0.5, n=300, n_ang=64)),
+         lambda: SeparableKernel(step_form_factor(1.0), 0.5, n=300, n_ang=64)),
         (["--model", "vdw", "--a", "3"],
          lambda: SeparableKernel(universal_tail_form_factor(6, 1 / 3), 1 / 3)),
     ],
@@ -291,7 +291,7 @@ def test_step_levels_are_grid_converged(tmp_path, a):
     # SeparableKernel default (260, 48) is 6.1e-7 off at a = 2
     inv_a = 1 / float(a)
     rows = _stm_csv(tmp_path, "--model", "step", "--a", a).splitlines()[1:]
-    form = step_form_factor(1.0, inv_a=inv_a)
+    form = step_form_factor(1.0)
     ref = bound_levels(SeparableKernel(form, inv_a, n=400, n_ang=96), (-1e7, -1e-3))
     assert len(rows) == len(ref) >= 1
     for row, E in zip(rows, ref):
@@ -508,6 +508,17 @@ def test_triton_length_of_the_wrong_sign_exits_2(capsys, argv, channel):
     assert channel in capsys.readouterr().err
 
 
+def test_energy_past_the_float_range_is_minus_inf(capsys):
+    # the channel at R/a = 1e300 and the dimer at 1/a = 1e200 lie near
+    # -1e400, past the float range: they are -inf, as a product gives, not
+    # the OverflowError of a float power
+    assert run(["channels", "--rho", "1e300"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "s2_lowest@1e+300,-inf"
+    # no level lies below a dimer at -inf, so the stm table is empty
+    assert run(["stm", "--model", "zero-range", "--a", "1e-200"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["level,energy,energy_scaled,ratio_to_previous"]
+
+
 def test_bo_subcommand(tmp_path):
     out = tmp_path / "bo.csv"
     rc = run(
@@ -534,6 +545,15 @@ def test_twobody_subcommand(tmp_path):
     assert run(["twobody", "--param", "broken", "--output", str(out)]) == 2
     # the Poschl-Teller well needs a range as well as lambda
     assert run(["twobody", "--param", "lambda=1.2", "--output", str(out)]) == 2
+
+
+def test_twobody_virtual_pole_prints_a_and_r_e(capsys):
+    # a = 2.2778 and r_e = 4.4658 give 1 - 2 r_e/a < 0: the effective-range
+    # pole is a virtual state, so the table has no dimer row, as for a < 0
+    assert run(["twobody", "--potential", "morse", "--param", "depth=5", "--param", "range=1"]) == 0
+    rows = dict(l.split(",") for l in capsys.readouterr().out.splitlines()[1:])
+    assert list(rows) == ["a", "r_e"]
+    assert 1.0 - 2.0 * float(rows["r_e"]) / float(rows["a"]) < 0
 
 
 def test_verify_passes_on_this_build(capsys):

@@ -13,10 +13,16 @@ from efimov.hyperradial import (
 from efimov.numerics import propagate
 
 
+WALL = HyperradialChannel(R0=1.0)
+
+
 @pytest.fixture(scope="module")
 def wall_states():
-    chan = HyperradialChannel(R0=1.0)
-    return solve_bound_states(chan, (1e-5, 1.0))
+    return solve_bound_states(WALL, (1e-5, 1.0))
+
+
+def _kappas(states):
+    return np.sqrt(-np.asarray(states.energies))
 
 
 def test_spectrum_geometric(wall_states):
@@ -29,10 +35,10 @@ def test_spectrum_geometric(wall_states):
 def test_energies_ordered_and_nodes_count_up(wall_states):
     E = list(wall_states.energies)
     assert E == sorted(E)
-    assert wall_states.node_counts() == list(range(len(E)))
+    assert [shot_nodes(WALL, e) for e in E] == list(range(len(E)))
 
 
-def _shot_nodes(channel, energy):
+def shot_nodes(channel, energy):
     """Interior nodes of v = F/sqrt(R) shot outward from the boundary: the
     linear propagator on 3000 nodes in x = ln R out to R = 20/kappa, where
     the decaying tail is e^-40 of the growing one.  Only the classically
@@ -51,17 +57,14 @@ def _shot_nodes(channel, energy):
     "boundary", [("hard_wall", 0.0), ("log_derivative", -3.0), ("log_derivative", 10.0)],
     ids=["hard_wall", "log_derivative_-3", "log_derivative_10"],
 )
-def test_node_counts_match_propagated_shots(boundary):
+def test_level_k_has_k_propagated_nodes(boundary):
+    # the window holds every deeper level (none lies above
+    # kappa R0 = hypot(s0, max(c, 0)) <= hypot(s0, 2)), so the shot from
+    # level k's boundary crosses zero k times
     ch = HyperradialChannel(R0=0.5, boundary=boundary[0], boundary_value=boundary[1])
     states = solve_bound_states(ch, (1e-4, 10.0))
     assert len(states.energies) >= 3
-    assert states.node_counts() == [_shot_nodes(ch, E) for E in states.energies]
-
-
-def test_kappas_negative_below_threshold(wall_states):
-    kap = wall_states.kappas
-    assert np.all(kap < 0)
-    assert np.asarray(wall_states.energies) == pytest.approx(-(kap**2))
+    assert [shot_nodes(ch, E) for E in states.energies] == list(range(len(states.energies)))
 
 
 def test_discrete_scale_invariance_under_wall_scaling(wall_states):
@@ -100,7 +103,7 @@ def test_hard_wall_levels_match_bessel_zeros():
     zeros = _bessel_k_zeros(1e-20, 10.0)
     assert len(zeros) == 14
     # abs=0: approx's default abs=1e-12 would hide every level below kappa ~ 1
-    assert -states.kappas == pytest.approx(zeros, rel=1e-12, abs=0)
+    assert _kappas(states) == pytest.approx(zeros, rel=1e-12, abs=0)
 
 
 def _envelope(nu):
@@ -121,7 +124,7 @@ def test_large_order_hard_wall_levels_are_bessel_zeros(nu, kappa_min):
     # above x = 10 (none lies above x = nu) are counted by sign changes on
     # a grid of 50 points.
     states = solve_bound_states(HyperradialChannel(s_squared=-(nu**2)), (kappa_min, 10.0))
-    x = -states.kappas
+    x = _kappas(states)
     with mpmath.workdps(30):
         k = lambda t: mpmath.re(mpmath.besselk(1j * nu, t))
         phase = mpmath.im(mpmath.loggamma(1 + 1j * nu)) - nu * mpmath.log(mpmath.mpf(kappa_min) / 2)
@@ -148,14 +151,14 @@ def test_log_derivative_levels_match_mpmath(value):
             k = lambda t: mpmath.re(mpmath.besselk(1j * nu, t))
             return x * mpmath.diff(k, x) + c * k(x)
 
-        residual = [abs(condition(mpmath.mpf(x))) for x in -states.kappas]
+        residual = [abs(condition(mpmath.mpf(x))) for x in _kappas(states)]
     assert len(residual) >= 14
     assert max(residual) / ((S0 + abs(c)) * _envelope(S0)) < 1e-12
 
 
-def test_phase_of_hard_wall(wall_states):
+def test_phase_of_hard_wall():
     # hard wall at R0 = reference scale: v ~ sin(s0 ln(R/R0)), phase pi/2
-    phi = three_body_phase(wall_states.channel, reference_scale=1.0)
+    phi = three_body_phase(WALL, reference_scale=1.0)
     assert phi == pytest.approx(math.pi / 2, abs=1e-10)
 
 

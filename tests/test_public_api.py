@@ -28,9 +28,7 @@ USERS = LIBRARY + sorted(
     if not path.name.startswith("test_")
 )
 # exports that only tests use, each kept until the ROADMAP item named settles it
-TEST_ONLY = {
-    "hyperradial.BoundStateSet.node_counts": "item 14",
-}
+TEST_ONLY = {}
 CALLERS = sorted(
     path for top in ("src", "scripts", "tests", "bench") for path in (ROOT / top).rglob("*.py")
 )

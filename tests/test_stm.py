@@ -22,7 +22,6 @@ from efimov.stm import (
     bound_levels,
     dissociation_lengths,
     solve_triton,
-    solve_triton_unitarity,
     solve_trimers_narrow_resonance,
     threshold_scattering_lengths,
 )
@@ -74,8 +73,8 @@ def test_plain_kernel_matches_broadcast_form(n):
     np.testing.assert_allclose(kern.matrix(E), ref, rtol=1e-14, atol=0)
 
 
-def _lorentzian(b, inv_a):
-    return FormFactor(lambda q: 1.0 / (1.0 + q**2 / b**2), inv_a, 40.0)
+def _lorentzian(b):
+    return FormFactor(lambda q: 1.0 / (1.0 + q**2 / b**2), 40.0)
 
 
 _SMALL_KERNELS = pytest.mark.parametrize(
@@ -84,9 +83,9 @@ _SMALL_KERNELS = pytest.mark.parametrize(
         StmKernel(0.5, 50.0, n=40),
         StmKernel(0.5, 50.0, n=130),  # two row blocks, the last one ragged
         StmKernel(0.5, 50.0, r_star=0.3, n=40),
-        SeparableKernel(_lorentzian(1.4, 0.2), 0.2, n=41, n_ang=12),
+        SeparableKernel(_lorentzian(1.4), 0.2, n=41, n_ang=12),
         SeparableKernel(
-            (_lorentzian(1.4, 0.2), _lorentzian(1.1, -0.04)), (0.2, -0.04), n=41, n_ang=12
+            (_lorentzian(1.4), _lorentzian(1.1)), (0.2, -0.04), n=41, n_ang=12
         ),
     ],
     ids=["zero_range", "zero_range_blocked", "r_star", "boson", "nucleon"],
@@ -123,11 +122,25 @@ def test_kernel_validation():
     with pytest.raises(ValueError):
         StmKernel(0.0, 10.0).matrix(0.5)
     # above E = 0 the moments' series has no real ratio: refused, not nan
-    kern = SeparableKernel(_lorentzian(1.4, 0.2), 0.2, n=8, n_ang=4)
+    kern = SeparableKernel(_lorentzian(1.4), 0.2, n=8, n_ang=4)
     for call in (kern.matrix, lambda E: kern.slope(E, np.ones(8)),
                  lambda E: kern.matrix_and_slope(E, np.ones(8))):
         with pytest.raises(ValueError):
             call(0.5)
+    # the channels' dimer integrals share one rule, up to 2.2 p_max
+    with pytest.raises(ValueError):
+        SeparableKernel((_lorentzian(1.4), replace(_lorentzian(1.1), p_max=20.0)), (0.2, -0.04))
+
+
+def test_replaced_separable_kernel_builds_its_own_tables():
+    # a kernel made by dataclasses.replace from a built one does not reuse
+    # its moments: with another n_ang they gave the old matrix, here 3.3e-5
+    # of max|M| off, and with another n a broadcast error
+    kern = SeparableKernel(_lorentzian(1.4), 0.2, n=40, n_ang=12)
+    kern.matrix(-0.5)
+    for changes in ({"n_ang": 24}, {"n": 50}):
+        fresh = SeparableKernel(_lorentzian(1.4), 0.2, **{"n": 40, "n_ang": 12, **changes})
+        assert np.array_equal(replace(kern, **changes).matrix(-0.5), fresh.matrix(-0.5))
 
 
 def _negative_eigenvalues(kern, E):
@@ -177,7 +190,7 @@ _BRENT_LEVELS = [
     ("narrow_resonance", lambda: solve_trimers_narrow_resonance(0.0, 1.0, (-1e7, -1e-3)),
      [-0.013855106596069646]),
     ("vdw", _separable(universal_tail_form_factor(6, 0.0), 0.0), [-0.035415139400653085]),
-    ("step_a=2", _separable(step_form_factor(1.0, inv_a=0.5), 0.5),
+    ("step_a=2", _separable(step_form_factor(1.0), 0.5),
      [-1.3472937562692515, -0.9541220579346071]),
     ("triton", lambda: list(solve_triton(TritonModel.fit()).trimers), [-9.76092789275208]),
 ]
@@ -217,8 +230,9 @@ def test_triton_default_grid_holds_the_levels_of_a_doubled_grid():
     doubled = bound_levels(model.kernel(model.inv_a, n, n_ang, 1e-4), model.trimer_window)
     trimers = solve_triton(model).trimers
     assert trimers == pytest.approx([model.hbar2_over_m * E for E in doubled], rel=1e-12, abs=0)
+    unitarity = bound_levels(model.kernel((0.0, 0.0), *_TRITON_GRID, 1e-6), (-0.5, -1e-9))
     doubled = bound_levels(model.kernel((0.0, 0.0), n, n_ang, 1e-6), (-0.5, -1e-9))
-    assert solve_triton_unitarity(model) == pytest.approx(doubled, rel=1e-12, abs=0)
+    assert unitarity == pytest.approx(doubled, rel=1e-12, abs=0)
 
 
 def test_triton_form_factors_match_the_direct_transform_between_knots():
@@ -320,15 +334,15 @@ def test_positive_a_levels_below_dimer():
 
 
 @pytest.mark.parametrize(
-    "make_form, n_levels, n, warns",
+    "make_form, inv_a, n_levels, n, warns",
     [
-        (lambda: step_form_factor(1.0, inv_a=0.5), 2, 140, True),
-        (lambda: step_form_factor(1.0, inv_a=0.5), 2, 280, False),
-        (lambda: universal_tail_form_factor(6, 0.3), 1, 140, False),
+        (lambda: step_form_factor(1.0), 0.5, 2, 140, True),
+        (lambda: step_form_factor(1.0), 0.5, 2, 280, False),
+        (lambda: universal_tail_form_factor(6, 0.3), 0.3, 1, 140, False),
     ],
     ids=["step", "step_n280", "vdw"],
 )
-def test_separable_levels_below_dimer(make_form, n_levels, n, warns):
+def test_separable_levels_below_dimer(make_form, inv_a, n_levels, n, warns):
     # above the dimer pole the kernel's spectrum holds the discretised
     # atom-dimer continuum, which must not pass for trimers.  For the van
     # der Waals (n = 6 tail) profile at 1/a = 0.3 the kernel's pole
@@ -341,9 +355,9 @@ def test_separable_levels_below_dimer(make_form, n_levels, n, warns):
     # n only: the 24-node angular rule leaves them 1.26e-5 and 2.5e-6 off
     # the grid-converged -1.34729458 and -0.95412220
     form = make_form()
-    E_dimer = separable_dimer_energy(form, form.inv_a, 1e-8 * form.p_max)
+    E_dimer = separable_dimer_energy(form, inv_a, 1e-8 * form.p_max)
     with pytest.warns(ResolutionWarning) if warns else contextlib.nullcontext() as rec:
-        lev = bound_levels(SeparableKernel(form, form.inv_a, n=n, n_ang=24), (-3.0, -1e-7))
+        lev = bound_levels(SeparableKernel(form, inv_a, n=n, n_ang=24), (-3.0, -1e-7))
     # the warning points at the caller of bound_levels
     assert all(w.filename == __file__ for w in rec or [])
     assert len(lev) == n_levels
@@ -351,22 +365,22 @@ def test_separable_levels_below_dimer(make_form, n_levels, n, warns):
 
 
 @pytest.mark.parametrize(
-    "make_form",
+    "make_form, inv_a",
     [
-        lambda: universal_tail_form_factor(6, 0.3),
-        lambda: step_form_factor(1.0, inv_a=0.5),
-        lambda: TritonModel.fit().form_factors()[0],
+        (lambda: universal_tail_form_factor(6, 0.3), 0.3),
+        (lambda: step_form_factor(1.0), 0.5),
+        (lambda: TritonModel.fit().form_factors()[0], 1 / 5.4112),
     ],
     ids=["vdw", "step", "triton_triplet"],
 )
-def test_stand_alone_pole_is_kernel_threshold(make_form):
+def test_stand_alone_pole_is_kernel_threshold(make_form, inv_a):
     # one dimer integral and one pole solve: on the same lower limit the
     # stand-alone pole and the kernel's breakup threshold are the same bits
     form = make_form()
     q_min = 1e-8 * form.p_max
-    E = separable_dimer_energy(form, form.inv_a, q_min)
+    E = separable_dimer_energy(form, inv_a, q_min)
     assert E < 0
-    assert SeparableKernel(form, form.inv_a, q_min=q_min)._threshold() == E
+    assert SeparableKernel(form, inv_a, q_min=q_min)._threshold() == E
 
 
 def test_narrow_resonance_requires_r_star():
@@ -590,7 +604,7 @@ def test_a_star0_is_where_the_level_count_switches():
 def test_bound_levels_warns_on_unresolved_levels():
     # the two step levels lie 1.9 cells of this grid apart; Brent's method
     # on the crossing eigenvalue put them at the reference values
-    kern = SeparableKernel(step_form_factor(1.0, inv_a=0.5), 0.5, n=140, n_ang=24)
+    kern = SeparableKernel(step_form_factor(1.0), 0.5, n=140, n_ang=24)
     with pytest.warns(ResolutionWarning) as rec:
         levels = bound_levels(kern, (-3.0, -1e-7))
     assert all(w.filename == __file__ for w in rec)
@@ -617,8 +631,8 @@ def test_kappa_star_extrapolated():
 
 @pytest.fixture(scope="module")
 def step_ground():
-    form = step_form_factor(1.0, inv_a=0.0)
-    lev = bound_levels(SeparableKernel(form, form.inv_a, n=140, n_ang=24), (-0.5, -1e-3))
+    form = step_form_factor(1.0)
+    lev = bound_levels(SeparableKernel(form, 0.0, n=140, n_ang=24), (-0.5, -1e-3))
     return form, lev
 
 
@@ -665,7 +679,7 @@ def _direct_sum(n, n_ang, p_min, p_max, E, slope=False):
 @pytest.mark.parametrize("n", [40, 41])
 def test_boson_kernel_matches_direct_sum(n):
     # one channel: W = 1, so exchange weight 2 in the 1/pi normalisation
-    ff = _lorentzian(1.4, 0.2)
+    ff = _lorentzian(1.4)
     n_ang, p_min, E = 12, 1e-4, -0.3
     kern = SeparableKernel(ff, 0.2, n=n, n_ang=n_ang, p_min=p_min, q_min=1e-4 * p_min)
     K, I = _direct_sum(n, n_ang, p_min, 40.0, E)
@@ -687,7 +701,7 @@ def test_nucleon_kernel_matches_two_channel_block(n, n_ang, E):
     # reference: the triplet/singlet 2x2-block assembly written out in the
     # 1/pi normalisation (4 pi times the kernel's), exchange weight 1/2
     # within a channel and 3/2 across, dimer integral from 1e-4 p_min
-    ff_t, ff_s = _lorentzian(1.4, 0.2), _lorentzian(1.1, -0.04)
+    ff_t, ff_s = _lorentzian(1.4), _lorentzian(1.1)
     p_min = 1e-4
     kern = SeparableKernel(
         (ff_t, ff_s), (0.2, -0.04), n=n, n_ang=n_ang, p_min=p_min, q_min=1e-4 * p_min
@@ -714,7 +728,7 @@ def test_nucleon_kernel_matches_two_channel_block(n, n_ang, E):
 )
 @pytest.mark.parametrize("nc", [1, 2])
 def test_moment_series_matches_direct_sum(nc, n, n_ang, E):
-    forms = (_lorentzian(1.4, 0.2), _lorentzian(1.1, -0.04))[:nc]
+    forms = (_lorentzian(1.4), _lorentzian(1.1))[:nc]
     inv_a, p_min = (0.2, -0.04)[:nc], 1e-4
     kern = SeparableKernel(forms, inv_a, n=n, n_ang=n_ang, p_min=p_min, q_min=1e-4 * p_min)
     W2 = 2 * np.array([[1.0]]) if nc == 1 else np.array([[0.5, 1.5], [1.5, 0.5]])
@@ -780,7 +794,7 @@ def test_separable_kernel_memory(nc, n):
     # and 0.12 F measured; q and phi of a whole piece took 0.32 F and 0.29 F)
     n_ang = 48
     F, T = n * n * n_ang * 8, n * n * _TERMS * 8
-    forms = (_lorentzian(1.4, 0.2), _lorentzian(1.1, -0.04))[:nc]
+    forms = (_lorentzian(1.4), _lorentzian(1.1))[:nc]
     kern = SeparableKernel(forms, (0.2, -0.04)[:nc], n=n, n_ang=n_ang)
     held, first, peak = _traced_peak(lambda: kern.matrix(-0.3))
     assert held <= nc**2 * 0.3 * T + 0.05 * F
@@ -791,10 +805,8 @@ def test_separable_kernel_memory(nc, n):
 # the column is summed in blocks of 64 rows: 130 leaves a ragged last block
 @pytest.mark.parametrize("rows", [64, 130])
 def test_dimer_integral_column_matches_scalar_calls(rows):
-    # the first two channels share a rule and its pass, the third has its own
-    forms = (
-        _lorentzian(1.4, 0.2), _lorentzian(1.1, -0.04), replace(_lorentzian(0.9, 0.1), p_max=20.0)
-    )
+    # both channels share the rule and its pass
+    forms = (_lorentzian(1.4), _lorentzian(1.1))
     integrals = dimer_integrals(forms, 1e-6)
     kap2 = np.geomspace(1e-8, 1e3, rows)
     I, dI = integrals(kap2[:, None], slope=True)
@@ -808,7 +820,7 @@ def test_dimer_integral_column_matches_scalar_calls(rows):
 
 
 def test_dimer_integral_slope_is_its_derivative():
-    integrals = dimer_integrals((_lorentzian(1.4, 0.2),), 1e-6)
+    integrals = dimer_integrals((_lorentzian(1.4),), 1e-6)
     kap2 = np.geomspace(1e-4, 1e2, 7)[:, None]
     h = 1e-5 * kap2
     fd = (integrals(kap2 + h)[0] - integrals(kap2 - h)[0]) / (2 * h[:, 0])
@@ -817,7 +829,7 @@ def test_dimer_integral_slope_is_its_derivative():
 
 def test_dimer_integral_memory():
     # a 600-row column at once would take two 600 x 3000 arrays (28.8 MB)
-    integrals = dimer_integrals((_lorentzian(1.4, 0.2),), 1e-6)
+    integrals = dimer_integrals((_lorentzian(1.4),), 1e-6)
     kap2 = np.geomspace(1e-8, 1e3, 600)[:, None]
     *_, peak = _traced_peak(lambda: integrals(kap2, slope=True))
     assert peak < 4e6

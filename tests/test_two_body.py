@@ -463,7 +463,7 @@ def test_est_form_factor_reproduces_source_observables():
     m = tune_to_scattering_length(_pt(1.1), "lambda", (1.02, 1.4), inv_a_target=0.12)
     st_ = solve_zero_energy(m)
     form = est_form_factor(st_, p_max=80.0)
-    E_sep = separable_dimer_energy(form, form.inv_a, 1e-8 * form.p_max)
+    E_sep = separable_dimer_energy(form, st_.inv_a, 1e-8 * form.p_max)
     E_er = dimer_energy(st_.inv_a, st_.r_e)
     assert E_sep == pytest.approx(E_er, rel=5e-3)
 
@@ -505,15 +505,15 @@ def test_narrow_resonance_pole_without_cancellation():
 
 def test_dimer_energy_separable_matches_zero_range_for_wide_form():
     # a sharp form factor approaches the zero-range pole
-    form = step_form_factor(1e-3, inv_a=0.2, p_max=5e3)
-    E = separable_dimer_energy(form, form.inv_a, 1e-8 * form.p_max)
+    form = step_form_factor(1e-3, p_max=5e3)
+    E = separable_dimer_energy(form, 0.2, 1e-8 * form.p_max)
     assert E == pytest.approx(-0.04, rel=2e-2)
 
 
 def test_dimer_absent_for_negative_a():
     assert dimer_energy(-1.0 / 4.0) is None
     form = universal_tail_form_factor(6, -0.1)
-    assert separable_dimer_energy(form, form.inv_a, 1e-8 * form.p_max) is None
+    assert separable_dimer_energy(form, -0.1, 1e-8 * form.p_max) is None
 
 
 @settings(max_examples=40, deadline=None)
