@@ -407,7 +407,9 @@ class SeparableKernel:
     w_k eps_l T_l(c_k).  Those products fill one reused (nc^2, _PIECE, n_ang)
     array, sub-block by sub-block: q1, q2 and each phi are evaluated on
     about _FORM_POINTS points at a time, one pass of the profile spline, so
-    the build forms no array of a piece's q or phi.
+    the build forms no array of a piece's q or phi.  Each matrix product
+    goes into one reused (_PIECE, _TERMS) array, and the pairs' indices are
+    int32.
     """
 
     form: FormFactor | tuple
@@ -454,18 +456,22 @@ class SeparableKernel:
         W = _RECOUPLING[nc]
         # the pairs P = p_i <= Q = p_j, their P^2 + Q^2 and PQ, and the terms
         # each keeps at rho_0, the |rho| of E = 0
-        i, j = np.triu_indices(self.n)
+        i, j = (x.astype(np.int32) for x in np.triu_indices(self.n))
         pq, pq2 = p[i] * p[j], p[i] * p[i] + p[j] * p[j]
         rho0 = pq / (pq2 + np.sqrt((pq2 - pq) * (pq2 + pq)))
         terms = np.ceil(53 * math.log(2) / -np.log(rho0))
+        del pq, pq2, rho0
         order = np.lexsort((j - i, -terms))
-        i, j, pq, pq2, terms = (x[order] for x in (i, j, pq, pq2, terms))
+        i, j, terms = (x[order] for x in (i, j, terms))
+        del order
+        pq, pq2 = p[i] * p[j], p[i] * p[i] + p[j] * p[j]  # the same products, sorted
         # term l is kept by the first count[l] pairs, at start[l] of the moments
         count = np.searchsorted(-terms, -np.arange(_TERMS))
         start = np.concatenate(([0], np.cumsum(count)))
         moments = np.empty((nc * nc, start[-1]))
         # phi(q1) phi(q2) of each channel pair over a piece, filled by sub-blocks
         prod = np.empty((nc * nc, min(_PIECE, len(pq)), self.n_ang))
+        piece = np.empty((min(_PIECE, len(pq)), _TERMS))  # each prod @ cheb
         sub = max(_FORM_POINTS // (2 * self.n_ang), 1)
         for c0 in range(0, len(pq), _PIECE):
             c = slice(c0, c0 + _PIECE)
@@ -486,7 +492,7 @@ class SeparableKernel:
             scale = weight[i[c]] * weight[j[c]]
             kept = np.clip(count - c0, 0, size)
             for ab, (a, b) in enumerate(np.ndindex(nc, nc)):
-                m = (prod[ab, :size] @ cheb).T
+                m = np.matmul(prod[ab, :size], cheb, out=piece[:size]).T
                 m *= W[a, b] * scale
                 for l, k in enumerate(kept):
                     moments[ab, start[l] + c0 : start[l] + c0 + k] = m[l, :k]
@@ -616,10 +622,11 @@ def dissociation_lengths(family) -> list[float]:
     leaves.  A step other than +-1, or steps that do not sum to the count
     change over the window (a lost root), raise ConvergenceError.
     """
-    kerns = [SeparableKernel(family(x), x) for x in (0.0, 1.0, -1.0)]
-    m0, mp, mm = (k.matrix(0.0) for k in kerns)
+    # each kernel's tables are freed once its M(0) is built
+    m0, mp, mm = (SeparableKernel(family(x), x).matrix(0.0) for x in (0.0, 1.0, -1.0))
     m1, m2 = 0.5 * (mp - mm), 0.5 * (mp + mm) - m0
-    n, p_min, p_max = len(m0), kerns[0].p_min, kerns[0].p_max
+    kern = SeparableKernel(family(0.0), 0.0)  # not built: its p_min and p_max only
+    n, p_min, p_max = len(m0), kern.p_min, kern.p_max
     lower = -np.linalg.solve(m0, np.hstack([m2, m1]))
     y = np.linalg.eigvals(np.block([[np.zeros((n, n)), np.eye(n)], [lower]]))
     a = np.sort(y.real[(y.imag == 0) & (-0.1 / p_min < y.real) & (y.real < -10 / p_max)])[::-1]

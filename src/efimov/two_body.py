@@ -367,17 +367,19 @@ class FormFactor:
 
 
 # Gaussian gridding of the sine transforms (Greengard & Lee, SIAM Rev. 46,
-# 443 (2004)): the FFT is at least _OVERSAMPLING times the run, each
-# momentum reads 2 _HALF_WIDTH grid values, and runs shorter than
-# _DIRECT_RUN nodes cost less summed directly.  At (2, 16) the transforms
-# of the triton wells and of the n = 4 and n = 6 tail deficits lie within
-# 4.3e-14 of the direct sum; at a half-width of 15 within 5.5e-14, at 14
-# 2.9e-13 and at 13 2.0e-12.
+# 443 (2004)): the FFT is at least _OVERSAMPLING times the sub-run, each
+# momentum reads 2 _HALF_WIDTH grid values per sub-run, and runs shorter
+# than _DIRECT_RUN nodes cost less summed directly.  At (2, 16) the
+# transforms of the triton wells and of the n = 4 and n = 6 tail deficits
+# lie within 4.3e-14 of the direct sum; at a half-width of 15 within
+# 5.5e-14, at 14 2.9e-13 and at 13 2.0e-12.  Summed in sub-runs of at
+# most _CHUNK nodes, the n = 4 and n = 6 tail transforms lie within
+# 4.6e-14 of a long-double direct sum, against 1.2e-13 for whole runs.
 _OVERSAMPLING = 2
 _HALF_WIDTH = 16
 _DIRECT_RUN = 64
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting factor
-_CHUNK = 32768  # points per pass of a blocked loop: its buffers stay in cache
+_CHUNK = 32768  # points per pass of a blocked loop, and per sine-transform sub-run
 _TWO_PI = (2 * math.pi, 2.4492935982947064e-16)  # 2 pi = hi + lo to 2^-106
 
 
@@ -434,32 +436,97 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _sine_transform(r, delta, p):
-    """p * int delta(r) sin(pr) dr by the trapezoid rule on r, per momentum p.
+def _gridded_run(x, f, p, out):
+    """Adds sum_j f_j sin(p x_j) over a uniform run x of N >= 64 nodes to out.
 
-    A uniform run of N nodes lies on the line r_c + jh, j = -N/2 .. N/2,
-    r_c its middle node, but for offsets d_j of a few ulp.  To first order
-    in p d_j (below 1e-11 here), its sum of f_j sin(p r_j) is
-    Im[e^{i p r_c} G_0(ph)] + p Re[e^{i p r_c} G_1(ph)], with
-    G_0(w) = sum_j f_j e^{ijw} and G_1 the same sum over f_j d_j.  These are
-    Fourier series at the non-uniform frequencies w = ph, which alias
+    The run is summed in ceil(N/_CHUNK) sub-runs of equal length (within
+    one node).  A sub-run of N' nodes lies on the line x_c + jh,
+    j = -N'/2 .. N'/2, x_c its middle node and h the run's step, but for
+    offsets d_j of a few ulp.  To first order in p d_j (below 1e-11 here),
+    its sum is Im[e^{i p x_c} G_0(ph)] + p Re[e^{i p x_c} G_1(ph)], with
+    G_0(w) = sum_j f_j e^{ijw} and G_1 the same sum over f_j d_j.  These
+    are Fourier series at the non-uniform frequencies w = ph, which alias
     mod 2 pi as the trapezoid sum does: a type-2 non-uniform FFT by
     Gaussian gridding (Greengard & Lee, SIAM Rev. 46, 443 (2004)).  The
     coefficients are divided by the Gaussian's Fourier coefficients,
-    transformed by one real FFT of a 5-smooth length M >= 2N, and at each
-    w the 32 grid values nearest are summed with the weights
-    exp(-(w - 2 pi m/M)^2/(4 tau)), tau = 16 pi/(M (M - N/2)).  The grid
-    coordinate wM/(2 pi) and the phase p r_c are taken as exact products
-    (``_two_product``), and the offsets enter through G_1: rounded, each
-    would shift a run's phases coherently, by up to p r ulp(1), and near
-    an alias w = 2 pi k, where the run's terms stop oscillating, that moved
-    the sum by 1e-11.  Runs under 64 nodes are summed directly.
+    transformed by one real FFT of a 5-smooth length M >= 2N', N' the
+    longest sub-run, and at each w the 32 grid values nearest are summed
+    with the weights exp(-(w - 2 pi m/M)^2/(4 tau)),
+    tau = 16 pi/(M (M - N'/2)).  The grid coordinate wM/(2 pi) and the
+    phase p x_c are taken as exact products (``_two_product``), and the
+    offsets enter through G_1: rounded, each would shift a run's phases
+    coherently, by up to p x ulp(1), and near an alias w = 2 pi k, where
+    the run's terms stop oscillating, that moved the sum by 1e-11.  The
+    grid points and weights depend on p, h, M and tau only, so the
+    sub-runs share them; each has its own centre x_c, phase and offsets.
 
-    Beside r, delta and the weighted profile f, a run holds one coefficient
-    array, the FFT's buffer and its spectrum: the deconvolution, times f in
-    place for G_0, then times the offsets d, block by block, for G_1.  The
-    step test that cuts r into runs works in place, and r's steps are freed
-    once f is formed.
+    Beside x and f, a sub-run holds one coefficient array, the FFT's buffer
+    and its spectrum: the deconvolution, times f in place for G_0, then
+    times the offsets d, block by block, for G_1.
+    """
+    parts = -(-x.size // _CHUNK)
+    edges = [x.size * i // parts for i in range(parts + 1)]
+    longest = -(-x.size // parts)
+    h = (x[-1] - x[0]) / (x.size - 1)
+    m = _fft_length(_OVERSAMPLING * longest)
+    tau = math.pi * _HALF_WIDTH / (m * (m - 0.5 * longest))
+    # the grid coordinate t = p h m/(2 pi) as t_hi + t_lo, through
+    # k = h m/(2 pi) = k_hi + k_lo, a double-double division
+    x_hi, x_lo = _two_product(h, float(m))
+    k_hi = x_hi / _TWO_PI[0]
+    q_hi, q_lo = _two_product(k_hi, _TWO_PI[0])
+    k_lo = ((x_hi - q_hi) - q_lo + x_lo - k_hi * _TWO_PI[1]) / _TWO_PI[0]
+    t_hi, t_lo = _two_product(p, k_hi)
+    t_lo += p * k_lo
+    m0 = np.floor(t_hi)
+    frac = (t_hi - m0) + t_lo
+    carry = np.floor(frac)  # t_lo may take frac out of [0, 1)
+    m0 += carry
+    frac -= carry
+    offsets = np.arange(1 - _HALF_WIDTH, _HALF_WIDTH + 1)
+    grid = (m0.astype(np.intp) % m)[:, None] + offsets
+    grid %= m
+    upper = grid > m // 2  # H_m = conj(F_m), F = rfft; past m/2, H_m = F_{m-m}
+    np.subtract(m, grid, out=grid, where=upper)
+    kernel = np.exp(-(((frac[:, None] - offsets) * (2 * math.pi / m)) ** 2) / (4 * tau))
+    kernels = np.stack([np.where(upper, 0.0, kernel), np.where(upper, kernel, 0.0)])
+    for a, b in zip(edges[:-1], edges[1:]):
+        xs, n, half = x[a:b], b - a, (b - a) // 2
+        j = np.arange(-half, n - half)
+        c = tau * j
+        c *= j
+        del j
+        np.exp(c, out=c)
+        c *= math.sqrt(math.pi / tau) / m  # the deconvolution
+        c *= f[a:b]
+        c_hi, c_lo = _two_product(p, xs[half])
+        sin_c, cos_c = np.sin(c_hi), np.cos(c_hi)
+        sin_c, cos_c = sin_c + cos_c * c_lo, cos_c - sin_c * c_lo
+        buf, spec = np.zeros(m), np.empty(m // 2 + 1, dtype=complex)
+        g = []
+        for term in range(2):  # G_0, then G_1
+            if term:
+                _times_run_offsets(c, xs, half, h)
+            buf[: n - half], buf[m - half :] = c[half:], c[:half]
+            gl, gu = np.einsum("kl,bkl->bk", np.fft.rfft(buf, out=spec).take(grid), kernels)
+            g.append(gl.conj() + gu)
+        out += sin_c * g[0].real + cos_c * g[0].imag
+        out += p * (cos_c * g[1].real - sin_c * g[1].imag)
+
+
+def _sine_transform(r, delta, p):
+    """p * int delta(r) sin(pr) dr by the trapezoid rule on r, per momentum p.
+
+    r is cut into uniform runs where its step changes, each summed by
+    ``_gridded_run`` in sub-runs of at most _CHUNK nodes, so the FFT is at
+    least twice the sub-run, not the run.  The weighted profile f, the
+    trapezoid weights times delta, is formed once over all of r, so the
+    sub-runs partition the same sum.  Runs under 64 nodes are summed
+    directly.
+
+    Beside r, delta and f, a sub-run's sum holds arrays of a few times
+    _CHUNK values.  The step test that cuts r into runs works in place, and
+    r's steps are freed once f is formed.
     """
     dr = np.diff(r)
     jump = np.diff(dr)
@@ -472,54 +539,11 @@ def _sine_transform(r, delta, p):
     f *= delta
     out = np.zeros(p.size)
     short = []
-    offsets = np.arange(1 - _HALF_WIDTH, _HALF_WIDTH + 1)
     for s, e in zip(np.r_[0, cuts], np.r_[cuts, r.size]):
-        n, half = e - s, (e - s) // 2
-        if n < _DIRECT_RUN:
+        if e - s < _DIRECT_RUN:
             short.append(np.arange(s, e))
-            continue
-        h = (r[e - 1] - r[s]) / (n - 1)
-        m = _fft_length(_OVERSAMPLING * n)
-        tau = math.pi * _HALF_WIDTH / (m * (m - 0.5 * n))
-        j = np.arange(-half, n - half)
-        c = tau * j
-        c *= j
-        del j
-        np.exp(c, out=c)
-        c *= math.sqrt(math.pi / tau) / m  # the deconvolution
-        c *= f[s:e]
-        # the grid coordinate t = p h m/(2 pi) as t_hi + t_lo, through
-        # k = h m/(2 pi) = k_hi + k_lo, a double-double division
-        x_hi, x_lo = _two_product(h, float(m))
-        k_hi = x_hi / _TWO_PI[0]
-        q_hi, q_lo = _two_product(k_hi, _TWO_PI[0])
-        k_lo = ((x_hi - q_hi) - q_lo + x_lo - k_hi * _TWO_PI[1]) / _TWO_PI[0]
-        t_hi, t_lo = _two_product(p, k_hi)
-        t_lo += p * k_lo
-        m0 = np.floor(t_hi)
-        frac = (t_hi - m0) + t_lo
-        carry = np.floor(frac)  # t_lo may take frac out of [0, 1)
-        m0 += carry
-        frac -= carry
-        grid = (m0.astype(np.intp) % m)[:, None] + offsets
-        grid %= m
-        upper = grid > m // 2  # H_m = conj(F_m), F = rfft; past m/2, H_m = F_{m-m}
-        np.subtract(m, grid, out=grid, where=upper)
-        kernel = np.exp(-(((frac[:, None] - offsets) * (2 * math.pi / m)) ** 2) / (4 * tau))
-        kernels = np.stack([np.where(upper, 0.0, kernel), np.where(upper, kernel, 0.0)])
-        c_hi, c_lo = _two_product(p, r[s + half])
-        sin_c, cos_c = np.sin(c_hi), np.cos(c_hi)
-        sin_c, cos_c = sin_c + cos_c * c_lo, cos_c - sin_c * c_lo
-        buf, spec = np.zeros(m), np.empty(m // 2 + 1, dtype=complex)
-        g = []
-        for term in range(2):  # G_0, then G_1
-            if term:
-                _times_run_offsets(c, r[s:e], half, h)
-            buf[: n - half], buf[m - half :] = c[half:], c[:half]
-            gl, gu = np.einsum("kl,bkl->bk", np.fft.rfft(buf, out=spec).take(grid), kernels)
-            g.append(gl.conj() + gu)
-        out += sin_c * g[0].real + cos_c * g[0].imag
-        out += p * (cos_c * g[1].real - sin_c * g[1].imag)
+        else:
+            _gridded_run(r[s:e], f[s:e], p, out)
     if short:
         k = np.concatenate(short)
         out += f[k] @ np.sin(np.multiply.outer(r[k], p))

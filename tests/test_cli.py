@@ -399,15 +399,22 @@ def test_unknown_option_and_missing_subcommand_return_2(capsys):
 @pytest.mark.parametrize(
     "argv, counts, transforms, legendre",
     [
-        (["stm", "--model", "vdw"], (10, 2, 7), [(30000, 200000)], {3000: 1, 260: 1, 48: 2}),
+        (
+            ["stm", "--model", "vdw"], (10, 2, 7), [(30000, 50000, 50000, 50000, 50000)],
+            {3000: 1, 260: 1, 48: 2},
+        ),
+        (
+            ["stm", "--model", "power4"], (9, 2, 6), [(40000, 40000) + (60000,) * 10],
+            {3000: 1, 260: 1, 48: 2},
+        ),
         (["triton"], (8, 2, 5), [(40500,), (40500,)], {3000: 1, 160: 1, 24: 2}),
     ],
-    ids=["vdw", "triton"],
+    ids=["vdw", "power4", "triton"],
 )
 def test_default_solve_counts(monkeypatch, tmp_path, argv, counts, transforms, legendre):
     # (kernel passes, eigvalsh calls, LU solves) of a default solve, the FFT
-    # lengths of each sine transform (one per uniform run of 64 nodes or
-    # more, each transformed twice), and the Newton passes of each
+    # lengths of each sine transform (one per uniform sub-run of 64 to
+    # 32768 nodes, each transformed twice), and the Newton passes of each
     # Gauss-Legendre rule: counts do not depend on the machine, so a
     # changed count is a changed algorithm
     calls = collections.Counter()

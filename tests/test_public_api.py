@@ -1,13 +1,14 @@
 """Guards against dead public API.
 
-Every name a library module exports in ``__all__``, and every public
-method, property and dataclass field of an exported class, must be used
-somewhere other than its own definition: by the library (the CLI
-included), by a script, or by the benchmark.  A helper that only tests
-call is dead weight; ``TEST_ONLY`` lists the few kept until a ROADMAP item
-settles them.  No library module may import a
-name it does not use.  Every defaulted parameter or dataclass field of the
-public API must be set by some call: one that nothing sets is a constant.
+Every name a library module exports in ``__all__``, every other public
+module-level function and class, and every public method, property and
+dataclass field of a public class, must be used somewhere other than its
+own definition: by the library (the CLI included), by a script, or by the
+benchmark.  A helper that only tests call is dead weight; ``TEST_ONLY``
+lists the few kept until a ROADMAP item settles them.  No library module
+may import a name it does not use.  Every defaulted parameter or dataclass
+field of the public API must be set by some call: one that nothing sets is
+a constant.
 
 No library module imports scipy at module level, and the solver paths of
 the CLI run without it: importing scipy costs more than most solves.
@@ -73,11 +74,21 @@ def _imports(tree):
                 yield alias.asname or alias.name, node.lineno
 
 
-def _members(tree, exported):
+def _public(tree, exported):
+    """The exports of a module and its other public module-level functions
+    and classes."""
+    defs = (ast.FunctionDef, ast.ClassDef)
+    return exported + [
+        node.name for node in tree.body
+        if isinstance(node, defs) and not node.name.startswith("_") and node.name not in exported
+    ]
+
+
+def _members(tree, public):
     """(class, name) of every public method, property and dataclass field of
-    the exported classes of a module."""
+    the public classes of a module."""
     for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name in exported:
+        if isinstance(node, ast.ClassDef) and node.name in public:
             for s in node.body:
                 if isinstance(s, ast.FunctionDef):
                     name = s.name
@@ -99,17 +110,17 @@ def test_every_export_is_used():
     dead = []
     for path in LIBRARY:
         tree = _tree(path)
-        exported = _exports(tree)
-        dead += [f"{path.stem}.{name}" for name in exported if name not in used]
+        public = _public(tree, _exports(tree))
+        dead += [f"{path.stem}.{name}" for name in public if name not in used]
         dead += [
             f"{path.stem}.{cls}.{name}"
-            for cls, name in _members(tree, exported)
+            for cls, name in _members(tree, public)
             if name not in attributes
         ]
     stale = sorted(set(TEST_ONLY) - set(dead))
     assert not stale, f"used now, so no longer TEST_ONLY: {stale}"
     dead = [name for name in dead if name not in TEST_ONLY]
-    assert not dead, f"exported but used by no library module, script or bench: {dead}"
+    assert not dead, f"public but used by no library module, script or bench: {dead}"
 
 
 def test_test_only_exports_are_roadmap_items():

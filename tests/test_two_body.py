@@ -273,12 +273,13 @@ def test_tail_profile_at_unitarity_builds_no_admixture(monkeypatch):
 
 
 def test_tail_profile_memory():
-    # T_0 of n = 6 on its N = 114,625 nodes.  At its peak the build holds r,
-    # the deficit and the weighted profile (N doubles each), the last run's
-    # coefficients (0.87 N), FFT buffer and spectrum (1.74 N each), its
-    # gridding tables and a few blocks of the offsets: 10.65 N measured,
-    # under a bound of 12 N.  With the offsets, the deconvolution and f d
-    # each an array of the run's size, the build took 13.8 N
+    # T_0 of n = 6 on its N = 114,625 nodes: 6.5 N measured, under a bound
+    # of 8 N.  The peak is the deficit's evaluation on r; the transform
+    # peaks at its step test (r, the deficit, and r's steps, their
+    # differences and bound: 5.3 N).  The outer run of 99,625 nodes
+    # transformed whole, its coefficients (0.87 N), FFT buffer and spectrum
+    # (1.74 N each) beside r, the deficit and the weighted profile, peaks
+    # at 10.65 N
     two_body._tail_unitarity(6)  # the first FFT's imports are not the build's
     tracemalloc.start()
     try:
@@ -286,7 +287,7 @@ def test_tail_profile_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * two_body._tail_grid(6)[0].size * 8
+    assert peak <= 8 * two_body._tail_grid(6)[0].size * 8
 
 
 def test_tail_profile_is_the_two_row_transform():
@@ -376,6 +377,48 @@ def test_sine_transform_aliases_as_the_trapezoid_sum():
 def test_sine_transform_at_p_zero_is_zero():
     r, _, _ = two_body._tail_grid(6)
     assert np.all(_sine_transform(r, np.ones_like(r), np.zeros(3)) == 0.0)
+
+
+def test_sine_transform_sub_runs_join_as_one_run(monkeypatch):
+    # a uniform run of 2 _CHUNK + 1001 nodes is summed as 3 sub-runs of
+    # equal length, each with its own centre, offsets and FFT; their joints
+    # must leave the trapezoid sum as it is, aliases (p h > pi) included
+    n = 2 * two_body._CHUNK + 1001
+    r = 0.5 + 0.2 * np.arange(n)
+    delta = 1.0 / (1.0 + r * r)
+    p = np.array([0.7, 17.0, 40.1])
+    assert np.count_nonzero(p * 0.2 > np.pi) == 2
+    sizes, offsets = [], two_body._times_run_offsets
+
+    def recorded(c, x, *args):  # once per sub-run, for G_1
+        sizes.append(x.size)
+        return offsets(c, x, *args)
+
+    monkeypatch.setattr(two_body, "_times_run_offsets", recorded)
+    got = _sine_transform(r, delta, p)
+    assert len(sizes) == 3 and sum(sizes) == n and max(sizes) - min(sizes) <= 1
+    direct = [q * np.trapezoid(delta * np.sin(q * r), r) for q in p]
+    assert got == pytest.approx(direct, rel=0, abs=1e-12)
+    assert got == pytest.approx(_exact_sum(r, delta, p), rel=0, abs=1e-13)
+
+
+def test_sine_transform_memory():
+    # the n = 4 deficits' N = 339,500 nodes, whose outer run of 299,499
+    # nodes is 10 sub-runs.  The peak is the step test that cuts r into
+    # runs, which holds r's steps and their differences and bound (3 N
+    # doubles): 8.5 MB measured.  With the run transformed whole, its
+    # 600,000-point FFT buffer and spectrum set a peak of 17.6 MB
+    r, inner, _ = two_body._tail_grid(4)
+    d = 1.0 - universal_tail_wavefunction(4, r)
+    d[inner] = 1.0
+    _sine_transform(r[:1000], d[:1000], two_body._P_TAB)  # the first FFT's imports
+    tracemalloc.start()
+    try:
+        _sine_transform(r, d, two_body._P_TAB)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_sine_integral_tail_matches_scipy_and_mpmath():
